@@ -5,7 +5,8 @@ Generating functions, verified exactly
 Each family has a closed-form exponential generating function.  Instead of
 manipulating square roots and quotients numerically, every identity is
 cross-multiplied into polynomial form and checked coefficient by coefficient
-in exact rational arithmetic.
+in exact integer arithmetic: series are stored in Hurwitz form (entry n is
+n! times the z^n coefficient), so no 1/n! is ever formed.
 """
 
 from fractions import Fraction

@@ -4,7 +4,7 @@ Real roots, interlacing, and limit statistics
 
 The combined peak polynomials are real-rooted with all zeros in [-1, 0):
 a high-multiplicity zero at -1 plus simple zeros certified by exact Sturm
-counts and rational isolating intervals.
+counts and dyadic isolating intervals.
 """
 
 from peakpoly import families as F

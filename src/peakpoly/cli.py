@@ -134,6 +134,8 @@ def cmd_poly(args, parser) -> int:
 
 def cmd_oracle(args, parser) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
+    if jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.stat == "alt":
         print(permutations.count_alternating(args.n, limit=S_N_LIMIT, jobs=jobs))
         return 0

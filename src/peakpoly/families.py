@@ -1,7 +1,7 @@
 """Number triangles and polynomial families built by exact recurrences.
 
-The families all live over one variable with integer (or rational, for
-intermediate values) coefficients:
+The families all live over one variable with integer coefficients, and every
+route below computes them in integer arithmetic:
 
 * peak_triangle / peak_poly: interior-peak counts over S_n (OEIS A008303)
 * left_peak_triangle / left_peak_poly: left-peak counts (OEIS A008971)
@@ -30,7 +30,7 @@ from typing import Sequence
 
 from . import permutations
 from .permutations import S_N_LIMIT, SIGNED_LIMIT, LimitExceeded, StatDistribution
-from .polynomial import Poly, Scalar
+from .polynomial import Poly, Scalar, hurwitz_mul
 
 X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
@@ -327,7 +327,7 @@ def signed_interleave_poly(n: int, **kwargs) -> Poly:
     if ct.coeff(0) != 0:
         raise ConstantTermNonzero(f"Ct_{n} has nonzero constant term {ct.coeff(0)}")
     width = 2 * max(len(c.coeffs), len(ct.coeffs))
-    out = [Fraction(0)] * width
+    out = [0] * width
     for i, v in enumerate(c.coeffs):
         out[2 * i] += v
     for i, v in enumerate(ct.coeffs):
@@ -340,41 +340,31 @@ def signed_interleave_poly(n: int, **kwargs) -> Poly:
 # tangent and secant numbers of order k
 # ---------------------------------------------------------------------------
 
-def _series_mul(a: Sequence[Fraction], b: Sequence[Fraction], nmax: int) -> list[Fraction]:
-    out = [Fraction(0)] * (nmax + 1)
-    for i, av in enumerate(a):
-        if not av:
-            continue
-        for j in range(min(len(b), nmax + 1 - i)):
-            if b[j]:
-                out[i + j] += av * b[j]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _tan_sec_series(nmax: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    # Exact Maclaurin coefficients of tan and sec up to x^nmax, built from the
-    # Euler numbers rather than by series inversion.
+def _tan_sec_series(nmax: int) -> tuple[list[int], list[int]]:
+    # Hurwitz entries n! [x^n] of tan and sec up to x^nmax: the Euler
+    # numbers, odd ones for tan and even ones for sec (no series inversion).
     es = euler_numbers(nmax)
-    tan_c = [Fraction(es[i], math.factorial(i)) if i % 2 else Fraction(0) for i in range(nmax + 1)]
-    sec_c = [Fraction(es[i], math.factorial(i)) if i % 2 == 0 else Fraction(0) for i in range(nmax + 1)]
-    return tuple(tan_c), tuple(sec_c)
+    tan_h = [e if i % 2 else 0 for i, e in enumerate(es)]
+    sec_h = [0 if i % 2 else e for i, e in enumerate(es)]
+    return tan_h, sec_h
 
 
 @lru_cache(maxsize=None)
 def tangent_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax."""
+    """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax.
+
+    Column k is the Hurwitz series of tan^k, so the columns are integral by
+    construction: each is the binomial convolution of the previous with tan.
+    """
     if kmax > nmax:
         raise ValueError("kmax must be <= nmax")
-    tan_c, _ = _tan_sec_series(nmax)
+    tan_h, _ = _tan_sec_series(nmax)
     table = []
-    power = [Fraction(1)] + [Fraction(0)] * nmax
+    power = [1] + [0] * nmax
     for k in range(kmax + 1):
-        col = [power[n] * math.factorial(n) for n in range(nmax + 1)]
-        assert all(v.denominator == 1 for v in col)
-        table.append(tuple(int(v) for v in col))
+        table.append(tuple(power))
         if k < kmax:
-            power = _series_mul(power, tan_c, nmax)
+            power = hurwitz_mul(power, tan_h, nmax)
     # transpose so the table reads T[n][k]
     return tuple(tuple(table[k][n] for k in range(kmax + 1)) for n in range(nmax + 1))
 
@@ -387,15 +377,13 @@ def secant_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
     """
     if kmax > nmax:
         raise ValueError("kmax must be <= nmax")
-    tan_c, sec_c = _tan_sec_series(nmax)
+    tan_h, sec_h = _tan_sec_series(nmax)
     table = []
-    power = list(sec_c)
+    power = sec_h
     for k in range(kmax + 1):
-        col = [power[n] * math.factorial(n) for n in range(nmax + 1)]
-        assert all(v.denominator == 1 for v in col)
-        table.append(tuple(int(v) for v in col))
+        table.append(tuple(power))
         if k < kmax:
-            power = _series_mul(power, tan_c, nmax)
+            power = hurwitz_mul(power, tan_h, nmax)
     return tuple(tuple(table[k][n] for k in range(kmax + 1)) for n in range(nmax + 1))
 
 
@@ -409,10 +397,10 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
         raise ValueError("n must be >= 0")
     t_table = tangent_numbers_table(n + 1, n + 1)
     s_table = secant_numbers_table(n, n)
-    p_coeffs = [Fraction(t_table[n][1] if n >= 1 else 0)]
+    p_coeffs = [t_table[n][1] if n >= 1 else 0]
     for k in range(1, n + 2):
         p_coeffs.append(Fraction(t_table[n + 1][k], k))
-    q_coeffs = [Fraction(s_table[n][k]) for k in range(n + 1)]
+    q_coeffs = [s_table[n][k] for k in range(n + 1)]
     return Poly(p_coeffs), Poly(q_coeffs)
 
 
@@ -511,6 +499,6 @@ def reduced_tan_sec_poly(n: int) -> Poly:
         raise ValueError("n must be >= 1")
     g = tan_sec_poly(n).exact_div(ONE_PLUS_X ** (n // 2 + 1))
     for i, c in enumerate(g.coeffs):
-        if c.denominator != 1 or c <= 0:
+        if type(c) is not int or c <= 0:
             raise NonpositiveCoefficient(f"G_{n} coefficient {c} at index {i}")
     return g

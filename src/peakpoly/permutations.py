@@ -21,7 +21,6 @@ so the result is identical whether shards run serially or on a process pool.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -202,6 +201,8 @@ def _alt_shard(args: tuple[int, int, bool]) -> int:
 def _run_shards(worker, shard_args, jobs: int):
     if jobs <= 1 or len(shard_args) <= 1:
         return [worker(a) for a in shard_args]
+    from concurrent.futures import ProcessPoolExecutor  # imported here: it is slow to import
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(shard_args))) as pool:
         return list(pool.map(worker, shard_args))
 

@@ -1,19 +1,28 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomial arithmetic over the integers and the rationals.
 
-A polynomial is a tuple of `fractions.Fraction` coefficients, index i holding
-the x^i coefficient.  Trailing zeros are stripped on construction, so equality
-is structural; the zero polynomial stores no coefficients at all and its
-degree is the sentinel -inf (never -1, which would compare like a valid
-degree).  Every operation is exact and returns a new value; nothing here
-mutates, so polynomials can be shared freely between concurrent tasks.
+A polynomial is a tuple of coefficients, index i holding the x^i coefficient.
+Storage contract: a coefficient is a plain `int` whenever it is integral and a
+`fractions.Fraction` only when it is not.  Every family in this package has
+integer coefficients, so on such inputs `+`, `*`, `divmod`, `exact_div`,
+`compose` and `subst_cleared` run entirely in integer arithmetic; `divmod` and
+`exact_div` produce a `Fraction` only for a quotient coefficient that really
+is not integral.  Evaluating an integral polynomial at p/q uses homogeneous
+integer Horner, q^d f(p/q), and reduces the fraction once at the end.
+
+Trailing zeros are stripped on construction, so equality is structural; the
+zero polynomial stores no coefficients at all and its degree is the sentinel
+-inf (never -1, which would compare like a valid degree).  Every operation is
+exact and returns a new value; nothing here mutates, so polynomials can be
+shared freely between concurrent tasks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -32,9 +41,46 @@ class ClearPowerTooSmall(ValueError):
     """Denominator-clearing exponent is smaller than the polynomial degree."""
 
 
+def _scalar(c) -> Scalar:
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, staying an int when b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _scalar(Fraction(a) / b)
+
+
+def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^d * f(num/den) for integer coefficients, by homogeneous Horner.
+
+    den must be positive, so the result has the sign of f(num/den).  A power
+    of two den (a dyadic point) turns every multiplication by den into a
+    shift.
+    """
+    acc = 0
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        for j, c in enumerate(reversed(coeffs)):
+            acc = acc * num + (c << (k * j))
+        return acc
+    den_pow = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * den_pow
+        den_pow *= den
+    return acc
+
+
 @dataclass(init=False, eq=True, frozen=True)
 class Poly:
-    """A univariate polynomial with Fraction coefficients, constant term first.
+    """A univariate polynomial with int or Fraction coefficients, constant term first.
 
     >>> Poly([1, 4, 5, 2])
     Poly('1 + 4x + 5x^2 + 2x^3')
@@ -44,13 +90,14 @@ class Poly:
     -inf
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [_scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_integral", all(type(c) is int for c in cs))
 
     # -- constructors ------------------------------------------------------
 
@@ -82,23 +129,26 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Scalar:
         """The x^i coefficient (zero beyond the stored length)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        """True when every coefficient is an integer (stored as an int)."""
+        return self._integral
 
     # -- ring operations ---------------------------------------------------
 
@@ -128,12 +178,11 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        b_coeffs = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b_coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+            if a:
+                for j, b in enumerate(b_coeffs):
                     out[i + j] += a * b
         return Poly(out)
 
@@ -161,12 +210,37 @@ class Poly:
         """
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+    def __call__(self, x: Scalar) -> Scalar:
+        """Evaluate at a rational point.
+
+        An integral polynomial gives an int at an integer point; at x = p/q it
+        gives q^d f(p/q) / q^d, computed in integers and reduced once.
+        """
+        if self._integral:
+            x = Fraction(x)
+            value = _cleared_value(self.coeffs, x.numerator, x.denominator)
+            if x.denominator == 1 or not self.coeffs:
+                return value
+            return Fraction(value, x.denominator ** (len(self.coeffs) - 1))
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def sign_at(self, x: Scalar) -> int:
+        """The sign (-1, 0 or 1) of self(x).
+
+        For an integral polynomial this is the sign of the integer
+        q^d f(p/q): no fraction is formed, and at a dyadic point every power
+        of q is a shift.
+        """
+        if self._integral:
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            v = _cleared_value(self.coeffs, x.numerator, x.denominator)
+        else:
+            v = self(x)
+        return (v > 0) - (v < 0)
 
     def compose(self, other: Poly) -> Poly:
         """The substitution self(other), as an exact polynomial."""
@@ -182,18 +256,19 @@ class Poly:
         if d.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         rem = list(self.coeffs)
-        dd = len(d.coeffs) - 1
-        lead = d.coeffs[-1]
+        d_coeffs = d.coeffs
+        dd = len(d_coeffs) - 1
+        lead = d_coeffs[-1]
         if len(rem) <= dd:
             return Poly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dd)
+        quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if not c:
                 continue
-            f = c / lead
+            f = _quotient(c, lead)
             quot[i - dd] = f
-            for j, dc in enumerate(d.coeffs):
+            for j, dc in enumerate(d_coeffs):
                 rem[i - dd + j] -= f * dc
         return Poly(quot), Poly(rem)
 
@@ -259,19 +334,76 @@ def primitive_part(p: Poly) -> Poly:
     """
     if p.is_zero():
         return p
-    den = lcm(*(c.denominator for c in p.coeffs))
-    nums = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    return Poly(tuple(Fraction(v // g) for v in nums))
+    nums = p.coeffs
+    if not p.is_integral():
+        den = lcm(*(c.denominator for c in nums))
+        nums = [c.numerator * (den // c.denominator) for c in nums]
+    g = gcd(*nums)
+    return Poly([v // g for v in nums])
+
+
+def pseudo_remainder(a: Poly, b: Poly) -> Poly:
+    """A positive integer multiple of the remainder of a by b, in Z[x].
+
+    Each elimination step scales the running remainder by |lc(b)|/g instead
+    of dividing by lc(b) (g the gcd with the coefficient being cancelled), so
+    no fraction is formed and the result has the sign of the true remainder
+    at every point -- the property Sturm chains need.  Both inputs must be
+    integral.
+    """
+    if b.is_zero():
+        raise DivisionByZeroPoly("polynomial division by zero")
+    if not (a.is_integral() and b.is_integral()):
+        raise ValueError("pseudo_remainder needs integer polynomials")
+    rem = list(a.coeffs)
+    b_coeffs = b.coeffs
+    db = len(b_coeffs) - 1
+    lead = b_coeffs[-1]
+    abs_lead = abs(lead)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        g = gcd(c, abs_lead)
+        scale = abs_lead // g
+        f = c // g if lead > 0 else -(c // g)
+        if scale != 1:
+            rem = [v * scale for v in rem]
+        base = i - db
+        rem[base:] = [v - f * w for v, w in zip(rem[base:], b_coeffs)]
+    return Poly(rem)
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor of p and q (gcd(p, 0) = monic p)."""
+    """Monic greatest common divisor of p and q (gcd(p, 0) = monic p).
+
+    Runs a primitive pseudo-remainder sequence over Z; the only division is
+    the final one by the leading coefficient.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
+    a, b = primitive_part(p), primitive_part(q)
     while not b.is_zero():
-        a, b = b, primitive_part(divmod(a, b)[1])
-    return a * (1 / a.leading())
+        a, b = b, primitive_part(pseudo_remainder(a, b))
+    return a * Fraction(1, a.leading())
+
+
+def hurwitz_mul(a: Sequence, b: Sequence, order: int) -> list:
+    """Product of two Hurwitz series, truncated after entry `order`.
+
+    Entry m of a Hurwitz series holds m! times its z^m coefficient, so the
+    product is the binomial convolution sum_k C(m, k) a_k b_(m-k): it stays
+    in the ring of the entries (Z, or Z[x] for Poly entries) and no 1/m!
+    ever appears.  Entries past the end of a or b count as zero; both must
+    be nonempty.
+    """
+    zero = a[0] * 0
+    out = []
+    for m in range(order + 1):
+        acc = zero
+        for k in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
+            u, v = a[k], b[m - k]
+            if u and v:
+                acc = acc + math.comb(m, k) * u * v
+        out.append(acc)
+    return out

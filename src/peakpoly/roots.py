@@ -1,7 +1,7 @@
 """Exact real-root certification for the tan_sec polynomial family.
 
-Everything here runs in rational arithmetic.  The central facts being
-certified, for R_n = tan_sec_poly(n):
+Everything here is exact, and the hot paths run in integer arithmetic.  The
+central facts being certified, for R_n = tan_sec_poly(n):
 
 * x = -1 is a zero of multiplicity floor(n/2) + 1, and the reduced
   polynomial G_n = R_n / (1+x)^(floor(n/2)+1) has exactly ceil(n/2) - 1
@@ -11,11 +11,14 @@ certified, for R_n = tan_sec_poly(n):
   (exact closed forms for R_n(1), R_n'(1), R_n''(1));
 * the largest coefficient sits at the index bracket floor/ceil((2n-1)/3).
 
-Root counting uses Sturm chains with content normalization after every
-remainder step (positive scaling only, so sign variations are untouched).
-Isolating intervals are open rational intervals refined by bisection, with
-the refinement depth bounded so an undetected common root cannot loop
-forever.
+Root counting uses Sturm chains built as primitive pseudo-remainder
+sequences over Z (Collins 1967): every remainder is scaled by a positive
+integer and reduced to its primitive part, so sign variations are untouched
+and no fraction is ever formed.  Isolating intervals are open intervals with
+dyadic endpoints: the root bound is a power of two and every refinement
+halves an interval, so each sign test is integer Horner with shifts
+(Poly.sign_at).  The refinement depth is bounded so an undetected common
+root cannot loop forever.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .polynomial import Poly, gcd_poly, primitive_part
+from .polynomial import Poly, gcd_poly, primitive_part, pseudo_remainder
 
 MAX_BISECTIONS = 128
 
@@ -50,12 +53,16 @@ class InterlacingViolation(Exception):
     """The separation (weak interlacing) certificate failed."""
 
 
+class ClosedFormViolation(ArithmeticError):
+    """An exact closed form for R_n(1), R_n'(1) or R_n''(1) failed."""
+
+
 Interval = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm sequence of a squarefree polynomial.
+    """Sturm sequence of a squarefree polynomial, every member primitive in Z[x].
 
     The sign-variation difference V(a) - V(b) counts the distinct real roots
     in (a, b].
@@ -64,11 +71,7 @@ class SturmChain:
     polys: tuple[Poly, ...]
 
     def variations(self, x: Fraction) -> int:
-        signs = []
-        for p in self.polys:
-            v = p(x)
-            if v:
-                signs.append(v > 0)
+        signs = [s for s in (p.sign_at(x) for p in self.polys) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def count(self, a: Fraction, b: Fraction) -> int:
@@ -76,9 +79,51 @@ class SturmChain:
         if a >= b:
             raise ValueError("need a < b")
         p = self.polys[0]
-        if p(a) == 0 or p(b) == 0:
+        if p.sign_at(a) == 0 or p.sign_at(b) == 0:
             raise EndpointIsRoot(f"endpoint of ({a}, {b}) is a root")
         return self.variations(a) - self.variations(b)
+
+    def isolate(self) -> list[Interval]:
+        """Disjoint open dyadic intervals, one per distinct real root of the
+        chain's polynomial, sorted in increasing order; endpoints are never
+        roots."""
+        p = self.polys[0]
+        if p.degree < 1:
+            return []
+        bound = Fraction(root_bound(p))
+        out: list[Interval] = []
+        stack: list[tuple[Fraction, Fraction, int]] = []
+        total = self.count(-bound, bound)
+        if total:
+            stack.append((-bound, bound, total))
+        while stack:
+            a, b, cnt = stack.pop()
+            if cnt == 1:
+                out.append((a, b))
+                continue
+            mid = (a + b) / 2
+            if p.sign_at(mid) == 0:
+                delta = (b - a) / 4
+                while (
+                    p.sign_at(mid - delta) == 0
+                    or p.sign_at(mid + delta) == 0
+                    or self.count(mid - delta, mid + delta) != 1
+                ):
+                    delta /= 2
+                out.append((mid - delta, mid + delta))
+                left = self.count(a, mid - delta)
+                right = self.count(mid + delta, b)
+                if left:
+                    stack.append((a, mid - delta, left))
+                if right:
+                    stack.append((mid + delta, b, right))
+            else:
+                left = self.count(a, mid)
+                if left:
+                    stack.append((a, mid, left))
+                if cnt - left:
+                    stack.append((mid, b, cnt - left))
+        return sorted(out)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -91,14 +136,19 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def sturm_chain(p: Poly) -> SturmChain:
-    """Sturm chain of a squarefree p; raises NonSquarefreeInput otherwise."""
+    """Sturm chain of a squarefree p; raises NonSquarefreeInput otherwise.
+
+    Each member after p' is the primitive part of minus a positive multiple
+    of the previous remainder, so the chain stays in Z[x] with its signs
+    intact even where a leading coefficient is negative.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     chain = [primitive_part(p)]
     if p.degree >= 1:
-        chain.append(primitive_part(p.derivative()))
+        chain.append(primitive_part(chain[0].derivative()))
         while chain[-1].degree >= 1:
-            rem = divmod(chain[-2], chain[-1])[1]
+            rem = pseudo_remainder(chain[-2], chain[-1])
             if rem.is_zero():
                 raise NonSquarefreeInput(f"{p!r} has a repeated root")
             chain.append(primitive_part(-rem))
@@ -111,7 +161,7 @@ def multiplicity_at(p: Poly, r: Fraction | int) -> int:
         raise ValueError("zero polynomial")
     factor = Poly((-Fraction(r), 1))
     m = 0
-    while p(r) == 0:
+    while p.sign_at(r) == 0:
         p = p.exact_div(factor)
         m += 1
     return m
@@ -122,67 +172,38 @@ def count_real_roots(p: Poly, a: Fraction | int, b: Fraction | int) -> int:
     return sturm_chain(p).count(Fraction(a), Fraction(b))
 
 
-def root_bound(p: Poly) -> Fraction:
-    """A rational B with every real root of p strictly inside (-B, B)."""
+def root_bound(p: Poly) -> int:
+    """A power of two B with every real root of p strictly inside (-B, B).
+
+    Rounding the Cauchy-type bound 2 + max|c|/|lead| up to a power of two
+    makes every bisection point dyadic.
+    """
     lead = abs(p.leading())
-    return 2 + max(abs(c) for c in p.coeffs) / lead
+    bound = 2 + math.ceil(max(abs(c) for c in p.coeffs) / Fraction(lead))
+    return 1 << (bound - 1).bit_length()
 
 
 def isolate_roots(p: Poly) -> list[Interval]:
-    """Disjoint open rational intervals, one per distinct real root of
+    """Disjoint open dyadic intervals, one per distinct real root of
     squarefree p, sorted in increasing order; endpoints are never roots."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
-    chain = sturm_chain(p)
-    bound = root_bound(p)
-    out: list[Interval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = []
-    total = chain.count(-bound, bound)
-    if total:
-        stack.append((-bound, bound, total))
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            delta = (b - a) / 4
-            while (
-                p(mid - delta) == 0
-                or p(mid + delta) == 0
-                or chain.count(mid - delta, mid + delta) != 1
-            ):
-                delta /= 2
-            out.append((mid - delta, mid + delta))
-            left = chain.count(a, mid - delta)
-            right = chain.count(mid + delta, b)
-            if left:
-                stack.append((a, mid - delta, left))
-            if right:
-                stack.append((mid + delta, b, right))
-        else:
-            left = chain.count(a, mid)
-            if left:
-                stack.append((a, mid, left))
-            if cnt - left:
-                stack.append((mid, b, cnt - left))
-    return sorted(out)
+    return sturm_chain(p).isolate()
 
 
 def _bisect_once(p: Poly, iv: Interval) -> Interval:
     """One refinement step of an isolating interval (sign change preserved)."""
     a, b = iv
     mid = (a + b) / 2
-    v = p(mid)
+    v = p.sign_at(mid)
     if v == 0:
         w = (b - a) / 8
-        while p(mid - w) == 0 or p(mid + w) == 0:
+        while p.sign_at(mid - w) == 0 or p.sign_at(mid + w) == 0:
             w /= 2
         return (mid - w, mid + w)
-    if (p(a) > 0) != (v > 0):
+    if p.sign_at(a) != v:
         return (a, mid)
     return (mid, b)
 
@@ -239,15 +260,17 @@ def certify_root_structure(n: int) -> RootReport:
     if mult != expected_mult:
         raise StructureViolation("multiplicity", f"n={n}: {mult} != {expected_mult}")
     g = families.reduced_tan_sec_poly(n)
-    if g.degree >= 1 and gcd_poly(g, g.derivative()).degree >= 1:
-        raise StructureViolation("squarefree", f"G_{n} has a repeated root")
-    intervals = isolate_roots(g)
+    try:
+        chain = sturm_chain(g)
+    except NonSquarefreeInput:
+        raise StructureViolation("squarefree", f"G_{n} has a repeated root") from None
+    intervals = chain.isolate()
     if len(intervals) != expected_simple:
         raise StructureViolation(
             "simple-zero count", f"n={n}: {len(intervals)} != {expected_simple}"
         )
     in_range = (
-        count_real_roots(g, -1, 0) == expected_simple if g.degree >= 1 else True
+        chain.count(Fraction(-1), Fraction(0)) == expected_simple if g.degree >= 1 else True
     )
     if not in_range:
         raise StructureViolation("zero range", f"some zero of G_{n} is outside (-1, 0)")
@@ -291,6 +314,7 @@ def certify_interlacing(n: int, *, max_bisections: int = MAX_BISECTIONS) -> bool
     else:
         common = Poly.one()
     if common.degree >= 1:
+        common = primitive_part(common)
         part_r = g_n.exact_div(common)
         part_s = g_n1.exact_div(common)
         labelled += [(iv, "c", common) for iv in isolate_roots(common)]
@@ -338,9 +362,9 @@ def certify_interlacing(n: int, *, max_bisections: int = MAX_BISECTIONS) -> bool
 @dataclass(frozen=True)
 class CltStats:
     n: int
-    value_at_1: Fraction
-    deriv1_at_1: Fraction
-    deriv2_at_1: Fraction
+    value_at_1: int
+    deriv1_at_1: int
+    deriv2_at_1: int
     mu: Fraction
     sigma2: Fraction
 
@@ -350,7 +374,8 @@ def clt_stats(n: int) -> CltStats:
 
     mu = R'(1)/R(1) and sigma^2 = mu + R''(1)/R(1) - mu^2.  The closed forms
     R_n(1) = 2 n!, R_n'(1) = (4n-2) n!/3 (n >= 2) and
-    R_n''(1) = n! (40n^2 - 84n + 56)/45 (n >= 4) are asserted on the way.
+    R_n''(1) = n! (40n^2 - 84n + 56)/45 (n >= 4) are checked on the way;
+    ClosedFormViolation is raised when one fails.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -359,13 +384,14 @@ def clt_stats(n: int) -> CltStats:
     d1 = rn.derivative()(1)
     d2 = rn.derivative().derivative()(1)
     fact = math.factorial(n)
-    assert v == 2 * fact
-    if n >= 2:
-        assert d1 == Fraction((4 * n - 2) * fact, 3)
-    if n >= 4:
-        assert d2 == Fraction(fact * (40 * n * n - 84 * n + 56), 45)
-    mu = d1 / v
-    sigma2 = mu + d2 / v - mu * mu
+    if v != 2 * fact:
+        raise ClosedFormViolation(f"R_{n}(1) = {v} != {2 * fact}")
+    if n >= 2 and 3 * d1 != (4 * n - 2) * fact:
+        raise ClosedFormViolation(f"R_{n}'(1) = {d1} != (4n-2) n!/3")
+    if n >= 4 and 45 * d2 != fact * (40 * n * n - 84 * n + 56):
+        raise ClosedFormViolation(f"R_{n}''(1) = {d2} != n! (40n^2-84n+56)/45")
+    mu = Fraction(d1, v)
+    sigma2 = mu + Fraction(d2, v) - mu * mu
     return CltStats(n, v, d1, d2, mu, sigma2)
 
 

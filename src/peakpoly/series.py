@@ -1,17 +1,20 @@
 """Truncated formal power series in z with polynomial-in-x coefficients.
 
-A TruncSeries of order N keeps the coefficients of z^0..z^N, each a Poly in
-x.  The exponential generating functions of all families in this package
-live here: the z^n coefficient of a family series is family_n(x)/n!, stored
-exactly.
+A TruncSeries of order N keeps z^0..z^N in Hurwitz form (Keigher, "On the
+ring of Hurwitz series", 1997): entry m holds m! * [z^m], a Poly in x.  The
+exponential generating functions of all families in this package live here,
+and in this form entry n of a family series is simply family_n(x), with
+integer coefficients.  Products are binomial convolutions (hurwitz_mul), so
+no 1/m! factor is ever formed and the whole module runs in Z[x].
 
 Square roots never appear: cosh(z*sqrt(w)) and sinh(z*sqrt(w))/sqrt(w) are
-both power series in w with rational coefficients (hyperbolic_blocks), which
-is what makes every closed form polynomial-checkable.  Identities are
-verified by cross-multiplying so that both sides are plain polynomial
-coefficients; the same relations are also *solved* coefficient-by-coefficient
-(division only ever by the exactly-dividing z^0 coefficient) to rebuild each
-family from its closed form, giving an independent derivation route.
+both power series in w (hyperbolic_blocks), which is what makes every closed
+form polynomial-checkable.  Identities are verified by cross-multiplying so
+that both sides are plain polynomial coefficients; the same relations are
+also *solved* coefficient-by-coefficient (division only ever by the
+exactly-dividing z^0 entry) to rebuild each family from its closed form,
+giving an independent derivation route.  Rationals appear only in the
+numeric spot-check's partial sum.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from mpmath import mp
-
 from . import families
 from .permutations import SIGNED_LIMIT
-from .polynomial import Poly, Scalar
+from .polynomial import Poly, Scalar, hurwitz_mul
 
 MAX_ORDER = 64
 
@@ -51,7 +52,7 @@ class PrecisionInsufficient(ArithmeticError):
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """Power series in z truncated after z^order, with Poly coefficients."""
+    """Power series in z truncated after z^order; entry m is m! [z^m], a Poly."""
 
     order: int
     coeffs: tuple[Poly, ...]
@@ -76,14 +77,11 @@ class TruncSeries:
             raise OrderExceedsComputedFamilies(
                 f"need {order + 1} polynomials, got {len(polys)}"
             )
-        return cls(
-            order,
-            tuple(polys[m] * Fraction(1, math.factorial(m)) for m in range(order + 1)),
-        )
+        return cls(order, tuple(polys[: order + 1]))
 
     def egf_poly(self, m: int) -> Poly:
         """m! times the z^m coefficient."""
-        return self.coeffs[m] * math.factorial(m)
+        return self.coeffs[m]
 
     def _require_same_order(self, other: TruncSeries) -> None:
         if self.order != other.order:
@@ -99,23 +97,20 @@ class TruncSeries:
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._require_same_order(other)
-        out = [Poly.zero()] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.order, tuple(out))
+        return TruncSeries(self.order, tuple(hurwitz_mul(self.coeffs, other.coeffs, self.order)))
 
     def scale(self, c: Poly | Scalar) -> TruncSeries:
         return TruncSeries(self.order, tuple(p * c for p in self.coeffs))
 
     def shift_z(self, k: int = 1) -> TruncSeries:
-        """Multiply by z^k, truncating at the same order."""
-        out = ((Poly.zero(),) * k + self.coeffs)[: self.order + 1]
-        return TruncSeries(self.order, out)
+        """Multiply by z^k, truncating at the same order.
+
+        In Hurwitz form entry m becomes m!/(m-k)! times entry m-k.
+        """
+        out = (Poly.zero(),) * k + tuple(
+            math.perm(m, k) * self.coeffs[m - k] for m in range(k, self.order + 1)
+        )
+        return TruncSeries(self.order, out[: self.order + 1])
 
     def truncate(self, order: int) -> TruncSeries:
         if order > self.order:
@@ -123,11 +118,8 @@ class TruncSeries:
         return TruncSeries(order, self.coeffs[: order + 1])
 
     def dz(self) -> TruncSeries:
-        """Derivative in z; the order drops by one."""
-        return TruncSeries(
-            self.order - 1,
-            tuple((m + 1) * self.coeffs[m + 1] for m in range(self.order)),
-        )
+        """Derivative in z; the order drops by one (in Hurwitz form, a shift)."""
+        return TruncSeries(self.order - 1, self.coeffs[1:])
 
     def dx(self) -> TruncSeries:
         """Coefficient-wise derivative in x; the order is unchanged."""
@@ -137,11 +129,9 @@ class TruncSeries:
 def exp_series(c: Poly | Scalar, order: int) -> TruncSeries:
     """exp(c z) = sum_m c^m z^m / m!, truncated at the given order."""
     c = c if isinstance(c, Poly) else Poly.constant(c)
-    coeffs = []
-    power = Poly.one()
-    for m in range(order + 1):
-        coeffs.append(power * Fraction(1, math.factorial(m)))
-        power = power * c
+    coeffs = [Poly.one()]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * c)
     return TruncSeries(order, tuple(coeffs))
 
 
@@ -157,9 +147,9 @@ def hyperbolic_blocks(w: Poly | Scalar, order: int) -> tuple[TruncSeries, TruncS
     power = Poly.one()
     for m in range(order // 2 + 1):
         if 2 * m <= order:
-            cosh_c[2 * m] = power * Fraction(1, math.factorial(2 * m))
+            cosh_c[2 * m] = power
         if 2 * m + 1 <= order:
-            sinh_c[2 * m + 1] = power * Fraction(1, math.factorial(2 * m + 1))
+            sinh_c[2 * m + 1] = power
         power = power * w
     return TruncSeries(order, tuple(cosh_c)), TruncSeries(order, tuple(sinh_c))
 
@@ -167,9 +157,10 @@ def hyperbolic_blocks(w: Poly | Scalar, order: int) -> tuple[TruncSeries, TruncS
 def solve_series(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     """The series q with q * den = num, term by term.
 
-    Each step divides by den's z^0 coefficient with polynomial exact
-    division, so the result exists only when the quotient really is a series
-    of polynomials (NonzeroRemainder otherwise) -- no rational functions are
+    Entry m solves num_m = sum_k C(m, k) q_k den_(m-k), the Hurwitz product.
+    Each step divides by den's z^0 entry with polynomial exact division, so
+    the result exists only when the quotient really is a series of
+    polynomials (NonzeroRemainder otherwise) -- no rational functions are
     ever formed.
     """
     num._require_same_order(den)
@@ -178,7 +169,8 @@ def solve_series(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     for m in range(num.order + 1):
         acc = num.coeffs[m]
         for i in range(m):
-            acc = acc - out[i] * den.coeffs[m - i]
+            if out[i] and den.coeffs[m - i]:
+                acc = acc - math.comb(m, i) * out[i] * den.coeffs[m - i]
         out.append(acc.exact_div(d0))
     return TruncSeries(num.order, tuple(out))
 
@@ -221,8 +213,7 @@ def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries
     # x (cosh z - 1) = (1 - x) + sum_i (-1)^i (1-x^2)^floor((i+1)/2) t^i / i!
     coeffs = [one_minus_x]
     for i in range(1, order + 1):
-        block = one_minus_x2 ** ((i + 1) // 2) * Fraction((-1) ** i, math.factorial(i))
-        coeffs.append(block)
+        coeffs.append(one_minus_x2 ** ((i + 1) // 2) * (-1) ** i)
     den = TruncSeries(order, tuple(coeffs))
     return den, TruncSeries.const(one_minus_x2, order)
 
@@ -263,8 +254,8 @@ def engine_series(
 def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
     """family_0..family_order recovered from the closed form alone.
 
-    Entry n is n! times the z^n series coefficient (for the R family that is
-    R_{n+1}; for W it is W_n with entry 0 equal to zero).
+    Entry n is the Hurwitz entry n! [z^n] of the solved series (for the R
+    family that is R_{n+1}; for W it is W_n with entry 0 equal to zero).
     """
     den, rhs = closed_form_sides(family, order)
     solved = solve_series(rhs, den)
@@ -282,10 +273,12 @@ def signed_polys_from_gf(n: int) -> tuple[Poly, Poly]:
 
 @dataclass(frozen=True)
 class SeriesMismatch:
+    """First differing coefficient; lhs and rhs are Hurwitz entries (m! [z^m])."""
+
     z_order: int
     x_index: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Scalar
+    rhs: Scalar
 
 
 def first_mismatch(a: TruncSeries, b: TruncSeries) -> SeriesMismatch | None:
@@ -386,6 +379,8 @@ def numeric_spotcheck(
     |R_{n+1}(x0)| <= R_{n+1}(1) = 2 (n+1)! for x0 in (0, 1); the bound must
     certify the tolerance or PrecisionInsufficient is raised.
     """
+    from mpmath import mp
+
     x0 = Fraction(x0)
     t0 = Fraction(t0)
     if not 0 < x0 < 1:

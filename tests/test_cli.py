@@ -70,6 +70,13 @@ def test_oracle_limit_exit_code():
     assert run("poly", "--family", "C", "--n", "65").returncode == 3
 
 
+def test_oracle_rejects_nonpositive_jobs():
+    for jobs in ("0", "-2"):
+        res = run("oracle", "--stat", "des", "--n", "4", "--jobs", jobs)
+        assert res.returncode == 2
+        assert "--jobs must be >= 1" in res.stderr
+
+
 def test_oracle_jobs_do_not_change_output():
     base = run("oracle", "--stat", "des", "--n", "6", "--jobs", "1")
     parallel = run("oracle", "--stat", "des", "--n", "6", "--jobs", "4")
@@ -90,6 +97,16 @@ def test_verify_clt_result_count():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert len(doc["results"]) == 27
+
+
+def test_verify_clt_passes_with_asserts_stripped():
+    # python -O removes assert statements; the closed-form checks must not rely on them
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "peakpoly", "verify", "--suite", "clt", "--nmax", "8"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["aggregate"] == "pass"
 
 
 def test_verify_usage_error_on_bad_range():

@@ -213,22 +213,17 @@ def test_bell_partial_insufficient_arguments():
 
 
 def test_bell_partial_matches_generating_function_definition():
-    # oracle: n! [t^n] (sum_i xs_i t^i/i!)^k / k! from direct truncated powers
+    # oracle: n! [t^n] (sum_i xs_i t^i/i!)^k / k! from direct truncated powers;
+    # entry m of a TruncSeries holds m! [t^m], so the base series has entries xs_m
     from peakpoly.series import TruncSeries
 
     nmax = 8
     xs = F.bell_peak_arguments(nmax)
-    base = TruncSeries(
-        nmax,
-        tuple(
-            Poly.zero() if m == 0 else xs[m - 1] * Fraction(1, math.factorial(m))
-            for m in range(nmax + 1)
-        ),
-    )
+    base = TruncSeries(nmax, (Poly.zero(),) + xs[:nmax])
     power = TruncSeries.const(1, nmax)
     for k in range(nmax + 1):
         for n in range(k, nmax + 1):
-            expected = power.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+            expected = power.coeffs[n] * Fraction(1, math.factorial(k))
             assert F.bell_partial(n, k, xs) == expected
         power = power * base
 

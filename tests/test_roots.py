@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from peakpoly import families as F
 from peakpoly.polynomial import Poly
 from peakpoly.roots import (
+    ClosedFormViolation,
     EndpointIsRoot,
     InterlacingViolation,
     NonSquarefreeInput,
@@ -173,6 +174,19 @@ def test_structure_violation_on_corrupted_polynomial(monkeypatch):
     monkeypatch.setattr(F, "tan_sec_poly", lambda n: Poly((1, 3, 3, 1)))
     with pytest.raises(StructureViolation):
         certify_root_structure(3)
+
+
+def test_clt_stats_rejects_corrupted_polynomial(monkeypatch):
+    # R_5 with its x^2 coefficient raised by one: R(1) is no longer 2 n!
+    good = F.tan_sec_poly(5)
+    corrupt = good + Poly.monomial(1, 2)
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: corrupt)
+    with pytest.raises(ClosedFormViolation):
+        clt_stats(5)
+    # the same polynomial rebalanced so R(1) holds and R'(1) fails
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: corrupt - Poly.monomial(1, 1))
+    with pytest.raises(ClosedFormViolation):
+        clt_stats(5)
 
 
 def test_clt_stats_reference_values():
