@@ -15,7 +15,7 @@ from peakpoly import families as F
 from peakpoly import series as S
 
 # All eight closed forms hold exactly through z^16.
-for family in S.FAMILY_IDS:
+for family in S.EGFS:
     outcome = S.verify_gf(family, 16)
     print(f"family {family:>2}: {'exact match to z^16' if outcome is None else outcome}")
 

@@ -5,7 +5,9 @@ the same invocation produces byte-identical output, regardless of the worker
 count (--jobs / PEAKPOLY_JOBS only changes how enumeration work is sharded).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 limit
-exceeded.
+exceeded.  The families, their minimum n and their caps come from the family
+table, series.FAMILIES; every verify range has a cap (VERIFY_CAPS) checked
+before any work.
 """
 
 from __future__ import annotations
@@ -15,23 +17,41 @@ import json
 import os
 import sys
 
-from . import __version__, families, identities, permutations
+from . import __version__, identities, permutations, series
 from .permutations import S_N_LIMIT, SIGNED_LIMIT, LimitExceeded
 
-RECURRENCE_CAP = 128
-GF_CAP = 64
-
-TRIANGLE_FAMILIES = ("R", "W", "WL")
-POLY_FAMILIES = ("P", "Q", "A", "R", "G", "T", "C", "CT", "W", "WL")
 ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
-SUITES = ("all", "identities", "gf", "roots", "clt", "oracle")
+# the verify suites, each with the configuration entry its --nmax sets
+SUITES = {
+    "all": "nmax_exact", "identities": "nmax_exact", "gf": "gf_order",
+    "roots": "roots_nmax", "clt": "clt_nmax", "oracle": "oracle_nmax",
+}
+# The largest value of each verify range: the enumeration caps, the highest
+# solved z-order (the identities suite solves C to order nmax_exact for its
+# Dilks GF checks), 64 for roots, whose Sturm certification grows steeply
+# with n, and the cap of R for clt.
+VERIFY_CAPS = {
+    "nmax_exact": series.MAX_ORDER,
+    "oracle_nmax": S_N_LIMIT,
+    "signed_nmax": SIGNED_LIMIT,
+    "gf_order": series.MAX_ORDER,
+    "roots_nmax": 64,
+    "clt_nmax": series.FAMILIES["R"].cap,
+}
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("PEAKPOLY_JOBS", "1")))
-    except ValueError:
-        return 1
+def _jobs(args, parser) -> int:
+    """--jobs, else PEAKPOLY_JOBS, else 1; anything but an integer >= 1 is a usage error."""
+    name, jobs = "--jobs", args.jobs
+    if jobs is None:
+        name, raw = "PEAKPOLY_JOBS", os.environ.get("PEAKPOLY_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            parser.error(f"PEAKPOLY_JOBS must be an integer, got {raw!r}")
+    if jobs < 1:
+        parser.error(f"{name} must be >= 1")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,12 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tri = sub.add_parser("triangle", help="print rows of a coefficient triangle")
-    p_tri.add_argument("--family", required=True, choices=TRIANGLE_FAMILIES)
+    triangles = [name for name, family in series.FAMILIES.items() if "triangle" in family.routes]
+    p_tri.add_argument("--family", required=True, choices=triangles)
     p_tri.add_argument("--nmax", required=True, type=int)
     p_tri.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p_poly = sub.add_parser("poly", help="print one family polynomial, coefficients ascending")
-    p_poly.add_argument("--family", required=True, choices=POLY_FAMILIES)
+    p_poly.add_argument("--family", required=True, choices=tuple(series.FAMILIES))
     p_poly.add_argument("--n", required=True, type=int)
     p_poly.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -58,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--jobs", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run verification suites, JSON report on stdout")
-    p_verify.add_argument("--suite", default="all", choices=SUITES)
+    p_verify.add_argument("--suite", default="all", choices=tuple(SUITES))
     p_verify.add_argument("--nmax", type=int, default=None, help="range for the selected suite")
     p_verify.add_argument("--oracle-nmax", type=int, default=identities.DEFAULT_ORACLE_NMAX)
     p_verify.add_argument("--signed-nmax", type=int, default=identities.DEFAULT_SIGNED_NMAX)
@@ -77,65 +98,32 @@ def _emit_rows(rows, fmt: str) -> None:
         print(json.dumps([[str(v) for v in row] for row in rows]))
 
 
+def _family(name: str, flag: str, n: int, parser) -> series.Family:
+    """The family table entry, once n is within its minimum and cap."""
+    family = series.FAMILIES[name]
+    if n < family.min_n:
+        parser.error(f"{flag} must be >= {family.min_n} for family {name}")
+    if n > family.cap:
+        raise LimitExceeded(f"{flag} above cap {family.cap} for family {name}")
+    return family
+
+
 def cmd_triangle(args, parser) -> int:
-    if args.family == "R" and args.nmax < 0:
-        parser.error("--nmax must be >= 0 for family R")
-    if args.family in ("W", "WL") and args.nmax < 1:
-        parser.error("--nmax must be >= 1 for families W and WL")
-    if args.nmax > RECURRENCE_CAP:
-        raise LimitExceeded(f"--nmax above cap {RECURRENCE_CAP}")
-    if args.family == "R":
-        rows = families.tan_sec_triangle(args.nmax)
-    elif args.family == "W":
-        rows = families.peak_triangle(args.nmax)
-    else:
-        rows = families.left_peak_triangle(args.nmax)
-    _emit_rows(rows, args.format)
+    family = _family(args.family, "--nmax", args.nmax, parser)
+    row = family.routes["triangle"]
+    _emit_rows([row(n).coeffs for n in range(family.min_n, args.nmax + 1)], args.format)
     return 0
 
 
-def _poly_for(family: str, n: int, parser) -> "families.Poly":
-    if family in ("P", "Q", "R") and n < 0:
-        parser.error(f"--n must be >= 0 for family {family}")
-    if family in ("A", "G", "T", "C", "CT", "W", "WL") and n < 1:
-        parser.error(f"--n must be >= 1 for family {family}")
-    if family in ("C", "CT", "T"):
-        if n > GF_CAP:
-            raise LimitExceeded(f"--n above cap {GF_CAP} for family {family}")
-    elif n > RECURRENCE_CAP:
-        raise LimitExceeded(f"--n above cap {RECURRENCE_CAP}")
-    if family == "P":
-        return families.tangent_derivative_poly(n)
-    if family == "Q":
-        return families.secant_derivative_poly(n)
-    if family == "A":
-        return families.eulerian_poly(n)
-    if family == "R":
-        return families.tan_sec_poly(n)
-    if family == "G":
-        return families.reduced_tan_sec_poly(n)
-    if family == "T":
-        return families.signed_interleave_poly(n)
-    if family == "C":
-        return families.type_b_eulerian_poly(n)
-    if family == "CT":
-        return families.affine_eulerian_poly(n)
-    if family == "W":
-        return families.peak_poly(n)
-    return families.left_peak_poly(n)
-
-
 def cmd_poly(args, parser) -> int:
-    p = _poly_for(args.family, args.n, parser)
+    p = _family(args.family, "--n", args.n, parser).poly(args.n)
     coeffs = p.coeffs if p.coeffs else ("0",)
     _emit_rows([coeffs], args.format)
     return 0
 
 
 def cmd_oracle(args, parser) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
+    jobs = _jobs(args, parser)
     if args.stat == "alt":
         print(permutations.count_alternating(args.n, limit=S_N_LIMIT, jobs=jobs))
         return 0
@@ -154,54 +142,40 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"--{name.replace('_', '-')} must be >= 1")
     if args.nmax is not None and args.nmax < 1:
         parser.error("--nmax must be >= 1")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
+    jobs = _jobs(args, parser)
 
-    nmax_exact = identities.DEFAULT_NMAX_EXACT
-    oracle_nmax = args.oracle_nmax
-    signed_nmax = args.signed_nmax
-    gf_order = args.gf_order
-    roots_nmax = args.roots_nmax
-    clt_nmax = args.clt_nmax
+    config = {
+        "suite": args.suite,
+        "nmax_exact": identities.DEFAULT_NMAX_EXACT,
+        "oracle_nmax": args.oracle_nmax,
+        "signed_nmax": args.signed_nmax,
+        "gf_order": args.gf_order,
+        "roots_nmax": args.roots_nmax,
+        "clt_nmax": args.clt_nmax,
+    }
     if args.nmax is not None:
-        if args.suite in ("all", "identities"):
-            nmax_exact = args.nmax
-        elif args.suite == "gf":
-            gf_order = args.nmax
-        elif args.suite == "roots":
-            roots_nmax = args.nmax
-        elif args.suite == "clt":
-            clt_nmax = args.nmax
-        else:
-            oracle_nmax = args.nmax
+        config[SUITES[args.suite]] = args.nmax
+    for name, cap in VERIFY_CAPS.items():
+        if config[name] > cap:
+            raise LimitExceeded(f"{name} {config[name]} above cap {cap}")
 
     if args.suite == "all":
-        results = identities.run_all(
-            nmax_exact, oracle_nmax, signed_nmax, gf_order, roots_nmax, clt_nmax, jobs
-        )
+        ranges = {name: value for name, value in config.items() if name != "suite"}
+        results = identities.run_all(**ranges, jobs=jobs)
     elif args.suite == "identities":
-        results = identities.run_identity_suite(nmax_exact, signed_nmax, jobs)
+        results = identities.run_identity_suite(config["nmax_exact"], config["signed_nmax"], jobs)
     elif args.suite == "gf":
-        results = identities.run_gf_suite(gf_order, signed_nmax, jobs)
+        results = identities.run_gf_suite(config["gf_order"], config["signed_nmax"], jobs)
     elif args.suite == "roots":
-        results = identities.run_roots_suite(roots_nmax)
+        results = identities.run_roots_suite(config["roots_nmax"])
     elif args.suite == "clt":
-        results = identities.run_clt_suite(clt_nmax)
+        results = identities.run_clt_suite(config["clt_nmax"])
     else:
-        results = identities.run_oracle_suite(oracle_nmax, signed_nmax, jobs)
+        results = identities.run_oracle_suite(config["oracle_nmax"], config["signed_nmax"], jobs)
 
     report = {
         "tool_version": __version__,
-        "configuration": {
-            "suite": args.suite,
-            "nmax_exact": nmax_exact,
-            "oracle_nmax": oracle_nmax,
-            "signed_nmax": signed_nmax,
-            "gf_order": gf_order,
-            "roots_nmax": roots_nmax,
-            "clt_nmax": clt_nmax,
-        },
+        "configuration": config,
         "results": [r.to_json() for r in results],
         "aggregate": identities.aggregate_verdict(results),
     }

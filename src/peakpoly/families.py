@@ -18,7 +18,13 @@ route below computes them in integer arithmetic:
 Every family has at least two independent computation routes (recurrence,
 series solve, or brute-force enumeration); the test-suite and the identity
 suite cross-check them against each other, so no single recurrence is ever
-trusted on its own.
+trusted on its own.  The routes of each family are listed in the family
+table, series.FAMILIES.
+
+Each recurrence family is one Memo: a growing tuple of terms 0..k that
+builds only terms k+1..n when term n is asked for, so per-n calls never
+rebuild a prefix.  The enumeration oracle results are memoized per (n, stat)
+(or (n, reverse) for alternating counts).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import permutations
 from .permutations import S_N_LIMIT, SIGNED_LIMIT, LimitExceeded, StatDistribution
@@ -49,41 +55,72 @@ class NonpositiveCoefficient(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# cached oracle access (enumeration results are reused by many checks)
+# the memo idiom: every family is one sequence, grown on demand
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _distribution_impl(n: int, stat: str, limit: int, jobs: int) -> StatDistribution:
-    return permutations.distribution(n, stat, limit=limit, jobs=jobs)
+class Memo:
+    """Terms 0..k of an infinite sequence, extended on demand.
+
+    Asking for term n > k builds only terms k+1..n, term m as
+    step(terms, m) from the stored prefix terms[0..m-1], so a loop over n
+    never rebuilds a prefix.  The terms are kept as a tuple, so what a caller
+    gets back cannot change the memo.
+    """
+
+    def __init__(self, seed: Sequence, step: Callable[[list, int], object]):
+        self.terms = tuple(seed)
+        self.step = step
+
+    def upto(self, n: int) -> tuple:
+        """Terms 0..n."""
+        if n >= len(self.terms):
+            terms = list(self.terms)
+            for m in range(len(terms), n + 1):
+                terms.append(self.step(terms, m))
+            self.terms = tuple(terms)
+        return self.terms[: n + 1]
 
 
-@lru_cache(maxsize=None)
-def _signed_distribution_impl(n: int, stat: str, limit: int, jobs: int) -> StatDistribution:
-    return permutations.signed_distribution(n, stat, limit=limit, jobs=jobs)
-
-
-@lru_cache(maxsize=None)
-def _count_alternating_impl(n: int, reverse: bool, limit: int, jobs: int) -> int:
-    return permutations.count_alternating(n, reverse=reverse, limit=limit, jobs=jobs)
+# The oracle memos: `limit` only gates an enumeration and `jobs` never
+# changes its result, so neither is part of the key.
+_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
+_SIGNED_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
+_ALTERNATING: dict[tuple[int, bool], int] = {}
 
 
 def cached_distribution(n: int, stat: str, limit: int = S_N_LIMIT, jobs: int = 1) -> StatDistribution:
-    return _distribution_impl(n, stat, limit, jobs)
+    if (n, stat) not in _DISTRIBUTIONS:
+        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat, limit=limit, jobs=jobs)
+    return _DISTRIBUTIONS[n, stat]
 
 
 def cached_signed_distribution(n: int, stat: str, limit: int = SIGNED_LIMIT, jobs: int = 1) -> StatDistribution:
-    return _signed_distribution_impl(n, stat, limit, jobs)
+    if (n, stat) not in _SIGNED_DISTRIBUTIONS:
+        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat, limit=limit, jobs=jobs)
+    return _SIGNED_DISTRIBUTIONS[n, stat]
 
 
 def cached_count_alternating(n: int, reverse: bool = False, limit: int = S_N_LIMIT, jobs: int = 1) -> int:
-    return _count_alternating_impl(n, reverse, limit, jobs)
+    if (n, reverse) not in _ALTERNATING:
+        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse, limit=limit, jobs=jobs)
+    return _ALTERNATING[n, reverse]
 
 
 # ---------------------------------------------------------------------------
 # derivative polynomials and Euler numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+ONE_PLUS_U2 = Poly((1, 0, 1))
+
+
+def _derivative_step(pqs: list, m: int) -> tuple[Poly, Poly]:
+    p, q = pqs[-1]
+    return ONE_PLUS_U2 * p.derivative(), ONE_PLUS_U2 * q.derivative() + X * q
+
+
+_DERIVATIVE_POLYS = Memo(((X, Poly.one()),), _derivative_step)
+
+
 def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """Derivative polynomials (P_0..P_nmax, Q_0..Q_nmax).
 
@@ -92,13 +129,8 @@ def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    one_plus_u2 = Poly((1, 0, 1))
-    ps = [X]
-    qs = [Poly.one()]
-    for _ in range(nmax):
-        ps.append(one_plus_u2 * ps[-1].derivative())
-        qs.append(one_plus_u2 * qs[-1].derivative() + X * qs[-1])
-    return tuple(ps), tuple(qs)
+    pqs = _DERIVATIVE_POLYS.upto(nmax)
+    return tuple(p for p, _ in pqs), tuple(q for _, q in pqs)
 
 
 def tangent_derivative_poly(n: int) -> Poly:
@@ -109,7 +141,6 @@ def secant_derivative_poly(n: int) -> Poly:
     return derivative_polys(n)[1][n]
 
 
-@lru_cache(maxsize=None)
 def euler_numbers(nmax: int) -> tuple[int, ...]:
     """E_0..E_nmax: numbers of alternating permutations (OEIS A000111).
 
@@ -117,18 +148,27 @@ def euler_numbers(nmax: int) -> tuple[int, ...]:
     P_n(0) for odd n and Q_n(0) for even n.
     """
     ps, qs = derivative_polys(nmax)
-    out = []
-    for n in range(nmax + 1):
-        value = ps[n](0) if n % 2 else qs[n](0)
-        out.append(int(value))
-    return tuple(out)
+    return tuple(ps[n].coeff(0) if n % 2 else qs[n].coeff(0) for n in range(nmax + 1))
 
 
 # ---------------------------------------------------------------------------
 # the triangles (entry recurrences)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _tan_sec_row(rows: list, m: int) -> tuple[int, ...]:
+    n, prev = m - 1, rows[-1]
+
+    def entry(k: int) -> int:
+        a = prev[k] if k <= n else 0
+        b = prev[k - 2] if k >= 2 else 0
+        return (k + 1) * a + (n - k + 2) * b
+
+    return tuple(entry(k) for k in range(n + 2))
+
+
+_TAN_SEC_ROWS = Memo(((1,), (1, 1)), _tan_sec_row)
+
+
 def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..nmax of the triangle R with R[n+1][k] = (k+1) R[n][k] + (n-k+2) R[n][k-2].
 
@@ -136,20 +176,29 @@ def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    rows = [(1,), (1, 1)]
-    for n in range(1, nmax):
-        prev = rows[-1]
+    return _TAN_SEC_ROWS.upto(nmax)
+
+
+def _peak_row_step(left: int) -> Callable[[list, int], tuple[int, ...]]:
+    # Row n of the interior-peak (left = 0) or left-peak (left = 1) triangle
+    # from row n-1; the memos hold row n as term n-1.
+    def step(rows: list, m: int) -> tuple[int, ...]:
+        n, prev = m + 1, rows[-1]
 
         def entry(k: int) -> int:
-            a = prev[k] if k <= n else 0
-            b = prev[k - 2] if k >= 2 else 0
-            return (k + 1) * a + (n - k + 2) * b
+            a = prev[k] if k < len(prev) else 0
+            b = prev[k - 1] if k >= 1 else 0
+            return (2 * k + 2 - left) * a + (n - 2 * k + left) * b
 
-        rows.append(tuple(entry(k) for k in range(n + 2)))
-    return tuple(rows[: nmax + 1])
+        return tuple(entry(k) for k in range((n + left - 1) // 2 + 1))
+
+    return step
 
 
-@lru_cache(maxsize=None)
+_PEAK_ROWS = Memo(((1,),), _peak_row_step(0))
+_LEFT_PEAK_ROWS = Memo(((1,),), _peak_row_step(1))
+
+
 def peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..nmax of interior-peak counts W[n][k] over S_n (A008303).
 
@@ -158,21 +207,9 @@ def peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    rows = [(1,)]
-    for n in range(2, nmax + 1):
-        prev = rows[-1]
-        width = (n - 1) // 2 + 1
-
-        def entry(k: int) -> int:
-            a = prev[k] if k < len(prev) else 0
-            b = prev[k - 1] if k >= 1 else 0
-            return (2 * k + 2) * a + (n - 2 * k) * b
-
-        rows.append(tuple(entry(k) for k in range(width)))
-    return tuple(rows)
+    return _PEAK_ROWS.upto(nmax - 1)
 
 
-@lru_cache(maxsize=None)
 def left_peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..nmax of left-peak counts Wl[n][k] over S_n (A008971).
 
@@ -181,18 +218,7 @@ def left_peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    rows = [(1,)]
-    for n in range(2, nmax + 1):
-        prev = rows[-1]
-        width = n // 2 + 1
-
-        def entry(k: int) -> int:
-            a = prev[k] if k < len(prev) else 0
-            b = prev[k - 1] if k >= 1 else 0
-            return (2 * k + 1) * a + (n - 2 * k + 1) * b
-
-        rows.append(tuple(entry(k) for k in range(width)))
-    return tuple(rows)
+    return _LEFT_PEAK_ROWS.upto(nmax - 1)
 
 
 def peak_poly(n: int) -> Poly:
@@ -209,70 +235,71 @@ def left_peak_poly(n: int) -> Poly:
 # the same families through their polynomial recurrences (second route)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
-    """R_0..R_nmax via R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n'.
+X_ONE_MINUS_X = Poly((0, 1, -1))
+X_ONE_MINUS_X2 = Poly((0, 1, 0, -1))
+TWO_X_ONE_MINUS_X = Poly((0, 2, -2))
 
-    Seeded with R_0 = 1 and R_1 = 1 + x (the recurrence applies for n >= 1).
-    """
+# R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n', seeded with R_0 = 1 and
+# R_1 = 1 + x (the recurrence applies for n >= 1).
+_TAN_SEC_POLYS = Memo(
+    (Poly.one(), ONE_PLUS_X),
+    lambda rs, m: Poly((1, 0, m - 1)) * rs[-1] + X_ONE_MINUS_X2 * rs[-1].derivative(),
+)
+# W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n', with W_n as term n-1.
+_PEAK_POLYS = Memo(
+    (Poly.one(),),
+    lambda ws, m: Poly((2, m - 1)) * ws[-1] + TWO_X_ONE_MINUS_X * ws[-1].derivative(),
+)
+# Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n', with Wl_n as term n-1.
+_LEFT_PEAK_POLYS = Memo(
+    (Poly.one(),),
+    lambda ws, m: Poly((1, m)) * ws[-1] + TWO_X_ONE_MINUS_X * ws[-1].derivative(),
+)
+
+
+def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
+    """R_0..R_nmax via R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n'."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    rs = [Poly.one(), ONE_PLUS_X]
-    x_one_minus_x2 = Poly((0, 1, 0, -1))
-    for n in range(1, nmax):
-        rn = rs[-1]
-        rs.append(Poly((1, 0, n)) * rn + x_one_minus_x2 * rn.derivative())
-    return tuple(rs[: nmax + 1])
+    return _TAN_SEC_POLYS.upto(nmax)
 
 
 def tan_sec_poly(n: int) -> Poly:
     return tan_sec_polys(n)[n]
 
 
-@lru_cache(maxsize=None)
 def peak_polys_by_recurrence(nmax: int) -> tuple[Poly, ...]:
     """W_1..W_nmax via W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n'."""
-    ws = [Poly.one()]
-    two_x_one_minus_x = Poly((0, 2, -2))
-    for n in range(1, nmax):
-        wn = ws[-1]
-        ws.append(Poly((2, n - 1)) * wn + two_x_one_minus_x * wn.derivative())
-    return tuple(ws[:nmax])
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return _PEAK_POLYS.upto(nmax - 1)
 
 
-@lru_cache(maxsize=None)
 def left_peak_polys_by_recurrence(nmax: int) -> tuple[Poly, ...]:
     """Wl_1..Wl_nmax via Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n'."""
-    ws = [Poly.one()]
-    two_x_one_minus_x = Poly((0, 2, -2))
-    for n in range(1, nmax):
-        wn = ws[-1]
-        ws.append(Poly((1, n)) * wn + two_x_one_minus_x * wn.derivative())
-    return tuple(ws[:nmax])
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return _LEFT_PEAK_POLYS.upto(nmax - 1)
 
 
 # ---------------------------------------------------------------------------
 # Eulerian polynomials
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _eulerian_polys(nmax: int) -> tuple[Poly, ...]:
-    # A_{n+1} = (1 + nx) A_n + x(1-x) A_n'.  This classical recurrence is not
-    # taken on faith: the suite checks the result against the descent
-    # distribution and against the exponential generating function.
-    out = [Poly.one()]
-    x_one_minus_x = Poly((0, 1, -1))
-    for n in range(nmax):
-        an = out[-1]
-        out.append(Poly((1, n)) * an + x_one_minus_x * an.derivative())
-    return tuple(out)
+# A_{n+1} = (1 + nx) A_n + x(1-x) A_n'.  This classical recurrence is not
+# taken on faith: the suite checks the result against the descent
+# distribution and against the exponential generating function.
+_EULERIAN_POLYS = Memo(
+    (Poly.one(),),
+    lambda an, m: Poly((1, m - 1)) * an[-1] + X_ONE_MINUS_X * an[-1].derivative(),
+)
 
 
 def eulerian_poly(n: int) -> Poly:
     """The Eulerian (descent) polynomial A_n, n >= 1; A_n(1) = n!."""
     if n < 1:
         raise ValueError("eulerian_poly requires n >= 1")
-    return _eulerian_polys(n)[n]
+    return _EULERIAN_POLYS.upto(n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +368,34 @@ def signed_interleave_poly(n: int, **kwargs) -> Poly:
 # ---------------------------------------------------------------------------
 
 def _tan_sec_series(nmax: int) -> tuple[list[int], list[int]]:
-    # Hurwitz entries n! [x^n] of tan and sec up to x^nmax: the Euler
-    # numbers, odd ones for tan and even ones for sec (no series inversion).
-    es = euler_numbers(nmax)
-    tan_h = [e if i % 2 else 0 for i, e in enumerate(es)]
-    sec_h = [0 if i % 2 else e for i, e in enumerate(es)]
+    # Hurwitz entries n! [x^n] of tan and sec up to x^nmax, from
+    # tan' = 1 + tan^2 and sec' = sec tan (no series inversion).  They are
+    # not read off the derivative polynomials, so cvijovic_polys stays a
+    # route to P_n and Q_n of its own.
+    tan_h, sec_h = [0], [1]
+    for n in range(nmax):
+        tan_h.append(int(n == 0) + sum(math.comb(n, k) * tan_h[k] * tan_h[n - k] for k in range(n + 1)))
+        sec_h.append(sum(math.comb(n, k) * sec_h[k] * tan_h[n - k] for k in range(n + 1)))
     return tan_h, sec_h
+
+
+def _tan_power_table(nmax: int, kmax: int, times_sec: bool) -> tuple[tuple[int, ...], ...]:
+    # Column k is the Hurwitz series of tan^k (times sec), the binomial
+    # convolution of column k-1 with tan, so the columns are integral by
+    # construction; transposed so the table reads [n][k].
+    if kmax > nmax:
+        raise ValueError("kmax must be <= nmax")
+    tan_h, sec_h = _tan_sec_series(nmax)
+    columns = [sec_h if times_sec else [1] + [0] * nmax]
+    for _ in range(kmax):
+        columns.append(hurwitz_mul(columns[-1], tan_h, nmax))
+    return tuple(tuple(column[n] for column in columns) for n in range(nmax + 1))
 
 
 @lru_cache(maxsize=None)
 def tangent_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax.
-
-    Column k is the Hurwitz series of tan^k, so the columns are integral by
-    construction: each is the binomial convolution of the previous with tan.
-    """
-    if kmax > nmax:
-        raise ValueError("kmax must be <= nmax")
-    tan_h, _ = _tan_sec_series(nmax)
-    table = []
-    power = [1] + [0] * nmax
-    for k in range(kmax + 1):
-        table.append(tuple(power))
-        if k < kmax:
-            power = hurwitz_mul(power, tan_h, nmax)
-    # transpose so the table reads T[n][k]
-    return tuple(tuple(table[k][n] for k in range(kmax + 1)) for n in range(nmax + 1))
+    """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax."""
+    return _tan_power_table(nmax, kmax, times_sec=False)
 
 
 @lru_cache(maxsize=None)
@@ -375,16 +404,7 @@ def secant_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
 
     Not to be confused with Stirling numbers, which live in stirling2().
     """
-    if kmax > nmax:
-        raise ValueError("kmax must be <= nmax")
-    tan_h, sec_h = _tan_sec_series(nmax)
-    table = []
-    power = sec_h
-    for k in range(kmax + 1):
-        table.append(tuple(power))
-        if k < kmax:
-            power = hurwitz_mul(power, tan_h, nmax)
-    return tuple(tuple(table[k][n] for k in range(kmax + 1)) for n in range(nmax + 1))
+    return _tan_power_table(nmax, kmax, times_sec=True)
 
 
 def cvijovic_polys(n: int) -> tuple[Poly, Poly]:

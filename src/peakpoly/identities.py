@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from . import families, permutations, roots, series
 from .polynomial import Poly
+from .series import Witness, first_difference
 
 DEFAULT_NMAX_EXACT = 12
 DEFAULT_ORACLE_NMAX = 9
@@ -28,17 +29,6 @@ DEFAULT_CLT_NMAX = 30
 FOUR_X = Poly((0, 4))
 ONE_PLUS_X = Poly((1, 1))
 ONE_MINUS_X = Poly((1, -1))
-
-
-@dataclass(frozen=True)
-class Witness:
-    n: int
-    index: int
-    lhs: str
-    rhs: str
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "index": self.index, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass(frozen=True)
@@ -61,24 +51,6 @@ class CheckResult:
         if self.witness is not None:
             doc["witness"] = self.witness.to_json()
         return doc
-
-
-def _poly_witness(n: int, lhs: Poly, rhs: Poly) -> Witness | None:
-    if lhs == rhs:
-        return None
-    for j in range(max(len(lhs.coeffs), len(rhs.coeffs))):
-        if lhs.coeff(j) != rhs.coeff(j):
-            return Witness(n, j, str(lhs.coeff(j)), str(rhs.coeff(j)))
-    return None
-
-
-def _seq_witness(n: int, lhs: Sequence, rhs: Sequence) -> Witness | None:
-    for j in range(max(len(lhs), len(rhs))):
-        a = lhs[j] if j < len(lhs) else None
-        b = rhs[j] if j < len(rhs) else None
-        if a != b:
-            return Witness(n, j, str(a), str(b))
-    return None
 
 
 def _aggregate(check_id: str, lo: int, hi: int, fn: Callable[[int], Witness | None]) -> CheckResult:
@@ -123,12 +95,12 @@ def check_row_interleave(n: int, *, r_row: Sequence[int] | None = None) -> Witne
     w_row = families.peak_triangle(n)[n - 1]
     wl_row = families.left_peak_triangle(n)[n - 1]
     expected = interleave_rows(w_row, wl_row, n)
-    witness = _seq_witness(n, tuple(r_row), expected)
+    witness = first_difference(n, tuple(r_row), expected)
     if witness is not None:
         return witness
     poly_route = families.tan_sec_poly(n)
     if tuple(int(c) for c in poly_route.coeffs) != tuple(r_row):
-        return _seq_witness(n, tuple(r_row), tuple(int(c) for c in poly_route.coeffs))
+        return first_difference(n, tuple(r_row), tuple(int(c) for c in poly_route.coeffs))
     if r_row[0] != 1:
         return Witness(n, 0, str(r_row[0]), "1")
     if r_row[1] != 2 ** (n - 1):
@@ -154,13 +126,13 @@ def check_peak_to_derivative(n: int) -> Witness | None:
     lhs_p = Poly.zero()
     for k, w in enumerate(families.peak_triangle(n)[n - 1]):
         lhs_p = lhs_p + w * Poly.monomial(1, n - 2 * k - 1) * one_plus_y2 ** (k + 1)
-    witness = _poly_witness(n, lhs_p, p_n[n])
+    witness = first_difference(n, lhs_p, p_n[n])
     if witness is not None:
         return witness
     lhs_q = Poly.zero()
     for k, w in enumerate(families.left_peak_triangle(n)[n - 1]):
         lhs_q = lhs_q + w * Poly.monomial(1, n - 2 * k) * one_plus_y2**k
-    return _poly_witness(n, lhs_q, q_n[n])
+    return first_difference(n, lhs_q, q_n[n])
 
 
 def _peak_cleared(n: int) -> Poly:
@@ -178,7 +150,7 @@ def _left_peak_cleared(n: int) -> Poly:
 def check_stembridge(n: int) -> Witness | None:
     """Stembridge's identity, denominator-cleared:
     sum_k W[n][k] (4x)^k (1+x)^(n-1-2k) = 2^(n-1) A_n(x)."""
-    return _poly_witness(n, _peak_cleared(n), 2 ** (n - 1) * families.eulerian_poly(n))
+    return first_difference(n, _peak_cleared(n), 2 ** (n - 1) * families.eulerian_poly(n))
 
 
 def check_petersen(n: int) -> Witness | None:
@@ -193,25 +165,25 @@ def check_petersen(n: int) -> Witness | None:
             * Poly.x()
             * families.eulerian_poly(i)
         )
-    return _poly_witness(n, _left_peak_cleared(n), rhs)
+    return first_difference(n, _left_peak_cleared(n), rhs)
 
 
 def check_dilks_affine(n: int, *, source: str = "oracle", jobs: int = 1) -> Witness | None:
     """2x times the interior-peak transform equals the affine Eulerian
     polynomial Ct_n."""
     ct = families.affine_eulerian_poly(n, source=source, jobs=jobs)
-    return _poly_witness(n, Poly((0, 2)) * _peak_cleared(n), ct)
+    return first_difference(n, Poly((0, 2)) * _peak_cleared(n), ct)
 
 
 def check_dilks_type_b(n: int, *, source: str = "oracle", jobs: int = 1) -> Witness | None:
     """The left-peak transform equals the type-B Eulerian polynomial C_n."""
     c = families.type_b_eulerian_poly(n, source=source, jobs=jobs)
-    return _poly_witness(n, _left_peak_cleared(n), c)
+    return first_difference(n, _left_peak_cleared(n), c)
 
 
 def check_bell_expansion(n: int) -> Witness | None:
     """The partial-Bell explicit formula reproduces R_{n+1}."""
-    return _poly_witness(n, families.tan_sec_poly_from_bell(n), families.tan_sec_poly(n + 1))
+    return first_difference(n, families.tan_sec_poly_from_bell(n), families.tan_sec_poly(n + 1))
 
 
 def check_bell_x0(n: int) -> Witness | None:
@@ -278,42 +250,30 @@ def run_identity_suite(
     return results
 
 
-def _series_witness(mism: series.SeriesMismatch | None) -> Witness | None:
-    if mism is None:
-        return None
-    return Witness(mism.z_order, mism.x_index, str(mism.lhs), str(mism.rhs))
-
-
 def run_gf_suite(
     gf_order: int = DEFAULT_GF_ORDER,
     signed_nmax: int = DEFAULT_SIGNED_NMAX,
     jobs: int = 1,
 ) -> list[CheckResult]:
     results = []
-    for family in series.FAMILY_IDS:
+    for family in series.EGFS:
         results.append(
             _single(
                 f"gf_{family}",
                 (0, gf_order),  # the range reported for a series check is the z-order range
-                lambda family=family: _series_witness(
-                    series.verify_gf(family, gf_order, signed_limit=signed_nmax, jobs=jobs)
-                ),
+                lambda family=family: series.verify_gf(family, gf_order, signed_limit=signed_nmax, jobs=jobs),
             )
         )
     results.append(
         _single(
             "t_vs_eulerian",
             (0, gf_order),
-            lambda: _series_witness(
-                series.verify_t_vs_eulerian(
-                    gf_order, poly_nmax=signed_nmax, signed_limit=signed_nmax, jobs=jobs
-                )
+            lambda: series.verify_t_vs_eulerian(
+                gf_order, poly_nmax=signed_nmax, signed_limit=signed_nmax, jobs=jobs
             ),
         )
     )
-    results.append(
-        _single("pde", (0, gf_order - 1), lambda: _series_witness(series.verify_pde(gf_order)))
-    )
+    results.append(_single("pde", (0, gf_order - 1), lambda: series.verify_pde(gf_order)))
     spot_configs = [
         ("numeric_spotcheck_1", Fraction(1, 2), Fraction(1, 20), 20, 1e-15),
         ("numeric_spotcheck_2", Fraction(7, 10), Fraction(1, 10), 24, 1e-12),
@@ -380,24 +340,24 @@ def run_oracle_suite(
 ) -> list[CheckResult]:
     def descent(n: int) -> Witness | None:
         counts = families.cached_distribution(n, "des", jobs=jobs).counts
-        return _seq_witness(n, counts, tuple(int(c) for c in families.eulerian_poly(n).coeffs))
+        return first_difference(n, counts, tuple(int(c) for c in families.eulerian_poly(n).coeffs))
 
     def peaks(n: int) -> Witness | None:
         counts = families.cached_distribution(n, "pk", jobs=jobs).counts
-        witness = _seq_witness(n, counts, families.peak_triangle(n)[n - 1])
+        witness = first_difference(n, counts, families.peak_triangle(n)[n - 1])
         if witness is not None:
             return witness
         counts = families.cached_distribution(n, "lpk", jobs=jobs).counts
-        return _seq_witness(n, counts, families.left_peak_triangle(n)[n - 1])
+        return first_difference(n, counts, families.left_peak_triangle(n)[n - 1])
 
     def signed(n: int) -> Witness | None:
         c_gf, ct_gf = series.signed_polys_from_gf(n)
         counts = families.cached_signed_distribution(n, "des_b", jobs=jobs).as_poly()
-        witness = _poly_witness(n, counts, c_gf)
+        witness = first_difference(n, counts, c_gf)
         if witness is not None:
             return witness
         counts = families.cached_signed_distribution(n, "ades", jobs=jobs).as_poly()
-        return _poly_witness(n, counts, ct_gf)
+        return first_difference(n, counts, ct_gf)
 
     def alternating(n: int) -> Witness | None:
         e_n = families.euler_numbers(n)[n]
@@ -420,10 +380,10 @@ def run_oracle_suite(
         serial = permutations.distribution(n, "des", jobs=1).counts
         sharded = permutations.distribution(n, "des", jobs=2).counts
         if serial != sharded:
-            return _seq_witness(n, serial, sharded)
+            return first_difference(n, serial, sharded)
         s_serial = permutations.signed_distribution(min(n, 4), "ades", jobs=1).counts
         s_sharded = permutations.signed_distribution(min(n, 4), "ades", jobs=2).counts
-        return _seq_witness(n, s_serial, s_sharded)
+        return first_difference(n, s_serial, s_sharded)
 
     return [
         _aggregate("oracle_descent_eulerian", 1, oracle_nmax, descent),

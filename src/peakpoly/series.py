@@ -15,6 +15,13 @@ also *solved* coefficient-by-coefficient (division only ever by the
 exactly-dividing z^0 entry) to rebuild each family from its closed form,
 giving an independent derivation route.  Rationals appear only in the
 numeric spot-check's partial sum.
+
+The family table lives here too: FAMILIES maps each CLI family id to its
+routes, minimum n, CLI cap and EGF entry 0, and EGFS maps each EGF id to a
+family and an offset.  The ids differ in one place: gf_P and gf_R are the
+EGF of R_n at offsets 0 and 1, while CLI family P is the tangent derivative
+polynomial P_n.  solved_family_polys keeps each family's longest solve and
+extends it on demand.
 """
 
 from __future__ import annotations
@@ -22,20 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import families
 from .permutations import SIGNED_LIMIT
 from .polynomial import Poly, Scalar, hurwitz_mul
 
-MAX_ORDER = 64
-
-FAMILY_IDS = ("A", "W", "WL", "P", "C", "CT", "T", "R")
+MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
+RECURRENCE_CAP = 128  # the CLI cap of the recurrence families
 
 
 class UnknownFamily(ValueError):
-    """Family identifier is not one of A, W, WL, P, C, CT, T, R."""
+    """Family identifier is not a key of EGFS."""
 
 
 class OrderExceedsComputedFamilies(ValueError):
@@ -154,19 +159,20 @@ def hyperbolic_blocks(w: Poly | Scalar, order: int) -> tuple[TruncSeries, TruncS
     return TruncSeries(order, tuple(cosh_c)), TruncSeries(order, tuple(sinh_c))
 
 
-def solve_series(num: TruncSeries, den: TruncSeries) -> TruncSeries:
+def solve_series(num: TruncSeries, den: TruncSeries, known: Sequence[Poly] = ()) -> TruncSeries:
     """The series q with q * den = num, term by term.
 
     Entry m solves num_m = sum_k C(m, k) q_k den_(m-k), the Hurwitz product.
     Each step divides by den's z^0 entry with polynomial exact division, so
     the result exists only when the quotient really is a series of
     polynomials (NonzeroRemainder otherwise) -- no rational functions are
-    ever formed.
+    ever formed.  `known` is a prefix of q solved before (entry m depends
+    only on entries below it); solving resumes after it.
     """
     num._require_same_order(den)
     d0 = den.coeffs[0]
-    out: list[Poly] = []
-    for m in range(num.order + 1):
+    out: list[Poly] = list(known)
+    for m in range(len(out), num.order + 1):
         acc = num.coeffs[m]
         for i in range(m):
             if out[i] and den.coeffs[m - i]:
@@ -176,15 +182,112 @@ def solve_series(num: TruncSeries, den: TruncSeries) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One polynomial family of the CLI: family_n for min_n <= n <= cap.
+
+    `routes` maps a route name to an independent computation n -> family_n;
+    the routes of a family share only the generic arithmetic (Poly,
+    hurwitz_mul, solve_series).  The first route is the package's own: the
+    one `peakpoly poly` prints and engine_series assembles.  For the signed
+    families it is enumeration, which past the signed enumeration cap falls
+    back to the GF solve (families.signed_eulerian_polys).  The rows of
+    `peakpoly triangle` are the values of a "triangle" route.
+    """
+
+    min_n: int
+    cap: int
+    routes: dict[str, Callable[..., Poly]]
+    egf0: Poly | None = None  # entry 0 of the EGF, where n = 0 is below min_n
+    signed: bool = False  # the first route takes signed_limit and jobs
+
+    def poly(self, n: int, *, signed_limit: int = SIGNED_LIMIT, jobs: int = 1) -> Poly:
+        """family_n by the first route."""
+        route = next(iter(self.routes.values()))
+        return route(n, signed_limit=signed_limit, jobs=jobs) if self.signed else route(n)
+
+
+# The routes look functions up at call time, so a function rebound on its
+# module (a test's corruption, the benchmark's tracer) is the one they run.
+FAMILIES = {
+    "P": Family(0, RECURRENCE_CAP, {
+        "recurrence": lambda n: families.tangent_derivative_poly(n),
+        "cvijovic": lambda n: families.cvijovic_polys(n)[0],
+    }),
+    "Q": Family(0, RECURRENCE_CAP, {
+        "recurrence": lambda n: families.secant_derivative_poly(n),
+        "cvijovic": lambda n: families.cvijovic_polys(n)[1],
+    }),
+    "A": Family(1, RECURRENCE_CAP, {
+        "recurrence": lambda n: families.eulerian_poly(n),
+        "gf": lambda n: solved_family_polys("A", n)[n],
+        "oracle": lambda n: families.cached_distribution(n, "des").as_poly(),
+    }, egf0=Poly.one()),
+    "R": Family(0, RECURRENCE_CAP, {
+        "recurrence": lambda n: families.tan_sec_poly(n),
+        "triangle": lambda n: Poly(families.tan_sec_triangle(n)[n]),
+        "gf": lambda n: solved_family_polys("P", n)[n],
+    }),
+    "G": Family(1, RECURRENCE_CAP, {
+        "recurrence": lambda n: families.reduced_tan_sec_poly(n),
+        "gf": lambda n: solved_family_polys("P", n)[n].exact_div(Poly((1, 1)) ** (n // 2 + 1)),
+    }),
+    "T": Family(1, MAX_ORDER, {
+        "interleave": lambda n, **limits: families.signed_interleave_poly(n, **limits),
+        "gf": lambda n: solved_family_polys("T", n)[n],
+    }, egf0=Poly.one(), signed=True),
+    "C": Family(1, MAX_ORDER, {
+        "oracle": lambda n, **limits: families.type_b_eulerian_poly(n, **limits),
+        "gf": lambda n: solved_family_polys("C", n)[n],
+    }, egf0=Poly.one(), signed=True),
+    "CT": Family(1, MAX_ORDER, {
+        "oracle": lambda n, **limits: families.affine_eulerian_poly(n, **limits),
+        "gf": lambda n: solved_family_polys("CT", n)[n],
+    }, egf0=Poly.one(), signed=True),
+    "W": Family(1, RECURRENCE_CAP, {
+        "triangle": lambda n: families.peak_poly(n),
+        "recurrence": lambda n: families.peak_polys_by_recurrence(n)[n - 1],
+        "gf": lambda n: solved_family_polys("W", n)[n],
+        "oracle": lambda n: families.cached_distribution(n, "pk").as_poly(),
+    }, egf0=Poly.zero()),
+    "WL": Family(1, RECURRENCE_CAP, {
+        "triangle": lambda n: families.left_peak_poly(n),
+        "recurrence": lambda n: families.left_peak_polys_by_recurrence(n)[n - 1],
+        "gf": lambda n: solved_family_polys("WL", n)[n],
+        "oracle": lambda n: families.cached_distribution(n, "lpk").as_poly(),
+    }, egf0=Poly.one()),
+}
+
+# The EGFs of closed_form_sides, in the order the gf suite checks them:
+# id -> (family, offset) for the series sum_m family_(m + offset) z^m / m!.
+# gf_P and gf_R are both EGFs of R_n, at offsets 0 and 1; the CLI family P
+# is the tangent derivative polynomial P_n, which has no EGF here.
+EGFS = {
+    "A": ("A", 0), "W": ("W", 0), "WL": ("WL", 0), "P": ("R", 0),
+    "C": ("C", 0), "CT": ("CT", 0), "T": ("T", 0), "R": ("R", 1),
+}
+
+
+def _egf(family: str, order: int) -> tuple[Family, int]:
+    """The family and offset behind an EGF id; raises on an unknown id or order."""
+    if family not in EGFS:
+        raise UnknownFamily(f"unknown family {family!r}")
+    if not 0 <= order <= MAX_ORDER:
+        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
+    name, offset = EGFS[family]
+    return FAMILIES[name], offset
+
+
+# ---------------------------------------------------------------------------
 # the closed forms, in cross-multiplied shape: family * den = rhs
 # ---------------------------------------------------------------------------
 
 def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries]:
     """(den, rhs) with family_series * den = rhs as exact truncated series."""
-    if family not in FAMILY_IDS:
-        raise UnknownFamily(f"unknown family {family!r}")
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
+    _egf(family, order)
     x = Poly.x()
     one_minus_x = Poly((1, -1))
     one_minus_x2 = Poly((1, 0, -1))
@@ -225,41 +328,33 @@ def engine_series(
     signed_limit: int = SIGNED_LIMIT,
     jobs: int = 1,
 ) -> TruncSeries:
-    """The family's series assembled from recurrence/oracle polynomials."""
-    if family not in FAMILY_IDS:
-        raise UnknownFamily(f"unknown family {family!r}")
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
-    kwargs = dict(signed_limit=signed_limit, jobs=jobs)
-    if family == "A":
-        polys = [Poly.one()] + [families.eulerian_poly(n) for n in range(1, order + 1)]
-    elif family == "W":
-        polys = [Poly.zero()] + [families.peak_poly(n) for n in range(1, order + 1)]
-    elif family == "WL":
-        polys = [Poly.one()] + [families.left_peak_poly(n) for n in range(1, order + 1)]
-    elif family == "P":
-        polys = list(families.tan_sec_polys(order))
-    elif family == "R":
-        polys = list(families.tan_sec_polys(order + 1)[1:])
-    elif family == "C":
-        polys = [Poly.one()] + [families.type_b_eulerian_poly(n, **kwargs) for n in range(1, order + 1)]
-    elif family == "CT":
-        polys = [Poly.one()] + [families.affine_eulerian_poly(n, **kwargs) for n in range(1, order + 1)]
-    else:  # T
-        polys = [Poly.one()] + [families.signed_interleave_poly(n, **kwargs) for n in range(1, order + 1)]
+    """The family's series assembled from its first route (recurrence or oracle)."""
+    fam, offset = _egf(family, order)
+    polys = [
+        fam.egf0 if n < fam.min_n else fam.poly(n, signed_limit=signed_limit, jobs=jobs)
+        for n in range(offset, order + offset + 1)
+    ]
     return TruncSeries.from_egf(polys, order)
 
 
-@lru_cache(maxsize=None)
+_SOLVED: dict[str, tuple[Poly, ...]] = {}  # EGF id -> the longest solve so far
+
+
 def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
     """family_0..family_order recovered from the closed form alone.
 
     Entry n is the Hurwitz entry n! [z^n] of the solved series (for the R
     family that is R_{n+1}; for W it is W_n with entry 0 equal to zero).
+    Entry n does not depend on the truncation order, so each family keeps
+    its longest solve: a shorter order is a slice of it and a longer one
+    solves only the entries past it.
     """
-    den, rhs = closed_form_sides(family, order)
-    solved = solve_series(rhs, den)
-    return tuple(solved.egf_poly(m) for m in range(order + 1))
+    _egf(family, order)
+    solved = _SOLVED.get(family, ())
+    if len(solved) <= order:
+        den, rhs = closed_form_sides(family, order)
+        solved = _SOLVED[family] = solve_series(rhs, den, solved).coeffs
+    return solved[: order + 1]
 
 
 def signed_polys_from_gf(n: int) -> tuple[Poly, Poly]:
@@ -272,24 +367,47 @@ def signed_polys_from_gf(n: int) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeriesMismatch:
-    """First differing coefficient; lhs and rhs are Hurwitz entries (m! [z^m])."""
+class Witness:
+    """Where two exactly computed sides first differ: n (the z-order for a
+    series), the coefficient index and both exact values as strings.  Index
+    -1 marks a violation raised by a lower layer (lhs is its type).  The
+    witness type of every check here and in identities."""
 
-    z_order: int
-    x_index: int
-    lhs: Scalar
-    rhs: Scalar
+    n: int
+    index: int
+    lhs: str
+    rhs: str
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "index": self.index, "lhs": self.lhs, "rhs": self.rhs}
 
 
-def first_mismatch(a: TruncSeries, b: TruncSeries) -> SeriesMismatch | None:
-    """Smallest (z-order, coefficient index) where the two series differ."""
+def first_difference(n: int, lhs: Poly | Sequence, rhs: Poly | Sequence) -> Witness | None:
+    """The witness at the first index where lhs and rhs differ, or None.
+
+    Polynomials compare coefficient by coefficient (missing coefficients are
+    0); plain sequences entry by entry, where a missing entry reads None, so
+    a length mismatch is a difference.
+    """
+    pad = None
+    if isinstance(lhs, Poly):
+        lhs, rhs, pad = lhs.coeffs, rhs.coeffs, 0
+    for j in range(max(len(lhs), len(rhs))):
+        a = lhs[j] if j < len(lhs) else pad
+        b = rhs[j] if j < len(rhs) else pad
+        if a != b:
+            return Witness(n, j, str(a), str(b))
+    return None
+
+
+def _series_difference(a: TruncSeries, b: TruncSeries) -> Witness | None:
+    """First differing coefficient of two series; its n is the z-order and
+    its values are Hurwitz entries (m! [z^m])."""
     a._require_same_order(b)
     for m in range(a.order + 1):
-        pa, pb = a.coeffs[m], b.coeffs[m]
-        if pa != pb:
-            for j in range(max(len(pa.coeffs), len(pb.coeffs))):
-                if pa.coeff(j) != pb.coeff(j):
-                    return SeriesMismatch(m, j, pa.coeff(j), pb.coeff(j))
+        witness = first_difference(m, a.coeffs[m], b.coeffs[m])
+        if witness is not None:
+            return witness
     return None
 
 
@@ -299,11 +417,11 @@ def verify_gf(
     *,
     signed_limit: int = SIGNED_LIMIT,
     jobs: int = 1,
-) -> SeriesMismatch | None:
+) -> Witness | None:
     """Cross-multiplied closed-form check for one family; None means pass."""
     engine = engine_series(family, order, signed_limit=signed_limit, jobs=jobs)
     den, rhs = closed_form_sides(family, order)
-    return first_mismatch(engine * den, rhs)
+    return _series_difference(engine * den, rhs)
 
 
 def verify_t_vs_eulerian(
@@ -312,27 +430,25 @@ def verify_t_vs_eulerian(
     poly_nmax: int = SIGNED_LIMIT,
     signed_limit: int = SIGNED_LIMIT,
     jobs: int = 1,
-) -> SeriesMismatch | None:
+) -> Witness | None:
     """Checks x + T(x, z) = (1+x) A(x, z(1+x)) through order, and the
     per-coefficient form T_n = (1+x)^(n+1) A_n for n up to poly_nmax."""
     one_plus_x = Poly((1, 1))
     a = engine_series("A", order)
     rescaled = TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
     lhs = engine_series("T", order, signed_limit=signed_limit, jobs=jobs) + TruncSeries.const(Poly.x(), order)
-    mism = first_mismatch(lhs, rescaled.scale(one_plus_x))
-    if mism is not None:
-        return mism
+    witness = _series_difference(lhs, rescaled.scale(one_plus_x))
+    if witness is not None:
+        return witness
     for n in range(1, poly_nmax + 1):
         tn = families.signed_interleave_poly(n, signed_limit=signed_limit, jobs=jobs)
-        expect = one_plus_x ** (n + 1) * families.eulerian_poly(n)
-        if tn != expect:
-            for j in range(max(len(tn.coeffs), len(expect.coeffs))):
-                if tn.coeff(j) != expect.coeff(j):
-                    return SeriesMismatch(n, j, tn.coeff(j), expect.coeff(j))
+        witness = first_difference(n, tn, one_plus_x ** (n + 1) * families.eulerian_poly(n))
+        if witness is not None:
+            return witness
     return None
 
 
-def verify_pde(order: int) -> SeriesMismatch | None:
+def verify_pde(order: int) -> Witness | None:
     """Exact check of x(x^2-1) dP/dx + (1 - x^2 z) dP/dz = P + x.
 
     P is the EGF of the tan_sec family; with P known through z^order the
@@ -346,7 +462,7 @@ def verify_pde(order: int) -> SeriesMismatch | None:
     pz = p.dz()
     lhs = px.scale(Poly((0, -1, 0, 1))) + pz - pz.shift_z(1).scale(x * x)
     rhs = p.truncate(order - 1) + TruncSeries.const(x, order - 1)
-    return first_mismatch(lhs, rhs)
+    return _series_difference(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

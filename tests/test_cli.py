@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "peakpoly"]
 
 
@@ -169,3 +171,42 @@ def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["aggregate"] == "fail"
     assert doc["results"][0]["witness"] == {"n": 2, "index": 0, "lhs": "1", "rhs": "2"}
+
+
+def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, capsys):
+    from peakpoly import cli, identities
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for runner in ("run_all", "run_identity_suite", "run_gf_suite", "run_roots_suite", "run_clt_suite", "run_oracle_suite"):
+        monkeypatch.setattr(identities, runner, no_work)
+    cases = [
+        (["--suite", "gf", "--nmax", "70"], "gf_order 70 above cap 64"),
+        (["--gf-order", "65"], "gf_order 65 above cap 64"),
+        (["--suite", "oracle", "--nmax", "11"], "oracle_nmax 11 above cap 10"),
+        (["--suite", "oracle", "--signed-nmax", "8"], "signed_nmax 8 above cap 7"),
+        (["--suite", "identities", "--nmax", "65"], "nmax_exact 65 above cap 64"),
+        (["--suite", "roots", "--nmax", "65"], "roots_nmax 65 above cap 64"),
+        (["--suite", "clt", "--nmax", "129"], "clt_nmax 129 above cap 128"),
+    ]
+    for args, message in cases:
+        assert cli.main(["verify", *args]) == 3, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+
+def test_bad_jobs_env_is_a_usage_error(monkeypatch, capsys):
+    from peakpoly import cli
+
+    for value, message in (("0", "PEAKPOLY_JOBS must be >= 1"), ("-2", "PEAKPOLY_JOBS must be >= 1"),
+                           ("abc", "PEAKPOLY_JOBS must be an integer"), ("1.5", "PEAKPOLY_JOBS must be an integer")):
+        monkeypatch.setenv("PEAKPOLY_JOBS", value)
+        for argv in (["oracle", "--stat", "des", "--n", "3"], ["verify", "--suite", "clt", "--nmax", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert message in err

@@ -159,6 +159,39 @@ def test_signed_interleave_requires_zero_constant(monkeypatch):
         F.signed_interleave_poly(3)
 
 
+def test_tan_sec_memo_never_rebuilds_a_prefix(monkeypatch):
+    memo = F._TAN_SEC_POLYS
+    steps = []
+
+    def counting_step(terms, m):
+        steps.append(m)
+        return memo.step(terms, m)
+
+    monkeypatch.setattr(F, "_TAN_SEC_POLYS", F.Memo(memo.terms[:2], counting_step))
+    assert F.tan_sec_poly(128) == memo.upto(128)[128]
+    assert steps == list(range(2, 129))  # R_0 and R_1 are the seed
+    steps.clear()
+    for n in range(1, 129):
+        F.tan_sec_poly(n)
+    assert steps == []
+    assert type(F.tan_sec_polys(5)) is tuple  # a caller cannot change the memo
+
+
+def test_cached_distribution_enumerates_once_across_jobs(monkeypatch):
+    calls = []
+    original = perms.distribution
+
+    def spy(n, stat, *, limit, jobs):
+        calls.append(jobs)
+        return original(n, stat, limit=limit, jobs=jobs)
+
+    monkeypatch.setattr(perms, "distribution", spy)
+    monkeypatch.setattr(F, "_DISTRIBUTIONS", {})
+    first = F.cached_distribution(6, "pk", jobs=1)
+    assert F.cached_distribution(6, "pk", jobs=2) is first
+    assert calls == [1]
+
+
 def test_tangent_secant_tables():
     t = F.tangent_numbers_table(6, 6)
     s = F.secant_numbers_table(6, 6)

@@ -125,7 +125,7 @@ def test_solve_series_roundtrip():
 
 
 def test_verify_gf_all_families_to_order_16():
-    for family in S.FAMILY_IDS:
+    for family in S.EGFS:
         assert S.verify_gf(family, 16) is None, family
 
 
@@ -159,6 +159,23 @@ def test_solved_families_match_engine_routes():
         assert S.solved_family_polys("A", 12)[n] == F.eulerian_poly(n)
         assert S.solved_family_polys("P", 12)[n] == F.tan_sec_poly(n)
         assert S.solved_family_polys("R", 12)[n - 1] == F.tan_sec_poly(n)
+
+
+def test_solved_family_polys_slices_and_extends_the_longest_solve(monkeypatch):
+    # entry m of a truncated series does not depend on the truncation order,
+    # so a shorter order is a slice of a longer solve and a longer order
+    # extends a shorter one, whichever is asked first
+    big = 8
+    for family in S.EGFS:
+        den, rhs = S.closed_form_sides(family, big)
+        direct = solve_series(rhs, den).coeffs
+        for k in range(big):
+            for first, second in ((big, k), (k, big)):
+                monkeypatch.setattr(S, "_SOLVED", {})
+                answers = {first: S.solved_family_polys(family, first)}
+                answers[second] = S.solved_family_polys(family, second)
+                assert answers[big] == direct, family
+                assert answers[k] == direct[: k + 1], (family, k)
 
 
 def test_odd_even_split_of_combined_series():
