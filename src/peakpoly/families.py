@@ -306,20 +306,16 @@ def eulerian_poly(n: int) -> Poly:
 # signed-permutation families
 # ---------------------------------------------------------------------------
 
-def signed_eulerian_polys(
+def _signed_eulerian(
     n: int,
+    stats: tuple[str, ...],
     *,
     signed_limit: int = SIGNED_LIMIT,
     jobs: int = 1,
     source: str = "auto",
-) -> tuple[Poly, Poly]:
-    """(C_n, Ct_n): descent and augmented-descent polynomials over signed windows.
-
-    Within the enumeration cap the pair comes from the brute-force oracle;
-    beyond it (or with source="gf") it is solved exactly from the closed-form
-    generating functions.  source="oracle" insists on enumeration and raises
-    LimitExceeded past the cap.
-    """
+) -> tuple[Poly, ...]:
+    # The polynomials of the signed statistics `stats` ("des_b" for C_n,
+    # "ades" for Ct_n), each enumerated only when asked for.
     if source not in ("auto", "oracle", "gf"):
         raise ValueError(f"unknown source {source!r}")
     if n < 1:
@@ -329,18 +325,31 @@ def signed_eulerian_polys(
     if source == "gf" or (source == "auto" and n > signed_limit):
         from . import series
 
-        return series.signed_polys_from_gf(n)
-    c = cached_signed_distribution(n, "des_b", signed_limit, jobs).as_poly()
-    ct = cached_signed_distribution(n, "ades", signed_limit, jobs).as_poly()
-    return c, ct
+        c, ct = series.signed_polys_from_gf(n)
+        return tuple(c if stat == "des_b" else ct for stat in stats)
+    return tuple(cached_signed_distribution(n, stat, signed_limit, jobs).as_poly() for stat in stats)
+
+
+def signed_eulerian_polys(n: int, **kwargs) -> tuple[Poly, Poly]:
+    """(C_n, Ct_n): descent and augmented-descent polynomials over signed windows.
+
+    Within the enumeration cap (signed_limit) the pair comes from the
+    brute-force oracle (jobs shards it); beyond it (or with source="gf") it
+    is solved exactly from the closed-form generating functions.
+    source="oracle" insists on enumeration and raises LimitExceeded past the
+    cap.
+    """
+    return _signed_eulerian(n, ("des_b", "ades"), **kwargs)
 
 
 def type_b_eulerian_poly(n: int, **kwargs) -> Poly:
-    return signed_eulerian_polys(n, **kwargs)[0]
+    """C_n alone, as signed_eulerian_polys gives it; enumerates des_b only."""
+    return _signed_eulerian(n, ("des_b",), **kwargs)[0]
 
 
 def affine_eulerian_poly(n: int, **kwargs) -> Poly:
-    return signed_eulerian_polys(n, **kwargs)[1]
+    """Ct_n alone, as signed_eulerian_polys gives it; enumerates ades only."""
+    return _signed_eulerian(n, ("ades",), **kwargs)[0]
 
 
 def signed_interleave_poly(n: int, **kwargs) -> Poly:
@@ -428,6 +437,23 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
 # partial Bell polynomials and Stirling numbers
 # ---------------------------------------------------------------------------
 
+# Tables of B_{m,j}, by argument tuple.  B_{m,j} reads only x_1 .. x_(m-j+1),
+# so a table filled under one tuple serves every tuple that extends it or
+# that it extends; it is kept under the longer one, and no key is a prefix of
+# another.
+_BELL_TABLES: dict[tuple[Poly, ...], dict[tuple[int, int], Poly]] = {}
+
+
+def _bell_table(args: tuple[Poly, ...]) -> dict[tuple[int, int], Poly]:
+    for key in _BELL_TABLES:
+        short, long = (key, args) if len(key) <= len(args) else (args, key)
+        if long[: len(short)] == short:
+            table = _BELL_TABLES.pop(key)
+            _BELL_TABLES[long] = table
+            return table
+    return _BELL_TABLES.setdefault(args, {})
+
+
 def bell_partial(n: int, k: int, xs: Sequence[Poly | Scalar]) -> Poly:
     """Partial Bell polynomial B_{n,k} at the arguments xs (xs[0] is x_1).
 
@@ -439,8 +465,8 @@ def bell_partial(n: int, k: int, xs: Sequence[Poly | Scalar]) -> Poly:
         raise ValueError("need 0 <= k <= n")
     if k >= 1 and len(xs) < n - k + 1:
         raise InsufficientArguments(f"need at least {n - k + 1} arguments, got {len(xs)}")
-    args = [v if isinstance(v, Poly) else Poly.constant(v) for v in xs]
-    memo: dict[tuple[int, int], Poly] = {}
+    args = tuple(v if isinstance(v, Poly) else Poly.constant(v) for v in xs)
+    memo = _bell_table(args)
 
     def b(m: int, j: int) -> Poly:
         if j == 0:

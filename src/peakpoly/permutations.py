@@ -13,15 +13,33 @@ Statistics follow the boundary conventions of the peak/descent literature:
 * signed descent des_b: positions 0..n-1 with w(0) = 0
 * augmented signed descent ades: positions 0..n with w(0) = w(n+1) = 0
 
-Enumeration is exhaustive and exact.  Distribution counts are produced per
-shard (sharded on the first window entry) and summed in a fixed shard order,
-so the result is identical whether shards run serially or on a process pool.
+Enumeration is exhaustive and exact, in two levels per shard (a shard is
+every permutation or window with one first entry):
+
+* the middle prefix runs through itertools.permutations (and, for signed
+  windows, itertools.product over the signs); the statistic is updated as
+  each value is placed, from that value and its predecessor only;
+* the last TAIL positions (SIGNED_TAIL for signed windows) come from a
+  suffix table, built on first use, once per tail length for all the
+  statistics together.  It is
+  keyed by the rank of the prefix's last value among the values still to
+  place (and, for pk/lpk/alternation, whether that value was reached by an
+  ascent) and lists the statistic's increment for every completion, read
+  off the statistic's definition on a short rank sequence.
+
+Each permutation or window is counted exactly once: its prefix fixes a base
+value, its table entry one increment, and counts[base + increment] goes up
+by one.  Shard counts are summed in a fixed shard order, so the result is
+identical whether shards run serially or on the process pool, which is
+started once per process and reused.  Nothing here relies on assert.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .polynomial import Poly
@@ -118,93 +136,206 @@ def _stat_width(n: int, stat: str) -> int:
     raise ValueError(f"unknown permutation statistic {stat!r}")
 
 
+# Positions filled from a suffix table: the last TAIL positions of a
+# permutation, the last SIGNED_TAIL of a signed window.
+TAIL = 5
+SIGNED_TAIL = 4
+
+
+def is_alternating(pi: Sequence[int], *, reverse: bool = False) -> bool:
+    """True when pi(1) > pi(2) < pi(3) > ..., or pi(1) < pi(2) > ... with reverse.
+
+    >>> is_alternating((2, 1, 3)), is_alternating((2, 1, 3), reverse=True)
+    (True, False)
+    """
+    return all((a > b) == (i % 2 == int(reverse)) for i, (a, b) in enumerate(zip(pi, pi[1:])))
+
+
+def _rank(last: int, placed: Sequence[int]) -> int:
+    """Rank of `last` among itself and the values of [n] not in `placed`."""
+    return last - 1 - sum(v < last for v in placed)
+
+
+def _signed_rank(last: int, left: Sequence[int]) -> int:
+    """Rank of `last` among the signed values +-b, b in `left`."""
+    return sum((-b < last) + (b < last) for b in left)
+
+
+@lru_cache(maxsize=None)
+def _tail_tables(m: int) -> dict[str, tuple[bytes, ...]]:
+    """What each completion of a prefix adds to each S_n statistic, by key.
+
+    A prefix ends in a value L with m values still to place.  Its key is
+    2r + asc, where r is the rank of L among L and those m values and asc
+    tells whether L was reached by an ascent (the kernels give the first
+    value a predecessor 0 for lpk and for forward alternation, none for pk).
+    Entry key of the table of a statistic holds one value (a byte) for each
+    of the m! orders of the m values, in itertools.permutations order: the
+    pk, lpk or des the order adds from L on, or for "alt" 1 if the whole
+    permutation alternates and 0 if not.  Each value comes from the
+    statistic's definition applied to the rank sequence (pred, L, c_1, ..,
+    c_m): a permutation of [m+2] whose first entry stands for L's
+    predecessor, below every other entry when asc and above them otherwise.
+    """
+    tables: dict[str, list[bytes]] = {"pk": [], "des": [], "alt": []}
+    for r in range(m + 1):
+        for asc in (False, True):
+            low = 1 + asc  # L and the m values take low .. low + m
+            pred, lead = 1 if asc else m + 2, low + r
+            others = [v for v in range(low, low + m + 1) if v != lead]
+            pk, des, alt = [], [], []
+            for tail in itertools.permutations(others):
+                seq = (pred, lead) + tail
+                stats = perm_stats(seq)
+                pk.append(stats.pk)  # the peaks of L and of c_1 .. c_(m-1)
+                des.append(stats.des - (pred > lead))
+                alt.append(is_alternating(seq, reverse=asc))
+            for stat, entry in (("pk", pk), ("des", des), ("alt", alt)):
+                tables[stat].append(bytes(entry))
+    tables["lpk"] = tables["pk"]
+    return {stat: tuple(table) for stat, table in tables.items()}
+
+
+@lru_cache(maxsize=None)
+def _signed_tail_tables(m: int) -> dict[str, tuple[bytes | None, ...]]:
+    """What each completion of a signed prefix adds to des_b and ades, by key.
+
+    A prefix ends in an entry L with m absolute values still to place.  Its
+    key is 2r + (L > 0), where r is the rank of L among the 2m signed values
+    those m can take.  Entry key of the table of a statistic holds one value
+    (a byte) for each of the m! 2^m completions (orders in
+    itertools.permutations order, signs in itertools.product((1, -1)) order
+    within each): the statistic of the window (L, c_1, .., c_m) of [m+1]
+    less the descent 0 > L, which the prefix has already counted.  Keys no
+    prefix can have are None.
+    """
+    tables: dict[str, list[bytes | None]] = {stat: [None] * (2 * (2 * m + 1)) for stat in SIGNED_STATS}
+    signs = list(itertools.product((1, -1), repeat=m))
+    for a in range(1, m + 2):
+        others = [v for v in range(1, m + 2) if v != a]
+        for lead in (a, -a):
+            r = _signed_rank(lead, others)
+            des_b, ades = [], []
+            for tail in itertools.permutations(others):
+                for sign in signs:
+                    stats = signed_stats((lead,) + tuple(s * v for s, v in zip(sign, tail)))
+                    des_b.append(stats.des_b - (lead < 0))
+                    ades.append(stats.ades - (lead < 0))
+            tables["des_b"][2 * r + (lead > 0)] = bytes(des_b)
+            tables["ades"][2 * r + (lead > 0)] = bytes(ades)
+    return {stat: tuple(table) for stat, table in tables.items()}
+
+
 def _perm_shard(args: tuple[int, int, str]) -> list[int]:
-    """Counts over all permutations of [n] starting with a fixed value."""
+    """Counts over all permutations of [n] starting with a fixed value.
+
+    Each prefix (first, v_1, .., v_p) is walked once, updating the statistic
+    from each value and its predecessor; its suffix-table entry then gives
+    each of its completions one increment, so every permutation is counted
+    exactly once.
+    """
     n, first, stat = args
     counts = [0] * _stat_width(n, stat)
+    m = min(TAIL, n - 1)
+    table = _tail_tables(m)[stat]
     rest = [v for v in range(1, n + 1) if v != first]
-    if n == 1:
-        counts[0] = 1
-        return counts
-    if stat == "des":
-        for tail in itertools.permutations(rest):
-            d = 1 if first > tail[0] else 0
-            prev = tail[0]
-            for v in tail[1:]:
-                if prev > v:
-                    d += 1
-                prev = v
-            counts[d] += 1
-    else:
-        left = stat == "lpk"
-        for tail in itertools.permutations(rest):
-            prev2 = first
-            prev1 = tail[0]
-            c = 1 if left and first > prev1 else 0
-            for v in tail[1:]:
-                if prev2 < prev1 > v:
-                    c += 1
-                prev2, prev1 = prev1, v
-            counts[c] += 1
+    peaks = stat != "des"
+    for prefix in itertools.permutations(rest, n - 1 - m):
+        base, prev, asc = 0, first, stat == "lpk"
+        for v in prefix:
+            if prev > v:  # a descent, and a peak at prev if prev was reached by an ascent
+                if asc or not peaks:
+                    base += 1
+                asc = False
+            else:
+                asc = True
+            prev = v
+        for d in table[2 * _rank(prev, (first,) + prefix) + asc]:
+            counts[base + d] += 1
     return counts
 
 
 def _signed_shard(args: tuple[int, int, str]) -> list[int]:
-    """Counts over all signed windows with a fixed first entry."""
+    """Counts over all signed windows with a fixed first entry.
+
+    The same two levels as _perm_shard: signed prefixes walked once, then
+    one increment per completion from the signed suffix table.
+    """
     n, first, stat = args
     counts = [0] * (n + 1)
+    m = min(SIGNED_TAIL, n - 1)
+    table = _signed_tail_tables(m)[stat]
     rest = [v for v in range(1, n + 1) if v != abs(first)]
-    augmented = stat == "ades"
-    sign_combos = list(itertools.product((1, -1), repeat=n - 1))
-    if n == 1:
-        w = first
-        d = (1 if w < 0 else 0) + (1 if augmented and w > 0 else 0)
-        counts[d] = 1
-        return counts
-    for perm in itertools.permutations(rest):
+    sign_combos = list(itertools.product((1, -1), repeat=n - 1 - m))
+    for perm in itertools.permutations(rest, n - 1 - m):
+        left = [v for v in rest if v not in perm]
         for signs in sign_combos:
-            prev = first
-            d = 1 if first < 0 else 0
+            base, prev = int(first < 0), first
             for s, v in zip(signs, perm):
                 cur = s * v
                 if prev > cur:
-                    d += 1
+                    base += 1
                 prev = cur
-            if augmented and prev > 0:
-                d += 1
-            counts[d] += 1
+            for d in table[2 * _signed_rank(prev, left) + (prev > 0)]:
+                counts[base + d] += 1
     return counts
 
 
 def _alt_shard(args: tuple[int, int, bool]) -> int:
-    """Number of (reverse-)alternating permutations with a fixed first value."""
+    """Number of (reverse-)alternating permutations with a fixed first value.
+
+    Prefixes that already fail to alternate are skipped; each completion of
+    the others adds its 0/1 suffix-table entry.
+    """
     n, first, reverse = args
-    if n == 1:
-        return 1
-    total = 0
+    m = min(TAIL, n - 1)
+    table = _tail_tables(m)["alt"]
     rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        prev = first
-        down = not reverse
-        ok = True
-        for v in tail:
-            if (prev > v) != down:
-                ok = False
+    total = 0
+    for prefix in itertools.permutations(rest, n - 1 - m):
+        prev, asc = first, not reverse
+        for v in prefix:
+            if (prev < v) == asc:
                 break
-            prev = v
-            down = not down
-        if ok:
-            total += 1
+            prev, asc = v, not asc
+        else:
+            total += sum(table[2 * _rank(prev, (first,) + prefix) + asc])
     return total
 
 
-def _run_shards(worker, shard_args, jobs: int):
-    if jobs <= 1 or len(shard_args) <= 1:
-        return [worker(a) for a in shard_args]
-    from concurrent.futures import ProcessPoolExecutor  # imported here: it is slow to import
+# One process pool per process: started by the first sharded call and reused
+# by every later one with the same worker count.
+_pool = None
+_pool_workers = 0
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(shard_args))) as pool:
-        return list(pool.map(worker, shard_args))
+
+def _close_pool() -> None:
+    global _pool, _pool_workers
+    if _pool is not None:
+        _pool.shutdown(wait=True, cancel_futures=True)
+    _pool, _pool_workers = None, 0
+
+
+# Shut the pool down while the interpreter is still whole: a pool collected
+# during module teardown prints an ignored exception.
+atexit.register(_close_pool)
+
+
+def _run_shards(worker, shard_args, jobs: int):
+    global _pool, _pool_workers
+    workers = min(jobs, len(shard_args))
+    if workers <= 1:
+        return [worker(a) for a in shard_args]
+    if workers != _pool_workers:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it is slow to import
+
+        _close_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    try:
+        return list(_pool.map(worker, shard_args))
+    except BaseException:
+        _close_pool()  # a broken or interrupted pool is not reused
+        raise
 
 
 def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:

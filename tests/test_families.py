@@ -192,6 +192,44 @@ def test_cached_distribution_enumerates_once_across_jobs(monkeypatch):
     assert calls == [1]
 
 
+def test_c_and_ct_requests_enumerate_their_own_statistic_once(monkeypatch, capsys):
+    from peakpoly import cli
+
+    runs = []
+    original = perms._signed_shard
+
+    def counting(args):
+        runs.append(args[2])
+        return original(args)
+
+    monkeypatch.setattr(perms, "_signed_shard", counting)
+    for family, stat in (("C", "des_b"), ("CT", "ades")):
+        monkeypatch.setattr(F, "_SIGNED_DISTRIBUTIONS", {})
+        runs.clear()
+        assert cli.main(["poly", "--family", family, "--n", "5"]) == 0
+        assert runs == [stat] * 10  # one shard per signed first entry
+    assert capsys.readouterr().out == "1,237,1682,1682,237,1\n0,32,832,2112,832,32\n"
+
+
+def test_bell_partial_shares_one_table_per_argument_prefix(monkeypatch):
+    monkeypatch.setattr(F, "_BELL_TABLES", {})
+    xs = F.bell_peak_arguments(12)
+    first = [F.bell_partial(12, k, xs) for k in range(13)]
+    assert list(F._BELL_TABLES) == [xs]
+    table = dict(F._BELL_TABLES[xs])
+    assert [F.bell_partial(12, k, xs) for k in range(13)] == first
+    assert F._BELL_TABLES[xs] == table  # the second pass built nothing
+    # a prefix of the arguments reads the same table, an extension takes it over
+    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs)
+    assert F._BELL_TABLES[xs] == table
+    longer = F.bell_peak_arguments(14)
+    assert F.tan_sec_poly_from_bell(14) == F.tan_sec_poly(15)
+    assert list(F._BELL_TABLES) == [longer]
+    # other arguments get a table of their own
+    assert F.stirling2.__wrapped__(5, 2) == 15
+    assert len(F._BELL_TABLES) == 2
+
+
 def test_tangent_secant_tables():
     t = F.tangent_numbers_table(6, 6)
     s = F.secant_numbers_table(6, 6)

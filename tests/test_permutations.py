@@ -1,10 +1,14 @@
+import concurrent.futures
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peakpoly import identities
+from peakpoly import permutations as P
 from peakpoly.permutations import (
     LimitExceeded,
     NotAPermutation,
@@ -170,3 +174,123 @@ def test_stats_against_direct_definitions(pi):
         1 for i in range(1, n) if padded[i - 1] < padded[i] > padded[i + 1]
     )
     assert s.des == sum(1 for i in range(n - 1) if pi[i] > pi[i + 1])
+
+
+def _reference_shards(n, key, windows):
+    """Counter of key(window) per first entry, over the given windows."""
+    shards = {}
+    for w in windows:
+        shards.setdefault(w[0], Counter())[key(w)] += 1
+    return shards
+
+
+def _as_counts(counter, width):
+    return [counter.get(k, 0) for k in range(width)]
+
+
+def test_kernels_match_per_permutation_reference():
+    # n <= P.TAIL + 1 (and n <= P.SIGNED_TAIL + 1) leaves an empty prefix:
+    # the whole tail after the first entry comes from the suffix table
+    assert P.TAIL < 8 and P.SIGNED_TAIL < 5
+    for n in range(1, 9):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for stat in P.PERM_STATS:
+            shards = _reference_shards(n, lambda pi: getattr(perm_stats(pi), stat), perms)
+            merged = [0] * P._stat_width(n, stat)
+            for first in range(1, n + 1):
+                got = P._perm_shard((n, first, stat))
+                assert got == _as_counts(shards[first], len(got)), (n, stat, first)
+                merged = [a + b for a, b in zip(merged, got)]
+            assert distribution(n, stat).counts == tuple(merged)
+            assert distribution(n, stat, jobs=1) == distribution(n, stat, jobs=2)
+    for n in range(1, 6):
+        windows = [
+            tuple(s * v for s, v in zip(signs, pi))
+            for pi in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        for stat in P.SIGNED_STATS:
+            shards = _reference_shards(n, lambda w: getattr(signed_stats(w), stat), windows)
+            for first in [s * v for v in range(1, n + 1) for s in (1, -1)]:
+                assert P._signed_shard((n, first, stat)) == _as_counts(shards[first], n + 1), (n, stat, first)
+            assert signed_distribution(n, stat, jobs=1) == signed_distribution(n, stat, jobs=2)
+    for n in range(1, 10):
+        for reverse in (False, True):
+            def alternates(pi):
+                return all((pi[i] > pi[i + 1]) == (i % 2 == reverse) for i in range(n - 1))
+
+            shards = Counter(pi[0] for pi in itertools.permutations(range(1, n + 1)) if alternates(pi))
+            for first in range(1, n + 1):
+                assert P._alt_shard((n, first, reverse)) == shards[first], (n, reverse, first)
+            assert count_alternating(n, reverse=reverse, jobs=1) == sum(shards.values())
+            assert count_alternating(n, reverse=reverse, jobs=2) == sum(shards.values())
+
+
+def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(P, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(P, name, counted)
+
+    for name in ("perm_stats", "signed_stats", "is_alternating"):
+        spy(name)
+    P._tail_tables.cache_clear()
+    P._signed_tail_tables.cache_clear()
+    m, sm = P.TAIL, P.SIGNED_TAIL
+    for _ in range(2):
+        for n in (m + 2, m + 3):  # both leave a tail of m positions
+            for stat in P.PERM_STATS:
+                distribution(n, stat)
+            count_alternating(n)
+            count_alternating(n, reverse=True)
+        for n in (sm + 1, sm + 2):
+            for stat in P.SIGNED_STATS:
+                signed_distribution(n, stat)
+    # one rank sequence per (rank, ascent flag, completion), for every statistic
+    assert calls["perm_stats"] == calls["is_alternating"] == 2 * (m + 1) * math.factorial(m)
+    # one window per (signed last entry, completion), for both statistics
+    assert calls["signed_stats"] == 2 * (sm + 1) * math.factorial(sm) * 2**sm
+    assert P._tail_tables.cache_info().currsize == 1
+    assert set(P._tail_tables(m)) == set(P.PERM_STATS) | {"alt"}
+    assert P._signed_tail_tables.cache_info().currsize == 1
+    assert set(P._signed_tail_tables(sm)) == set(P.SIGNED_STATS)
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    started = 0
+    maps = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+    def map(self, *args, **kwargs):
+        type(self).maps += 1
+        return super().map(*args, **kwargs)
+
+
+def test_one_process_pool_serves_every_sharded_call(monkeypatch):
+    P._close_pool()
+    monkeypatch.setattr(_CountingPool, "started", 0)
+    monkeypatch.setattr(_CountingPool, "maps", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    try:
+        distribution(6, "pk", jobs=2)
+        signed_distribution(3, "ades", jobs=2)
+        count_alternating(7, jobs=2)
+        [check] = [r for r in identities.run_oracle_suite(6, 4, jobs=1) if r.check_id == "oracle_shard_determinism"]
+        assert check.passed
+        assert (_CountingPool.started, _CountingPool.maps) == (1, 5)  # the check's jobs=2 side uses the pool
+        distribution(1, "des", jobs=2)  # one shard: runs in process
+        assert (_CountingPool.started, _CountingPool.maps) == (1, 5)
+        distribution(6, "des", jobs=3)  # another worker count: a new pool
+        distribution(6, "lpk", jobs=3)
+        assert (_CountingPool.started, _CountingPool.maps) == (2, 7)
+    finally:
+        P._close_pool()
