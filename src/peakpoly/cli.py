@@ -4,8 +4,8 @@ Subcommands: triangle, poly, oracle, verify.  All output is deterministic:
 the same invocation produces byte-identical output, regardless of the worker
 count (--jobs / PEAKPOLY_JOBS only changes how enumeration work is sharded).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 limit
-exceeded.  The families, their minimum n and their caps come from the family
+Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
+limit exceeded.  The families, their minimum n and their caps come from the family
 table, series.FAMILIES; every verify range has a cap (VERIFY_CAPS) checked
 before any work.
 """

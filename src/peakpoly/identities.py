@@ -4,8 +4,10 @@ Each check compares two independently computed sides in exact arithmetic and
 returns a CheckResult; a failure carries a witness with the smallest n and
 coefficient index where the sides disagree, with both exact values, so it can
 be re-evaluated by hand.  Failures are data, not exceptions: the suite
-runners catch violations raised by lower layers and fold them into fail
-results.
+runners catch what lower layers raise inside the range.  A violation (see
+VIOLATIONS) is a fail; any other exception is an error, since the code broke
+and no counterexample was found.  Either witness has index -1 and names the
+exception.
 """
 
 from __future__ import annotations
@@ -53,13 +55,29 @@ class CheckResult:
         return doc
 
 
+# The exceptions by which a lower layer reports that a certified property is
+# false at n: a counterexample, so a fail verdict.  Any other exception means
+# the code broke, an error verdict.
+VIOLATIONS = (
+    roots.StructureViolation,
+    roots.InterlacingViolation,
+    roots.ClosedFormViolation,
+    series.ToleranceExceeded,
+)
+
+
+def _raised(check_id: str, n_range: tuple[int, int], n: int, exc: Exception) -> CheckResult:
+    verdict = "fail" if isinstance(exc, VIOLATIONS) else "error"
+    return CheckResult(check_id, n_range, verdict, Witness(n, -1, type(exc).__name__, str(exc)))
+
+
 def _aggregate(check_id: str, lo: int, hi: int, fn: Callable[[int], Witness | None]) -> CheckResult:
-    """Run a per-n witness function over lo..hi; first failure wins."""
+    """Run a per-n witness function over lo..hi; the first fail or error wins."""
     for n in range(lo, hi + 1):
         try:
             witness = fn(n)
-        except Exception as exc:  # violations from lower layers become data
-            witness = Witness(n, -1, type(exc).__name__, str(exc))
+        except Exception as exc:  # reported, not raised
+            return _raised(check_id, (lo, hi), n, exc)
         if witness is not None:
             return CheckResult(check_id, (lo, hi), "fail", witness)
     return CheckResult(check_id, (lo, hi), "pass")
@@ -70,7 +88,7 @@ def _single(check_id: str, n_range: tuple[int, int], fn: Callable[[], Witness | 
     try:
         witness = fn()
     except Exception as exc:
-        witness = Witness(n_range[0], -1, type(exc).__name__, str(exc))
+        return _raised(check_id, n_range, n_range[0], exc)
     return CheckResult(check_id, n_range, "fail" if witness else "pass", witness)
 
 
@@ -414,4 +432,8 @@ def run_all(
 
 
 def aggregate_verdict(results: Sequence[CheckResult]) -> str:
-    return "pass" if all(r.passed for r in results) else "fail"
+    """pass if every check passed, else fail if any check failed, else error."""
+    verdicts = {r.verdict for r in results}
+    if verdicts <= {"pass"}:
+        return "pass"
+    return "fail" if "fail" in verdicts else "error"

@@ -20,17 +20,20 @@ every permutation or window with one first entry):
   windows, itertools.product over the signs); the statistic is updated as
   each value is placed, from that value and its predecessor only;
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
-  suffix table, built on first use, once per tail length for all the
-  statistics together.  It is
+  suffix table, one per tail length for all the statistics together.  It is
   keyed by the rank of the prefix's last value among the values still to
   place (and, for pk/lpk/alternation, whether that value was reached by an
-  ascent) and lists the statistic's increment for every completion, read
-  off the statistic's definition on a short rank sequence.
+  ascent).  Its entry is a histogram: each increment the completions add
+  to the statistic, with the number of completions that add it, read off
+  the statistic's definition on short rank sequences (for alternation, the
+  number of alternating completions).
 
 Each permutation or window is counted exactly once: its prefix fixes a base
-value, its table entry one increment, and counts[base + increment] goes up
-by one.  Shard counts are summed in a fixed shard order, so the result is
-identical whether shards run serially or on the process pool, which is
+value, and its completion is one of those the histogram counts at
+base + increment.  distribution, signed_distribution and count_alternating
+build the table they need before they shard, so workers forked by the
+process pool inherit it.  Shard counts are summed in a fixed shard order, so
+the result is identical whether shards run serially or on the pool, which is
 started once per process and reused.  Nothing here relies on assert.
 """
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -97,6 +101,14 @@ def has_internal_zeros(counts: Sequence[int]) -> bool:
     return bool(nz) and any(counts[i] == 0 for i in range(nz[0], nz[-1]))
 
 
+def _perm_counts(pi: tuple[int, ...]) -> tuple[int, int, int]:
+    """(pk, lpk, des) of a permutation, by definition; pi is not checked."""
+    pk = sum(a < b > c for a, b, c in zip(pi, pi[1:], pi[2:]))
+    lpk = pk + (1 if len(pi) >= 2 and pi[0] > pi[1] else 0)
+    des = sum(a > b for a, b in zip(pi, pi[1:]))
+    return pk, lpk, des
+
+
 def perm_stats(pi: Sequence[int]) -> PermStats:
     """Interior peaks, left peaks and descents of one permutation.
 
@@ -106,10 +118,13 @@ def perm_stats(pi: Sequence[int]) -> PermStats:
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise NotAPermutation(f"{pi!r} is not a permutation of [{n}]")
-    pk = sum(pi[i - 1] < pi[i] > pi[i + 1] for i in range(1, n - 1))
-    lpk = pk + (1 if n >= 2 and pi[0] > pi[1] else 0)
-    des = sum(pi[i] > pi[i + 1] for i in range(n - 1))
-    return PermStats(pk, lpk, des)
+    return PermStats(*_perm_counts(tuple(pi)))
+
+
+def _signed_counts(omega: tuple[int, ...]) -> tuple[int, int]:
+    """(des_b, ades) of a signed window, by definition; omega is not checked."""
+    des_b = sum(a > b for a, b in zip((0,) + omega, omega))
+    return des_b, des_b + (1 if omega[-1] > 0 else 0)
 
 
 def signed_stats(omega: Sequence[int]) -> SignedStats:
@@ -121,9 +136,7 @@ def signed_stats(omega: Sequence[int]) -> SignedStats:
     n = len(omega)
     if sorted(abs(v) for v in omega) != list(range(1, n + 1)) or 0 in omega:
         raise NotASignedPermutation(f"{omega!r} is not a signed permutation window")
-    des_b = sum(a > b for a, b in zip((0,) + tuple(omega), omega))
-    ades = des_b + (1 if omega[-1] > 0 else 0)
-    return SignedStats(des_b, ades)
+    return SignedStats(*_signed_counts(tuple(omega)))
 
 
 def _stat_width(n: int, stat: str) -> int:
@@ -153,7 +166,7 @@ def is_alternating(pi: Sequence[int], *, reverse: bool = False) -> bool:
 
 def _rank(last: int, placed: Sequence[int]) -> int:
     """Rank of `last` among itself and the values of [n] not in `placed`."""
-    return last - 1 - sum(v < last for v in placed)
+    return last - 1 - len([v for v in placed if v < last])
 
 
 def _signed_rank(last: int, left: Sequence[int]) -> int:
@@ -161,68 +174,77 @@ def _signed_rank(last: int, left: Sequence[int]) -> int:
     return sum((-b < last) + (b < last) for b in left)
 
 
+Histogram = tuple[tuple[int, int], ...]
+
+
+def _histogram(counter: Counter) -> Histogram:
+    """(increment, number of completions) pairs, increments ascending."""
+    return tuple(sorted(counter.items()))
+
+
 @lru_cache(maxsize=None)
-def _tail_tables(m: int) -> dict[str, tuple[bytes, ...]]:
-    """What each completion of a prefix adds to each S_n statistic, by key.
+def _tail_tables(m: int) -> dict[str, tuple]:
+    """What the completions of a prefix add to each S_n statistic, by key.
 
     A prefix ends in a value L with m values still to place.  Its key is
     2r + asc, where r is the rank of L among L and those m values and asc
     tells whether L was reached by an ascent (the kernels give the first
     value a predecessor 0 for lpk and for forward alternation, none for pk).
-    Entry key of the table of a statistic holds one value (a byte) for each
-    of the m! orders of the m values, in itertools.permutations order: the
-    pk, lpk or des the order adds from L on, or for "alt" 1 if the whole
-    permutation alternates and 0 if not.  Each value comes from the
-    statistic's definition applied to the rank sequence (pred, L, c_1, ..,
-    c_m): a permutation of [m+2] whose first entry stands for L's
-    predecessor, below every other entry when asc and above them otherwise.
+    Entry key of the table of pk (which lpk shares) or des is a histogram
+    over the m! orders of the m values: each increment the statistic gains
+    from L on, with the number of orders that give it.  Entry key of "alt"
+    is the number of orders with which the whole permutation alternates.
+    Each value comes from the statistic's definition applied to the rank
+    sequence (pred, L, c_1, .., c_m): a permutation of [m+2] whose first
+    entry stands for L's predecessor, below every other entry when asc and
+    above them otherwise.
     """
-    tables: dict[str, list[bytes]] = {"pk": [], "des": [], "alt": []}
+    tables: dict[str, list] = {"pk": [], "des": [], "alt": []}
     for r in range(m + 1):
         for asc in (False, True):
             low = 1 + asc  # L and the m values take low .. low + m
             pred, lead = 1 if asc else m + 2, low + r
             others = [v for v in range(low, low + m + 1) if v != lead]
-            pk, des, alt = [], [], []
+            pk, des, alt = Counter(), Counter(), 0
             for tail in itertools.permutations(others):
                 seq = (pred, lead) + tail
-                stats = perm_stats(seq)
-                pk.append(stats.pk)  # the peaks of L and of c_1 .. c_(m-1)
-                des.append(stats.des - (pred > lead))
-                alt.append(is_alternating(seq, reverse=asc))
-            for stat, entry in (("pk", pk), ("des", des), ("alt", alt)):
-                tables[stat].append(bytes(entry))
+                seq_pk, _, seq_des = _perm_counts(seq)
+                pk[seq_pk] += 1  # the peaks of L and of c_1 .. c_(m-1)
+                des[seq_des - (pred > lead)] += 1
+                alt += is_alternating(seq, reverse=asc)
+            tables["pk"].append(_histogram(pk))
+            tables["des"].append(_histogram(des))
+            tables["alt"].append(alt)
     tables["lpk"] = tables["pk"]
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
 @lru_cache(maxsize=None)
-def _signed_tail_tables(m: int) -> dict[str, tuple[bytes | None, ...]]:
-    """What each completion of a signed prefix adds to des_b and ades, by key.
+def _signed_tail_tables(m: int) -> dict[str, tuple[Histogram | None, ...]]:
+    """What the completions of a signed prefix add to des_b and ades, by key.
 
     A prefix ends in an entry L with m absolute values still to place.  Its
     key is 2r + (L > 0), where r is the rank of L among the 2m signed values
-    those m can take.  Entry key of the table of a statistic holds one value
-    (a byte) for each of the m! 2^m completions (orders in
-    itertools.permutations order, signs in itertools.product((1, -1)) order
-    within each): the statistic of the window (L, c_1, .., c_m) of [m+1]
-    less the descent 0 > L, which the prefix has already counted.  Keys no
+    those m can take.  Entry key of the table of a statistic is a histogram
+    over the m! 2^m completions: each value of the statistic of the window
+    (L, c_1, .., c_m) of [m+1] less the descent 0 > L, which the prefix has
+    already counted, with the number of completions that give it.  Keys no
     prefix can have are None.
     """
-    tables: dict[str, list[bytes | None]] = {stat: [None] * (2 * (2 * m + 1)) for stat in SIGNED_STATS}
+    tables: dict[str, list[Histogram | None]] = {stat: [None] * (2 * (2 * m + 1)) for stat in SIGNED_STATS}
     signs = list(itertools.product((1, -1), repeat=m))
     for a in range(1, m + 2):
         others = [v for v in range(1, m + 2) if v != a]
         for lead in (a, -a):
-            r = _signed_rank(lead, others)
-            des_b, ades = [], []
+            des_b, ades = Counter(), Counter()
             for tail in itertools.permutations(others):
                 for sign in signs:
-                    stats = signed_stats((lead,) + tuple(s * v for s, v in zip(sign, tail)))
-                    des_b.append(stats.des_b - (lead < 0))
-                    ades.append(stats.ades - (lead < 0))
-            tables["des_b"][2 * r + (lead > 0)] = bytes(des_b)
-            tables["ades"][2 * r + (lead > 0)] = bytes(ades)
+                    window_des_b, window_ades = _signed_counts((lead,) + tuple(s * v for s, v in zip(sign, tail)))
+                    des_b[window_des_b - (lead < 0)] += 1
+                    ades[window_ades - (lead < 0)] += 1
+            key = 2 * _signed_rank(lead, others) + (lead > 0)
+            tables["des_b"][key] = _histogram(des_b)
+            tables["ades"][key] = _histogram(ades)
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
@@ -230,9 +252,9 @@ def _perm_shard(args: tuple[int, int, str]) -> list[int]:
     """Counts over all permutations of [n] starting with a fixed value.
 
     Each prefix (first, v_1, .., v_p) is walked once, updating the statistic
-    from each value and its predecessor; its suffix-table entry then gives
-    each of its completions one increment, so every permutation is counted
-    exactly once.
+    from each value and its predecessor; its suffix-table histogram then
+    adds the number of completions with each increment, so every
+    permutation is counted exactly once.
     """
     n, first, stat = args
     counts = [0] * _stat_width(n, stat)
@@ -250,8 +272,8 @@ def _perm_shard(args: tuple[int, int, str]) -> list[int]:
             else:
                 asc = True
             prev = v
-        for d in table[2 * _rank(prev, (first,) + prefix) + asc]:
-            counts[base + d] += 1
+        for d, completions in table[2 * _rank(prev, (first,) + prefix) + asc]:
+            counts[base + d] += completions
     return counts
 
 
@@ -259,7 +281,7 @@ def _signed_shard(args: tuple[int, int, str]) -> list[int]:
     """Counts over all signed windows with a fixed first entry.
 
     The same two levels as _perm_shard: signed prefixes walked once, then
-    one increment per completion from the signed suffix table.
+    the completion counts of the signed suffix table's histogram.
     """
     n, first, stat = args
     counts = [0] * (n + 1)
@@ -276,16 +298,16 @@ def _signed_shard(args: tuple[int, int, str]) -> list[int]:
                 if prev > cur:
                     base += 1
                 prev = cur
-            for d in table[2 * _signed_rank(prev, left) + (prev > 0)]:
-                counts[base + d] += 1
+            for d, completions in table[2 * _signed_rank(prev, left) + (prev > 0)]:
+                counts[base + d] += completions
     return counts
 
 
 def _alt_shard(args: tuple[int, int, bool]) -> int:
     """Number of (reverse-)alternating permutations with a fixed first value.
 
-    Prefixes that already fail to alternate are skipped; each completion of
-    the others adds its 0/1 suffix-table entry.
+    Prefixes that already fail to alternate are skipped; each of the others
+    adds its suffix-table count of alternating completions.
     """
     n, first, reverse = args
     m = min(TAIL, n - 1)
@@ -299,7 +321,7 @@ def _alt_shard(args: tuple[int, int, bool]) -> int:
                 break
             prev, asc = v, not asc
         else:
-            total += sum(table[2 * _rank(prev, (first,) + prefix) + asc])
+            total += table[2 * _rank(prev, (first,) + prefix) + asc]
     return total
 
 
@@ -358,6 +380,7 @@ def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT, jobs: int = 1) ->
         raise ValueError(f"unknown permutation statistic {stat!r}")
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    _tail_tables(min(TAIL, n - 1))  # built here, so that forked pool workers inherit it
     shard_args = [(n, first, stat) for first in range(1, n + 1)]
     parts = _run_shards(_perm_shard, shard_args, jobs)
     return StatDistribution(n, stat, _merge_counts(parts))
@@ -373,6 +396,7 @@ def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT, jobs: i
         raise ValueError(f"unknown signed statistic {stat!r}")
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    _signed_tail_tables(min(SIGNED_TAIL, n - 1))  # built here, so that forked pool workers inherit it
     shard_args = [(n, s * v, stat) for v in range(1, n + 1) for s in (1, -1)]
     parts = _run_shards(_signed_shard, shard_args, jobs)
     return StatDistribution(n, stat, _merge_counts(parts))
@@ -386,5 +410,6 @@ def count_alternating(n: int, *, reverse: bool = False, limit: int = S_N_LIMIT, 
     """
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    _tail_tables(min(TAIL, n - 1))  # built here, so that forked pool workers inherit it
     shard_args = [(n, first, reverse) for first in range(1, n + 1)]
     return sum(_run_shards(_alt_shard, shard_args, jobs))

@@ -1,5 +1,9 @@
+import json
+
+from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import identities as I
+from peakpoly import roots as R
 from peakpoly.polynomial import Poly
 
 ONE_PLUS_X = Poly((1, 1))
@@ -146,11 +150,50 @@ def test_aggregate_reports_smallest_failing_n():
     assert calls == [1, 2, 3, 4]
 
 
-def test_aggregate_turns_exceptions_into_failures():
+def test_aggregate_turns_exceptions_into_errors():
     def boom(n):
         raise ValueError("injected")
 
     result = I._aggregate("demo", 2, 5, boom)
+    assert result.verdict == "error"
+    assert result.witness == I.Witness(2, -1, "ValueError", "injected")
+    single = I._single("demo", (0, 8), lambda: boom(0))
+    assert (single.verdict, single.witness) == ("error", I.Witness(0, -1, "ValueError", "injected"))
+
+    def violated(n):
+        if n == 3:
+            raise R.StructureViolation("multiplicity", "n=3")
+        return None
+
+    # a violation raised by a lower layer is a counterexample, not an error
+    result = I._aggregate("demo", 2, 5, violated)
     assert result.verdict == "fail"
-    assert result.witness.n == 2
-    assert result.witness.lhs == "ValueError"
+    assert result.witness == I.Witness(3, -1, "StructureViolation", "multiplicity: n=3")
+
+
+def test_aggregate_verdict_is_fail_before_error():
+    def result(verdict):
+        return I.CheckResult(verdict, (1, 1), verdict)
+
+    assert I.aggregate_verdict([result("pass")] * 2) == "pass"
+    assert I.aggregate_verdict([result("pass"), result("error")]) == "error"
+    assert I.aggregate_verdict([result("error"), result("fail"), result("pass")]) == "fail"
+    assert I.aggregate_verdict([result("fail")]) == "fail"
+
+
+def test_a_raising_family_function_is_an_error_verdict(monkeypatch, capsys):
+    def broken(nmax):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(F, "euler_numbers", broken)
+    code = cli.main(["verify", "--suite", "oracle", "--nmax", "5", "--signed-nmax", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["aggregate"] == "error"
+    [errored] = [r for r in doc["results"] if r["verdict"] != "pass"]
+    assert errored == {
+        "check_id": "oracle_alternating",
+        "n_range": [1, 5],
+        "verdict": "error",
+        "witness": {"n": 1, "index": -1, "lhs": "RuntimeError", "rhs": "injected"},
+    }

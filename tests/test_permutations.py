@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import multiprocessing
 from collections import Counter
 
 import pytest
@@ -238,7 +239,7 @@ def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
 
         monkeypatch.setattr(P, name, counted)
 
-    for name in ("perm_stats", "signed_stats", "is_alternating"):
+    for name in ("_perm_counts", "_signed_counts", "is_alternating"):
         spy(name)
     P._tail_tables.cache_clear()
     P._signed_tail_tables.cache_clear()
@@ -253,13 +254,75 @@ def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
             for stat in P.SIGNED_STATS:
                 signed_distribution(n, stat)
     # one rank sequence per (rank, ascent flag, completion), for every statistic
-    assert calls["perm_stats"] == calls["is_alternating"] == 2 * (m + 1) * math.factorial(m)
+    assert calls["_perm_counts"] == calls["is_alternating"] == 2 * (m + 1) * math.factorial(m)
     # one window per (signed last entry, completion), for both statistics
-    assert calls["signed_stats"] == 2 * (sm + 1) * math.factorial(sm) * 2**sm
+    assert calls["_signed_counts"] == 2 * (sm + 1) * math.factorial(sm) * 2**sm
     assert P._tail_tables.cache_info().currsize == 1
     assert set(P._tail_tables(m)) == set(P.PERM_STATS) | {"alt"}
     assert P._signed_tail_tables.cache_info().currsize == 1
     assert set(P._signed_tail_tables(sm)) == set(P.SIGNED_STATS)
+
+
+def test_suffix_table_histograms_count_every_completion():
+    for m in range(P.TAIL + 1):
+        tables = P._tail_tables(m)
+        for stat in P.PERM_STATS:
+            assert len(tables[stat]) == 2 * (m + 1)
+            for entry in tables[stat]:
+                assert sum(c for _, c in entry) == math.factorial(m), (m, stat)
+                assert [d for d, _ in entry] == sorted({d for d, _ in entry})
+                assert all(c > 0 for _, c in entry)
+    for m in range(P.SIGNED_TAIL + 1):
+        for stat, table in P._signed_tail_tables(m).items():
+            entries = [entry for entry in table if entry is not None]
+            assert len(entries) == 2 * (m + 1)  # one per signed last entry
+            for entry in entries:
+                assert sum(c for _, c in entry) == math.factorial(m) * 2**m, (m, stat)
+    for stat in P.PERM_STATS:
+        assert distribution(P.S_N_LIMIT, stat).total() == math.factorial(P.S_N_LIMIT)
+    for stat in P.SIGNED_STATS:
+        assert signed_distribution(P.SIGNED_LIMIT, stat).total() == 2**P.SIGNED_LIMIT * math.factorial(P.SIGNED_LIMIT)
+
+
+def test_differential_against_sympy_at_the_caps():
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    x = sympy.Symbol("x")
+    for n in range(1, P.S_N_LIMIT + 1):
+        assert count_alternating(n) == count_alternating(n, reverse=True) == sympy.andre(n), n
+        # A_n(x) = sum_k k! S(n, k) (x - 1)^(n - k)
+        eulerian = sum(sympy.factorial(k) * stirling(n, k) * (x - 1) ** (n - k) for k in range(1, n + 1))
+        row = tuple(int(c) for c in reversed(sympy.Poly(eulerian, x).all_coeffs()))
+        assert distribution(n, "des").counts == row, n
+
+
+def _table_cache_info():
+    return tuple(P._tail_tables.cache_info())  # CacheInfo itself does not pickle
+
+
+def test_jobs_2_workers_inherit_the_callers_suffix_table(monkeypatch):
+    P._close_pool()
+    P._tail_tables.cache_clear()
+    built_before_shards = []
+    run_shards = P._run_shards
+
+    def spy(*args):
+        built_before_shards.append(P._tail_tables.cache_info().misses)
+        return run_shards(*args)
+
+    monkeypatch.setattr(P, "_run_shards", spy)
+    try:
+        assert distribution(9, "pk", jobs=2) == distribution(9, "pk", jobs=1)
+        # the caller built the m = TAIL table once, before the pool started
+        assert built_before_shards == [1, 1]
+        assert P._tail_tables.cache_info().misses == 1
+        if multiprocessing.get_start_method() == "fork":
+            # a forked worker starts with the caller's cache and builds nothing
+            hits, misses, _, currsize = P._pool.submit(_table_cache_info).result(timeout=60)
+            assert (misses, currsize) == (1, 1) and hits > 0
+    finally:
+        P._close_pool()
 
 
 class _CountingPool(concurrent.futures.ProcessPoolExecutor):
