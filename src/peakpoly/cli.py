@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: triangle, poly, oracle, verify.  All output is deterministic:
-the same invocation produces byte-identical output, regardless of the worker
-count (--jobs / PEAKPOLY_JOBS only changes how enumeration work is sharded).
+the same invocation produces byte-identical output.  Enumeration runs in this
+process; --jobs / PEAKPOLY_JOBS is still accepted and validated, but changes
+neither the work nor the output.
 
 Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
 limit exceeded.  The families, their minimum n and their caps come from the family
@@ -40,8 +41,11 @@ VERIFY_CAPS = {
 }
 
 
-def _jobs(args, parser) -> int:
-    """--jobs, else PEAKPOLY_JOBS, else 1; anything but an integer >= 1 is a usage error."""
+def _check_jobs(args, parser) -> None:
+    """--jobs, else PEAKPOLY_JOBS, must be an integer >= 1, else a usage error.
+
+    Enumeration is serial, so a valid value is accepted for the sake of
+    existing invocations and otherwise ignored."""
     name, jobs = "--jobs", args.jobs
     if jobs is None:
         name, raw = "PEAKPOLY_JOBS", os.environ.get("PEAKPOLY_JOBS", "1")
@@ -51,7 +55,6 @@ def _jobs(args, parser) -> int:
             parser.error(f"PEAKPOLY_JOBS must be an integer, got {raw!r}")
     if jobs < 1:
         parser.error(f"{name} must be >= 1")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,15 +126,17 @@ def cmd_poly(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
-    jobs = _jobs(args, parser)
+    if args.n < 1:
+        parser.error("--n must be >= 1")
+    _check_jobs(args, parser)
     if args.stat == "alt":
-        print(permutations.count_alternating(args.n, limit=S_N_LIMIT, jobs=jobs))
+        print(permutations.count_alternating(args.n, limit=S_N_LIMIT))
         return 0
     if args.stat in ("desb", "ades"):
         stat = "des_b" if args.stat == "desb" else "ades"
-        dist = permutations.signed_distribution(args.n, stat, limit=SIGNED_LIMIT, jobs=jobs)
+        dist = permutations.signed_distribution(args.n, stat, limit=SIGNED_LIMIT)
     else:
-        dist = permutations.distribution(args.n, args.stat, limit=S_N_LIMIT, jobs=jobs)
+        dist = permutations.distribution(args.n, args.stat, limit=S_N_LIMIT)
     print(",".join(str(c) for c in dist.counts))
     return 0
 
@@ -142,7 +147,7 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"--{name.replace('_', '-')} must be >= 1")
     if args.nmax is not None and args.nmax < 1:
         parser.error("--nmax must be >= 1")
-    jobs = _jobs(args, parser)
+    _check_jobs(args, parser)
 
     config = {
         "suite": args.suite,
@@ -161,17 +166,17 @@ def cmd_verify(args, parser) -> int:
 
     if args.suite == "all":
         ranges = {name: value for name, value in config.items() if name != "suite"}
-        results = identities.run_all(**ranges, jobs=jobs)
+        results = identities.run_all(**ranges)
     elif args.suite == "identities":
-        results = identities.run_identity_suite(config["nmax_exact"], config["signed_nmax"], jobs)
+        results = identities.run_identity_suite(config["nmax_exact"], config["signed_nmax"])
     elif args.suite == "gf":
-        results = identities.run_gf_suite(config["gf_order"], config["signed_nmax"], jobs)
+        results = identities.run_gf_suite(config["gf_order"], config["signed_nmax"])
     elif args.suite == "roots":
         results = identities.run_roots_suite(config["roots_nmax"])
     elif args.suite == "clt":
         results = identities.run_clt_suite(config["clt_nmax"])
     else:
-        results = identities.run_oracle_suite(config["oracle_nmax"], config["signed_nmax"], jobs)
+        results = identities.run_oracle_suite(config["oracle_nmax"], config["signed_nmax"])
 
     report = {
         "tool_version": __version__,

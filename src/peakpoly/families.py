@@ -81,28 +81,28 @@ class Memo:
         return self.terms[: n + 1]
 
 
-# The oracle memos: `limit` only gates an enumeration and `jobs` never
-# changes its result, so neither is part of the key.
+# The oracle memos: `limit` only gates an enumeration and never changes its
+# result, so it is not part of the key.
 _DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
 _SIGNED_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
 _ALTERNATING: dict[tuple[int, bool], int] = {}
 
 
-def cached_distribution(n: int, stat: str, limit: int = S_N_LIMIT, jobs: int = 1) -> StatDistribution:
+def cached_distribution(n: int, stat: str, limit: int = S_N_LIMIT) -> StatDistribution:
     if (n, stat) not in _DISTRIBUTIONS:
-        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat, limit=limit, jobs=jobs)
+        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat, limit=limit)
     return _DISTRIBUTIONS[n, stat]
 
 
-def cached_signed_distribution(n: int, stat: str, limit: int = SIGNED_LIMIT, jobs: int = 1) -> StatDistribution:
+def cached_signed_distribution(n: int, stat: str, limit: int = SIGNED_LIMIT) -> StatDistribution:
     if (n, stat) not in _SIGNED_DISTRIBUTIONS:
-        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat, limit=limit, jobs=jobs)
+        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat, limit=limit)
     return _SIGNED_DISTRIBUTIONS[n, stat]
 
 
-def cached_count_alternating(n: int, reverse: bool = False, limit: int = S_N_LIMIT, jobs: int = 1) -> int:
+def cached_count_alternating(n: int, reverse: bool = False, limit: int = S_N_LIMIT) -> int:
     if (n, reverse) not in _ALTERNATING:
-        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse, limit=limit, jobs=jobs)
+        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse, limit=limit)
     return _ALTERNATING[n, reverse]
 
 
@@ -311,7 +311,6 @@ def _signed_eulerian(
     stats: tuple[str, ...],
     *,
     signed_limit: int = SIGNED_LIMIT,
-    jobs: int = 1,
     source: str = "auto",
 ) -> tuple[Poly, ...]:
     # The polynomials of the signed statistics `stats` ("des_b" for C_n,
@@ -327,14 +326,14 @@ def _signed_eulerian(
 
         c, ct = series.signed_polys_from_gf(n)
         return tuple(c if stat == "des_b" else ct for stat in stats)
-    return tuple(cached_signed_distribution(n, stat, signed_limit, jobs).as_poly() for stat in stats)
+    return tuple(cached_signed_distribution(n, stat, signed_limit).as_poly() for stat in stats)
 
 
 def signed_eulerian_polys(n: int, **kwargs) -> tuple[Poly, Poly]:
     """(C_n, Ct_n): descent and augmented-descent polynomials over signed windows.
 
     Within the enumeration cap (signed_limit) the pair comes from the
-    brute-force oracle (jobs shards it); beyond it (or with source="gf") it
+    brute-force oracle; beyond it (or with source="gf") it
     is solved exactly from the closed-form generating functions.
     source="oracle" insists on enumeration and raises LimitExceeded past the
     cap.

@@ -12,7 +12,9 @@ exception.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -186,16 +188,16 @@ def check_petersen(n: int) -> Witness | None:
     return first_difference(n, _left_peak_cleared(n), rhs)
 
 
-def check_dilks_affine(n: int, *, source: str = "oracle", jobs: int = 1) -> Witness | None:
+def check_dilks_affine(n: int, *, source: str = "oracle") -> Witness | None:
     """2x times the interior-peak transform equals the affine Eulerian
     polynomial Ct_n."""
-    ct = families.affine_eulerian_poly(n, source=source, jobs=jobs)
+    ct = families.affine_eulerian_poly(n, source=source)
     return first_difference(n, Poly((0, 2)) * _peak_cleared(n), ct)
 
 
-def check_dilks_type_b(n: int, *, source: str = "oracle", jobs: int = 1) -> Witness | None:
+def check_dilks_type_b(n: int, *, source: str = "oracle") -> Witness | None:
     """The left-peak transform equals the type-B Eulerian polynomial C_n."""
-    c = families.type_b_eulerian_poly(n, source=source, jobs=jobs)
+    c = families.type_b_eulerian_poly(n, source=source)
     return first_difference(n, _left_peak_cleared(n), c)
 
 
@@ -225,7 +227,6 @@ def check_bell_x1(n: int) -> Witness | None:
 def run_identity_suite(
     nmax_exact: int = DEFAULT_NMAX_EXACT,
     signed_nmax: int = DEFAULT_SIGNED_NMAX,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     results = [
         _aggregate("row_interleave", 1, nmax_exact, check_row_interleave),
@@ -236,13 +237,13 @@ def run_identity_suite(
             "dilks_affine_oracle",
             1,
             signed_nmax,
-            lambda n: check_dilks_affine(n, source="oracle", jobs=jobs),
+            lambda n: check_dilks_affine(n, source="oracle"),
         ),
         _aggregate(
             "dilks_type_b_oracle",
             1,
             signed_nmax,
-            lambda n: check_dilks_type_b(n, source="oracle", jobs=jobs),
+            lambda n: check_dilks_type_b(n, source="oracle"),
         ),
     ]
     if nmax_exact > signed_nmax:
@@ -271,7 +272,6 @@ def run_identity_suite(
 def run_gf_suite(
     gf_order: int = DEFAULT_GF_ORDER,
     signed_nmax: int = DEFAULT_SIGNED_NMAX,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     results = []
     for family in series.EGFS:
@@ -279,16 +279,14 @@ def run_gf_suite(
             _single(
                 f"gf_{family}",
                 (0, gf_order),  # the range reported for a series check is the z-order range
-                lambda family=family: series.verify_gf(family, gf_order, signed_limit=signed_nmax, jobs=jobs),
+                lambda family=family: series.verify_gf(family, gf_order, signed_limit=signed_nmax),
             )
         )
     results.append(
         _single(
             "t_vs_eulerian",
             (0, gf_order),
-            lambda: series.verify_t_vs_eulerian(
-                gf_order, poly_nmax=signed_nmax, signed_limit=signed_nmax, jobs=jobs
-            ),
+            lambda: series.verify_t_vs_eulerian(gf_order, poly_nmax=signed_nmax, signed_limit=signed_nmax),
         )
     )
     results.append(_single("pde", (0, gf_order - 1), lambda: series.verify_pde(gf_order)))
@@ -354,33 +352,32 @@ def run_clt_suite(clt_nmax: int = DEFAULT_CLT_NMAX) -> list[CheckResult]:
 def run_oracle_suite(
     oracle_nmax: int = DEFAULT_ORACLE_NMAX,
     signed_nmax: int = DEFAULT_SIGNED_NMAX,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     def descent(n: int) -> Witness | None:
-        counts = families.cached_distribution(n, "des", jobs=jobs).counts
+        counts = families.cached_distribution(n, "des").counts
         return first_difference(n, counts, tuple(int(c) for c in families.eulerian_poly(n).coeffs))
 
     def peaks(n: int) -> Witness | None:
-        counts = families.cached_distribution(n, "pk", jobs=jobs).counts
+        counts = families.cached_distribution(n, "pk").counts
         witness = first_difference(n, counts, families.peak_triangle(n)[n - 1])
         if witness is not None:
             return witness
-        counts = families.cached_distribution(n, "lpk", jobs=jobs).counts
+        counts = families.cached_distribution(n, "lpk").counts
         return first_difference(n, counts, families.left_peak_triangle(n)[n - 1])
 
     def signed(n: int) -> Witness | None:
         c_gf, ct_gf = series.signed_polys_from_gf(n)
-        counts = families.cached_signed_distribution(n, "des_b", jobs=jobs).as_poly()
+        counts = families.cached_signed_distribution(n, "des_b").as_poly()
         witness = first_difference(n, counts, c_gf)
         if witness is not None:
             return witness
-        counts = families.cached_signed_distribution(n, "ades", jobs=jobs).as_poly()
+        counts = families.cached_signed_distribution(n, "ades").as_poly()
         return first_difference(n, counts, ct_gf)
 
     def alternating(n: int) -> Witness | None:
         e_n = families.euler_numbers(n)[n]
-        forward = families.cached_count_alternating(n, False, jobs=jobs)
-        backward = families.cached_count_alternating(n, True, jobs=jobs)
+        forward = families.cached_count_alternating(n, False)
+        backward = families.cached_count_alternating(n, True)
         if forward != e_n:
             return Witness(n, 0, str(forward), str(e_n))
         if backward != e_n:
@@ -389,19 +386,27 @@ def run_oracle_suite(
 
     def internal_zeros(n: int) -> Witness | None:
         for stat in ("pk", "lpk", "des"):
-            counts = families.cached_distribution(n, stat, jobs=jobs).counts
+            counts = families.cached_distribution(n, stat).counts
             if permutations.has_internal_zeros(counts):
                 return Witness(n, 0, stat, "internal zero")
         return None
 
     def shard_determinism(n: int) -> Witness | None:
-        serial = permutations.distribution(n, "des", jobs=1).counts
-        sharded = permutations.distribution(n, "des", jobs=2).counts
-        if serial != sharded:
-            return first_difference(n, serial, sharded)
-        s_serial = permutations.signed_distribution(min(n, 4), "ades", jobs=1).counts
-        s_sharded = permutations.signed_distribution(min(n, 4), "ades", jobs=2).counts
-        return first_difference(n, s_serial, s_sharded)
+        # The merged kernel shards against a count taken one permutation (one
+        # signed window) at a time by definition; the check id is kept so that
+        # reports stay comparable.
+        des = Counter(permutations._perm_counts(pi)[2] for pi in itertools.permutations(range(1, n + 1)))
+        witness = first_difference(n, permutations.distribution(n, "des").counts, [des[k] for k in range(n)])
+        if witness is not None:
+            return witness
+        m = min(n, 4)
+        ades = Counter(
+            permutations._signed_counts(tuple(s * v for s, v in zip(signs, pi)))[1]
+            for pi in itertools.permutations(range(1, m + 1))
+            for signs in itertools.product((1, -1), repeat=m)
+        )
+        counts = permutations.signed_distribution(m, "ades").counts
+        return first_difference(n, counts, [ades[k] for k in range(m + 1)])
 
     return [
         _aggregate("oracle_descent_eulerian", 1, oracle_nmax, descent),
@@ -420,12 +425,11 @@ def run_all(
     gf_order: int = DEFAULT_GF_ORDER,
     roots_nmax: int = DEFAULT_ROOTS_NMAX,
     clt_nmax: int = DEFAULT_CLT_NMAX,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     """Every suite, in a fixed deterministic order."""
-    results = run_oracle_suite(oracle_nmax, signed_nmax, jobs)
-    results += run_identity_suite(nmax_exact, signed_nmax, jobs)
-    results += run_gf_suite(gf_order, signed_nmax, jobs)
+    results = run_oracle_suite(oracle_nmax, signed_nmax)
+    results += run_identity_suite(nmax_exact, signed_nmax)
+    results += run_gf_suite(gf_order, signed_nmax)
     results += run_roots_suite(roots_nmax)
     results += run_clt_suite(clt_nmax)
     return results

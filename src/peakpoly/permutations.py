@@ -30,16 +30,13 @@ every permutation or window with one first entry):
 
 Each permutation or window is counted exactly once: its prefix fixes a base
 value, and its completion is one of those the histogram counts at
-base + increment.  distribution, signed_distribution and count_alternating
-build the table they need before they shard, so workers forked by the
-process pool inherit it.  Shard counts are summed in a fixed shard order, so
-the result is identical whether shards run serially or on the pool, which is
-started once per process and reused.  Nothing here relies on assert.
+base + increment.  Shards run one after another in the calling process
+and their counts are summed in a fixed shard order.  Nothing here relies on
+assert.
 """
 
 from __future__ import annotations
 
-import atexit
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -248,7 +245,7 @@ def _signed_tail_tables(m: int) -> dict[str, tuple[Histogram | None, ...]]:
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
-def _perm_shard(args: tuple[int, int, str]) -> list[int]:
+def _perm_shard(n: int, first: int, stat: str) -> list[int]:
     """Counts over all permutations of [n] starting with a fixed value.
 
     Each prefix (first, v_1, .., v_p) is walked once, updating the statistic
@@ -256,7 +253,6 @@ def _perm_shard(args: tuple[int, int, str]) -> list[int]:
     adds the number of completions with each increment, so every
     permutation is counted exactly once.
     """
-    n, first, stat = args
     counts = [0] * _stat_width(n, stat)
     m = min(TAIL, n - 1)
     table = _tail_tables(m)[stat]
@@ -277,13 +273,12 @@ def _perm_shard(args: tuple[int, int, str]) -> list[int]:
     return counts
 
 
-def _signed_shard(args: tuple[int, int, str]) -> list[int]:
+def _signed_shard(n: int, first: int, stat: str) -> list[int]:
     """Counts over all signed windows with a fixed first entry.
 
     The same two levels as _perm_shard: signed prefixes walked once, then
     the completion counts of the signed suffix table's histogram.
     """
-    n, first, stat = args
     counts = [0] * (n + 1)
     m = min(SIGNED_TAIL, n - 1)
     table = _signed_tail_tables(m)[stat]
@@ -303,13 +298,12 @@ def _signed_shard(args: tuple[int, int, str]) -> list[int]:
     return counts
 
 
-def _alt_shard(args: tuple[int, int, bool]) -> int:
+def _alt_shard(n: int, first: int, reverse: bool) -> int:
     """Number of (reverse-)alternating permutations with a fixed first value.
 
     Prefixes that already fail to alternate are skipped; each of the others
     adds its suffix-table count of alternating completions.
     """
-    n, first, reverse = args
     m = min(TAIL, n - 1)
     table = _tail_tables(m)["alt"]
     rest = [v for v in range(1, n + 1) if v != first]
@@ -325,41 +319,6 @@ def _alt_shard(args: tuple[int, int, bool]) -> int:
     return total
 
 
-# One process pool per process: started by the first sharded call and reused
-# by every later one with the same worker count.
-_pool = None
-_pool_workers = 0
-
-
-def _close_pool() -> None:
-    global _pool, _pool_workers
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-    _pool, _pool_workers = None, 0
-
-
-# Shut the pool down while the interpreter is still whole: a pool collected
-# during module teardown prints an ignored exception.
-atexit.register(_close_pool)
-
-
-def _run_shards(worker, shard_args, jobs: int):
-    global _pool, _pool_workers
-    workers = min(jobs, len(shard_args))
-    if workers <= 1:
-        return [worker(a) for a in shard_args]
-    if workers != _pool_workers:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it is slow to import
-
-        _close_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
-    try:
-        return list(_pool.map(worker, shard_args))
-    except BaseException:
-        _close_pool()  # a broken or interrupted pool is not reused
-        raise
-
-
 def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
     out = [0] * len(parts[0])
     for part in parts:
@@ -368,7 +327,7 @@ def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT, jobs: int = 1) -> StatDistribution:
+def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT) -> StatDistribution:
     """Exact distribution of pk, lpk or des over all of S_n.
 
     >>> distribution(3, "pk").counts
@@ -380,13 +339,11 @@ def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT, jobs: int = 1) ->
         raise ValueError(f"unknown permutation statistic {stat!r}")
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
-    _tail_tables(min(TAIL, n - 1))  # built here, so that forked pool workers inherit it
-    shard_args = [(n, first, stat) for first in range(1, n + 1)]
-    parts = _run_shards(_perm_shard, shard_args, jobs)
+    parts = [_perm_shard(n, first, stat) for first in range(1, n + 1)]
     return StatDistribution(n, stat, _merge_counts(parts))
 
 
-def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT, jobs: int = 1) -> StatDistribution:
+def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT) -> StatDistribution:
     """Exact distribution of des_b or ades over all 2^n n! signed windows.
 
     >>> signed_distribution(1, "ades").counts
@@ -396,13 +353,11 @@ def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT, jobs: i
         raise ValueError(f"unknown signed statistic {stat!r}")
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
-    _signed_tail_tables(min(SIGNED_TAIL, n - 1))  # built here, so that forked pool workers inherit it
-    shard_args = [(n, s * v, stat) for v in range(1, n + 1) for s in (1, -1)]
-    parts = _run_shards(_signed_shard, shard_args, jobs)
+    parts = [_signed_shard(n, s * v, stat) for v in range(1, n + 1) for s in (1, -1)]
     return StatDistribution(n, stat, _merge_counts(parts))
 
 
-def count_alternating(n: int, *, reverse: bool = False, limit: int = S_N_LIMIT, jobs: int = 1) -> int:
+def count_alternating(n: int, *, reverse: bool = False, limit: int = S_N_LIMIT) -> int:
     """Number of alternating permutations pi(1) > pi(2) < pi(3) > ... in S_n.
 
     With reverse=True the first comparison flips, counting reverse-alternating
@@ -410,6 +365,4 @@ def count_alternating(n: int, *, reverse: bool = False, limit: int = S_N_LIMIT, 
     """
     if not 1 <= n <= limit:
         raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
-    _tail_tables(min(TAIL, n - 1))  # built here, so that forked pool workers inherit it
-    shard_args = [(n, first, reverse) for first in range(1, n + 1)]
-    return sum(_run_shards(_alt_shard, shard_args, jobs))
+    return sum(_alt_shard(n, first, reverse) for first in range(1, n + 1))

@@ -202,12 +202,12 @@ class Family:
     cap: int
     routes: dict[str, Callable[..., Poly]]
     egf0: Poly | None = None  # entry 0 of the EGF, where n = 0 is below min_n
-    signed: bool = False  # the first route takes signed_limit and jobs
+    signed: bool = False  # the first route takes signed_limit
 
-    def poly(self, n: int, *, signed_limit: int = SIGNED_LIMIT, jobs: int = 1) -> Poly:
+    def poly(self, n: int, *, signed_limit: int = SIGNED_LIMIT) -> Poly:
         """family_n by the first route."""
         route = next(iter(self.routes.values()))
-        return route(n, signed_limit=signed_limit, jobs=jobs) if self.signed else route(n)
+        return route(n, signed_limit=signed_limit) if self.signed else route(n)
 
 
 # The routes look functions up at call time, so a function rebound on its
@@ -321,17 +321,11 @@ def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries
     return den, TruncSeries.const(one_minus_x2, order)
 
 
-def engine_series(
-    family: str,
-    order: int,
-    *,
-    signed_limit: int = SIGNED_LIMIT,
-    jobs: int = 1,
-) -> TruncSeries:
+def engine_series(family: str, order: int, *, signed_limit: int = SIGNED_LIMIT) -> TruncSeries:
     """The family's series assembled from its first route (recurrence or oracle)."""
     fam, offset = _egf(family, order)
     polys = [
-        fam.egf0 if n < fam.min_n else fam.poly(n, signed_limit=signed_limit, jobs=jobs)
+        fam.egf0 if n < fam.min_n else fam.poly(n, signed_limit=signed_limit)
         for n in range(offset, order + offset + 1)
     ]
     return TruncSeries.from_egf(polys, order)
@@ -411,15 +405,9 @@ def _series_difference(a: TruncSeries, b: TruncSeries) -> Witness | None:
     return None
 
 
-def verify_gf(
-    family: str,
-    order: int,
-    *,
-    signed_limit: int = SIGNED_LIMIT,
-    jobs: int = 1,
-) -> Witness | None:
+def verify_gf(family: str, order: int, *, signed_limit: int = SIGNED_LIMIT) -> Witness | None:
     """Cross-multiplied closed-form check for one family; None means pass."""
-    engine = engine_series(family, order, signed_limit=signed_limit, jobs=jobs)
+    engine = engine_series(family, order, signed_limit=signed_limit)
     den, rhs = closed_form_sides(family, order)
     return _series_difference(engine * den, rhs)
 
@@ -429,19 +417,18 @@ def verify_t_vs_eulerian(
     *,
     poly_nmax: int = SIGNED_LIMIT,
     signed_limit: int = SIGNED_LIMIT,
-    jobs: int = 1,
 ) -> Witness | None:
     """Checks x + T(x, z) = (1+x) A(x, z(1+x)) through order, and the
     per-coefficient form T_n = (1+x)^(n+1) A_n for n up to poly_nmax."""
     one_plus_x = Poly((1, 1))
     a = engine_series("A", order)
     rescaled = TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
-    lhs = engine_series("T", order, signed_limit=signed_limit, jobs=jobs) + TruncSeries.const(Poly.x(), order)
+    lhs = engine_series("T", order, signed_limit=signed_limit) + TruncSeries.const(Poly.x(), order)
     witness = _series_difference(lhs, rescaled.scale(one_plus_x))
     if witness is not None:
         return witness
     for n in range(1, poly_nmax + 1):
-        tn = families.signed_interleave_poly(n, signed_limit=signed_limit, jobs=jobs)
+        tn = families.signed_interleave_poly(n, signed_limit=signed_limit)
         witness = first_difference(n, tn, one_plus_x ** (n + 1) * families.eulerian_poly(n))
         if witness is not None:
             return witness

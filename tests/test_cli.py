@@ -72,6 +72,26 @@ def test_oracle_limit_exit_code():
     assert run("poly", "--family", "C", "--n", "65").returncode == 3
 
 
+def test_oracle_n_below_one_is_a_usage_error():
+    for n in ("0", "-3"):
+        res = run("oracle", "--stat", "pk", "--n", n)
+        assert res.returncode == 2
+        assert "--n must be >= 1" in res.stderr
+
+
+def test_enumeration_starts_no_worker_processes():
+    script = (
+        "import contextlib, io, sys\n"
+        "from peakpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['oracle', '--stat', 'pk', '--n', '8', '--jobs', '2']),\n"
+        "             cli.main(['verify', '--suite', 'oracle', '--nmax', '6', '--jobs', '2'])]\n"
+        "print(codes, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+    assert res.stdout == "[0, 0] False False\n", res.stderr
+
+
 def test_oracle_rejects_nonpositive_jobs():
     for jobs in ("0", "-2"):
         res = run("oracle", "--stat", "des", "--n", "4", "--jobs", jobs)
@@ -137,23 +157,16 @@ def test_jobs_env_variable_accepted(monkeypatch):
     assert res.stdout == run("oracle", "--stat", "des", "--n", "5").stdout
 
 
-def test_flag_overrides_jobs_env(monkeypatch, capsys):
-    from peakpoly import cli, permutations
+def test_flag_overrides_jobs_env():
+    import os
 
-    seen = {}
-    original = permutations.distribution
-
-    def spy(n, stat, *, limit=10, jobs=1):
-        seen["jobs"] = jobs
-        return original(n, stat, limit=limit, jobs=jobs)
-
-    monkeypatch.setenv("PEAKPOLY_JOBS", "3")
-    monkeypatch.setattr(permutations, "distribution", spy)
-    assert cli.main(["oracle", "--stat", "des", "--n", "4", "--jobs", "1"]) == 0
-    assert seen["jobs"] == 1
-    assert cli.main(["oracle", "--stat", "des", "--n", "4"]) == 0
-    assert seen["jobs"] == 3
-    capsys.readouterr()
+    env = dict(os.environ, PEAKPOLY_JOBS="0")
+    res = run("oracle", "--stat", "des", "--n", "4", "--jobs", "1", env=env)
+    assert res.returncode == 0
+    assert res.stdout == "1,11,11,1\n"
+    res = run("oracle", "--stat", "des", "--n", "4", env=env)
+    assert res.returncode == 2
+    assert "PEAKPOLY_JOBS must be >= 1" in res.stderr
 
 
 def test_verify_exit_code_one_on_failure(monkeypatch, capsys):

@@ -177,19 +177,19 @@ def test_tan_sec_memo_never_rebuilds_a_prefix(monkeypatch):
     assert type(F.tan_sec_polys(5)) is tuple  # a caller cannot change the memo
 
 
-def test_cached_distribution_enumerates_once_across_jobs(monkeypatch):
+def test_cached_distribution_enumerates_once(monkeypatch):
     calls = []
     original = perms.distribution
 
-    def spy(n, stat, *, limit, jobs):
-        calls.append(jobs)
-        return original(n, stat, limit=limit, jobs=jobs)
+    def spy(n, stat, *, limit):
+        calls.append((n, stat))
+        return original(n, stat, limit=limit)
 
     monkeypatch.setattr(perms, "distribution", spy)
     monkeypatch.setattr(F, "_DISTRIBUTIONS", {})
-    first = F.cached_distribution(6, "pk", jobs=1)
-    assert F.cached_distribution(6, "pk", jobs=2) is first
-    assert calls == [1]
+    first = F.cached_distribution(6, "pk")
+    assert F.cached_distribution(6, "pk") is first
+    assert calls == [(6, "pk")]
 
 
 def test_c_and_ct_requests_enumerate_their_own_statistic_once(monkeypatch, capsys):
@@ -198,9 +198,9 @@ def test_c_and_ct_requests_enumerate_their_own_statistic_once(monkeypatch, capsy
     runs = []
     original = perms._signed_shard
 
-    def counting(args):
-        runs.append(args[2])
-        return original(args)
+    def counting(n, first, stat):
+        runs.append(stat)
+        return original(n, first, stat)
 
     monkeypatch.setattr(perms, "_signed_shard", counting)
     for family, stat in (("C", "des_b"), ("CT", "ades")):

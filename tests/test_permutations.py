@@ -1,7 +1,5 @@
-import concurrent.futures
 import itertools
 import math
-import multiprocessing
 from collections import Counter
 
 import pytest
@@ -140,10 +138,21 @@ def test_ades_is_des_b_or_one_more():
 
 def test_sharded_enumeration_is_deterministic():
     for n in (5, 6):
+        perms = list(itertools.permutations(range(1, n + 1)))
         for stat in ("pk", "lpk", "des"):
-            assert distribution(n, stat, jobs=1) == distribution(n, stat, jobs=3)
-    assert signed_distribution(4, "ades", jobs=1) == signed_distribution(4, "ades", jobs=4)
-    assert count_alternating(7, jobs=1) == count_alternating(7, jobs=2)
+            reference = Counter(getattr(perm_stats(pi), stat) for pi in perms)
+            counts = distribution(n, stat).counts
+            assert counts == tuple(reference[k] for k in range(len(counts)))
+            assert distribution(n, stat) == distribution(n, stat)
+    windows = [
+        tuple(s * v for s, v in zip(signs, pi))
+        for pi in itertools.permutations(range(1, 5))
+        for signs in itertools.product((1, -1), repeat=4)
+    ]
+    reference = Counter(signed_stats(w).ades for w in windows)
+    assert signed_distribution(4, "ades").counts == tuple(reference[k] for k in range(5))
+    alternating = sum(P.is_alternating(pi) for pi in itertools.permutations(range(1, 8)))
+    assert count_alternating(7) == alternating == count_alternating(7)
 
 
 def test_no_internal_zeros_in_distributions():
@@ -199,11 +208,10 @@ def test_kernels_match_per_permutation_reference():
             shards = _reference_shards(n, lambda pi: getattr(perm_stats(pi), stat), perms)
             merged = [0] * P._stat_width(n, stat)
             for first in range(1, n + 1):
-                got = P._perm_shard((n, first, stat))
+                got = P._perm_shard(n, first, stat)
                 assert got == _as_counts(shards[first], len(got)), (n, stat, first)
                 merged = [a + b for a, b in zip(merged, got)]
             assert distribution(n, stat).counts == tuple(merged)
-            assert distribution(n, stat, jobs=1) == distribution(n, stat, jobs=2)
     for n in range(1, 6):
         windows = [
             tuple(s * v for s, v in zip(signs, pi))
@@ -213,8 +221,9 @@ def test_kernels_match_per_permutation_reference():
         for stat in P.SIGNED_STATS:
             shards = _reference_shards(n, lambda w: getattr(signed_stats(w), stat), windows)
             for first in [s * v for v in range(1, n + 1) for s in (1, -1)]:
-                assert P._signed_shard((n, first, stat)) == _as_counts(shards[first], n + 1), (n, stat, first)
-            assert signed_distribution(n, stat, jobs=1) == signed_distribution(n, stat, jobs=2)
+                assert P._signed_shard(n, first, stat) == _as_counts(shards[first], n + 1), (n, stat, first)
+            merged = [sum(shards[first][k] for first in shards) for k in range(n + 1)]
+            assert signed_distribution(n, stat).counts == tuple(merged)
     for n in range(1, 10):
         for reverse in (False, True):
             def alternates(pi):
@@ -222,9 +231,8 @@ def test_kernels_match_per_permutation_reference():
 
             shards = Counter(pi[0] for pi in itertools.permutations(range(1, n + 1)) if alternates(pi))
             for first in range(1, n + 1):
-                assert P._alt_shard((n, first, reverse)) == shards[first], (n, reverse, first)
-            assert count_alternating(n, reverse=reverse, jobs=1) == sum(shards.values())
-            assert count_alternating(n, reverse=reverse, jobs=2) == sum(shards.values())
+                assert P._alt_shard(n, first, reverse) == shards[first], (n, reverse, first)
+            assert count_alternating(n, reverse=reverse) == sum(shards.values())
 
 
 def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
@@ -297,63 +305,27 @@ def test_differential_against_sympy_at_the_caps():
         assert distribution(n, "des").counts == row, n
 
 
-def _table_cache_info():
-    return tuple(P._tail_tables.cache_info())  # CacheInfo itself does not pickle
+def _shard_check():
+    [check] = [r for r in identities.run_oracle_suite(1, 1) if r.check_id == "oracle_shard_determinism"]
+    return check
 
 
-def test_jobs_2_workers_inherit_the_callers_suffix_table(monkeypatch):
-    P._close_pool()
-    P._tail_tables.cache_clear()
-    built_before_shards = []
-    run_shards = P._run_shards
-
-    def spy(*args):
-        built_before_shards.append(P._tail_tables.cache_info().misses)
-        return run_shards(*args)
-
-    monkeypatch.setattr(P, "_run_shards", spy)
-    try:
-        assert distribution(9, "pk", jobs=2) == distribution(9, "pk", jobs=1)
-        # the caller built the m = TAIL table once, before the pool started
-        assert built_before_shards == [1, 1]
-        assert P._tail_tables.cache_info().misses == 1
-        if multiprocessing.get_start_method() == "fork":
-            # a forked worker starts with the caller's cache and builds nothing
-            hits, misses, _, currsize = P._pool.submit(_table_cache_info).result(timeout=60)
-            assert (misses, currsize) == (1, 1) and hits > 0
-    finally:
-        P._close_pool()
+def _off_by_one(histogram):
+    (d, completions), *rest = histogram
+    return ((d, completions + 1), *rest)
 
 
-class _CountingPool(concurrent.futures.ProcessPoolExecutor):
-    started = 0
-    maps = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).started += 1
-        super().__init__(*args, **kwargs)
-
-    def map(self, *args, **kwargs):
-        type(self).maps += 1
-        return super().map(*args, **kwargs)
-
-
-def test_one_process_pool_serves_every_sharded_call(monkeypatch):
-    P._close_pool()
-    monkeypatch.setattr(_CountingPool, "started", 0)
-    monkeypatch.setattr(_CountingPool, "maps", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
-    try:
-        distribution(6, "pk", jobs=2)
-        signed_distribution(3, "ades", jobs=2)
-        count_alternating(7, jobs=2)
-        [check] = [r for r in identities.run_oracle_suite(6, 4, jobs=1) if r.check_id == "oracle_shard_determinism"]
-        assert check.passed
-        assert (_CountingPool.started, _CountingPool.maps) == (1, 5)  # the check's jobs=2 side uses the pool
-        distribution(1, "des", jobs=2)  # one shard: runs in process
-        assert (_CountingPool.started, _CountingPool.maps) == (1, 5)
-        distribution(6, "des", jobs=3)  # another worker count: a new pool
-        distribution(6, "lpk", jobs=3)
-        assert (_CountingPool.started, _CountingPool.maps) == (2, 7)
-    finally:
-        P._close_pool()
+def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
+    assert _shard_check().passed
+    des = P._tail_tables(5)["des"]  # n = 6 fills all five positions after the first from it
+    monkeypatch.setitem(P._tail_tables(5), "des", (_off_by_one(des[0]),) + des[1:])
+    check = _shard_check()
+    assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[0][0][0])
+    monkeypatch.undo()
+    assert _shard_check().passed
+    ades = P._signed_tail_tables(3)["ades"]  # signed n = 4 fills three positions from it
+    key = next(k for k, entry in enumerate(ades) if entry is not None)
+    corrupted = ades[:key] + (_off_by_one(ades[key]),) + ades[key + 1:]
+    monkeypatch.setitem(P._signed_tail_tables(3), "ades", corrupted)
+    check = _shard_check()
+    assert (check.verdict, check.witness.n) == ("fail", 6)
