@@ -11,7 +11,9 @@ route below computes them in integer arithmetic:
 * derivative_polys: the tangent/secant derivative polynomials defined by
   D^n(tan) = P_n(tan) and D^n(sec) = sec * Q_n(tan)
 * eulerian_poly: descent polynomial of S_n
-* type_b / affine eulerian polys: descent polynomials of signed permutations
+* type_b / affine eulerian polys: descent and augmented-descent polynomials
+  of signed permutations, by the type-B and affine Eulerian recurrences, and
+  their interleave T_n
 * tangent/secant numbers of order k, partial Bell polynomials, Stirling
   numbers of the second kind
 
@@ -21,10 +23,11 @@ suite cross-check them against each other, so no single recurrence is ever
 trusted on its own.  The routes of each family are listed in the family
 table, series.FAMILIES.
 
-Each recurrence family is one Memo: a growing tuple of terms 0..k that
-builds only terms k+1..n when term n is asked for, so per-n calls never
-rebuild a prefix.  The enumeration oracle results are memoized per (n, stat)
-(or (n, reverse) for alternating counts).
+Each recurrence family, and each table of order-k tangent/secant numbers, is
+one Memo: a growing tuple of terms 0..k that builds only terms k+1..n when
+term n is asked for, so per-n calls never rebuild a prefix.  The enumeration
+oracle results are memoized per (n, stat) (or (n, reverse) for alternating
+counts).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import permutations
-from .permutations import S_N_LIMIT, SIGNED_LIMIT, LimitExceeded, StatDistribution
-from .polynomial import Poly, Scalar, hurwitz_mul
+from .permutations import S_N_LIMIT, SIGNED_LIMIT, StatDistribution
+from .polynomial import Poly, Scalar
 
 X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
@@ -306,59 +309,43 @@ def eulerian_poly(n: int) -> Poly:
 # signed-permutation families
 # ---------------------------------------------------------------------------
 
-def _signed_eulerian(
-    n: int,
-    stats: tuple[str, ...],
-    *,
-    signed_limit: int = SIGNED_LIMIT,
-    source: str = "auto",
-) -> tuple[Poly, ...]:
-    # The polynomials of the signed statistics `stats` ("des_b" for C_n,
-    # "ades" for Ct_n), each enumerated only when asked for.
-    if source not in ("auto", "oracle", "gf"):
-        raise ValueError(f"unknown source {source!r}")
+# C_n = (1 + (2n-1)x) C_{n-1} + 2x(1-x) C_{n-1}', C_0 = 1: the type-B
+# Eulerian recurrence (Brenti, Europ. J. Combin. 1994).
+_TYPE_B_POLYS = Memo(
+    (Poly.one(),),
+    lambda cs, m: Poly((1, 2 * m - 1)) * cs[-1] + TWO_X_ONE_MINUS_X * cs[-1].derivative(),
+)
+# Ct_n = 2nx Ct_{n-1} + 2x(1-x) Ct_{n-1}', Ct_1 = 2x: the affine Eulerian
+# recurrence (Dilks, Petersen, Stembridge 2009).  Seeding Ct_0 = 1, the EGF's
+# entry 0, makes the step give Ct_1 = 2x.
+_AFFINE_POLYS = Memo(
+    (Poly.one(),),
+    lambda cts, m: Poly((0, 2 * m)) * cts[-1] + TWO_X_ONE_MINUS_X * cts[-1].derivative(),
+)
+
+
+def type_b_eulerian_poly(n: int) -> Poly:
+    """C_n, the descent polynomial of signed permutations (type-B Eulerian)."""
     if n < 1:
         raise ValueError("signed families require n >= 1")
-    if source == "oracle" and n > signed_limit:
-        raise LimitExceeded(f"n={n} outside signed enumeration cap {signed_limit}")
-    if source == "gf" or (source == "auto" and n > signed_limit):
-        from . import series
-
-        c, ct = series.signed_polys_from_gf(n)
-        return tuple(c if stat == "des_b" else ct for stat in stats)
-    return tuple(cached_signed_distribution(n, stat, signed_limit).as_poly() for stat in stats)
+    return _TYPE_B_POLYS.upto(n)[n]
 
 
-def signed_eulerian_polys(n: int, **kwargs) -> tuple[Poly, Poly]:
-    """(C_n, Ct_n): descent and augmented-descent polynomials over signed windows.
-
-    Within the enumeration cap (signed_limit) the pair comes from the
-    brute-force oracle; beyond it (or with source="gf") it
-    is solved exactly from the closed-form generating functions.
-    source="oracle" insists on enumeration and raises LimitExceeded past the
-    cap.
-    """
-    return _signed_eulerian(n, ("des_b", "ades"), **kwargs)
+def affine_eulerian_poly(n: int) -> Poly:
+    """Ct_n, the augmented-descent polynomial of signed windows (affine Eulerian)."""
+    if n < 1:
+        raise ValueError("signed families require n >= 1")
+    return _AFFINE_POLYS.upto(n)[n]
 
 
-def type_b_eulerian_poly(n: int, **kwargs) -> Poly:
-    """C_n alone, as signed_eulerian_polys gives it; enumerates des_b only."""
-    return _signed_eulerian(n, ("des_b",), **kwargs)[0]
-
-
-def affine_eulerian_poly(n: int, **kwargs) -> Poly:
-    """Ct_n alone, as signed_eulerian_polys gives it; enumerates ades only."""
-    return _signed_eulerian(n, ("ades",), **kwargs)[0]
-
-
-def signed_interleave_poly(n: int, **kwargs) -> Poly:
+def signed_interleave_poly(n: int) -> Poly:
     """T_n(x) = C_n(x^2) + Ct_n(x^2)/x, interleaving the two signed families.
 
-    The division is exact because every signed window has at least one
-    augmented descent; a nonzero constant term in Ct_n would be a bug and
-    raises ConstantTermNonzero.
+    C_n and Ct_n come from their recurrences.  The division is exact because
+    every signed window has at least one augmented descent; a nonzero
+    constant term in Ct_n would be a bug and raises ConstantTermNonzero.
     """
-    c, ct = signed_eulerian_polys(n, **kwargs)
+    c, ct = type_b_eulerian_poly(n), affine_eulerian_poly(n)
     if ct.coeff(0) != 0:
         raise ConstantTermNonzero(f"Ct_{n} has nonzero constant term {ct.coeff(0)}")
     width = 2 * max(len(c.coeffs), len(ct.coeffs))
@@ -375,44 +362,54 @@ def signed_interleave_poly(n: int, **kwargs) -> Poly:
 # tangent and secant numbers of order k
 # ---------------------------------------------------------------------------
 
-def _tan_sec_series(nmax: int) -> tuple[list[int], list[int]]:
-    # Hurwitz entries n! [x^n] of tan and sec up to x^nmax, from
-    # tan' = 1 + tan^2 and sec' = sec tan (no series inversion).  They are
-    # not read off the derivative polynomials, so cvijovic_polys stays a
-    # route to P_n and Q_n of its own.
-    tan_h, sec_h = [0], [1]
-    for n in range(nmax):
-        tan_h.append(int(n == 0) + sum(math.comb(n, k) * tan_h[k] * tan_h[n - k] for k in range(n + 1)))
-        sec_h.append(sum(math.comb(n, k) * sec_h[k] * tan_h[n - k] for k in range(n + 1)))
-    return tan_h, sec_h
+def _times_tan(rows: list, tan: list, n: int, k: int) -> int:
+    # n! [x^n] of (column k-1 of rows) * tan, a Hurwitz product.  tan[0] = 0,
+    # so only rows 0..n-1 are read.
+    return sum(math.comb(n, i) * rows[i][k - 1] * tan[n - i] for i in range(k - 1, n))
 
 
-def _tan_power_table(nmax: int, kmax: int, times_sec: bool) -> tuple[tuple[int, ...], ...]:
-    # Column k is the Hurwitz series of tan^k (times sec), the binomial
-    # convolution of column k-1 with tan, so the columns are integral by
-    # construction; transposed so the table reads [n][k].
+def _tangent_row(rows: list, n: int) -> tuple[int, ...]:
+    # Row n of T(n, k), k = 0..n.  Entry 1 is tan' = 1 + tan^2 read at
+    # x^(n-1); entry k >= 2 is the Hurwitz product of tan^(k-1) with tan.
+    # Nothing is read off the derivative polynomials, so cvijovic_polys stays
+    # a route to P_n and Q_n of its own.
+    prev = rows[-1]
+    tan = [0] + [row[1] for row in rows[1:]] + [int(n == 1) + (prev[2] if len(prev) > 2 else 0)]
+    return (0, tan[n]) + tuple(_times_tan(rows, tan, n, k) for k in range(2, n + 1))
+
+
+def _secant_row(rows: list, n: int) -> tuple[int, ...]:
+    # Row n of S(n, k), k = 0..n.  Entry 0 is sec' = sec tan read at x^(n-1);
+    # entry k >= 1 is the Hurwitz product of sec tan^(k-1) with tan.
+    prev = rows[-1]
+    tan = [0] + [row[1] for row in _TANGENT_ROWS.upto(n)[1:]]
+    return (prev[1] if len(prev) > 1 else 0,) + tuple(_times_tan(rows, tan, n, k) for k in range(1, n + 1))
+
+
+_TANGENT_ROWS = Memo(((1,),), _tangent_row)
+_SECANT_ROWS = Memo(((1,),), _secant_row)
+
+
+def _order_k_table(memo: Memo, nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
+    # Rows 0..nmax cut or zero-padded to columns 0..kmax (row n ends at k = n);
+    # column 0 is always kept.
     if kmax > nmax:
         raise ValueError("kmax must be <= nmax")
-    tan_h, sec_h = _tan_sec_series(nmax)
-    columns = [sec_h if times_sec else [1] + [0] * nmax]
-    for _ in range(kmax):
-        columns.append(hurwitz_mul(columns[-1], tan_h, nmax))
-    return tuple(tuple(column[n] for column in columns) for n in range(nmax + 1))
+    rows = memo.upto(nmax)
+    return tuple((rows[n] + (0,) * kmax)[: max(kmax, 0) + 1] for n in range(nmax + 1))
 
 
-@lru_cache(maxsize=None)
 def tangent_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
     """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax."""
-    return _tan_power_table(nmax, kmax, times_sec=False)
+    return _order_k_table(_TANGENT_ROWS, nmax, kmax)
 
 
-@lru_cache(maxsize=None)
 def secant_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
     """S(n, k) = n! [x^n] sec(x) tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax.
 
     Not to be confused with Stirling numbers, which live in stirling2().
     """
-    return _tan_power_table(nmax, kmax, times_sec=True)
+    return _order_k_table(_SECANT_ROWS, nmax, kmax)
 
 
 def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
@@ -512,12 +509,6 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
         term = math.factorial(k) * ONE_PLUS_X ** (k + 1) * bell_partial(n, k, xs)
         acc = acc + ((-1) ** (n - k)) * term
     return acc
-
-
-def stirling_alternating_identity(n: int) -> bool:
-    """True iff sum_k (-1)^(n-k) k! S(n,k) == 1 (the x = 0 reduction)."""
-    total = sum((-1) ** (n - k) * math.factorial(k) * stirling2(n, k) for k in range(n + 1))
-    return total == 1
 
 
 def factorial_bell_identity(n: int) -> bool:

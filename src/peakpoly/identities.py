@@ -190,14 +190,15 @@ def check_petersen(n: int) -> Witness | None:
 
 def check_dilks_affine(n: int, *, source: str = "oracle") -> Witness | None:
     """2x times the interior-peak transform equals the affine Eulerian
-    polynomial Ct_n."""
-    ct = families.affine_eulerian_poly(n, source=source)
+    polynomial Ct_n, taken from its "oracle" or "gf" route."""
+    ct = series.FAMILIES["CT"].routes[source](n)
     return first_difference(n, Poly((0, 2)) * _peak_cleared(n), ct)
 
 
 def check_dilks_type_b(n: int, *, source: str = "oracle") -> Witness | None:
-    """The left-peak transform equals the type-B Eulerian polynomial C_n."""
-    c = families.type_b_eulerian_poly(n, source=source)
+    """The left-peak transform equals the type-B Eulerian polynomial C_n,
+    taken from its "oracle" or "gf" route."""
+    c = series.FAMILIES["C"].routes[source](n)
     return first_difference(n, _left_peak_cleared(n), c)
 
 
@@ -279,14 +280,14 @@ def run_gf_suite(
             _single(
                 f"gf_{family}",
                 (0, gf_order),  # the range reported for a series check is the z-order range
-                lambda family=family: series.verify_gf(family, gf_order, signed_limit=signed_nmax),
+                lambda family=family: series.verify_gf(family, gf_order),
             )
         )
     results.append(
         _single(
             "t_vs_eulerian",
             (0, gf_order),
-            lambda: series.verify_t_vs_eulerian(gf_order, poly_nmax=signed_nmax, signed_limit=signed_nmax),
+            lambda: series.verify_t_vs_eulerian(gf_order, poly_nmax=signed_nmax),
         )
     )
     results.append(_single("pde", (0, gf_order - 1), lambda: series.verify_pde(gf_order)))

@@ -192,22 +192,20 @@ class Family:
     `routes` maps a route name to an independent computation n -> family_n;
     the routes of a family share only the generic arithmetic (Poly,
     hurwitz_mul, solve_series).  The first route is the package's own: the
-    one `peakpoly poly` prints and engine_series assembles.  For the signed
-    families it is enumeration, which past the signed enumeration cap falls
-    back to the GF solve (families.signed_eulerian_polys).  The rows of
-    `peakpoly triangle` are the values of a "triangle" route.
+    one `peakpoly poly` prints and engine_series assembles, a recurrence at
+    every n up to the cap.  An "oracle" route raises LimitExceeded past its
+    enumeration cap.  The rows of `peakpoly triangle` are the values of a
+    "triangle" route.
     """
 
     min_n: int
     cap: int
-    routes: dict[str, Callable[..., Poly]]
+    routes: dict[str, Callable[[int], Poly]]
     egf0: Poly | None = None  # entry 0 of the EGF, where n = 0 is below min_n
-    signed: bool = False  # the first route takes signed_limit
 
-    def poly(self, n: int, *, signed_limit: int = SIGNED_LIMIT) -> Poly:
+    def poly(self, n: int) -> Poly:
         """family_n by the first route."""
-        route = next(iter(self.routes.values()))
-        return route(n, signed_limit=signed_limit) if self.signed else route(n)
+        return next(iter(self.routes.values()))(n)
 
 
 # The routes look functions up at call time, so a function rebound on its
@@ -236,17 +234,19 @@ FAMILIES = {
         "gf": lambda n: solved_family_polys("P", n)[n].exact_div(Poly((1, 1)) ** (n // 2 + 1)),
     }),
     "T": Family(1, MAX_ORDER, {
-        "interleave": lambda n, **limits: families.signed_interleave_poly(n, **limits),
+        "interleave": lambda n: families.signed_interleave_poly(n),
         "gf": lambda n: solved_family_polys("T", n)[n],
-    }, egf0=Poly.one(), signed=True),
+    }, egf0=Poly.one()),
     "C": Family(1, MAX_ORDER, {
-        "oracle": lambda n, **limits: families.type_b_eulerian_poly(n, **limits),
+        "recurrence": lambda n: families.type_b_eulerian_poly(n),
+        "oracle": lambda n: families.cached_signed_distribution(n, "des_b").as_poly(),
         "gf": lambda n: solved_family_polys("C", n)[n],
-    }, egf0=Poly.one(), signed=True),
+    }, egf0=Poly.one()),
     "CT": Family(1, MAX_ORDER, {
-        "oracle": lambda n, **limits: families.affine_eulerian_poly(n, **limits),
+        "recurrence": lambda n: families.affine_eulerian_poly(n),
+        "oracle": lambda n: families.cached_signed_distribution(n, "ades").as_poly(),
         "gf": lambda n: solved_family_polys("CT", n)[n],
-    }, egf0=Poly.one(), signed=True),
+    }, egf0=Poly.one()),
     "W": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.peak_poly(n),
         "recurrence": lambda n: families.peak_polys_by_recurrence(n)[n - 1],
@@ -321,13 +321,11 @@ def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries
     return den, TruncSeries.const(one_minus_x2, order)
 
 
-def engine_series(family: str, order: int, *, signed_limit: int = SIGNED_LIMIT) -> TruncSeries:
-    """The family's series assembled from its first route (recurrence or oracle)."""
+def engine_series(family: str, order: int) -> TruncSeries:
+    """The family's series assembled from its first route, a recurrence, so
+    that it is checked against the closed form and not against a solve of it."""
     fam, offset = _egf(family, order)
-    polys = [
-        fam.egf0 if n < fam.min_n else fam.poly(n, signed_limit=signed_limit)
-        for n in range(offset, order + offset + 1)
-    ]
+    polys = [fam.egf0 if n < fam.min_n else fam.poly(n) for n in range(offset, order + offset + 1)]
     return TruncSeries.from_egf(polys, order)
 
 
@@ -405,30 +403,25 @@ def _series_difference(a: TruncSeries, b: TruncSeries) -> Witness | None:
     return None
 
 
-def verify_gf(family: str, order: int, *, signed_limit: int = SIGNED_LIMIT) -> Witness | None:
+def verify_gf(family: str, order: int) -> Witness | None:
     """Cross-multiplied closed-form check for one family; None means pass."""
-    engine = engine_series(family, order, signed_limit=signed_limit)
+    engine = engine_series(family, order)
     den, rhs = closed_form_sides(family, order)
     return _series_difference(engine * den, rhs)
 
 
-def verify_t_vs_eulerian(
-    order: int,
-    *,
-    poly_nmax: int = SIGNED_LIMIT,
-    signed_limit: int = SIGNED_LIMIT,
-) -> Witness | None:
+def verify_t_vs_eulerian(order: int, *, poly_nmax: int = SIGNED_LIMIT) -> Witness | None:
     """Checks x + T(x, z) = (1+x) A(x, z(1+x)) through order, and the
     per-coefficient form T_n = (1+x)^(n+1) A_n for n up to poly_nmax."""
     one_plus_x = Poly((1, 1))
     a = engine_series("A", order)
     rescaled = TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
-    lhs = engine_series("T", order, signed_limit=signed_limit) + TruncSeries.const(Poly.x(), order)
+    lhs = engine_series("T", order) + TruncSeries.const(Poly.x(), order)
     witness = _series_difference(lhs, rescaled.scale(one_plus_x))
     if witness is not None:
         return witness
     for n in range(1, poly_nmax + 1):
-        tn = families.signed_interleave_poly(n, signed_limit=signed_limit)
+        tn = families.signed_interleave_poly(n)
         witness = first_difference(n, tn, one_plus_x ** (n + 1) * families.eulerian_poly(n))
         if witness is not None:
             return witness

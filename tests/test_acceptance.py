@@ -95,7 +95,7 @@ def test_criterion_05_bell_formula():
     assert F.tan_sec_poly_from_bell(4) == Poly((1, 16, 58, 88, 61, 16))
     for n in range(1, 13):
         assert F.tan_sec_poly_from_bell(n) == F.tan_sec_poly(n + 1)
-        assert F.stirling_alternating_identity(n)
+        assert I.check_bell_x0(n) is None
         assert F.factorial_bell_identity(n)
     print("ACCEPTANCE 5 (partial-Bell formula): PASS")
 

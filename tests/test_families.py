@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from peakpoly import families as F
+from peakpoly import identities as I
 from peakpoly import permutations as perms
+from peakpoly import series as S
 from peakpoly.families import ConstantTermNonzero, InsufficientArguments
 from peakpoly.permutations import LimitExceeded
 from peakpoly.polynomial import Poly
@@ -117,29 +119,46 @@ def test_eulerian_matches_descent_oracle():
         assert Poly(counts) == F.eulerian_poly(n)
 
 
+def _signed_routes(n):
+    # (C_n, Ct_n) by each route of the family table
+    return {
+        route: (S.FAMILIES["C"].routes[route](n), S.FAMILIES["CT"].routes[route](n))
+        for route in ("recurrence", "oracle", "gf")
+    }
+
+
 def test_signed_eulerian_from_oracle():
-    c1, ct1 = F.signed_eulerian_polys(1)
-    assert (c1, ct1) == (ONE_PLUS_X, Poly((0, 2)))
-    c2, ct2 = F.signed_eulerian_polys(2)
-    assert c2 == Poly((1, 6, 1))
-    assert ct2 == Poly((0, 4, 4))
+    for n, pair in ((1, (ONE_PLUS_X, Poly((0, 2)))), (2, (Poly((1, 6, 1)), Poly((0, 4, 4))))):
+        assert (F.type_b_eulerian_poly(n), F.affine_eulerian_poly(n)) == pair
+        assert set(_signed_routes(n).values()) == {pair}
 
 
 def test_signed_eulerian_total_counts():
-    for n in range(1, 6):
-        c, ct = F.signed_eulerian_polys(n)
+    for n in range(1, 13):
+        c, ct = F.type_b_eulerian_poly(n), F.affine_eulerian_poly(n)
         assert c(1) == 2**n * math.factorial(n)
         assert ct(1) == 2**n * math.factorial(n)
 
 
 def test_signed_eulerian_oracle_limit():
-    with pytest.raises(LimitExceeded):
-        F.signed_eulerian_polys(8, source="oracle")
+    for family in ("C", "CT"):
+        with pytest.raises(LimitExceeded):
+            S.FAMILIES[family].routes["oracle"](8)
+        assert S.FAMILIES[family].poly(8) == S.FAMILIES[family].routes["gf"](8)
+    with pytest.raises(ValueError):
+        F.type_b_eulerian_poly(0)
+    with pytest.raises(ValueError):
+        F.affine_eulerian_poly(0)
 
 
 def test_signed_eulerian_gf_agrees_with_oracle_in_overlap():
-    for n in range(1, 6):
-        assert F.signed_eulerian_polys(n, source="gf") == F.signed_eulerian_polys(n, source="oracle")
+    # the recurrences equal the enumeration inside its cap and the GF solve
+    # far past it
+    for n in range(1, 8):
+        assert len(set(_signed_routes(n).values())) == 1, n
+    for n in range(8, 33):
+        assert F.type_b_eulerian_poly(n) == S.FAMILIES["C"].routes["gf"](n), n
+        assert F.affine_eulerian_poly(n) == S.FAMILIES["CT"].routes["gf"](n), n
 
 
 def test_signed_interleave_poly():
@@ -152,9 +171,7 @@ def test_signed_interleave_poly():
 def test_signed_interleave_requires_zero_constant(monkeypatch):
     # should never fire on real data (every window has an augmented descent),
     # so inject a corrupt pair to exercise the guard
-    monkeypatch.setattr(
-        F, "signed_eulerian_polys", lambda n, **kw: (ONE_PLUS_X, Poly((1, 2)))
-    )
+    monkeypatch.setattr(F, "affine_eulerian_poly", lambda n: Poly((1, 2)))
     with pytest.raises(ConstantTermNonzero):
         F.signed_interleave_poly(3)
 
@@ -192,22 +209,17 @@ def test_cached_distribution_enumerates_once(monkeypatch):
     assert calls == [(6, "pk")]
 
 
-def test_c_and_ct_requests_enumerate_their_own_statistic_once(monkeypatch, capsys):
+def test_c_and_ct_requests_run_only_their_recurrence(monkeypatch, capsys):
     from peakpoly import cli
 
     runs = []
-    original = perms._signed_shard
-
-    def counting(n, first, stat):
-        runs.append(stat)
-        return original(n, first, stat)
-
-    monkeypatch.setattr(perms, "_signed_shard", counting)
-    for family, stat in (("C", "des_b"), ("CT", "ades")):
-        monkeypatch.setattr(F, "_SIGNED_DISTRIBUTIONS", {})
-        runs.clear()
+    monkeypatch.setattr(perms, "_signed_shard", lambda *args: runs.append("shard"))
+    monkeypatch.setattr(S, "solve_series", lambda *args: runs.append("solve"))
+    monkeypatch.setattr(F, "_SIGNED_DISTRIBUTIONS", {})
+    monkeypatch.setattr(S, "_SOLVED", {})
+    for family in ("C", "CT"):
         assert cli.main(["poly", "--family", family, "--n", "5"]) == 0
-        assert runs == [stat] * 10  # one shard per signed first entry
+    assert runs == []  # neither enumeration nor the GF solve
     assert capsys.readouterr().out == "1,237,1682,1682,237,1\n0,32,832,2112,832,32\n"
 
 
@@ -248,6 +260,28 @@ def test_tangent_secant_tables():
 def test_tangent_table_requires_kmax_le_nmax():
     with pytest.raises(ValueError):
         F.tangent_numbers_table(3, 4)
+
+
+def test_order_k_tables_build_one_row_per_new_n(monkeypatch):
+    steps = []
+    for name in ("_TANGENT_ROWS", "_SECANT_ROWS"):
+        memo = getattr(F, name)
+
+        def counting_step(terms, m, name=name, step=memo.step):
+            steps.append((name, m))
+            return step(terms, m)
+
+        monkeypatch.setattr(F, name, F.Memo(memo.terms[:1], counting_step))
+    F.cvijovic_polys(20)
+    steps.clear()
+    for n in range(21, 30):
+        assert F.cvijovic_polys(n) == (F.tangent_derivative_poly(n), F.secant_derivative_poly(n))
+        # T up to row n + 1 and S up to row n: one new row of each
+        assert sorted(steps) == [("_SECANT_ROWS", n), ("_TANGENT_ROWS", n + 1)]
+        steps.clear()
+    F.tangent_numbers_table(12, 5)
+    F.secant_numbers_table(28, 28)
+    assert steps == []
 
 
 def test_cvijovic_rebuild_matches_recurrence():
@@ -334,7 +368,7 @@ def test_stirling_alternating_identity():
         (-1) ** (3 - k) * math.factorial(k) * F.stirling2(3, k) for k in range(4)
     ) == 1
     for n in range(1, 13):
-        assert F.stirling_alternating_identity(n)
+        assert I.check_bell_x0(n) is None
 
 
 def test_factorial_bell_identity():

@@ -77,6 +77,14 @@ def test_bell_checks():
         assert I.check_bell_x1(n) is None
 
 
+def test_bell_x0_check_sees_a_wrong_stirling_number(monkeypatch):
+    real = F.stirling2
+    monkeypatch.setattr(F, "stirling2", lambda n, k: real(n, k) + ((n, k) == (5, 3)))
+    assert I.check_bell_x0(4) is None
+    # the k = 3 term of n = 5 is +3! S(5, 3), so the sum rises by 6
+    assert I.check_bell_x0(5) == I.Witness(5, 0, "7", "1")
+
+
 def test_identity_suite_passes_at_defaults():
     results = I.run_identity_suite()
     assert all(r.passed for r in results)

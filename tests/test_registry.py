@@ -14,10 +14,9 @@ from peakpoly import series as S
 
 # Code every route may share: the polynomial arithmetic and the series solve.
 GENERIC = {S.solve_series}
-# Past the signed enumeration cap the signed families' first route falls back
-# to the GF solve (signed_eulerian_polys); inside the cap it enumerates.
-FALLBACK = {S.signed_polys_from_gf}
-# Largest n the agreement property draws: inside both enumeration caps.
+# Largest n the agreement property draws.  A, W, WL, C and CT carry an oracle
+# route, so every n drawn must stay inside both enumeration caps: 10 for S_n
+# and 7 for signed windows.
 SMALL_N = 6
 
 
@@ -51,7 +50,7 @@ def _reach(route):
     while todo:
         fn = todo.pop()
         for callee in _callees(fn):
-            if callee not in seen and callee not in FALLBACK and callee.__module__ != "peakpoly.polynomial":
+            if callee not in seen and callee.__module__ != "peakpoly.polynomial":
                 seen.add(callee)
                 todo.append(callee)
     return seen - GENERIC

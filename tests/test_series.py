@@ -212,6 +212,24 @@ def test_verify_t_vs_eulerian():
     assert F.signed_interleave_poly(2) == one_plus_x**3 * F.eulerian_poly(2)
 
 
+@pytest.mark.parametrize("memo", ["_TYPE_B_POLYS", "_AFFINE_POLYS"])
+def test_gf_checks_see_a_wrong_signed_recurrence_past_the_enumeration_cap(monkeypatch, memo):
+    # The first route of C and CT is a recurrence at every n, so a wrong term
+    # far past the signed enumeration cap (n = 7) fails the closed-form checks.
+    assert S.verify_gf("C", 16) is None and S.verify_gf("CT", 16) is None
+    assert S.verify_gf("T", 16) is None and S.verify_t_vs_eulerian(16) is None
+    real = getattr(F, memo)
+
+    def corrupt(terms, m):
+        return real.step(terms, m) + (Poly.monomial(1, 9) if m == 9 else Poly.zero())
+
+    monkeypatch.setattr(F, memo, F.Memo(real.terms[:1], corrupt))
+    family = "C" if memo == "_TYPE_B_POLYS" else "CT"
+    assert S.verify_gf(family, 16).n == 9
+    assert S.verify_gf("T", 16).n == 9
+    assert S.verify_t_vs_eulerian(16).n == 9
+
+
 def test_numeric_spotcheck_reference_points():
     rep = numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 20, 1e-15)
     assert rep.rel_error <= 1e-15
