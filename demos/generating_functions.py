@@ -33,7 +33,7 @@ print("\nPDE check:", "pass" if S.verify_pde(16) is None else "fail")
 
 # A substitution identity ties the signed-permutation family to the Eulerian
 # polynomials: x + T(x,z) = (1+x) A(x, z(1+x)), i.e. T_n = (1+x)^(n+1) A_n.
-print("T/A shift check:", "pass" if S.verify_t_vs_eulerian(12, poly_nmax=5) is None else "fail")
+print("T/A shift check:", "pass" if S.verify_t_vs_eulerian(12) is None else "fail")
 for n in range(1, 5):
     print(f"  T_{n} =", F.signed_interleave_poly(n))
 

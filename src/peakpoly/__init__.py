@@ -1,7 +1,7 @@
 """Exact combinatorics of permutation peak statistics.
 
 The package computes the peak/descent polynomial families of the symmetric
-and hyperoctahedral groups in exact rational arithmetic, verifies the
+and hyperoctahedral groups in exact integer arithmetic, verifies the
 identities and generating functions relating them by independent routes
 (recurrence, series, brute-force enumeration), and certifies the real-root,
 interlacing and limit-law structure of the combined tan+sec derivative

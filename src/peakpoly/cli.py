@@ -130,13 +130,13 @@ def cmd_oracle(args, parser) -> int:
         parser.error("--n must be >= 1")
     _check_jobs(args, parser)
     if args.stat == "alt":
-        print(permutations.count_alternating(args.n, limit=S_N_LIMIT))
+        print(permutations.count_alternating(args.n))
         return 0
     if args.stat in ("desb", "ades"):
         stat = "des_b" if args.stat == "desb" else "ades"
-        dist = permutations.signed_distribution(args.n, stat, limit=SIGNED_LIMIT)
+        dist = permutations.signed_distribution(args.n, stat)
     else:
-        dist = permutations.distribution(args.n, args.stat, limit=S_N_LIMIT)
+        dist = permutations.distribution(args.n, args.stat)
     print(",".join(str(c) for c in dist.counts))
     return 0
 
@@ -170,7 +170,7 @@ def cmd_verify(args, parser) -> int:
     elif args.suite == "identities":
         results = identities.run_identity_suite(config["nmax_exact"], config["signed_nmax"])
     elif args.suite == "gf":
-        results = identities.run_gf_suite(config["gf_order"], config["signed_nmax"])
+        results = identities.run_gf_suite(config["gf_order"])
     elif args.suite == "roots":
         results = identities.run_roots_suite(config["roots_nmax"])
     elif args.suite == "clt":

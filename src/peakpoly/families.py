@@ -33,13 +33,12 @@ counts).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import permutations
-from .permutations import S_N_LIMIT, SIGNED_LIMIT, StatDistribution
-from .polynomial import Poly, Scalar
+from .permutations import StatDistribution
+from .polynomial import NonzeroRemainder, Poly
 
 X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
@@ -84,28 +83,26 @@ class Memo:
         return self.terms[: n + 1]
 
 
-# The oracle memos: `limit` only gates an enumeration and never changes its
-# result, so it is not part of the key.
 _DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
 _SIGNED_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
 _ALTERNATING: dict[tuple[int, bool], int] = {}
 
 
-def cached_distribution(n: int, stat: str, limit: int = S_N_LIMIT) -> StatDistribution:
+def cached_distribution(n: int, stat: str) -> StatDistribution:
     if (n, stat) not in _DISTRIBUTIONS:
-        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat, limit=limit)
+        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat)
     return _DISTRIBUTIONS[n, stat]
 
 
-def cached_signed_distribution(n: int, stat: str, limit: int = SIGNED_LIMIT) -> StatDistribution:
+def cached_signed_distribution(n: int, stat: str) -> StatDistribution:
     if (n, stat) not in _SIGNED_DISTRIBUTIONS:
-        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat, limit=limit)
+        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat)
     return _SIGNED_DISTRIBUTIONS[n, stat]
 
 
-def cached_count_alternating(n: int, reverse: bool = False, limit: int = S_N_LIMIT) -> int:
+def cached_count_alternating(n: int, reverse: bool = False) -> int:
     if (n, reverse) not in _ALTERNATING:
-        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse, limit=limit)
+        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse)
     return _ALTERNATING[n, reverse]
 
 
@@ -416,7 +413,8 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
     """(P_n, Q_n) rebuilt from the order-k tangent/secant number tables.
 
     Uses Cvijovic's closed formulas P_n(x) = T(n,1) + sum_k T(n+1,k) x^k / k
-    and Q_n(x) = sum_k S(n,k) x^k; must agree with derivative_polys().
+    and Q_n(x) = sum_k S(n,k) x^k; must agree with derivative_polys().  A
+    T(n+1,k) that k does not divide raises NonzeroRemainder.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -424,7 +422,10 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
     s_table = secant_numbers_table(n, n)
     p_coeffs = [t_table[n][1] if n >= 1 else 0]
     for k in range(1, n + 2):
-        p_coeffs.append(Fraction(t_table[n + 1][k], k))
+        c, r = divmod(t_table[n + 1][k], k)
+        if r:
+            raise NonzeroRemainder(f"T({n + 1}, {k}) = {t_table[n + 1][k]} is not divisible by {k}")
+        p_coeffs.append(c)
     q_coeffs = [s_table[n][k] for k in range(n + 1)]
     return Poly(p_coeffs), Poly(q_coeffs)
 
@@ -450,7 +451,7 @@ def _bell_table(args: tuple[Poly, ...]) -> dict[tuple[int, int], Poly]:
     return _BELL_TABLES.setdefault(args, {})
 
 
-def bell_partial(n: int, k: int, xs: Sequence[Poly | Scalar]) -> Poly:
+def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
     """Partial Bell polynomial B_{n,k} at the arguments xs (xs[0] is x_1).
 
     Computed by B_{n,k} = sum_i C(n-1, i-1) xs_i B_{n-i, k-1} with
@@ -486,7 +487,7 @@ def bell_partial(n: int, k: int, xs: Sequence[Poly | Scalar]) -> Poly:
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, as B_{n,k} at all-ones arguments."""
     value = bell_partial(n, k, (1,) * max(1, n - k + 1))
-    return int(value.coeff(0))
+    return value.coeff(0)
 
 
 def bell_peak_arguments(count: int) -> tuple[Poly, ...]:
@@ -535,6 +536,6 @@ def reduced_tan_sec_poly(n: int) -> Poly:
         raise ValueError("n must be >= 1")
     g = tan_sec_poly(n).exact_div(ONE_PLUS_X ** (n // 2 + 1))
     for i, c in enumerate(g.coeffs):
-        if type(c) is not int or c <= 0:
+        if c <= 0:
             raise NonpositiveCoefficient(f"G_{n} coefficient {c} at index {i}")
     return g

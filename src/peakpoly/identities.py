@@ -119,8 +119,8 @@ def check_row_interleave(n: int, *, r_row: Sequence[int] | None = None) -> Witne
     if witness is not None:
         return witness
     poly_route = families.tan_sec_poly(n)
-    if tuple(int(c) for c in poly_route.coeffs) != tuple(r_row):
-        return first_difference(n, tuple(r_row), tuple(int(c) for c in poly_route.coeffs))
+    if poly_route.coeffs != tuple(r_row):
+        return first_difference(n, tuple(r_row), poly_route.coeffs)
     if r_row[0] != 1:
         return Witness(n, 0, str(r_row[0]), "1")
     if r_row[1] != 2 ** (n - 1):
@@ -270,10 +270,7 @@ def run_identity_suite(
     return results
 
 
-def run_gf_suite(
-    gf_order: int = DEFAULT_GF_ORDER,
-    signed_nmax: int = DEFAULT_SIGNED_NMAX,
-) -> list[CheckResult]:
+def run_gf_suite(gf_order: int = DEFAULT_GF_ORDER) -> list[CheckResult]:
     results = []
     for family in series.EGFS:
         results.append(
@@ -287,7 +284,7 @@ def run_gf_suite(
         _single(
             "t_vs_eulerian",
             (0, gf_order),
-            lambda: series.verify_t_vs_eulerian(gf_order, poly_nmax=signed_nmax),
+            lambda: series.verify_t_vs_eulerian(gf_order),
         )
     )
     results.append(_single("pde", (0, gf_order - 1), lambda: series.verify_pde(gf_order)))
@@ -356,7 +353,7 @@ def run_oracle_suite(
 ) -> list[CheckResult]:
     def descent(n: int) -> Witness | None:
         counts = families.cached_distribution(n, "des").counts
-        return first_difference(n, counts, tuple(int(c) for c in families.eulerian_poly(n).coeffs))
+        return first_difference(n, counts, families.eulerian_poly(n).coeffs)
 
     def peaks(n: int) -> Witness | None:
         counts = families.cached_distribution(n, "pk").counts
@@ -367,13 +364,12 @@ def run_oracle_suite(
         return first_difference(n, counts, families.left_peak_triangle(n)[n - 1])
 
     def signed(n: int) -> Witness | None:
-        c_gf, ct_gf = series.signed_polys_from_gf(n)
         counts = families.cached_signed_distribution(n, "des_b").as_poly()
-        witness = first_difference(n, counts, c_gf)
+        witness = first_difference(n, counts, series.FAMILIES["C"].routes["gf"](n))
         if witness is not None:
             return witness
         counts = families.cached_signed_distribution(n, "ades").as_poly()
-        return first_difference(n, counts, ct_gf)
+        return first_difference(n, counts, series.FAMILIES["CT"].routes["gf"](n))
 
     def alternating(n: int) -> Witness | None:
         e_n = families.euler_numbers(n)[n]
@@ -430,7 +426,7 @@ def run_all(
     """Every suite, in a fixed deterministic order."""
     results = run_oracle_suite(oracle_nmax, signed_nmax)
     results += run_identity_suite(nmax_exact, signed_nmax)
-    results += run_gf_suite(gf_order, signed_nmax)
+    results += run_gf_suite(gf_order)
     results += run_roots_suite(roots_nmax)
     results += run_clt_suite(clt_nmax)
     return results

@@ -45,6 +45,7 @@ from typing import Sequence
 
 from .polynomial import Poly
 
+# The enumeration caps: n above them raises LimitExceeded.
 S_N_LIMIT = 10
 SIGNED_LIMIT = 7
 
@@ -327,7 +328,7 @@ def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT) -> StatDistribution:
+def distribution(n: int, stat: str) -> StatDistribution:
     """Exact distribution of pk, lpk or des over all of S_n.
 
     >>> distribution(3, "pk").counts
@@ -337,13 +338,13 @@ def distribution(n: int, stat: str, *, limit: int = S_N_LIMIT) -> StatDistributi
     """
     if stat not in PERM_STATS:
         raise ValueError(f"unknown permutation statistic {stat!r}")
-    if not 1 <= n <= limit:
-        raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    if not 1 <= n <= S_N_LIMIT:
+        raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
     parts = [_perm_shard(n, first, stat) for first in range(1, n + 1)]
     return StatDistribution(n, stat, _merge_counts(parts))
 
 
-def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT) -> StatDistribution:
+def signed_distribution(n: int, stat: str) -> StatDistribution:
     """Exact distribution of des_b or ades over all 2^n n! signed windows.
 
     >>> signed_distribution(1, "ades").counts
@@ -351,18 +352,18 @@ def signed_distribution(n: int, stat: str, *, limit: int = SIGNED_LIMIT) -> Stat
     """
     if stat not in SIGNED_STATS:
         raise ValueError(f"unknown signed statistic {stat!r}")
-    if not 1 <= n <= limit:
-        raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    if not 1 <= n <= SIGNED_LIMIT:
+        raise LimitExceeded(f"n={n} outside enumeration cap {SIGNED_LIMIT}")
     parts = [_signed_shard(n, s * v, stat) for v in range(1, n + 1) for s in (1, -1)]
     return StatDistribution(n, stat, _merge_counts(parts))
 
 
-def count_alternating(n: int, *, reverse: bool = False, limit: int = S_N_LIMIT) -> int:
+def count_alternating(n: int, *, reverse: bool = False) -> int:
     """Number of alternating permutations pi(1) > pi(2) < pi(3) > ... in S_n.
 
     With reverse=True the first comparison flips, counting reverse-alternating
     permutations instead; the two counts agree (complement pi -> n+1-pi).
     """
-    if not 1 <= n <= limit:
-        raise LimitExceeded(f"n={n} outside enumeration cap {limit}")
+    if not 1 <= n <= S_N_LIMIT:
+        raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
     return sum(_alt_shard(n, first, reverse) for first in range(1, n + 1))

@@ -1,13 +1,16 @@
-"""Dense univariate polynomial arithmetic over the integers and the rationals.
+"""Dense univariate polynomial arithmetic over the integers.
 
-A polynomial is a tuple of coefficients, index i holding the x^i coefficient.
-Storage contract: a coefficient is a plain `int` whenever it is integral and a
-`fractions.Fraction` only when it is not.  Every family in this package has
-integer coefficients, so on such inputs `+`, `*`, `divmod`, `exact_div`,
-`compose` and `subst_cleared` run entirely in integer arithmetic; `divmod` and
-`exact_div` produce a `Fraction` only for a quotient coefficient that really
-is not integral.  Evaluating an integral polynomial at p/q uses homogeneous
-integer Horner, q^d f(p/q), and reduces the fraction once at the end.
+A polynomial is a tuple of `int` coefficients, index i holding the x^i
+coefficient.  Every family in this package counts permutations, so Z[x] is
+the only coefficient ring: the constructor takes anything with `__index__`
+(an `int` or a `bool`) and raises TypeError on anything else, a `Fraction`
+or a `float` included.  Division stays in Z[x] too: `divmod` and
+`exact_div` raise NonzeroRemainder when a quotient coefficient would not be
+an integer, which never happens for a divisor with leading coefficient +-1
+and, for a primitive divisor, only when it does not divide (Gauss's lemma).
+A greatest common divisor is primitive with a positive leading coefficient.
+Rationals appear only as values: evaluating at p/q uses homogeneous integer
+Horner, q^d f(p/q), and reduces the fraction once at the end.
 
 Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
@@ -19,12 +22,11 @@ shared freely between concurrent tasks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from math import gcd
+from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
 
@@ -39,23 +41,6 @@ class DivisionByZeroPoly(ZeroDivisionError):
 
 class ClearPowerTooSmall(ValueError):
     """Denominator-clearing exponent is smaller than the polynomial degree."""
-
-
-def _scalar(c) -> Scalar:
-    """c as an int when it is integral, as a Fraction otherwise."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b, staying an int when b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _scalar(Fraction(a) / b)
 
 
 def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
@@ -80,7 +65,7 @@ def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
 
 @dataclass(init=False, eq=True, frozen=True)
 class Poly:
-    """A univariate polynomial with int or Fraction coefficients, constant term first.
+    """A univariate polynomial with int coefficients, constant term first.
 
     >>> Poly([1, 4, 5, 2])
     Poly('1 + 4x + 5x^2 + 2x^3')
@@ -90,14 +75,13 @@ class Poly:
     -inf
     """
 
-    coeffs: tuple[Scalar, ...]
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_scalar(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(map(operator.index, coeffs))
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_integral", all(type(c) is int for c in cs))
 
     # -- constructors ------------------------------------------------------
 
@@ -114,11 +98,11 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c: Scalar) -> Poly:
+    def constant(cls, c: int) -> Poly:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, coeff: Scalar, power: int) -> Poly:
+    def monomial(cls, coeff: int, power: int) -> Poly:
         """coeff * x**power."""
         if power < 0:
             raise ValueError("negative power")
@@ -137,22 +121,18 @@ class Poly:
         """Degree of the polynomial; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def coeff(self, i: int) -> Scalar:
+    def coeff(self, i: int) -> int:
         """The x^i coefficient (zero beyond the stored length)."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def leading(self) -> Scalar:
+    def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer (stored as an int)."""
-        return self._integral
-
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: Poly | Scalar) -> Poly:
+    def __add__(self, other: Poly | int) -> Poly:
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -167,15 +147,17 @@ class Poly:
     def __neg__(self) -> Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: Poly | Scalar) -> Poly:
+    def __sub__(self, other: Poly | int) -> Poly:
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Scalar) -> Poly:
+    def __rsub__(self, other: int) -> Poly:
         return _coerce(other) + (-self)
 
-    def __mul__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Poly | int) -> Poly:
+        if isinstance(other, int):
             return Poly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero()
         b_coeffs = other.coeffs
@@ -210,36 +192,27 @@ class Poly:
         """
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def __call__(self, x: Scalar) -> Scalar:
+    def __call__(self, x: Fraction | int) -> Fraction | int:
         """Evaluate at a rational point.
 
-        An integral polynomial gives an int at an integer point; at x = p/q it
-        gives q^d f(p/q) / q^d, computed in integers and reduced once.
+        The value is an int at an integer point; at x = p/q it is
+        q^d f(p/q) / q^d, computed in integers and reduced once.
         """
-        if self._integral:
-            x = Fraction(x)
-            value = _cleared_value(self.coeffs, x.numerator, x.denominator)
-            if x.denominator == 1 or not self.coeffs:
-                return value
-            return Fraction(value, x.denominator ** (len(self.coeffs) - 1))
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = Fraction(x)
+        value = _cleared_value(self.coeffs, x.numerator, x.denominator)
+        if x.denominator == 1 or not self.coeffs:
+            return value
+        return Fraction(value, x.denominator ** (len(self.coeffs) - 1))
 
-    def sign_at(self, x: Scalar) -> int:
+    def sign_at(self, x: Fraction | int) -> int:
         """The sign (-1, 0 or 1) of self(x).
 
-        For an integral polynomial this is the sign of the integer
-        q^d f(p/q): no fraction is formed, and at a dyadic point every power
-        of q is a shift.
+        This is the sign of the integer q^d f(p/q): no fraction is formed,
+        and at a dyadic point every power of q is a shift.
         """
-        if self._integral:
-            if type(x) is not Fraction:
-                x = Fraction(x)
-            v = _cleared_value(self.coeffs, x.numerator, x.denominator)
-        else:
-            v = self(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        v = _cleared_value(self.coeffs, x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
     def compose(self, other: Poly) -> Poly:
@@ -252,7 +225,11 @@ class Poly:
     # -- division ----------------------------------------------------------
 
     def __divmod__(self, d: Poly) -> tuple[Poly, Poly]:
-        """Quotient and remainder with deg(remainder) < deg(d)."""
+        """Quotient and remainder in Z[x] with deg(remainder) < deg(d).
+
+        Raises NonzeroRemainder when lc(d) fails to divide a leading term on
+        the way: then d does not divide self in Z[x].
+        """
         if d.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         rem = list(self.coeffs)
@@ -266,14 +243,18 @@ class Poly:
             c = rem[i]
             if not c:
                 continue
-            f = _quotient(c, lead)
+            f, r = divmod(c, lead)
+            if r:
+                raise NonzeroRemainder(f"{self!r} is not divisible by {d!r}")
             quot[i - dd] = f
             for j, dc in enumerate(d_coeffs):
                 rem[i - dd + j] -= f * dc
         return Poly(quot), Poly(rem)
 
     def exact_div(self, d: Poly) -> Poly:
-        """Divide exactly, raising NonzeroRemainder if d does not divide self.
+        """Divide exactly in Z[x], raising NonzeroRemainder if d does not
+        divide self there.  For a primitive d that is the same as not
+        dividing over the rationals (Gauss's lemma).
 
         >>> Poly([1, 2, 1]).exact_div(Poly([1, 1]))
         Poly('1 + x')
@@ -321,25 +302,21 @@ class Poly:
         return f"Poly('{''.join(parts)}')"
 
 
-def _coerce(v: Poly | Scalar) -> Poly:
+def _coerce(v: Poly | int) -> Poly:
     return v if isinstance(v, Poly) else Poly.constant(v)
 
 
 def primitive_part(p: Poly) -> Poly:
-    """Scale p by a positive rational so coefficients are coprime integers.
+    """p divided by the gcd of its coefficients, so they become coprime.
 
-    Only positive scaling is used, so the sign of every value p(x) is
-    preserved; this is what keeps Sturm sign variations intact while taming
-    coefficient growth.
+    The gcd is positive, so the sign of every value p(x) is preserved; this
+    is what keeps Sturm sign variations intact while taming coefficient
+    growth.
     """
     if p.is_zero():
         return p
-    nums = p.coeffs
-    if not p.is_integral():
-        den = lcm(*(c.denominator for c in nums))
-        nums = [c.numerator * (den // c.denominator) for c in nums]
-    g = gcd(*nums)
-    return Poly([v // g for v in nums])
+    g = gcd(*p.coeffs)
+    return Poly([c // g for c in p.coeffs])
 
 
 def pseudo_remainder(a: Poly, b: Poly) -> Poly:
@@ -348,13 +325,10 @@ def pseudo_remainder(a: Poly, b: Poly) -> Poly:
     Each elimination step scales the running remainder by |lc(b)|/g instead
     of dividing by lc(b) (g the gcd with the coefficient being cancelled), so
     no fraction is formed and the result has the sign of the true remainder
-    at every point -- the property Sturm chains need.  Both inputs must be
-    integral.
+    at every point -- the property Sturm chains need.
     """
     if b.is_zero():
         raise DivisionByZeroPoly("polynomial division by zero")
-    if not (a.is_integral() and b.is_integral()):
-        raise ValueError("pseudo_remainder needs integer polynomials")
     rem = list(a.coeffs)
     b_coeffs = b.coeffs
     db = len(b_coeffs) - 1
@@ -375,17 +349,18 @@ def pseudo_remainder(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor of p and q (gcd(p, 0) = monic p).
+    """Greatest common divisor of p and q in Z[x]: primitive, with a positive
+    leading coefficient (gcd(p, 0) is the primitive part of +-p).
 
-    Runs a primitive pseudo-remainder sequence over Z; the only division is
-    the final one by the leading coefficient.
+    Runs a primitive pseudo-remainder sequence over Z (Collins 1967), so no
+    division by a leading coefficient is ever made.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
     a, b = primitive_part(p), primitive_part(q)
     while not b.is_zero():
         a, b = b, primitive_part(pseudo_remainder(a, b))
-    return a * Fraction(1, a.leading())
+    return -a if a.leading() < 0 else a
 
 
 def hurwitz_mul(a: Sequence, b: Sequence, order: int) -> list:

@@ -156,10 +156,15 @@ def sturm_chain(p: Poly) -> SturmChain:
 
 
 def multiplicity_at(p: Poly, r: Fraction | int) -> int:
-    """Largest m with (x - r)^m dividing p, by repeated exact division."""
+    """Largest m with (x - r)^m dividing p, by repeated exact division.
+
+    For r = num/den in lowest terms the divisor is the primitive den x - num,
+    so every quotient stays in Z[x] (Gauss's lemma).
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    factor = Poly((-Fraction(r), 1))
+    r = Fraction(r)
+    factor = Poly((-r.numerator, r.denominator))
     m = 0
     while p.sign_at(r) == 0:
         p = p.exact_div(factor)
@@ -208,24 +213,12 @@ def _bisect_once(p: Poly, iv: Interval) -> Interval:
     return (mid, b)
 
 
-def refine_interval(
-    p: Poly,
-    iv: Interval,
-    *,
-    inside: Interval | None = None,
-    width: Fraction | None = None,
-    max_bisections: int = MAX_BISECTIONS,
-) -> Interval:
-    """Shrink an isolating interval until it fits inside `inside` and/or is
-    narrower than `width`; the bisection budget guards against bad input."""
+def refine_interval(p: Poly, iv: Interval, inside: Interval) -> Interval:
+    """Shrink an isolating interval until it lies strictly inside `inside`;
+    the budget of MAX_BISECTIONS steps guards against bad input."""
     a, b = iv
-    for _ in range(max_bisections):
-        ok = True
-        if inside is not None and not (inside[0] < a and b < inside[1]):
-            ok = False
-        if width is not None and b - a >= width:
-            ok = False
-        if ok:
+    for _ in range(MAX_BISECTIONS):
+        if inside[0] < a and b < inside[1]:
             return (a, b)
         a, b = _bisect_once(p, (a, b))
     raise InterlacingViolation(f"bisection budget exhausted refining {iv}")
@@ -286,7 +279,7 @@ def _disjoint(a: Interval, b: Interval) -> bool:
     return a[1] <= b[0] or b[1] <= a[0]
 
 
-def certify_interlacing(n: int, *, max_bisections: int = MAX_BISECTIONS) -> bool:
+def certify_interlacing(n: int) -> bool:
     """Certify that R_n separates R_{n+1} (weak interlacing of all zeros).
 
     The shared zeros at -1 are compared through their multiplicities, which
@@ -314,7 +307,6 @@ def certify_interlacing(n: int, *, max_bisections: int = MAX_BISECTIONS) -> bool
     else:
         common = Poly.one()
     if common.degree >= 1:
-        common = primitive_part(common)
         part_r = g_n.exact_div(common)
         part_s = g_n1.exact_div(common)
         labelled += [(iv, "c", common) for iv in isolate_roots(common)]
@@ -328,7 +320,7 @@ def certify_interlacing(n: int, *, max_bisections: int = MAX_BISECTIONS) -> bool
     if count_s - count_r not in (0, 1):
         raise InterlacingViolation(f"simple-zero counts {count_r}/{count_s} at n={n}")
 
-    for _ in range(max_bisections):
+    for _ in range(MAX_BISECTIONS):
         overlapping = False
         for i in range(len(labelled)):
             for j in range(i + 1, len(labelled)):

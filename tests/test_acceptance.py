@@ -80,7 +80,7 @@ def test_criterion_04_generating_function_suite():
     for family in ("A", "W", "WL", "P", "C", "CT", "T", "R"):
         assert S.verify_gf(family, 16) is None, family
     assert S.verify_pde(16) is None  # checks all z-coefficients up to 15
-    assert S.verify_t_vs_eulerian(16, poly_nmax=7) is None
+    assert S.verify_t_vs_eulerian(16) is None
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print("ACCEPTANCE 4 (generating functions): PASS")
@@ -109,7 +109,7 @@ def test_criterion_06_root_certification():
         assert report.all_in_range
         g = F.reduced_tan_sec_poly(n)
         assert all(c.denominator == 1 and c > 0 for c in g.coeffs)
-        assert R.certify_interlacing(n, max_bisections=128)
+        assert R.certify_interlacing(n)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     print("ACCEPTANCE 6 (root certification): PASS")

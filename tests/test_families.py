@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,7 @@ from peakpoly import permutations as perms
 from peakpoly import series as S
 from peakpoly.families import ConstantTermNonzero, InsufficientArguments
 from peakpoly.permutations import LimitExceeded
-from peakpoly.polynomial import Poly
+from peakpoly.polynomial import NonzeroRemainder, Poly
 
 ONE_PLUS_X = Poly((1, 1))
 
@@ -198,9 +197,9 @@ def test_cached_distribution_enumerates_once(monkeypatch):
     calls = []
     original = perms.distribution
 
-    def spy(n, stat, *, limit):
+    def spy(n, stat):
         calls.append((n, stat))
-        return original(n, stat, limit=limit)
+        return original(n, stat)
 
     monkeypatch.setattr(perms, "distribution", spy)
     monkeypatch.setattr(F, "_DISTRIBUTIONS", {})
@@ -292,6 +291,17 @@ def test_cvijovic_rebuild_matches_recurrence():
         assert q_n == qs[n]
 
 
+def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypatch):
+    # P_3 reads T(4, k) / k; T(4, 2) = 16 raised to 17 is not divisible by 2
+    rows = list(F._TANGENT_ROWS.upto(4))
+    assert rows[4][2] == 16
+    rows[4] = rows[4][:2] + (17,) + rows[4][3:]
+    monkeypatch.setattr(F, "_TANGENT_ROWS", F.Memo(rows, F._tangent_row))
+    with pytest.raises(NonzeroRemainder):
+        F.cvijovic_polys(3)
+    assert F.cvijovic_polys(2) == (F.tangent_derivative_poly(2), F.secant_derivative_poly(2))
+
+
 def test_bell_partial_worked_example():
     xs = F.bell_peak_arguments(4)
     assert F.bell_partial(4, 1, xs) == Poly((1, 0, -1))
@@ -307,7 +317,7 @@ def test_bell_partial_base_cases():
 
 def test_bell_partial_symbolic_structure():
     # B_{4,2} = 4 x_1 x_3 + 3 x_2^2, probed at several numeric points
-    for x1, x2, x3 in [(1, 2, 3), (2, 5, 7), (Fraction(1, 2), 3, Fraction(2, 3))]:
+    for x1, x2, x3 in [(1, 2, 3), (2, 5, 7), (3, 18, 4), (-1, 0, 6)]:
         value = F.bell_partial(4, 2, (x1, x2, x3))
         assert value == Poly.constant(4 * x1 * x3 + 3 * x2 * x2)
 
@@ -328,8 +338,7 @@ def test_bell_partial_matches_generating_function_definition():
     power = TruncSeries.const(1, nmax)
     for k in range(nmax + 1):
         for n in range(k, nmax + 1):
-            expected = power.coeffs[n] * Fraction(1, math.factorial(k))
-            assert F.bell_partial(n, k, xs) == expected
+            assert math.factorial(k) * F.bell_partial(n, k, xs) == power.coeffs[n]
         power = power * base
 
 

@@ -99,7 +99,7 @@ def test_identity_suite_degenerate_range():
 
 
 def test_gf_suite_passes():
-    results = I.run_gf_suite(gf_order=10, signed_nmax=5)
+    results = I.run_gf_suite(gf_order=10)
     assert all(r.passed for r in results)
     assert [r.check_id for r in results][:8] == [
         "gf_A", "gf_W", "gf_WL", "gf_P", "gf_C", "gf_CT", "gf_T", "gf_R",

@@ -106,7 +106,6 @@ def test_limits_enforced():
         signed_distribution(8, "ades")
     with pytest.raises(LimitExceeded):
         count_alternating(0)
-    assert distribution(5, "des", limit=5).counts  # configurable cap
 
 
 def test_unknown_stat_rejected():

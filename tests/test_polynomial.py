@@ -16,10 +16,8 @@ from peakpoly.polynomial import (
 
 ONE_PLUS_X = Poly((1, 1))
 
-fractions = st.fractions(
-    min_value=-1000, max_value=1000, max_denominator=50
-)
-small_polys = st.lists(fractions, max_size=6).map(Poly)
+integers = st.integers(min_value=-1000, max_value=1000)
+small_polys = st.lists(integers, max_size=6).map(Poly)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 
 
@@ -36,9 +34,20 @@ def test_degree_of_zero_is_minus_infinity():
     assert Poly((0, 0, 3)).degree == 2
 
 
-def test_coefficients_normalized_to_fractions():
-    p = Poly((Fraction(2, 4), 1))
-    assert p.coeffs == (Fraction(1, 2), Fraction(1))
+def test_constructor_rejects_non_integer_coefficients():
+    # an integral Fraction is refused as well: the check is on type, not value
+    for bad in (Fraction(1, 2), Fraction(4, 2), 0.5):
+        with pytest.raises(TypeError):
+            Poly((bad,))
+    p = Poly((True, 2))
+    assert p.coeffs == (1, 2) and type(p.coeffs[0]) is int
+
+
+def test_multiplying_by_a_fraction_raises():
+    with pytest.raises(TypeError):
+        Poly.one() * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * Poly.one()
 
 
 def test_degree_of_product_adds():
@@ -73,6 +82,15 @@ def test_exact_div_known_factorization():
 def test_exact_div_nonzero_remainder():
     with pytest.raises(NonzeroRemainder):
         ONE_PLUS_X.exact_div(Poly((1, 2)))
+
+
+def test_exact_div_stays_in_integers():
+    # 1 + x = (2 + 2x) / 2 over the rationals, but 2 + 2x does not divide it in Z[x]
+    with pytest.raises(NonzeroRemainder):
+        Poly((1, 1)).exact_div(Poly((2, 2)))
+    with pytest.raises(NonzeroRemainder):
+        divmod(Poly((0, 0, 1)), Poly((1, 2)))
+    assert Poly((2, 2)).exact_div(Poly((1, 1))) == Poly.constant(2)
 
 
 def test_division_by_zero_poly():
@@ -132,11 +150,7 @@ def test_exact_div_roundtrip_500_random_pairs():
 
     def rand_poly(max_deg):
         deg = rng.randint(0, max_deg)
-        coeffs = [
-            Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-            for _ in range(deg + 1)
-        ]
-        return Poly(coeffs)
+        return Poly(rng.randint(-1000, 1000) for _ in range(deg + 1))
 
     checked = 0
     while checked < 500:
@@ -148,7 +162,7 @@ def test_exact_div_roundtrip_500_random_pairs():
         checked += 1
 
 
-@given(small_polys, st.lists(fractions, min_size=1, max_size=4).map(Poly))
+@given(small_polys, st.lists(integers, min_size=1, max_size=4).map(Poly))
 def test_subst_cleared_with_unit_denominator_is_composition(p, q):
     if p.is_zero():
         clear = 0
@@ -163,11 +177,9 @@ def test_compose_example():
 
 
 def test_primitive_part_scales_positively():
-    p = Poly((Fraction(2, 3), Fraction(-4, 3)))
-    pp = primitive_part(p)
-    assert pp == Poly((1, -2))
-    q = Poly((-6, 9))
-    assert primitive_part(q) == Poly((-2, 3))
+    assert primitive_part(Poly((6, -12))) == Poly((1, -2))
+    assert primitive_part(Poly((-6, 9))) == Poly((-2, 3))
+    assert primitive_part(Poly((0, 0, -4))) == Poly((0, 0, -1))
 
 
 def test_gcd_poly():
@@ -175,4 +187,8 @@ def test_gcd_poly():
     q = ONE_PLUS_X * Poly((1, 2))
     assert gcd_poly(p, q) == ONE_PLUS_X
     assert gcd_poly(p, Poly((1, 2))) == Poly.one()
-    assert gcd_poly(p, Poly.zero()) == ONE_PLUS_X**2 * Poly((1, 5)) * Fraction(1, 5)
+    # primitive with a positive leading coefficient, not monic
+    assert gcd_poly(p, Poly.zero()) == ONE_PLUS_X**2 * Poly((1, 5))
+    assert gcd_poly(-p, Poly.zero()) == ONE_PLUS_X**2 * Poly((1, 5))
+    assert gcd_poly(Poly((2, 2)), Poly((4, 4))) == Poly((1, 1))
+    assert gcd_poly(-3 * p, 6 * q) == ONE_PLUS_X

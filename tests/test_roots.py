@@ -32,6 +32,14 @@ def test_multiplicity_at_minus_one():
     assert multiplicity_at(F.tan_sec_poly(3), 0) == 0
 
 
+def test_multiplicity_at_rational_point():
+    # (2x+1)^2 (x-3): the divisor for r = -1/2 is the primitive 2x + 1
+    p = Poly((1, 2)) ** 2 * Poly((-3, 1))
+    assert multiplicity_at(p, Fraction(-1, 2)) == 2
+    assert multiplicity_at(p, 3) == 1
+    assert multiplicity_at(p, Fraction(1, 2)) == 0
+
+
 def test_count_real_roots_examples():
     assert count_real_roots(Poly((1, 5)), -1, 0) == 1
     g5 = F.reduced_tan_sec_poly(5)
@@ -108,7 +116,7 @@ def test_isolate_roots_hits_rational_root_at_midpoint():
 def test_sturm_chain_self_test_on_split_polynomials(roots_list):
     p = Poly.one()
     for r in roots_list:
-        p = p * Poly((-r, 1))
+        p = p * Poly((-r.numerator, r.denominator))  # root r, kept in Z[x]
     intervals = isolate_roots(p)
     assert len(intervals) == len(roots_list)
     for (a, b), r in zip(intervals, sorted(roots_list)):
@@ -157,8 +165,8 @@ def test_interlacing_violation_on_unrelated_polys(monkeypatch):
     # roots that do not alternate: (x+1/2)(x+1/4) against (x+1/5)(x+1/6),
     # whose roots both sit right of both roots of the first polynomial
     fake = {
-        2: ONE_PLUS_X**2 * Poly((Fraction(1, 8), Fraction(3, 4), 1)),
-        3: ONE_PLUS_X**3 * Poly((Fraction(1, 30), Fraction(11, 30), 1)),
+        2: ONE_PLUS_X**2 * Poly((1, 6, 8)),
+        3: ONE_PLUS_X**3 * Poly((1, 11, 30)),
     }
     monkeypatch.setattr(F, "tan_sec_poly", lambda n: fake[n])
     monkeypatch.setattr(
