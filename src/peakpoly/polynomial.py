@@ -348,19 +348,30 @@ def pseudo_remainder(a: Poly, b: Poly) -> Poly:
     return Poly(rem)
 
 
+def remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
+    """The signed remainder sequence a, b, -rem(a, b), ... up to its last
+    nonzero member, every member reduced to its primitive part.
+
+    A primitive pseudo-remainder sequence over Z (Collins 1967): each member
+    is a positive multiple of the true signed remainder, so no division by a
+    leading coefficient is made and every sign the sequence takes at a point
+    is the true one.  The last member is gcd(a, b) up to sign.
+    """
+    seq = [primitive_part(a)]
+    b = primitive_part(b)
+    while not b.is_zero():
+        seq.append(b)
+        b = primitive_part(-pseudo_remainder(seq[-2], b))
+    return tuple(seq)
+
+
 def gcd_poly(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor of p and q in Z[x]: primitive, with a positive
-    leading coefficient (gcd(p, 0) is the primitive part of +-p).
-
-    Runs a primitive pseudo-remainder sequence over Z (Collins 1967), so no
-    division by a leading coefficient is ever made.
-    """
+    leading coefficient (gcd(p, 0) is the primitive part of +-p)."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a, b = primitive_part(p), primitive_part(q)
-    while not b.is_zero():
-        a, b = b, primitive_part(pseudo_remainder(a, b))
-    return -a if a.leading() < 0 else a
+    g = remainder_sequence(p, q)[-1]
+    return -g if g.leading() < 0 else g
 
 
 def hurwitz_mul(a: Sequence, b: Sequence, order: int) -> list:

@@ -17,8 +17,14 @@ integer and reduced to its primitive part, so sign variations are untouched
 and no fraction is ever formed.  Isolating intervals are open intervals with
 dyadic endpoints: the root bound is a power of two and every refinement
 halves an interval, so each sign test is integer Horner with shifts
-(Poly.sign_at).  The refinement depth is bounded so an undetected common
-root cannot loop forever.
+(Poly.sign_at).  The refinement depth is bounded so bad input cannot loop
+forever.
+
+Interlacing needs no isolation at all.  With the common factor of G_n and
+G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
+G_n/G_{n+1} over R is as large as it can be, and that index is read off the
+leading coefficients and degrees of one remainder sequence, the builder the
+Sturm chains use.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .polynomial import Poly, gcd_poly, primitive_part, pseudo_remainder
+from .polynomial import Poly, gcd_poly, primitive_part, remainder_sequence
 
 MAX_BISECTIONS = 128
 
@@ -60,19 +66,33 @@ class ClosedFormViolation(ArithmeticError):
 Interval = tuple[Fraction, Fraction]
 
 
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm sequence of a squarefree polynomial, every member primitive in Z[x].
+    """A remainder sequence in Z[x], as `remainder_sequence` builds it.
 
-    The sign-variation difference V(a) - V(b) counts the distinct real roots
-    in (a, b].
+    For the Sturm chain of a squarefree polynomial (the sequence of p, p')
+    the sign-variation difference V(a) - V(b) counts the distinct real roots
+    in (a, b].  For the sequence of any f0, f1 it is the Cauchy index of
+    f1/f0 over (a, b) (Sturm's theorem in its general form).
     """
 
     polys: tuple[Poly, ...]
 
     def variations(self, x: Fraction) -> int:
-        signs = [s for s in (p.sign_at(x) for p in self.polys) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes(p.sign_at(x) for p in self.polys)
+
+    def cauchy_index(self) -> int:
+        """V(-oo) - V(+oo), from leading coefficients and degrees alone: the
+        distinct real roots of a Sturm chain's polynomial, and the Cauchy
+        index of polys[1]/polys[0] over R for any remainder sequence."""
+        top = [p.leading() for p in self.polys]
+        bottom = [-c if p.degree % 2 else c for p, c in zip(self.polys, top)]
+        return _sign_changes(bottom) - _sign_changes(top)
 
     def count(self, a: Fraction, b: Fraction) -> int:
         """Distinct real roots in (a, b]."""
@@ -136,23 +156,17 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def sturm_chain(p: Poly) -> SturmChain:
-    """Sturm chain of a squarefree p; raises NonSquarefreeInput otherwise.
+    """Sturm chain of a squarefree p: the remainder sequence of p and p'.
 
-    Each member after p' is the primitive part of minus a positive multiple
-    of the previous remainder, so the chain stays in Z[x] with its signs
-    intact even where a leading coefficient is negative.
+    Its last member is gcd(p, p') up to sign, so NonSquarefreeInput is
+    raised when that member is not constant.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = [primitive_part(p)]
-    if p.degree >= 1:
-        chain.append(primitive_part(chain[0].derivative()))
-        while chain[-1].degree >= 1:
-            rem = pseudo_remainder(chain[-2], chain[-1])
-            if rem.is_zero():
-                raise NonSquarefreeInput(f"{p!r} has a repeated root")
-            chain.append(primitive_part(-rem))
-    return SturmChain(tuple(chain))
+    chain = remainder_sequence(p, p.derivative())
+    if chain[-1].degree >= 1:
+        raise NonSquarefreeInput(f"{p!r} has a repeated root")
+    return SturmChain(chain)
 
 
 def multiplicity_at(p: Poly, r: Fraction | int) -> int:
@@ -198,30 +212,28 @@ def isolate_roots(p: Poly) -> list[Interval]:
     return sturm_chain(p).isolate()
 
 
-def _bisect_once(p: Poly, iv: Interval) -> Interval:
-    """One refinement step of an isolating interval (sign change preserved)."""
-    a, b = iv
-    mid = (a + b) / 2
-    v = p.sign_at(mid)
-    if v == 0:
-        w = (b - a) / 8
-        while p.sign_at(mid - w) == 0 or p.sign_at(mid + w) == 0:
-            w /= 2
-        return (mid - w, mid + w)
-    if p.sign_at(a) != v:
-        return (a, mid)
-    return (mid, b)
-
-
 def refine_interval(p: Poly, iv: Interval, inside: Interval) -> Interval:
-    """Shrink an isolating interval until it lies strictly inside `inside`;
-    the budget of MAX_BISECTIONS steps guards against bad input."""
+    """Bisect an isolating interval of p, keeping the root inside, until it
+    lies strictly inside `inside`.  After MAX_BISECTIONS steps it raises
+    StructureViolation, which guards against bad input."""
     a, b = iv
-    for _ in range(MAX_BISECTIONS):
-        if inside[0] < a and b < inside[1]:
-            return (a, b)
-        a, b = _bisect_once(p, (a, b))
-    raise InterlacingViolation(f"bisection budget exhausted refining {iv}")
+    steps = 0
+    while not (inside[0] < a and b < inside[1]):
+        if steps == MAX_BISECTIONS:
+            raise StructureViolation("refinement", f"bisection budget exhausted refining {iv}")
+        steps += 1
+        mid = (a + b) / 2
+        v = p.sign_at(mid)
+        if v == 0:
+            w = (b - a) / 8
+            while p.sign_at(mid - w) == 0 or p.sign_at(mid + w) == 0:
+                w /= 2
+            a, b = mid - w, mid + w
+        elif p.sign_at(a) != v:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +287,18 @@ def certify_root_structure(n: int) -> RootReport:
     return RootReport(n, mult, refined, True)
 
 
-def _disjoint(a: Interval, b: Interval) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
-
-
 def certify_interlacing(n: int) -> bool:
     """Certify that R_n separates R_{n+1} (weak interlacing of all zeros).
 
     The shared zeros at -1 are compared through their multiplicities, which
-    may differ by at most one.  The simple zeros are certified by refining
-    isolating intervals of the two reduced polynomials until every pair is
-    disjoint and the merged order alternates.  A common simple zero would
-    show up as a nontrivial gcd and is handled as a coincident point.
+    may differ by at most one.  For the rest, let d = gcd(G_n, G_{n+1}) (its
+    zeros are coincident points), f = G_n/d and g = G_{n+1}/d.  Each real
+    zero s of g adds sign(f(s) g'(s)) to the Cauchy index of f/g over R.
+    With deg g - deg f in {0, 1}, the index is sign(lc f * lc g) * deg g
+    exactly when all zeros of g are real and simple, f changes sign between
+    consecutive ones, and no zero of f lies above the top one: the zeros
+    alternate from the top, starting with one of g.  The index is
+    V(-oo) - V(+oo) of the remainder sequence of g and f.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -300,50 +312,14 @@ def certify_interlacing(n: int) -> bool:
         raise InterlacingViolation(f"multiplicity step {m_n}->{m_n1} at n={n}")
     g_n = families.reduced_tan_sec_poly(n)
     g_n1 = families.reduced_tan_sec_poly(n + 1)
-
-    labelled: list[tuple[Interval, str, Poly]] = []
-    if g_n.degree >= 1 and g_n1.degree >= 1:
-        common = gcd_poly(g_n, g_n1)
-    else:
-        common = Poly.one()
-    if common.degree >= 1:
-        part_r = g_n.exact_div(common)
-        part_s = g_n1.exact_div(common)
-        labelled += [(iv, "c", common) for iv in isolate_roots(common)]
-    else:
-        part_r, part_s = g_n, g_n1
-    labelled += [(iv, "r", part_r) for iv in isolate_roots(part_r)]
-    labelled += [(iv, "s", part_s) for iv in isolate_roots(part_s)]
-
-    count_r = sum(1 for _, lab, _ in labelled if lab in ("r", "c"))
-    count_s = sum(1 for _, lab, _ in labelled if lab in ("s", "c"))
-    if count_s - count_r not in (0, 1):
-        raise InterlacingViolation(f"simple-zero counts {count_r}/{count_s} at n={n}")
-
-    for _ in range(MAX_BISECTIONS):
-        overlapping = False
-        for i in range(len(labelled)):
-            for j in range(i + 1, len(labelled)):
-                if not _disjoint(labelled[i][0], labelled[j][0]):
-                    overlapping = True
-                    labelled[i] = (_bisect_once(labelled[i][2], labelled[i][0]),) + labelled[i][1:]
-                    labelled[j] = (_bisect_once(labelled[j][2], labelled[j][0]),) + labelled[j][1:]
-        if not overlapping:
-            break
-    else:
-        raise InterlacingViolation(f"refinement budget exhausted at n={n}")
-
-    # Walk the intervals from the largest root down.  The separation chain
-    # s_1 >= r_1 >= s_2 >= ... must hold, so labels alternate starting with
-    # s; a coincident point stands in for one adjacent s, r pair.
-    order = sorted(labelled, key=lambda item: item[0][1], reverse=True)
-    expected = "s"
-    for _, lab, _ in order:
-        if lab == "c":
-            continue
-        if lab != expected:
-            raise InterlacingViolation(f"zeros of R_{n} and R_{n + 1} fail to alternate")
-        expected = "r" if expected == "s" else "s"
+    common = gcd_poly(g_n, g_n1)
+    f, g = g_n.exact_div(common), g_n1.exact_div(common)
+    if g.degree - f.degree not in (0, 1):
+        raise InterlacingViolation(f"simple-zero counts {f.degree}/{g.degree} at n={n}")
+    orientation = 1 if f.leading() * g.leading() > 0 else -1
+    index = SturmChain(remainder_sequence(g, f)).cauchy_index()
+    if index != orientation * g.degree:
+        raise InterlacingViolation(f"zeros of R_{n} and R_{n + 1} fail to alternate")
     return True
 
 

@@ -2,7 +2,8 @@
 
 Poly arithmetic is compared with a pure-Fraction reference kept in this file
 and, where sympy is installed, with sympy.Poly over ZZ; real-root counts of
-G_n are compared with sympy's count_roots.  Long division is compared on
+G_n and of seeded polynomials are compared with sympy's count_roots, and the
+interlacing certificate with sympy's exact real_roots.  Long division is compared on
 divisors with leading coefficient +-1, where it never leaves Z[x], and exact
 division on planted products for general divisors.
 """
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from peakpoly import families as F
 from peakpoly import series as S
 from peakpoly.polynomial import Poly, gcd_poly, hurwitz_mul
-from peakpoly.roots import count_real_roots, isolate_roots, sturm_chain
+from peakpoly.roots import (
+    certify_interlacing,
+    count_real_roots,
+    isolate_roots,
+    root_bound,
+    sturm_chain,
+)
 
 # ---------------------------------------------------------------------------
 # pure-Fraction reference arithmetic on coefficient lists, constant term first
@@ -171,12 +178,17 @@ def random_polys(rng, count: int):
     return [(one(), one()) for _ in range(count)]
 
 
-def test_arithmetic_and_gcd_match_sympy():
-    sympy = pytest.importorskip("sympy")
+def seeded_pairs():
     rng = random.Random(4021)
     pairs = random_polys(rng, 60)
     # pairs with a planted common factor, so gcds are not all trivial
     pairs += [(p * c, q * c) for (p, q), (c, _) in zip(pairs[:30], random_polys(rng, 30))]
+    return rng, pairs
+
+
+def test_arithmetic_and_gcd_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng, pairs = seeded_pairs()
     for p, q in pairs:
         if q.is_zero():
             continue
@@ -205,3 +217,29 @@ def test_real_root_counts_of_reduced_family_match_sympy():
         assert len(isolate_roots(g)) == expected, n
         if g.degree >= 1:
             assert count_real_roots(g, -1, 0) == expected, n
+            assert sturm_chain(g).cauchy_index() == expected, n
+
+
+def test_sturm_index_matches_count_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    _, pairs = seeded_pairs()
+    for p in [p for pair in pairs for p in pair if not p.is_zero()]:
+        chain = sturm_chain(p)  # these draws are squarefree
+        bound = Fraction(root_bound(p))
+        distinct = chain.cauchy_index()
+        assert distinct == chain.count(-bound, bound) == to_sympy(p, sympy).count_roots(), p
+
+
+def test_family_interlacing_matches_sympy_real_roots():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 17):
+        roots_n, roots_n1 = (
+            to_sympy(F.reduced_tan_sec_poly(m), sympy).real_roots() for m in (n, n + 1)
+        )
+        merged = sorted(
+            [(r, "r") for r in roots_n] + [(s, "s") for s in roots_n1],
+            key=lambda item: item[0],
+            reverse=True,
+        )
+        assert [label for _, label in merged] == ["sr"[i % 2] for i in range(len(merged))], n
+        assert certify_interlacing(n), n

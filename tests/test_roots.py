@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,20 @@ from peakpoly.roots import (
     isolate_roots,
     mode_bracket,
     multiplicity_at,
+    refine_interval,
     squarefree_part,
     sturm_chain,
 )
 
 ONE_PLUS_X = Poly((1, 1))
+
+
+def with_roots(roots_list, lead=1):
+    """lead times the product of the primitive factors (den x - num)."""
+    p = Poly.constant(lead)
+    for r in roots_list:
+        p = p * Poly((-r.numerator, r.denominator))
+    return p
 
 
 def test_multiplicity_at_minus_one():
@@ -114,9 +124,7 @@ def test_isolate_roots_hits_rational_root_at_midpoint():
     )
 )
 def test_sturm_chain_self_test_on_split_polynomials(roots_list):
-    p = Poly.one()
-    for r in roots_list:
-        p = p * Poly((-r.numerator, r.denominator))  # root r, kept in Z[x]
+    p = with_roots(roots_list)
     intervals = isolate_roots(p)
     assert len(intervals) == len(roots_list)
     for (a, b), r in zip(intervals, sorted(roots_list)):
@@ -176,6 +184,92 @@ def test_interlacing_violation_on_unrelated_polys(monkeypatch):
     )
     with pytest.raises(InterlacingViolation):
         certify_interlacing(2)
+
+
+def alternates(roots_n, roots_n1):
+    """The separation chain by sorting known roots: coincident roots are
+    skipped and the rest must alternate from the top, starting with G_{n+1}."""
+    shared = set(roots_n) & set(roots_n1)
+    merged = sorted(
+        [(r, "r") for r in roots_n if r not in shared]
+        + [(s, "s") for s in roots_n1 if s not in shared],
+        reverse=True,
+    )
+    return all(label == "sr"[i % 2] for i, (_, label) in enumerate(merged))
+
+
+def interlacing_verdict(monkeypatch, g_n, g_n1) -> bool:
+    # R_2 and R_3 pass the degree and multiplicity steps, so the verdict
+    # rests on the reduced pair alone
+    fake_r = {2: ONE_PLUS_X**2, 3: ONE_PLUS_X**3}
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: fake_r[n])
+    monkeypatch.setattr(F, "reduced_tan_sec_poly", lambda n: {2: g_n, 3: g_n1}[n])
+    try:
+        return certify_interlacing(2)
+    except InterlacingViolation:
+        return False
+
+
+@pytest.mark.parametrize(
+    "roots_n, lead_n, roots_n1, expected",
+    [
+        # a shared root at -1/3 is a coincident point; the rest alternate
+        pytest.param(("1/3", "2/3"), 1, ("1/4", "1/3", "3/4"), True, id="shared-root"),
+        pytest.param(("1/2",), 1, ("1/2",), True, id="only-shared-root"),
+        pytest.param(("1/4",), 1, ("1/2",), False, id="g_n-on-top"),
+        pytest.param(("1/4", "3/4"), 1, ("1/2", "7/8"), False, id="g_n-on-top-2"),
+        pytest.param((), 1, ("1/4", "1/2"), False, id="degree-gap-2"),
+        pytest.param(("1/2",), 1, ("1/8", "1/4", "3/4"), False, id="degree-gap-2b"),
+        # one degree below G_n, with its zero on top
+        pytest.param(("1/2", "3/4"), 1, ("1/4",), False, id="degree-gap-minus-1"),
+        # a negated leading coefficient changes no zero
+        pytest.param(("1/2",), -3, ("1/4", "3/4"), True, id="negated-lead"),
+        pytest.param(("1/2",), -1, ("1/2", "3/4"), True, id="negated-lead-shared"),
+        pytest.param((), -2, ("1/2",), True, id="negated-constant"),
+        pytest.param((), 1, (), True, id="constants"),
+    ],
+)
+def test_interlacing_named_cases(monkeypatch, roots_n, lead_n, roots_n1, expected):
+    rs = [-Fraction(r) for r in roots_n]
+    ss = [-Fraction(s) for s in roots_n1]
+    assert alternates(rs, ss) == expected
+    assert interlacing_verdict(monkeypatch, with_roots(rs, lead_n), with_roots(ss)) == expected
+
+
+def test_interlacing_matches_sorted_roots_on_seeded_pairs(monkeypatch):
+    rng = random.Random(9091)
+    pool = sorted({-Fraction(a, d) for d in range(2, 13) for a in range(1, d)})
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        points = sorted(rng.sample(pool, rng.randint(0, 7)), reverse=True)
+        if rng.random() < 0.5:
+            # alternating from the top, sometimes with G_n's zero on top
+            ss, rs = points[0::2], points[1::2]
+            if rng.random() < 0.3:
+                ss, rs = rs, ss
+        else:
+            ss, rs = [], []
+            for x in points:
+                rng.choice((ss, rs)).append(x)
+        shared = rng.sample(pool, rng.randint(0, 2))
+        rs = sorted(set(rs) | set(shared), reverse=True)
+        ss = sorted(set(ss) | set(shared), reverse=True)
+        lead_n = rng.choice((1, 2, -1, -3))
+        lead_n1 = rng.choice((1, 5, -1, -2))
+        expected = alternates(rs, ss)
+        got = interlacing_verdict(monkeypatch, with_roots(rs, lead_n), with_roots(ss, lead_n1))
+        assert got == expected, (rs, lead_n, ss, lead_n1)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_refine_interval_checks_its_last_bisection(monkeypatch):
+    # one bisection of (-1, 0) around the root -1/2 of 1 + 2x gives (-5/8, -3/8)
+    monkeypatch.setattr("peakpoly.roots.MAX_BISECTIONS", 1)
+    unit = (Fraction(-1), Fraction(0))
+    assert refine_interval(Poly((1, 2)), unit, unit) == (Fraction(-5, 8), Fraction(-3, 8))
+    with pytest.raises(StructureViolation):
+        refine_interval(Poly((1, 2)), unit, (Fraction(-1, 4), Fraction(0)))
 
 
 def test_structure_violation_on_corrupted_polynomial(monkeypatch):
