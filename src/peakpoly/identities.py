@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import families, permutations, roots, series
 from .polynomial import Poly
@@ -35,8 +34,7 @@ ONE_PLUS_X = Poly((1, 1))
 ONE_MINUS_X = Poly((1, -1))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     n_range: tuple[int, int]
     verdict: str

@@ -20,12 +20,13 @@ every permutation or window with one first entry):
   windows, itertools.product over the signs); the statistic is updated as
   each value is placed, from that value and its predecessor only;
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
-  suffix table, one per tail length for all the statistics together.  It is
-  keyed by the rank of the prefix's last value among the values still to
-  place (and, for pk/lpk/alternation, whether that value was reached by an
-  ascent).  Its entry is a histogram: each increment the completions add
-  to the statistic, with the number of completions that add it, read off
-  the statistic's definition on short rank sequences (for alternation, the
+  suffix table, one per tail length and statistic, built the first time a
+  request needs it (lpk reads the table of pk).  It is keyed by the rank of
+  the prefix's last value among the values still to place (and, for
+  pk/lpk/alternation, whether that value was reached by an ascent).  Its
+  entry is a histogram: each increment the completions add to the
+  statistic, with the number of completions that add it, read off the
+  statistic's definition on short rank sequences (for alternation, the
   number of alternating completions).
 
 Each permutation or window is counted exactly once: its prefix fixes a base
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomial import Poly
 
@@ -65,21 +65,18 @@ class LimitExceeded(ValueError):
     """Requested size is outside the configured enumeration cap."""
 
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     pk: int
     lpk: int
     des: int
 
 
-@dataclass(frozen=True)
-class SignedStats:
+class SignedStats(NamedTuple):
     des_b: int
     ades: int
 
 
-@dataclass(frozen=True)
-class StatDistribution:
+class StatDistribution(NamedTuple):
     """Exact counts of a statistic over S_n or the signed permutations of [n]."""
 
     n: int
@@ -99,12 +96,21 @@ def has_internal_zeros(counts: Sequence[int]) -> bool:
     return bool(nz) and any(counts[i] == 0 for i in range(nz[0], nz[-1]))
 
 
+def _peaks(pi: tuple[int, ...]) -> int:
+    """Interior peaks of a sequence, by definition."""
+    return sum(a < b > c for a, b, c in zip(pi, pi[1:], pi[2:]))
+
+
+def _descents(pi: tuple[int, ...]) -> int:
+    """Descents of a sequence, by definition."""
+    return sum(a > b for a, b in zip(pi, pi[1:]))
+
+
 def _perm_counts(pi: tuple[int, ...]) -> tuple[int, int, int]:
     """(pk, lpk, des) of a permutation, by definition; pi is not checked."""
-    pk = sum(a < b > c for a, b, c in zip(pi, pi[1:], pi[2:]))
+    pk = _peaks(pi)
     lpk = pk + (1 if len(pi) >= 2 and pi[0] > pi[1] else 0)
-    des = sum(a > b for a, b in zip(pi, pi[1:]))
-    return pk, lpk, des
+    return pk, lpk, _descents(pi)
 
 
 def perm_stats(pi: Sequence[int]) -> PermStats:
@@ -181,69 +187,63 @@ def _histogram(counter: Counter) -> Histogram:
 
 
 @lru_cache(maxsize=None)
-def _tail_tables(m: int) -> dict[str, tuple]:
-    """What the completions of a prefix add to each S_n statistic, by key.
+def _tail_table(m: int, stat: str) -> tuple:
+    """What the completions of a prefix add to pk, des or alternation, by key.
 
     A prefix ends in a value L with m values still to place.  Its key is
     2r + asc, where r is the rank of L among L and those m values and asc
     tells whether L was reached by an ascent (the kernels give the first
     value a predecessor 0 for lpk and for forward alternation, none for pk).
-    Entry key of the table of pk (which lpk shares) or des is a histogram
+    Entry key of the table of pk (which lpk reads) or des is a histogram
     over the m! orders of the m values: each increment the statistic gains
     from L on, with the number of orders that give it.  Entry key of "alt"
     is the number of orders with which the whole permutation alternates.
     Each value comes from the statistic's definition applied to the rank
     sequence (pred, L, c_1, .., c_m): a permutation of [m+2] whose first
     entry stands for L's predecessor, below every other entry when asc and
-    above them otherwise.
+    above them otherwise.  Only the requested statistic's table is built.
     """
-    tables: dict[str, list] = {"pk": [], "des": [], "alt": []}
+    if stat not in ("pk", "des", "alt"):
+        raise ValueError(f"no suffix table for {stat!r}")
+    table = []
     for r in range(m + 1):
         for asc in (False, True):
             low = 1 + asc  # L and the m values take low .. low + m
             pred, lead = 1 if asc else m + 2, low + r
             others = [v for v in range(low, low + m + 1) if v != lead]
-            pk, des, alt = Counter(), Counter(), 0
-            for tail in itertools.permutations(others):
-                seq = (pred, lead) + tail
-                seq_pk, _, seq_des = _perm_counts(seq)
-                pk[seq_pk] += 1  # the peaks of L and of c_1 .. c_(m-1)
-                des[seq_des - (pred > lead)] += 1
-                alt += is_alternating(seq, reverse=asc)
-            tables["pk"].append(_histogram(pk))
-            tables["des"].append(_histogram(des))
-            tables["alt"].append(alt)
-    tables["lpk"] = tables["pk"]
-    return {stat: tuple(table) for stat, table in tables.items()}
+            seqs = [(pred, lead) + tail for tail in itertools.permutations(others)]
+            if stat == "alt":
+                table.append(sum(is_alternating(seq, reverse=asc) for seq in seqs))
+            elif stat == "pk":  # the peaks of L and of c_1 .. c_(m-1)
+                table.append(_histogram(Counter(map(_peaks, seqs))))
+            else:  # less the descent pred > L, which the prefix has counted
+                table.append(_histogram(Counter(_descents(seq) - (pred > lead) for seq in seqs)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _signed_tail_tables(m: int) -> dict[str, tuple[Histogram | None, ...]]:
-    """What the completions of a signed prefix add to des_b and ades, by key.
+def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
+    """What the completions of a signed prefix add to des_b or ades, by key.
 
     A prefix ends in an entry L with m absolute values still to place.  Its
     key is 2r + (L > 0), where r is the rank of L among the 2m signed values
-    those m can take.  Entry key of the table of a statistic is a histogram
-    over the m! 2^m completions: each value of the statistic of the window
-    (L, c_1, .., c_m) of [m+1] less the descent 0 > L, which the prefix has
-    already counted, with the number of completions that give it.  Keys no
-    prefix can have are None.
+    those m can take.  Entry key is a histogram over the m! 2^m completions:
+    each value of the statistic of the window (L, c_1, .., c_m) of [m+1]
+    less the descent 0 > L, which the prefix has already counted, with the
+    number of completions that give it.  Keys no prefix can have are None.
     """
-    tables: dict[str, list[Histogram | None]] = {stat: [None] * (2 * (2 * m + 1)) for stat in SIGNED_STATS}
-    signs = list(itertools.product((1, -1), repeat=m))
+    which = SIGNED_STATS.index(stat)
+    table: list[Histogram | None] = [None] * (2 * (2 * m + 1))
     for a in range(1, m + 2):
         others = [v for v in range(1, m + 2) if v != a]
         for lead in (a, -a):
-            des_b, ades = Counter(), Counter()
-            for tail in itertools.permutations(others):
-                for sign in signs:
-                    window_des_b, window_ades = _signed_counts((lead,) + tuple(s * v for s, v in zip(sign, tail)))
-                    des_b[window_des_b - (lead < 0)] += 1
-                    ades[window_ades - (lead < 0)] += 1
-            key = 2 * _signed_rank(lead, others) + (lead > 0)
-            tables["des_b"][key] = _histogram(des_b)
-            tables["ades"][key] = _histogram(ades)
-    return {stat: tuple(table) for stat, table in tables.items()}
+            counts = Counter(
+                _signed_counts((lead,) + window)[which] - (lead < 0)
+                for tail in itertools.permutations(others)
+                for window in itertools.product(*[(v, -v) for v in tail])
+            )
+            table[2 * _signed_rank(lead, others) + (lead > 0)] = _histogram(counts)
+    return tuple(table)
 
 
 def _perm_shard(n: int, first: int, stat: str) -> list[int]:
@@ -256,7 +256,7 @@ def _perm_shard(n: int, first: int, stat: str) -> list[int]:
     """
     counts = [0] * _stat_width(n, stat)
     m = min(TAIL, n - 1)
-    table = _tail_tables(m)[stat]
+    table = _tail_table(m, "des" if stat == "des" else "pk")
     rest = [v for v in range(1, n + 1) if v != first]
     peaks = stat != "des"
     for prefix in itertools.permutations(rest, n - 1 - m):
@@ -282,7 +282,7 @@ def _signed_shard(n: int, first: int, stat: str) -> list[int]:
     """
     counts = [0] * (n + 1)
     m = min(SIGNED_TAIL, n - 1)
-    table = _signed_tail_tables(m)[stat]
+    table = _signed_tail_table(m, stat)
     rest = [v for v in range(1, n + 1) if v != abs(first)]
     sign_combos = list(itertools.product((1, -1), repeat=n - 1 - m))
     for perm in itertools.permutations(rest, n - 1 - m):
@@ -306,7 +306,7 @@ def _alt_shard(n: int, first: int, reverse: bool) -> int:
     adds its suffix-table count of alternating completions.
     """
     m = min(TAIL, n - 1)
-    table = _tail_tables(m)["alt"]
+    table = _tail_table(m, "alt")
     rest = [v for v in range(1, n + 1) if v != first]
     total = 0
     for prefix in itertools.permutations(rest, n - 1 - m):

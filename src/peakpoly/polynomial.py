@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -63,7 +62,6 @@ def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-@dataclass(init=False, eq=True, frozen=True)
 class Poly:
     """A univariate polynomial with int coefficients, constant term first.
 
@@ -75,6 +73,7 @@ class Poly:
     -inf
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -82,6 +81,23 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Poly is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Poly is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return self.__class__, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 

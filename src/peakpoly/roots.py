@@ -30,8 +30,8 @@ Sturm chains use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
 from .polynomial import Poly, gcd_poly, primitive_part, remainder_sequence
@@ -71,8 +71,7 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(NamedTuple):
     """A remainder sequence in Z[x], as `remainder_sequence` builds it.
 
     For the Sturm chain of a squarefree polynomial (the sequence of p, p')
@@ -240,8 +239,7 @@ def refine_interval(p: Poly, iv: Interval, inside: Interval) -> Interval:
 # certified structure of the tan_sec family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     n: int
     mult_minus1: int
     isolating_intervals: tuple[Interval, ...]
@@ -327,8 +325,7 @@ def certify_interlacing(n: int) -> bool:
 # exact central-limit statistics and the mode bracket
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CltStats:
+class CltStats(NamedTuple):
     n: int
     value_at_1: int
     deriv1_at_1: int
@@ -363,8 +360,7 @@ def clt_stats(n: int) -> CltStats:
     return CltStats(n, v, d1, d2, mu, sigma2)
 
 
-@dataclass(frozen=True)
-class ModeResult:
+class ModeResult(NamedTuple):
     n: int
     argmax: tuple[int, ...]
     allowed: tuple[int, ...]

@@ -27,9 +27,8 @@ extends it on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import families
 from .polynomial import Poly, hurwitz_mul
@@ -54,16 +53,38 @@ class PrecisionInsufficient(ArithmeticError):
     """Truncation remainder bound is too large to certify the tolerance."""
 
 
-@dataclass(frozen=True)
 class TruncSeries:
     """Power series in z truncated after z^order; entry m is m! [z^m], a Poly."""
 
+    __slots__ = ("order", "coeffs")
     order: int
     coeffs: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if self.order < 0 or len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[Poly, ...]):
+        if order < 0 or len(coeffs) != order + 1:
             raise ValueError("coefficient count must equal order + 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"TruncSeries is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TruncSeries is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __reduce__(self):
+        return self.__class__, (self.order, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(order={self.order!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls, order: int) -> TruncSeries:
@@ -184,8 +205,7 @@ def solve_series(num: TruncSeries, den: TruncSeries, known: Sequence[Poly] = ())
 # the family table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One polynomial family of the CLI: family_n for min_n <= n <= cap.
 
     `routes` maps a route name to an independent computation n -> family_n;
@@ -352,8 +372,7 @@ def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Where two exactly computed sides first differ: n (the z-order for a
     series), the coefficient index and both exact values as strings.  Index
     -1 marks a violation raised by a lower layer (lhs is its type).  The
@@ -435,8 +454,7 @@ def verify_pde(order: int) -> Witness | None:
 # numeric spot-check of the transcendental closed form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpotcheckReport:
+class SpotcheckReport(NamedTuple):
     x0: Fraction
     t0: Fraction
     order: int

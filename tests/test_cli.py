@@ -92,6 +92,24 @@ def test_enumeration_starts_no_worker_processes():
     assert res.stdout == "[0, 0] False False\n", res.stderr
 
 
+def test_cli_import_and_oracle_request_load_no_dataclasses_or_inspect():
+    # both modules cost start-up time that every request would pay
+    heavy = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    bare = subprocess.run([sys.executable, "-c", f"import sys; print({heavy})"],
+                          capture_output=True, text=True, timeout=600)
+    script = (
+        "import contextlib, io, sys\n"
+        "from peakpoly import cli\n"
+        f"after_import = {heavy}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['oracle', '--stat', 'des', '--n', '6'])\n"
+        f"print(after_import, {heavy}, code)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+    preloaded = bare.stdout.strip()
+    assert res.stdout == f"{preloaded} {preloaded} 0\n", res.stderr
+
+
 def test_oracle_rejects_nonpositive_jobs():
     for jobs in ("0", "-2"):
         res = run("oracle", "--stat", "des", "--n", "4", "--jobs", jobs)

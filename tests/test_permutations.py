@@ -246,11 +246,18 @@ def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
 
         monkeypatch.setattr(P, name, counted)
 
-    for name in ("_perm_counts", "_signed_counts", "is_alternating"):
+    for name in ("_peaks", "_descents", "_signed_counts", "is_alternating"):
         spy(name)
-    P._tail_tables.cache_clear()
-    P._signed_tail_tables.cache_clear()
+    P._tail_table.cache_clear()
+    P._signed_tail_table.cache_clear()
     m, sm = P.TAIL, P.SIGNED_TAIL
+    # one rank sequence per (rank, ascent flag, completion) in each unsigned table
+    rank_sequences = 2 * (m + 1) * math.factorial(m)
+    distribution(m + 2, "des")  # builds the des table and no other
+    assert calls == Counter(_descents=rank_sequences)
+    distribution(m + 2, "pk")
+    distribution(m + 2, "lpk")  # reads the pk table: builds nothing
+    assert calls == Counter(_descents=rank_sequences, _peaks=rank_sequences)
     for _ in range(2):
         for n in (m + 2, m + 3):  # both leave a tail of m positions
             for stat in P.PERM_STATS:
@@ -260,28 +267,25 @@ def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
         for n in (sm + 1, sm + 2):
             for stat in P.SIGNED_STATS:
                 signed_distribution(n, stat)
-    # one rank sequence per (rank, ascent flag, completion), for every statistic
-    assert calls["_perm_counts"] == calls["is_alternating"] == 2 * (m + 1) * math.factorial(m)
-    # one window per (signed last entry, completion), for both statistics
-    assert calls["_signed_counts"] == 2 * (sm + 1) * math.factorial(sm) * 2**sm
-    assert P._tail_tables.cache_info().currsize == 1
-    assert set(P._tail_tables(m)) == set(P.PERM_STATS) | {"alt"}
-    assert P._signed_tail_tables.cache_info().currsize == 1
-    assert set(P._signed_tail_tables(sm)) == set(P.SIGNED_STATS)
+    assert calls["_peaks"] == calls["_descents"] == calls["is_alternating"] == rank_sequences
+    # one window per (signed last entry, completion) in each signed table
+    assert calls["_signed_counts"] == len(P.SIGNED_STATS) * 2 * (sm + 1) * math.factorial(sm) * 2**sm
+    assert P._tail_table.cache_info().currsize == 3  # pk, des and alt
+    assert P._signed_tail_table.cache_info().currsize == len(P.SIGNED_STATS)
 
 
 def test_suffix_table_histograms_count_every_completion():
     for m in range(P.TAIL + 1):
-        tables = P._tail_tables(m)
-        for stat in P.PERM_STATS:
-            assert len(tables[stat]) == 2 * (m + 1)
-            for entry in tables[stat]:
+        for stat in ("pk", "des"):  # lpk reads the table of pk
+            table = P._tail_table(m, stat)
+            assert len(table) == 2 * (m + 1)
+            for entry in table:
                 assert sum(c for _, c in entry) == math.factorial(m), (m, stat)
                 assert [d for d, _ in entry] == sorted({d for d, _ in entry})
                 assert all(c > 0 for _, c in entry)
     for m in range(P.SIGNED_TAIL + 1):
-        for stat, table in P._signed_tail_tables(m).items():
-            entries = [entry for entry in table if entry is not None]
+        for stat in P.SIGNED_STATS:
+            entries = [entry for entry in P._signed_tail_table(m, stat) if entry is not None]
             assert len(entries) == 2 * (m + 1)  # one per signed last entry
             for entry in entries:
                 assert sum(c for _, c in entry) == math.factorial(m) * 2**m, (m, stat)
@@ -289,6 +293,59 @@ def test_suffix_table_histograms_count_every_completion():
         assert distribution(P.S_N_LIMIT, stat).total() == math.factorial(P.S_N_LIMIT)
     for stat in P.SIGNED_STATS:
         assert signed_distribution(P.SIGNED_LIMIT, stat).total() == 2**P.SIGNED_LIMIT * math.factorial(P.SIGNED_LIMIT)
+
+
+def _all_statistics_tail_tables(m):
+    """The suffix tables of every S_n statistic from one loop over the rank
+    sequences, as they were built before each statistic had its own table."""
+    tables = {"pk": [], "des": [], "alt": []}
+    for r in range(m + 1):
+        for asc in (False, True):
+            low = 1 + asc
+            pred, lead = 1 if asc else m + 2, low + r
+            others = [v for v in range(low, low + m + 1) if v != lead]
+            pk, des, alt = Counter(), Counter(), 0
+            for tail in itertools.permutations(others):
+                seq = (pred, lead) + tail
+                seq_pk, _, seq_des = P._perm_counts(seq)
+                pk[seq_pk] += 1
+                des[seq_des - (pred > lead)] += 1
+                alt += P.is_alternating(seq, reverse=asc)
+            tables["pk"].append(P._histogram(pk))
+            tables["des"].append(P._histogram(des))
+            tables["alt"].append(alt)
+    return {stat: tuple(table) for stat, table in tables.items()}
+
+
+def _all_statistics_signed_tail_tables(m):
+    """The signed suffix tables of des_b and ades from one loop, windows
+    built from sign tuples, as before each statistic had its own table."""
+    tables = {stat: [None] * (2 * (2 * m + 1)) for stat in P.SIGNED_STATS}
+    signs = list(itertools.product((1, -1), repeat=m))
+    for a in range(1, m + 2):
+        others = [v for v in range(1, m + 2) if v != a]
+        for lead in (a, -a):
+            des_b, ades = Counter(), Counter()
+            for tail in itertools.permutations(others):
+                for sign in signs:
+                    window_des_b, window_ades = P._signed_counts((lead,) + tuple(s * v for s, v in zip(sign, tail)))
+                    des_b[window_des_b - (lead < 0)] += 1
+                    ades[window_ades - (lead < 0)] += 1
+            key = 2 * P._signed_rank(lead, others) + (lead > 0)
+            tables["des_b"][key] = P._histogram(des_b)
+            tables["ades"][key] = P._histogram(ades)
+    return {stat: tuple(table) for stat, table in tables.items()}
+
+
+def test_per_statistic_suffix_tables_match_the_all_statistics_loop():
+    for m in range(P.TAIL + 1):
+        for stat, table in _all_statistics_tail_tables(m).items():
+            assert P._tail_table(m, stat) == table, (m, stat)
+    for m in range(P.SIGNED_TAIL + 1):
+        for stat, table in _all_statistics_signed_tail_tables(m).items():
+            assert P._signed_tail_table(m, stat) == table, (m, stat)
+    with pytest.raises(ValueError):
+        P._tail_table(P.TAIL, "lpk")
 
 
 def test_differential_against_sympy_at_the_caps():
@@ -314,17 +371,23 @@ def _off_by_one(histogram):
     return ((d, completions + 1), *rest)
 
 
+def _corrupt_cached(monkeypatch, name, args, table):
+    """Make the cached suffix-table builder `name` return `table` for `args`."""
+    cached = getattr(P, name)
+    monkeypatch.setattr(P, name, lambda *a: table if a == args else cached(*a))
+
+
 def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     assert _shard_check().passed
-    des = P._tail_tables(5)["des"]  # n = 6 fills all five positions after the first from it
-    monkeypatch.setitem(P._tail_tables(5), "des", (_off_by_one(des[0]),) + des[1:])
+    des = P._tail_table(5, "des")  # n = 6 fills all five positions after the first from it
+    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), (_off_by_one(des[0]),) + des[1:])
     check = _shard_check()
     assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[0][0][0])
     monkeypatch.undo()
     assert _shard_check().passed
-    ades = P._signed_tail_tables(3)["ades"]  # signed n = 4 fills three positions from it
+    ades = P._signed_tail_table(3, "ades")  # signed n = 4 fills three positions from it
     key = next(k for k, entry in enumerate(ades) if entry is not None)
     corrupted = ades[:key] + (_off_by_one(ades[key]),) + ades[key + 1:]
-    monkeypatch.setitem(P._signed_tail_tables(3), "ades", corrupted)
+    _corrupt_cached(monkeypatch, "_signed_tail_table", (3, "ades"), corrupted)
     check = _shard_check()
     assert (check.verdict, check.witness.n) == ("fail", 6)
