@@ -16,30 +16,34 @@ Statistics follow the boundary conventions of the peak/descent literature:
 Enumeration is exhaustive and exact, in two levels per shard (a shard is
 every permutation or window with one first entry):
 
-* the middle prefix runs through itertools.permutations (and, for signed
-  windows, itertools.product over the signs); the statistic is updated as
-  each value is placed, from that value and its predecessor only;
+* the middle prefix comes from one depth-first walk over the sorted list of
+  values still to place (for signed windows, each with either sign).  The
+  statistic moves by one step per placed value, from that value and its
+  predecessor only, and the rank of the value just placed among itself and
+  the values left is its index in the sorted list it was taken from, so it
+  comes with the walk.  Each prefix that leaves the tail adds 1 to a hit
+  count by (statistic so far, key);
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
   suffix table, one per tail length and statistic, built the first time a
   request needs it (lpk reads the table of pk).  It is keyed by the rank of
   the prefix's last value among the values still to place (and, for
   pk/lpk/alternation, whether that value was reached by an ascent).  Its
   entry is a histogram: each increment the completions add to the
-  statistic, with the number of completions that add it, read off the
-  statistic's definition on short rank sequences (for alternation, the
-  number of alternating completions).
+  statistic, with the number of completions that add it (for alternation,
+  the number of alternating completions).  The same walk builds it, run to
+  the end over every completion of each key; no table is derived from
+  another.
 
-Each permutation or window is counted exactly once: its prefix fixes a base
-value, and its completion is one of those the histogram counts at
-base + increment.  Shards run one after another in the calling process
+At its end a shard folds the hit counts into the histograms.  Each
+permutation or window is counted exactly once: its prefix is walked once and
+fixes a base value, and its completion is one of those the histogram counts
+at base + increment.  Shards run one after another in the calling process
 and their counts are summed in a fixed shard order.  Nothing here relies on
 assert.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -168,22 +172,101 @@ def is_alternating(pi: Sequence[int], *, reverse: bool = False) -> bool:
     return all((a > b) == (i % 2 == int(reverse)) for i, (a, b) in enumerate(zip(pi, pi[1:])))
 
 
-def _rank(last: int, placed: Sequence[int]) -> int:
-    """Rank of `last` among itself and the values of [n] not in `placed`."""
-    return last - 1 - len([v for v in placed if v < last])
-
-
-def _signed_rank(last: int, left: Sequence[int]) -> int:
-    """Rank of `last` among the signed values +-b, b in `left`."""
-    return sum((-b < last) + (b < last) for b in left)
-
-
 Histogram = tuple[tuple[int, int], ...]
 
 
-def _histogram(counter: Counter) -> Histogram:
+def _perm_walk(
+    rem: list[int], rank: int, prev: int, asc: bool, base: int, stop: int, peaks: bool, hits: list[list[int]]
+) -> None:
+    """Place the sorted values rem after prev in every order, down to stop left.
+
+    prev has rank `rank` among itself and rem, and asc tells whether it was
+    reached by an ascent; base is the statistic so far (descents, or with
+    peaks, interior peaks).  Placing a value below prev is a descent, and a
+    peak at prev if prev was reached by an ascent.  Every prefix that leaves
+    stop values adds 1 to hits[base][2 * rank + asc], where its last value's
+    rank is its index in the sorted list it was taken from.  Only a walk
+    that starts with stop values left (an empty prefix) adds its own key;
+    otherwise the last level adds the keys of its choices without a call.
+    """
+    if len(rem) == stop:
+        hits[base][2 * rank + asc] += 1
+        return
+    down = base + (asc or not peaks)
+    if len(rem) == stop + 1:  # each choice leaves stop values
+        up_row, down_row = hits[base], hits[down]
+        for r, v in enumerate(rem):
+            if prev > v:
+                down_row[2 * r] += 1
+            else:
+                up_row[2 * r + 1] += 1
+        return
+    for r, v in enumerate(rem):
+        up = prev < v
+        _perm_walk(rem[:r] + rem[r + 1:], r, v, up, base if up else down, stop, peaks, hits)
+
+
+def _alt_walk(rem: list[int], rank: int, prev: int, asc: bool, stop: int, hits: list[int]) -> None:
+    """The walk of _perm_walk over alternating prefixes only.
+
+    After an ascent the next value must lie below prev, after a descent
+    above it; other branches are not walked.  Every prefix that leaves stop
+    values adds 1 to hits[2 * rank + asc], the last level without a call.
+    """
+    if len(rem) == stop:
+        hits[2 * rank + asc] += 1
+        return
+    if len(rem) == stop + 1:  # each choice leaves stop values
+        for r, v in enumerate(rem):
+            if (prev > v) == asc:
+                hits[2 * r + (not asc)] += 1
+        return
+    for r, v in enumerate(rem):
+        if (prev > v) == asc:
+            _alt_walk(rem[:r] + rem[r + 1:], r, v, not asc, stop, hits)
+
+
+def _signed_walk(rem: list[int], key: int, prev: int, base: int, stop: int, hits: list[list[int]]) -> None:
+    """Place the sorted absolute values rem after prev, each with either sign.
+
+    base counts the descents so far.  Every signed prefix that leaves stop
+    values adds 1 to hits[base][key], with key = 2r + (last entry > 0) and r
+    the rank of the last entry among the 2 * stop signed values those stop
+    can take.  That rank is the entry's index in the sorted list of +-b, b
+    in the list it was taken from, less one when the entry is positive: for
+    rem[i] with m values left after it, m + i for +rem[i] and m - i for
+    -rem[i].  As in _perm_walk, only a walk that starts with stop values
+    left adds its own key.
+    """
+    if len(rem) == stop:
+        hits[base][key] += 1
+        return
+    m = len(rem) - 1
+    if m == stop:  # each choice leaves stop values
+        for i, v in enumerate(rem):
+            hits[base + (prev > -v)][2 * (m - i)] += 1
+            hits[base + (prev > v)][2 * (m + i) + 1] += 1
+        return
+    for i, v in enumerate(rem):
+        rest = rem[:i] + rem[i + 1:]
+        _signed_walk(rest, 2 * (m - i), -v, base + (prev > -v), stop, hits)
+        _signed_walk(rest, 2 * (m + i) + 1, v, base + (prev > v), stop, hits)
+
+
+def _fold(hits: list[list[int]], table: Sequence[Histogram], width: int) -> list[int]:
+    """Counts from hits[base][key] and the histograms of a suffix table."""
+    counts = [0] * width
+    for base, row in enumerate(hits):
+        for key, h in enumerate(row):
+            if h:
+                for d, completions in table[key]:
+                    counts[base + d] += h * completions
+    return counts
+
+
+def _histogram(totals: Sequence[int]) -> Histogram:
     """(increment, number of completions) pairs, increments ascending."""
-    return tuple(sorted(counter.items()))
+    return tuple((d, c) for d, c in enumerate(totals) if c)
 
 
 @lru_cache(maxsize=None)
@@ -198,26 +281,25 @@ def _tail_table(m: int, stat: str) -> tuple:
     over the m! orders of the m values: each increment the statistic gains
     from L on, with the number of orders that give it.  Entry key of "alt"
     is the number of orders with which the whole permutation alternates.
-    Each value comes from the statistic's definition applied to the rank
-    sequence (pred, L, c_1, .., c_m): a permutation of [m+2] whose first
-    entry stands for L's predecessor, below every other entry when asc and
-    above them otherwise.  Only the requested statistic's table is built.
+    Each entry is taken by the kernels' own walk, started at L = r with the
+    ranks 0 .. m other than r still to place and base 0, run to the end over
+    all m! orders; the table for m is never derived from another table.
+    Only the requested statistic's table is built.
     """
     if stat not in ("pk", "des", "alt"):
         raise ValueError(f"no suffix table for {stat!r}")
     table = []
     for r in range(m + 1):
+        others = [v for v in range(m + 1) if v != r]
         for asc in (False, True):
-            low = 1 + asc  # L and the m values take low .. low + m
-            pred, lead = 1 if asc else m + 2, low + r
-            others = [v for v in range(low, low + m + 1) if v != lead]
-            seqs = [(pred, lead) + tail for tail in itertools.permutations(others)]
             if stat == "alt":
-                table.append(sum(is_alternating(seq, reverse=asc) for seq in seqs))
-            elif stat == "pk":  # the peaks of L and of c_1 .. c_(m-1)
-                table.append(_histogram(Counter(map(_peaks, seqs))))
-            else:  # less the descent pred > L, which the prefix has counted
-                table.append(_histogram(Counter(_descents(seq) - (pred > lead) for seq in seqs)))
+                hits = [0, 0]
+                _alt_walk(others, r, r, asc, 0, hits)
+                table.append(sum(hits))
+            else:
+                rows = [[0, 0] for _ in range(m + 1)]
+                _perm_walk(others, r, r, asc, 0, 0, stat == "pk", rows)
+                table.append(_histogram([sum(row) for row in rows]))
     return tuple(table)
 
 
@@ -231,93 +313,69 @@ def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
     each value of the statistic of the window (L, c_1, .., c_m) of [m+1]
     less the descent 0 > L, which the prefix has already counted, with the
     number of completions that give it.  Keys no prefix can have are None.
+    Each entry is taken by the kernels' own walk, started at L with the
+    other values of [m+1] still to place and base 0, run to the end over all
+    m! 2^m completions: it ends with key c_m > 0, which ades adds.  The
+    table for m is never derived from another table.
     """
-    which = SIGNED_STATS.index(stat)
+    ades = SIGNED_STATS.index(stat)  # 1 for ades, which adds c_m > 0
     table: list[Histogram | None] = [None] * (2 * (2 * m + 1))
-    for a in range(1, m + 2):
-        others = [v for v in range(1, m + 2) if v != a]
-        for lead in (a, -a):
-            counts = Counter(
-                _signed_counts((lead,) + window)[which] - (lead < 0)
-                for tail in itertools.permutations(others)
-                for window in itertools.product(*[(v, -v) for v in tail])
-            )
-            table[2 * _signed_rank(lead, others) + (lead > 0)] = _histogram(counts)
+    for i in range(m + 1):
+        others = [v for v in range(1, m + 2) if v != i + 1]
+        for key, lead in ((2 * (m - i), -(i + 1)), (2 * (m + i) + 1, i + 1)):
+            rows = [[0, 0] for _ in range(m + 1)]
+            _signed_walk(others, int(lead > 0), lead, 0, 0, rows)
+            totals = [0] * (m + 2)
+            for d, row in enumerate(rows):
+                for last_positive, completions in enumerate(row):
+                    totals[d + ades * last_positive] += completions
+            table[key] = _histogram(totals)
     return tuple(table)
 
 
 def _perm_shard(n: int, first: int, stat: str) -> list[int]:
     """Counts over all permutations of [n] starting with a fixed value.
 
-    Each prefix (first, v_1, .., v_p) is walked once, updating the statistic
-    from each value and its predecessor; its suffix-table histogram then
-    adds the number of completions with each increment, so every
-    permutation is counted exactly once.
+    One walk from the first value places every prefix once, carrying the
+    statistic and the last value's rank, and counts the prefixes by (base,
+    key); each count then takes the suffix-table histogram of its key, so
+    every permutation is counted exactly once.
     """
-    counts = [0] * _stat_width(n, stat)
+    width = _stat_width(n, stat)
     m = min(TAIL, n - 1)
-    table = _tail_table(m, "des" if stat == "des" else "pk")
+    hits = [[0] * (2 * (m + 1)) for _ in range(width)]
     rest = [v for v in range(1, n + 1) if v != first]
-    peaks = stat != "des"
-    for prefix in itertools.permutations(rest, n - 1 - m):
-        base, prev, asc = 0, first, stat == "lpk"
-        for v in prefix:
-            if prev > v:  # a descent, and a peak at prev if prev was reached by an ascent
-                if asc or not peaks:
-                    base += 1
-                asc = False
-            else:
-                asc = True
-            prev = v
-        for d, completions in table[2 * _rank(prev, (first,) + prefix) + asc]:
-            counts[base + d] += completions
-    return counts
+    _perm_walk(rest, first - 1, first, stat == "lpk", 0, m, stat != "des", hits)
+    return _fold(hits, _tail_table(m, "des" if stat == "des" else "pk"), width)
 
 
 def _signed_shard(n: int, first: int, stat: str) -> list[int]:
     """Counts over all signed windows with a fixed first entry.
 
-    The same two levels as _perm_shard: signed prefixes walked once, then
-    the completion counts of the signed suffix table's histogram.
+    The same walk and fold as _perm_shard, over signed prefixes and the
+    signed suffix table.
     """
-    counts = [0] * (n + 1)
     m = min(SIGNED_TAIL, n - 1)
-    table = _signed_tail_table(m, stat)
-    rest = [v for v in range(1, n + 1) if v != abs(first)]
-    sign_combos = list(itertools.product((1, -1), repeat=n - 1 - m))
-    for perm in itertools.permutations(rest, n - 1 - m):
-        left = [v for v in rest if v not in perm]
-        for signs in sign_combos:
-            base, prev = int(first < 0), first
-            for s, v in zip(signs, perm):
-                cur = s * v
-                if prev > cur:
-                    base += 1
-                prev = cur
-            for d, completions in table[2 * _signed_rank(prev, left) + (prev > 0)]:
-                counts[base + d] += completions
-    return counts
+    hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
+    i = abs(first) - 1  # its index in 1 .. n, as for the walk's choices
+    rest = [v for v in range(1, n + 1) if v != i + 1]
+    key = 2 * (n - 1 + i) + 1 if first > 0 else 2 * (n - 1 - i)
+    _signed_walk(rest, key, first, int(first < 0), m, hits)
+    return _fold(hits, _signed_tail_table(m, stat), n + 1)
 
 
 def _alt_shard(n: int, first: int, reverse: bool) -> int:
     """Number of (reverse-)alternating permutations with a fixed first value.
 
-    Prefixes that already fail to alternate are skipped; each of the others
-    adds its suffix-table count of alternating completions.
+    The alternating prefixes are walked once and counted by key; each count
+    takes its suffix-table count of alternating completions.
     """
     m = min(TAIL, n - 1)
-    table = _tail_table(m, "alt")
+    hits = [0] * (2 * (m + 1))
     rest = [v for v in range(1, n + 1) if v != first]
-    total = 0
-    for prefix in itertools.permutations(rest, n - 1 - m):
-        prev, asc = first, not reverse
-        for v in prefix:
-            if (prev < v) == asc:
-                break
-            prev, asc = v, not asc
-        else:
-            total += table[2 * _rank(prev, (first,) + prefix) + asc]
-    return total
+    _alt_walk(rest, first - 1, first, not reverse, m, hits)
+    table = _tail_table(m, "alt")
+    return sum(h * table[key] for key, h in enumerate(hits))
 
 
 def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:

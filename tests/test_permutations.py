@@ -1,12 +1,13 @@
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly import identities
+from peakpoly import families, identities, series
 from peakpoly import permutations as P
 from peakpoly.permutations import (
     LimitExceeded,
@@ -234,30 +235,21 @@ def test_kernels_match_per_permutation_reference():
             assert count_alternating(n, reverse=reverse) == sum(shards.values())
 
 
-def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
-    calls = Counter()
-
-    def spy(name):
-        original = getattr(P, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(P, name, counted)
-
-    for name in ("_peaks", "_descents", "_signed_counts", "is_alternating"):
-        spy(name)
+def test_suffix_tables_are_built_once_per_tail_length():
+    # A table is built on a cache miss, so misses count builds, and a lookup
+    # that hits shows which table an earlier request built.
     P._tail_table.cache_clear()
     P._signed_tail_table.cache_clear()
     m, sm = P.TAIL, P.SIGNED_TAIL
-    # one rank sequence per (rank, ascent flag, completion) in each unsigned table
-    rank_sequences = 2 * (m + 1) * math.factorial(m)
     distribution(m + 2, "des")  # builds the des table and no other
-    assert calls == Counter(_descents=rank_sequences)
+    assert P._tail_table.cache_info().misses == 1
+    P._tail_table(m, "des")
+    assert P._tail_table.cache_info().misses == 1
     distribution(m + 2, "pk")
     distribution(m + 2, "lpk")  # reads the pk table: builds nothing
-    assert calls == Counter(_descents=rank_sequences, _peaks=rank_sequences)
+    assert P._tail_table.cache_info().misses == 2
+    P._tail_table(m, "pk")
+    assert P._tail_table.cache_info().misses == 2
     for _ in range(2):
         for n in (m + 2, m + 3):  # both leave a tail of m positions
             for stat in P.PERM_STATS:
@@ -267,11 +259,59 @@ def test_suffix_tables_are_built_once_per_tail_length(monkeypatch):
         for n in (sm + 1, sm + 2):
             for stat in P.SIGNED_STATS:
                 signed_distribution(n, stat)
-    assert calls["_peaks"] == calls["_descents"] == calls["is_alternating"] == rank_sequences
-    # one window per (signed last entry, completion) in each signed table
-    assert calls["_signed_counts"] == len(P.SIGNED_STATS) * 2 * (sm + 1) * math.factorial(sm) * 2**sm
-    assert P._tail_table.cache_info().currsize == 3  # pk, des and alt
-    assert P._signed_tail_table.cache_info().currsize == len(P.SIGNED_STATS)
+    # one build per (tail length, statistic)
+    assert P._tail_table.cache_info().misses == P._tail_table.cache_info().currsize == 3  # pk, des and alt
+    signed = P._signed_tail_table.cache_info()
+    assert signed.misses == signed.currsize == len(P.SIGNED_STATS)
+
+
+def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypatch):
+    # With TAIL = t the walk places n - 1 - t values after the first, so
+    # t = 0 .. 3 over n <= 7 runs every walk depth from 0 to 6 (signed: 0 to 4).
+    references = {}
+    for n in range(1, 8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        references[n] = {
+            stat: _reference_shards(n, lambda pi: getattr(perm_stats(pi), stat), perms) for stat in P.PERM_STATS
+        }
+        for reverse in (False, True):
+            references[n]["alt", reverse] = Counter(pi[0] for pi in perms if P.is_alternating(pi, reverse=reverse))
+    for tail in range(4):
+        monkeypatch.setattr(P, "TAIL", tail)
+        P._tail_table.cache_clear()
+        for n, shards in references.items():
+            for first in range(1, n + 1):
+                for stat in P.PERM_STATS:
+                    got = P._perm_shard(n, first, stat)
+                    assert got == _as_counts(shards[stat][first], len(got)), (tail, n, stat, first)
+                for reverse in (False, True):
+                    assert P._alt_shard(n, first, reverse) == shards["alt", reverse][first], (tail, n, reverse, first)
+    signed_references = {}
+    for n in range(1, 6):
+        windows = [
+            tuple(s * v for s, v in zip(signs, pi))
+            for pi in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        signed_references[n] = {
+            stat: _reference_shards(n, lambda w: getattr(signed_stats(w), stat), windows) for stat in P.SIGNED_STATS
+        }
+    for tail in range(3):
+        monkeypatch.setattr(P, "SIGNED_TAIL", tail)
+        P._signed_tail_table.cache_clear()
+        for n, shards in signed_references.items():
+            for stat in P.SIGNED_STATS:
+                for first in [s * v for v in range(1, n + 1) for s in (1, -1)]:
+                    got = P._signed_shard(n, first, stat)
+                    assert got == _as_counts(shards[stat][first], n + 1), (tail, n, stat, first)
+
+
+def test_every_statistic_at_its_cap_matches_the_recurrence_rows():
+    n, signed_n = P.S_N_LIMIT, P.SIGNED_LIMIT
+    assert distribution(n, "pk").counts == families.peak_triangle(n)[n - 1]
+    assert distribution(n, "lpk").counts == families.left_peak_triangle(n)[n - 1]
+    assert signed_distribution(signed_n, "des_b").counts == series.FAMILIES["C"].poly(signed_n).coeffs
+    assert signed_distribution(signed_n, "ades").counts == series.FAMILIES["CT"].poly(signed_n).coeffs
 
 
 def test_suffix_table_histograms_count_every_completion():
@@ -295,6 +335,19 @@ def test_suffix_table_histograms_count_every_completion():
         assert signed_distribution(P.SIGNED_LIMIT, stat).total() == 2**P.SIGNED_LIMIT * math.factorial(P.SIGNED_LIMIT)
 
 
+Histogram = tuple[tuple[int, int], ...]
+
+
+def _histogram(counter: Counter) -> Histogram:
+    """(increment, number of completions) pairs, increments ascending."""
+    return tuple(sorted(counter.items()))
+
+
+def _signed_rank(last: int, left: Sequence[int]) -> int:
+    """Rank of `last` among the signed values +-b, b in `left`."""
+    return sum((-b < last) + (b < last) for b in left)
+
+
 def _all_statistics_tail_tables(m):
     """The suffix tables of every S_n statistic from one loop over the rank
     sequences, as they were built before each statistic had its own table."""
@@ -311,8 +364,8 @@ def _all_statistics_tail_tables(m):
                 pk[seq_pk] += 1
                 des[seq_des - (pred > lead)] += 1
                 alt += P.is_alternating(seq, reverse=asc)
-            tables["pk"].append(P._histogram(pk))
-            tables["des"].append(P._histogram(des))
+            tables["pk"].append(_histogram(pk))
+            tables["des"].append(_histogram(des))
             tables["alt"].append(alt)
     return {stat: tuple(table) for stat, table in tables.items()}
 
@@ -331,9 +384,9 @@ def _all_statistics_signed_tail_tables(m):
                     window_des_b, window_ades = P._signed_counts((lead,) + tuple(s * v for s, v in zip(sign, tail)))
                     des_b[window_des_b - (lead < 0)] += 1
                     ades[window_ades - (lead < 0)] += 1
-            key = 2 * P._signed_rank(lead, others) + (lead > 0)
-            tables["des_b"][key] = P._histogram(des_b)
-            tables["ades"][key] = P._histogram(ades)
+            key = 2 * _signed_rank(lead, others) + (lead > 0)
+            tables["des_b"][key] = _histogram(des_b)
+            tables["ades"][key] = _histogram(ades)
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
