@@ -3,9 +3,11 @@ Real roots, interlacing, and limit statistics
 =============================================
 
 The combined peak polynomials are real-rooted with all zeros in [-1, 0):
-a high-multiplicity zero at -1 plus simple zeros certified by exact Sturm
-counts and dyadic isolating intervals.
+a high-multiplicity zero at -1, found by exact division, plus simple zeros
+certified by exact Sturm counts inside (-1, 0).
 """
+
+from fractions import Fraction
 
 from peakpoly import families as F
 from peakpoly import roots as R
@@ -16,14 +18,12 @@ for n in (3, 4, 5):
     print(f"R_{n} = (1+x)^{n // 2 + 1} * ({g})")
 
 # Certified structure for every n up to 25: multiplicity floor(n/2)+1 at -1,
-# ceil(n/2)-1 simple zeros isolated inside (-1, 0).
+# ceil(n/2)-1 simple zeros counted inside (-1, 0) by the Sturm chain of G_n.
 for n in (5, 10, 15, 25):
-    report = R.certify_root_structure(n)
-    widths = [float(b - a) for a, b in report.isolating_intervals]
-    print(
-        f"n={n}: multiplicity {report.mult_minus1} at -1,"
-        f" {len(report.isolating_intervals)} simple zeros, interval widths {widths}"
-    )
+    R.certify_root_structure(n)
+    mult = R.multiplicity_at(F.tan_sec_poly(n), -1)
+    inside = R.sturm_chain(F.reduced_tan_sec_poly(n)).count(Fraction(-1), Fraction(0))
+    print(f"n={n}: multiplicity {mult} at -1, {inside} simple zeros in (-1, 0)")
 
 # Consecutive polynomials weakly interlace; with their common factor divided
 # out, the certificate is the Cauchy index of G_n/G_{n+1} over R, read off the

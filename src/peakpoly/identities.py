@@ -59,6 +59,7 @@ class CheckResult(NamedTuple):
 # false at n: a counterexample, so a fail verdict.  Any other exception means
 # the code broke, an error verdict.
 VIOLATIONS = (
+    families.NonpositiveCoefficient,
     roots.StructureViolation,
     roots.InterlacingViolation,
     roots.ClosedFormViolation,

@@ -14,13 +14,14 @@ central facts being certified, for R_n = tan_sec_poly(n):
 Root counting uses Sturm chains built as primitive pseudo-remainder
 sequences over Z (Collins 1967): every remainder is scaled by a positive
 integer and reduced to its primitive part, so sign variations are untouched
-and no fraction is ever formed.  Isolating intervals are open intervals with
-dyadic endpoints: the root bound is a power of two and every refinement
-halves an interval, so each sign test is integer Horner with shifts
-(Poly.sign_at).  The refinement depth is bounded so bad input cannot loop
-forever.
+and no fraction is ever formed.  The root structure is certified by counts
+alone.  Once the multiplicity at -1 is an exact division, a squarefree G_n of
+degree ceil(n/2)-1 whose chain has Cauchy index ceil(n/2)-1 (the distinct real
+zeros, read off leading coefficients and degrees) and V(-1) - V(0) equal to
+the same number has every zero real, simple and inside (-1, 0).  The only
+evaluations are integer Horner sign tests at -1 and 0 (Poly.sign_at).
 
-Interlacing needs no isolation at all.  With the common factor of G_n and
+Interlacing needs no root location either.  With the common factor of G_n and
 G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
 G_n/G_{n+1} over R is as large as it can be, and that index is read off the
 leading coefficients and degrees of one remainder sequence, the builder the
@@ -34,9 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import families
-from .polynomial import Poly, gcd_poly, primitive_part, remainder_sequence
-
-MAX_BISECTIONS = 128
+from .polynomial import Poly, gcd_poly, remainder_sequence
 
 
 class EndpointIsRoot(ValueError):
@@ -61,9 +60,6 @@ class InterlacingViolation(Exception):
 
 class ClosedFormViolation(ArithmeticError):
     """An exact closed form for R_n(1), R_n'(1) or R_n''(1) failed."""
-
-
-Interval = tuple[Fraction, Fraction]
 
 
 def _sign_changes(values) -> int:
@@ -102,57 +98,6 @@ class SturmChain(NamedTuple):
             raise EndpointIsRoot(f"endpoint of ({a}, {b}) is a root")
         return self.variations(a) - self.variations(b)
 
-    def isolate(self) -> list[Interval]:
-        """Disjoint open dyadic intervals, one per distinct real root of the
-        chain's polynomial, sorted in increasing order; endpoints are never
-        roots."""
-        p = self.polys[0]
-        if p.degree < 1:
-            return []
-        bound = Fraction(root_bound(p))
-        out: list[Interval] = []
-        stack: list[tuple[Fraction, Fraction, int]] = []
-        total = self.count(-bound, bound)
-        if total:
-            stack.append((-bound, bound, total))
-        while stack:
-            a, b, cnt = stack.pop()
-            if cnt == 1:
-                out.append((a, b))
-                continue
-            mid = (a + b) / 2
-            if p.sign_at(mid) == 0:
-                delta = (b - a) / 4
-                while (
-                    p.sign_at(mid - delta) == 0
-                    or p.sign_at(mid + delta) == 0
-                    or self.count(mid - delta, mid + delta) != 1
-                ):
-                    delta /= 2
-                out.append((mid - delta, mid + delta))
-                left = self.count(a, mid - delta)
-                right = self.count(mid + delta, b)
-                if left:
-                    stack.append((a, mid - delta, left))
-                if right:
-                    stack.append((mid + delta, b, right))
-            else:
-                left = self.count(a, mid)
-                if left:
-                    stack.append((a, mid, left))
-                if cnt - left:
-                    stack.append((mid, b, cnt - left))
-        return sorted(out)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), normalized to primitive integer coefficients."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return Poly.one()
-    return primitive_part(p.exact_div(gcd_poly(p, p.derivative())))
-
 
 def sturm_chain(p: Poly) -> SturmChain:
     """Sturm chain of a squarefree p: the remainder sequence of p and p'.
@@ -185,74 +130,18 @@ def multiplicity_at(p: Poly, r: Fraction | int) -> int:
     return m
 
 
-def count_real_roots(p: Poly, a: Fraction | int, b: Fraction | int) -> int:
-    """Distinct real roots of squarefree p in (a, b]."""
-    return sturm_chain(p).count(Fraction(a), Fraction(b))
-
-
-def root_bound(p: Poly) -> int:
-    """A power of two B with every real root of p strictly inside (-B, B).
-
-    Rounding the Cauchy-type bound 2 + max|c|/|lead| up to a power of two
-    makes every bisection point dyadic.
-    """
-    lead = abs(p.leading())
-    bound = 2 + math.ceil(max(abs(c) for c in p.coeffs) / Fraction(lead))
-    return 1 << (bound - 1).bit_length()
-
-
-def isolate_roots(p: Poly) -> list[Interval]:
-    """Disjoint open dyadic intervals, one per distinct real root of
-    squarefree p, sorted in increasing order; endpoints are never roots."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return []
-    return sturm_chain(p).isolate()
-
-
-def refine_interval(p: Poly, iv: Interval, inside: Interval) -> Interval:
-    """Bisect an isolating interval of p, keeping the root inside, until it
-    lies strictly inside `inside`.  After MAX_BISECTIONS steps it raises
-    StructureViolation, which guards against bad input."""
-    a, b = iv
-    steps = 0
-    while not (inside[0] < a and b < inside[1]):
-        if steps == MAX_BISECTIONS:
-            raise StructureViolation("refinement", f"bisection budget exhausted refining {iv}")
-        steps += 1
-        mid = (a + b) / 2
-        v = p.sign_at(mid)
-        if v == 0:
-            w = (b - a) / 8
-            while p.sign_at(mid - w) == 0 or p.sign_at(mid + w) == 0:
-                w /= 2
-            a, b = mid - w, mid + w
-        elif p.sign_at(a) != v:
-            b = mid
-        else:
-            a = mid
-    return (a, b)
-
-
 # ---------------------------------------------------------------------------
 # certified structure of the tan_sec family
 # ---------------------------------------------------------------------------
 
-class RootReport(NamedTuple):
-    n: int
-    mult_minus1: int
-    isolating_intervals: tuple[Interval, ...]
-    all_in_range: bool
+def certify_root_structure(n: int) -> bool:
+    """Certify the zero structure of R_n = tan_sec_poly(n): every zero is real.
 
-
-def certify_root_structure(n: int) -> RootReport:
-    """Certify the zero structure of R_n = tan_sec_poly(n).
-
-    Asserts multiplicity floor(n/2)+1 at -1, that the reduced polynomial is
-    squarefree with exactly ceil(n/2)-1 real zeros all in (-1, 0), and that
-    the multiplicities sum to the degree (all zeros real).  Returns the
-    isolating intervals, refined to lie inside (-1, 0).
+    The clauses, in order: multiplicity floor(n/2)+1 at -1; the reduced
+    polynomial G_n squarefree; ceil(n/2)-1 distinct real zeros of G_n (the
+    Cauchy index of its Sturm chain); all of them in (-1, 0) (the chain's
+    count there); and deg G_n equal to that count, so no zero is non-real.
+    The first clause that fails raises StructureViolation; otherwise True.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -267,22 +156,14 @@ def certify_root_structure(n: int) -> RootReport:
         chain = sturm_chain(g)
     except NonSquarefreeInput:
         raise StructureViolation("squarefree", f"G_{n} has a repeated root") from None
-    intervals = chain.isolate()
-    if len(intervals) != expected_simple:
-        raise StructureViolation(
-            "simple-zero count", f"n={n}: {len(intervals)} != {expected_simple}"
-        )
-    in_range = (
-        chain.count(Fraction(-1), Fraction(0)) == expected_simple if g.degree >= 1 else True
-    )
-    if not in_range:
+    simple = chain.cauchy_index()
+    if simple != expected_simple:
+        raise StructureViolation("simple-zero count", f"n={n}: {simple} != {expected_simple}")
+    if chain.count(Fraction(-1), Fraction(0)) != expected_simple:
         raise StructureViolation("zero range", f"some zero of G_{n} is outside (-1, 0)")
-    if mult + expected_simple != n:
-        raise StructureViolation("degree", f"n={n}: multiplicities do not sum to degree")
-    refined = tuple(
-        refine_interval(g, iv, inside=(Fraction(-1), Fraction(0))) for iv in intervals
-    )
-    return RootReport(n, mult, refined, True)
+    if g.degree != expected_simple:
+        raise StructureViolation("degree", f"n={n}: deg G_{n} = {g.degree} != {expected_simple}")
+    return True
 
 
 def certify_interlacing(n: int) -> bool:

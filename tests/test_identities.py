@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import identities as I
@@ -112,6 +114,34 @@ def test_roots_and_clt_suites():
     assert len(clt) == 9
     assert all(r.passed for r in clt)
     assert clt[0].n_range == (4, 4)
+
+
+def _corrupt_r4(monkeypatch, r4):
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: r4 if n == 4 else real(n))
+
+
+def test_root_structure_fails_on_non_real_zeros(monkeypatch):
+    # (1+x)^3 (1+5x) (1+x^2): the right multiplicity at -1, a squarefree
+    # G_4 with positive coefficients and its one real zero in (-1, 0), but
+    # degree 3, so two zeros are not real
+    _corrupt_r4(monkeypatch, Poly((1, 1)) ** 3 * Poly((1, 5)) * Poly((1, 0, 1)))
+    with pytest.raises(R.StructureViolation) as raised:
+        R.certify_root_structure(4)
+    assert raised.value.clause == "degree"
+    structure = I.run_roots_suite(6)[0]
+    assert (structure.check_id, structure.verdict) == ("root_structure", "fail")
+    assert structure.witness.n == 4
+    assert structure.witness.lhs == "StructureViolation"
+
+
+def test_nonpositive_reduced_coefficient_is_a_fail(monkeypatch):
+    # (1+x)^3 (x-1): G_4 = x - 1 breaks the positivity claim
+    _corrupt_r4(monkeypatch, Poly((1, 1)) ** 3 * Poly((-1, 1)))
+    structure, interlacing, _ = I.run_roots_suite(6)
+    for result, n in ((structure, 4), (interlacing, 3)):
+        assert result.verdict == "fail", result
+        assert (result.witness.n, result.witness.lhs) == (n, "NonpositiveCoefficient")
 
 
 def test_oracle_suite_passes():

@@ -8,6 +8,7 @@ divisors with leading coefficient +-1, where it never leaves Z[x], and exact
 division on planted products for general divisors.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,13 +19,7 @@ from hypothesis import strategies as st
 from peakpoly import families as F
 from peakpoly import series as S
 from peakpoly.polynomial import Poly, gcd_poly, hurwitz_mul
-from peakpoly.roots import (
-    certify_interlacing,
-    count_real_roots,
-    isolate_roots,
-    root_bound,
-    sturm_chain,
-)
+from peakpoly.roots import certify_interlacing, sturm_chain
 
 # ---------------------------------------------------------------------------
 # pure-Fraction reference arithmetic on coefficient lists, constant term first
@@ -150,11 +145,10 @@ def test_sturm_chain_members_are_integral():
 def test_sturm_chain_with_negative_leading_coefficients():
     # -(x+2)(x-1)(x-3): the negated product keeps the same roots
     p = -(Poly((2, 1)) * Poly((-1, 1)) * Poly((-3, 1)))
-    intervals = isolate_roots(p)
-    assert len(intervals) == 3
-    for (a, b), r in zip(intervals, (-2, 1, 3)):
-        assert a < r < b
-    assert count_real_roots(p, 0, 2) == 1
+    chain = sturm_chain(p)
+    assert chain.cauchy_index() == 3
+    cuts = [Fraction(c) for c in (-3, 0, 2, 4)]
+    assert [chain.count(a, b) for a, b in zip(cuts, cuts[1:])] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +208,21 @@ def test_real_root_counts_of_reduced_family_match_sympy():
         sg = to_sympy(g, sympy)
         assert sg.count_roots() == expected, n
         assert sg.count_roots(-1, 0) == expected, n
-        assert len(isolate_roots(g)) == expected, n
+        chain = sturm_chain(g)
+        assert chain.cauchy_index() == expected, n
         if g.degree >= 1:
-            assert count_real_roots(g, -1, 0) == expected, n
-            assert sturm_chain(g).cauchy_index() == expected, n
+            assert chain.count(Fraction(-1), Fraction(0)) == expected, n
+
+
+def root_bound(p: Poly) -> int:
+    """A power of two B with every real root of p strictly inside (-B, B).
+
+    Rounding the Cauchy-type bound 2 + max|c|/|lead| up to a power of two
+    makes every bisection point dyadic.
+    """
+    lead = abs(p.leading())
+    bound = 2 + math.ceil(max(abs(c) for c in p.coeffs) / Fraction(lead))
+    return 1 << (bound - 1).bit_length()
 
 
 def test_sturm_index_matches_count_and_sympy():

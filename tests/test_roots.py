@@ -16,12 +16,8 @@ from peakpoly.roots import (
     certify_interlacing,
     certify_root_structure,
     clt_stats,
-    count_real_roots,
-    isolate_roots,
     mode_bracket,
     multiplicity_at,
-    refine_interval,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -34,6 +30,20 @@ def with_roots(roots_list, lead=1):
     for r in roots_list:
         p = p * Poly((-r.numerator, r.denominator))
     return p
+
+
+def count(p, a, b):
+    """Distinct real roots of squarefree p in (a, b], by its Sturm chain."""
+    return sturm_chain(p).count(Fraction(a), Fraction(b))
+
+
+def counts_between_roots(p, roots_list):
+    """Sturm counts over the gaps cut by points below, between and above the
+    sorted distinct roots: one root in each gap exactly when every root is
+    where it should be."""
+    rs = sorted(roots_list)
+    cuts = [rs[0] - 1] + [(a + b) / 2 for a, b in zip(rs, rs[1:])] + [rs[-1] + 1]
+    return [count(p, a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def test_multiplicity_at_minus_one():
@@ -51,22 +61,22 @@ def test_multiplicity_at_rational_point():
 
 
 def test_count_real_roots_examples():
-    assert count_real_roots(Poly((1, 5)), -1, 0) == 1
+    assert count(Poly((1, 5)), -1, 0) == 1
     g5 = F.reduced_tan_sec_poly(5)
-    assert count_real_roots(g5, -1, 0) == 2
-    assert count_real_roots(Poly((1, 0, 1)), -10, 10) == 0
+    assert count(g5, -1, 0) == 2
+    assert count(Poly((1, 0, 1)), -10, 10) == 0
 
 
 def test_count_real_roots_partitions():
     p = Poly((0, 1)) * Poly((-1, 1))  # roots at 0 and 1
-    assert count_real_roots(p, Fraction(-1, 2), Fraction(3, 2)) == 2
-    assert count_real_roots(p, Fraction(1, 2), 2) == 1
-    assert count_real_roots(p, -2, Fraction(-1, 2)) == 0
+    assert count(p, Fraction(-1, 2), Fraction(3, 2)) == 2
+    assert count(p, Fraction(1, 2), 2) == 1
+    assert count(p, -2, Fraction(-1, 2)) == 0
 
 
 def test_endpoint_root_rejected():
     with pytest.raises(EndpointIsRoot):
-        count_real_roots(Poly((0, 1)), 0, 1)
+        count(Poly((0, 1)), 0, 1)
 
 
 def test_non_squarefree_rejected():
@@ -74,44 +84,34 @@ def test_non_squarefree_rejected():
         sturm_chain(ONE_PLUS_X**2)
 
 
-def test_squarefree_part():
-    p = ONE_PLUS_X**3 * Poly((1, 5))
-    sf = squarefree_part(p)
-    assert multiplicity_at(sf, -1) == 1
-    assert sf(Fraction(-1, 5)) == 0
-    assert sf.degree == 2
-
-
 def test_isolate_roots_linear_and_quadratic():
-    intervals = isolate_roots(Poly((1, 5)))
-    assert len(intervals) == 1
-    a, b = intervals[0]
-    assert a < Fraction(-1, 5) < b
+    p = Poly((1, 5))
+    assert sturm_chain(p).cauchy_index() == 1
+    assert count(p, Fraction(-1, 4), Fraction(-1, 8)) == 1
     g5 = F.reduced_tan_sec_poly(5)
-    intervals = isolate_roots(g5)
-    assert len(intervals) == 2
+    assert sturm_chain(g5).cauchy_index() == 2
     # sign-check oracle: G_5(-1) = 4 > 0, G_5(-1/2) = -3/2 < 0, G_5(0) = 1 > 0,
     # so there is one root on each side of -1/2
     assert g5(-1) == 4
     assert g5(Fraction(-1, 2)) == Fraction(-3, 2)
     assert g5(0) == 1
-    (a1, b1), (a2, b2) = intervals
-    assert b1 <= a2
-    assert g5(a1) * g5(b1) < 0 and g5(a2) * g5(b2) < 0
+    assert count(g5, -1, Fraction(-1, 2)) == 1
+    assert count(g5, Fraction(-1, 2), 0) == 1
 
 
 def test_isolate_roots_constant():
-    assert isolate_roots(Poly.one()) == []
+    assert sturm_chain(Poly.one()).cauchy_index() == 0
+    assert count(Poly.one(), -1, 1) == 0
 
 
 def test_isolate_roots_hits_rational_root_at_midpoint():
-    # roots at -1/2 and 1/2; the first midpoint of a symmetric interval is 0,
-    # and the midpoint of (a, 0] style halves lands exactly on roots often
+    # roots at -1/2 and 1/2, with the symmetric midpoint 0 between them; a
+    # count may not end on a root
     p = Poly((-1, 0, 4))  # 4x^2 - 1
-    intervals = isolate_roots(p)
-    assert len(intervals) == 2
-    for (a, b), root in zip(intervals, (Fraction(-1, 2), Fraction(1, 2))):
-        assert a < root < b
+    assert sturm_chain(p).cauchy_index() == 2
+    assert counts_between_roots(p, [Fraction(-1, 2), Fraction(1, 2)]) == [1, 1]
+    with pytest.raises(EndpointIsRoot):
+        count(p, -1, Fraction(-1, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,43 +125,40 @@ def test_isolate_roots_hits_rational_root_at_midpoint():
 )
 def test_sturm_chain_self_test_on_split_polynomials(roots_list):
     p = with_roots(roots_list)
-    intervals = isolate_roots(p)
-    assert len(intervals) == len(roots_list)
-    for (a, b), r in zip(intervals, sorted(roots_list)):
-        assert a < r < b
+    assert sturm_chain(p).cauchy_index() == len(roots_list)
+    assert counts_between_roots(p, roots_list) == [1] * len(roots_list)
     lo, hi = Fraction(-9), Fraction(9)
-    assert count_real_roots(p, lo, hi) == len(roots_list)
-    # count over interval pieces agrees with interval membership
+    assert count(p, lo, hi) == len(roots_list)
+    # a count over a piece agrees with the roots it holds
     mid = Fraction(1, 7)
     if p(mid) != 0:
-        left = count_real_roots(p, lo, mid)
+        left = count(p, lo, mid)
         assert left == sum(1 for r in roots_list if r <= mid)
 
 
 def test_certify_root_structure_small_cases():
-    rep1 = certify_root_structure(1)
-    assert rep1.mult_minus1 == 1 and rep1.isolating_intervals == ()
-    rep4 = certify_root_structure(4)
-    assert rep4.mult_minus1 == 3
-    assert len(rep4.isolating_intervals) == 1
-    a, b = rep4.isolating_intervals[0]
-    assert a < Fraction(-1, 5) < b
-    rep5 = certify_root_structure(5)
-    assert rep5.mult_minus1 == 3
-    assert len(rep5.isolating_intervals) == 2
+    assert certify_root_structure(1) is True
+    assert multiplicity_at(F.tan_sec_poly(1), -1) == 1
+    assert sturm_chain(F.reduced_tan_sec_poly(1)).cauchy_index() == 0
+    assert certify_root_structure(4) is True
+    assert multiplicity_at(F.tan_sec_poly(4), -1) == 3
+    g4 = F.reduced_tan_sec_poly(4)
+    assert count(g4, -1, 0) == count(g4, Fraction(-1, 4), Fraction(-1, 8)) == 1
+    assert certify_root_structure(5) is True
+    assert multiplicity_at(F.tan_sec_poly(5), -1) == 3
+    assert count(F.reduced_tan_sec_poly(5), -1, 0) == 2
 
 
 def test_certify_root_structure_full_range():
     for n in range(1, 26):
-        rep = certify_root_structure(n)
-        assert rep.mult_minus1 == n // 2 + 1
-        assert len(rep.isolating_intervals) == (n + 1) // 2 - 1
-        assert rep.all_in_range
-        for a, b in rep.isolating_intervals:
-            assert Fraction(-1) < a < b < Fraction(0)
-        # intervals pairwise disjoint
-        for (a1, b1), (a2, b2) in zip(rep.isolating_intervals, rep.isolating_intervals[1:]):
-            assert b1 <= a2 or b2 <= a1
+        assert certify_root_structure(n) is True
+        assert multiplicity_at(F.tan_sec_poly(n), -1) == n // 2 + 1
+        g = F.reduced_tan_sec_poly(n)
+        expected = (n + 1) // 2 - 1
+        # distinct zeros, all real, all in (-1, 0)
+        assert g.degree == sturm_chain(g).cauchy_index() == expected
+        if g.degree >= 1:
+            assert count(g, -1, 0) == expected
 
 
 def test_certify_interlacing_full_range():
@@ -261,15 +258,6 @@ def test_interlacing_matches_sorted_roots_on_seeded_pairs(monkeypatch):
         assert got == expected, (rs, lead_n, ss, lead_n1)
         verdicts[expected] += 1
     assert min(verdicts.values()) > 100, verdicts
-
-
-def test_refine_interval_checks_its_last_bisection(monkeypatch):
-    # one bisection of (-1, 0) around the root -1/2 of 1 + 2x gives (-5/8, -3/8)
-    monkeypatch.setattr("peakpoly.roots.MAX_BISECTIONS", 1)
-    unit = (Fraction(-1), Fraction(0))
-    assert refine_interval(Poly((1, 2)), unit, unit) == (Fraction(-5, 8), Fraction(-3, 8))
-    with pytest.raises(StructureViolation):
-        refine_interval(Poly((1, 2)), unit, (Fraction(-1, 4), Fraction(0)))
 
 
 def test_structure_violation_on_corrupted_polynomial(monkeypatch):
