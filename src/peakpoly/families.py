@@ -33,7 +33,7 @@ counts).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Sequence
 
 from . import permutations
@@ -83,27 +83,20 @@ class Memo:
         return self.terms[: n + 1]
 
 
-_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
-_SIGNED_DISTRIBUTIONS: dict[tuple[int, str], StatDistribution] = {}
-_ALTERNATING: dict[tuple[int, bool], int] = {}
-
-
+@cache
 def cached_distribution(n: int, stat: str) -> StatDistribution:
-    if (n, stat) not in _DISTRIBUTIONS:
-        _DISTRIBUTIONS[n, stat] = permutations.distribution(n, stat)
-    return _DISTRIBUTIONS[n, stat]
+    return permutations.distribution(n, stat)
 
 
+@cache
 def cached_signed_distribution(n: int, stat: str) -> StatDistribution:
-    if (n, stat) not in _SIGNED_DISTRIBUTIONS:
-        _SIGNED_DISTRIBUTIONS[n, stat] = permutations.signed_distribution(n, stat)
-    return _SIGNED_DISTRIBUTIONS[n, stat]
+    return permutations.signed_distribution(n, stat)
 
 
+@cache
 def cached_count_alternating(n: int, reverse: bool = False) -> int:
-    if (n, reverse) not in _ALTERNATING:
-        _ALTERNATING[n, reverse] = permutations.count_alternating(n, reverse=reverse)
-    return _ALTERNATING[n, reverse]
+    # The cache keys on the call as written: (n) and (n, False) are two keys.
+    return permutations.count_alternating(n, reverse=reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +476,7 @@ def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
     return b(n, k)
 
 
-@lru_cache(maxsize=None)
+@cache
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, as B_{n,k} at all-ones arguments."""
     value = bell_partial(n, k, (1,) * max(1, n - k + 1))
@@ -512,13 +505,17 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     return acc
 
 
+def factorial_bell_sum(n: int) -> int:
+    """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!."""
+    xs = (1, 1) + (0,) * n
+    return sum(
+        (-1) ** (n - k) * math.factorial(k) * 2**k * bell_partial(n, k, xs).coeff(0) for k in range(1, n + 1)
+    )
+
+
 def factorial_bell_identity(n: int) -> bool:
     """True iff (n+1)! == sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...)."""
-    xs = (1, 1) + (0,) * n
-    total = Poly.zero()
-    for k in range(1, n + 1):
-        total = total + ((-1) ** (n - k)) * math.factorial(k) * 2**k * bell_partial(n, k, xs)
-    return total == Poly.constant(math.factorial(n + 1))
+    return factorial_bell_sum(n) == math.factorial(n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,18 @@ Statistics follow the boundary conventions of the peak/descent literature:
 * signed descent des_b: positions 0..n-1 with w(0) = 0
 * augmented signed descent ades: positions 0..n with w(0) = w(n+1) = 0
 
-Enumeration is exhaustive and exact, in two levels per shard (a shard is
-every permutation or window with one first entry):
+Enumeration is exhaustive and exact, in two levels per request:
 
-* the middle prefix comes from one depth-first walk over the sorted list of
-  values still to place (for signed windows, each with either sign).  The
-  statistic moves by one step per placed value, from that value and its
-  predecessor only, and the rank of the value just placed among itself and
-  the values left is its index in the sorted list it was taken from, so it
-  comes with the walk.  Each prefix that leaves the tail adds 1 to a hit
-  count by (statistic so far, key);
+* the prefix comes from one depth-first walk over the sorted list of values
+  still to place (for signed windows, each with either sign), started from
+  the empty prefix after a sentinel predecessor: 0 for lpk, des, signed
+  windows (w(0) = 0) and forward alternation, so the first value is reached
+  by an ascent; n + 1 for pk and reverse alternation, so it is reached by a
+  descent.  The statistic moves by one step per placed value, from that
+  value and its predecessor only, and the rank of the value just placed
+  among itself and the values left is its index in the sorted list it was
+  taken from, so it comes with the walk.  Each prefix that leaves the tail
+  adds 1 to a hit count by (statistic so far, key);
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
   suffix table, one per tail length and statistic, built the first time a
   request needs it (lpk reads the table of pk).  It is keyed by the rank of
@@ -34,12 +36,11 @@ every permutation or window with one first entry):
   the end over every completion of each key; no table is derived from
   another.
 
-At its end a shard folds the hit counts into the histograms.  Each
-permutation or window is counted exactly once: its prefix is walked once and
-fixes a base value, and its completion is one of those the histogram counts
-at base + increment.  Shards run one after another in the calling process
-and their counts are summed in a fixed shard order.  Nothing here relies on
-assert.
+At its end the request folds the hit counts into the histograms, once.
+Each permutation or window is counted exactly once: its prefix is walked
+once and fixes a base value, and its completion is one of those the
+histogram counts at base + increment.  Everything runs in the calling
+process.  Nothing here relies on assert.
 """
 
 from __future__ import annotations
@@ -186,15 +187,16 @@ def _perm_walk(
     peak at prev if prev was reached by an ascent.  Every prefix that leaves
     stop values adds 1 to hits[base][2 * rank + asc], where its last value's
     rank is its index in the sorted list it was taken from.  Only a walk
-    that starts with stop values left (an empty prefix) adds its own key;
-    otherwise the last level adds the keys of its choices without a call.
+    that starts with stop values left adds its own key; otherwise the last
+    level adds the keys of its choices without a call, and reads the row of
+    a descent only when rem, sorted, holds a value below prev.
     """
     if len(rem) == stop:
         hits[base][2 * rank + asc] += 1
         return
     down = base + (asc or not peaks)
     if len(rem) == stop + 1:  # each choice leaves stop values
-        up_row, down_row = hits[base], hits[down]
+        up_row, down_row = hits[base], hits[down] if prev > rem[0] else None
         for r, v in enumerate(rem):
             if prev > v:
                 down_row[2 * r] += 1
@@ -275,13 +277,13 @@ def _tail_table(m: int, stat: str) -> tuple:
 
     A prefix ends in a value L with m values still to place.  Its key is
     2r + asc, where r is the rank of L among L and those m values and asc
-    tells whether L was reached by an ascent (the kernels give the first
-    value a predecessor 0 for lpk and for forward alternation, none for pk).
+    tells whether L was reached by an ascent (the first value is reached
+    from the walk's sentinel predecessor, 0 or n + 1).
     Entry key of the table of pk (which lpk reads) or des is a histogram
     over the m! orders of the m values: each increment the statistic gains
     from L on, with the number of orders that give it.  Entry key of "alt"
     is the number of orders with which the whole permutation alternates.
-    Each entry is taken by the kernels' own walk, started at L = r with the
+    Each entry is taken by the walk the requests run, started at L = r with the
     ranks 0 .. m other than r still to place and base 0, run to the end over
     all m! orders; the table for m is never derived from another table.
     Only the requested statistic's table is built.
@@ -313,7 +315,7 @@ def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
     each value of the statistic of the window (L, c_1, .., c_m) of [m+1]
     less the descent 0 > L, which the prefix has already counted, with the
     number of completions that give it.  Keys no prefix can have are None.
-    Each entry is taken by the kernels' own walk, started at L with the
+    Each entry is taken by the walk the requests run, started at L with the
     other values of [m+1] still to place and base 0, run to the end over all
     m! 2^m completions: it ends with key c_m > 0, which ades adds.  The
     table for m is never derived from another table.
@@ -333,59 +335,6 @@ def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
     return tuple(table)
 
 
-def _perm_shard(n: int, first: int, stat: str) -> list[int]:
-    """Counts over all permutations of [n] starting with a fixed value.
-
-    One walk from the first value places every prefix once, carrying the
-    statistic and the last value's rank, and counts the prefixes by (base,
-    key); each count then takes the suffix-table histogram of its key, so
-    every permutation is counted exactly once.
-    """
-    width = _stat_width(n, stat)
-    m = min(TAIL, n - 1)
-    hits = [[0] * (2 * (m + 1)) for _ in range(width)]
-    rest = [v for v in range(1, n + 1) if v != first]
-    _perm_walk(rest, first - 1, first, stat == "lpk", 0, m, stat != "des", hits)
-    return _fold(hits, _tail_table(m, "des" if stat == "des" else "pk"), width)
-
-
-def _signed_shard(n: int, first: int, stat: str) -> list[int]:
-    """Counts over all signed windows with a fixed first entry.
-
-    The same walk and fold as _perm_shard, over signed prefixes and the
-    signed suffix table.
-    """
-    m = min(SIGNED_TAIL, n - 1)
-    hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
-    i = abs(first) - 1  # its index in 1 .. n, as for the walk's choices
-    rest = [v for v in range(1, n + 1) if v != i + 1]
-    key = 2 * (n - 1 + i) + 1 if first > 0 else 2 * (n - 1 - i)
-    _signed_walk(rest, key, first, int(first < 0), m, hits)
-    return _fold(hits, _signed_tail_table(m, stat), n + 1)
-
-
-def _alt_shard(n: int, first: int, reverse: bool) -> int:
-    """Number of (reverse-)alternating permutations with a fixed first value.
-
-    The alternating prefixes are walked once and counted by key; each count
-    takes its suffix-table count of alternating completions.
-    """
-    m = min(TAIL, n - 1)
-    hits = [0] * (2 * (m + 1))
-    rest = [v for v in range(1, n + 1) if v != first]
-    _alt_walk(rest, first - 1, first, not reverse, m, hits)
-    table = _tail_table(m, "alt")
-    return sum(h * table[key] for key, h in enumerate(hits))
-
-
-def _merge_counts(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    out = [0] * len(parts[0])
-    for part in parts:
-        for i, c in enumerate(part):
-            out[i] += c
-    return tuple(out)
-
-
 def distribution(n: int, stat: str) -> StatDistribution:
     """Exact distribution of pk, lpk or des over all of S_n.
 
@@ -398,8 +347,12 @@ def distribution(n: int, stat: str) -> StatDistribution:
         raise ValueError(f"unknown permutation statistic {stat!r}")
     if not 1 <= n <= S_N_LIMIT:
         raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
-    parts = [_perm_shard(n, first, stat) for first in range(1, n + 1)]
-    return StatDistribution(n, stat, _merge_counts(parts))
+    width = _stat_width(n, stat)
+    m = min(TAIL, n - 1)
+    hits = [[0] * (2 * (m + 1)) for _ in range(width)]
+    _perm_walk(list(range(1, n + 1)), 0, n + 1 if stat == "pk" else 0, False, 0, m, stat != "des", hits)
+    table = _tail_table(m, "des" if stat == "des" else "pk")
+    return StatDistribution(n, stat, tuple(_fold(hits, table, width)))
 
 
 def signed_distribution(n: int, stat: str) -> StatDistribution:
@@ -412,8 +365,10 @@ def signed_distribution(n: int, stat: str) -> StatDistribution:
         raise ValueError(f"unknown signed statistic {stat!r}")
     if not 1 <= n <= SIGNED_LIMIT:
         raise LimitExceeded(f"n={n} outside enumeration cap {SIGNED_LIMIT}")
-    parts = [_signed_shard(n, s * v, stat) for v in range(1, n + 1) for s in (1, -1)]
-    return StatDistribution(n, stat, _merge_counts(parts))
+    m = min(SIGNED_TAIL, n - 1)
+    hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
+    _signed_walk(list(range(1, n + 1)), 0, 0, 0, m, hits)
+    return StatDistribution(n, stat, tuple(_fold(hits, _signed_tail_table(m, stat), n + 1)))
 
 
 def count_alternating(n: int, *, reverse: bool = False) -> int:
@@ -424,4 +379,10 @@ def count_alternating(n: int, *, reverse: bool = False) -> int:
     """
     if not 1 <= n <= S_N_LIMIT:
         raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
-    return sum(_alt_shard(n, first, reverse) for first in range(1, n + 1))
+    m = min(TAIL, n - 1)
+    hits = [0] * (2 * (m + 1))
+    # The sentinel n + 1 counts as reached by an ascent, so the first value,
+    # below it, is reached by a descent and the second must lie above it.
+    _alt_walk(list(range(1, n + 1)), 0, n + 1 if reverse else 0, reverse, m, hits)
+    table = _tail_table(m, "alt")
+    return sum(h * table[key] for key, h in enumerate(hits))

@@ -202,23 +202,26 @@ def test_cached_distribution_enumerates_once(monkeypatch):
         return original(n, stat)
 
     monkeypatch.setattr(perms, "distribution", spy)
-    monkeypatch.setattr(F, "_DISTRIBUTIONS", {})
+    F.cached_distribution.cache_clear()
     first = F.cached_distribution(6, "pk")
     assert F.cached_distribution(6, "pk") is first
     assert calls == [(6, "pk")]
+    info = F.cached_distribution.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_c_and_ct_requests_run_only_their_recurrence(monkeypatch, capsys):
     from peakpoly import cli
 
     runs = []
-    monkeypatch.setattr(perms, "_signed_shard", lambda *args: runs.append("shard"))
+    monkeypatch.setattr(perms, "_signed_walk", lambda *args: runs.append("walk"))
     monkeypatch.setattr(S, "solve_series", lambda *args: runs.append("solve"))
-    monkeypatch.setattr(F, "_SIGNED_DISTRIBUTIONS", {})
+    F.cached_signed_distribution.cache_clear()
     monkeypatch.setattr(S, "_SOLVED", {})
     for family in ("C", "CT"):
         assert cli.main(["poly", "--family", family, "--n", "5"]) == 0
     assert runs == []  # neither enumeration nor the GF solve
+    assert F.cached_signed_distribution.cache_info().currsize == 0
     assert capsys.readouterr().out == "1,237,1682,1682,237,1\n0,32,832,2112,832,32\n"
 
 
@@ -398,6 +401,21 @@ def test_bell_expansion_reproduces_tan_sec_polys():
     assert F.tan_sec_poly_from_bell(3) == ONE_PLUS_X**3 * Poly((1, 5))
     for n in range(1, 13):
         assert F.tan_sec_poly_from_bell(n) == F.tan_sec_poly(n + 1)
+
+
+def test_bell_route_does_not_read_the_r_recurrence(monkeypatch):
+    expected = [F.tan_sec_poly_from_bell(n) for n in range(1, 13)]
+
+    def recurrence_called(*args):
+        raise AssertionError("the Bell route read the R recurrence")
+
+    monkeypatch.setattr(F, "_BELL_TABLES", {})  # rebuilt under the patch
+    monkeypatch.setattr(F, "tan_sec_poly", recurrence_called)
+    monkeypatch.setattr(F, "tan_sec_polys", recurrence_called)
+    monkeypatch.setattr(F._TAN_SEC_POLYS, "terms", F._TAN_SEC_POLYS.terms[:2])  # only the seed
+    monkeypatch.setattr(F._TAN_SEC_POLYS, "step", recurrence_called)
+    assert [F.tan_sec_poly_from_bell(n) for n in range(1, 13)] == expected
+    assert F._BELL_TABLES
 
 
 def test_one_plus_x_squared_divides_higher_rows():

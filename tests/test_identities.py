@@ -87,6 +87,14 @@ def test_bell_x0_check_sees_a_wrong_stirling_number(monkeypatch):
     assert I.check_bell_x0(5) == I.Witness(5, 0, "7", "1")
 
 
+def test_bell_x1_check_reports_the_wrong_sum(monkeypatch):
+    real = F.bell_partial
+    monkeypatch.setattr(F, "bell_partial", lambda n, k, xs: real(n, k, xs) + int((n, k) == (5, 3)))
+    assert I.check_bell_x1(4) is None
+    # the k = 3 term of n = 5 is +3! 2^3 B_{5,3}, so the sum rises by 48
+    assert I.check_bell_x1(5) == I.Witness(5, 0, "768", "720")
+
+
 def test_identity_suite_passes_at_defaults():
     results = I.run_identity_suite()
     assert all(r.passed for r in results)

@@ -144,12 +144,7 @@ def test_sharded_enumeration_is_deterministic():
             counts = distribution(n, stat).counts
             assert counts == tuple(reference[k] for k in range(len(counts)))
             assert distribution(n, stat) == distribution(n, stat)
-    windows = [
-        tuple(s * v for s, v in zip(signs, pi))
-        for pi in itertools.permutations(range(1, 5))
-        for signs in itertools.product((1, -1), repeat=4)
-    ]
-    reference = Counter(signed_stats(w).ades for w in windows)
+    reference = Counter(signed_stats(w).ades for w in _windows(4))
     assert signed_distribution(4, "ades").counts == tuple(reference[k] for k in range(5))
     alternating = sum(P.is_alternating(pi) for pi in itertools.permutations(range(1, 8)))
     assert count_alternating(7) == alternating == count_alternating(7)
@@ -186,53 +181,43 @@ def test_stats_against_direct_definitions(pi):
     assert s.des == sum(1 for i in range(n - 1) if pi[i] > pi[i + 1])
 
 
-def _reference_shards(n, key, windows):
-    """Counter of key(window) per first entry, over the given windows."""
-    shards = {}
-    for w in windows:
-        shards.setdefault(w[0], Counter())[key(w)] += 1
-    return shards
+def _windows(n):
+    return [
+        tuple(s * v for s, v in zip(signs, pi))
+        for pi in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
 
 
-def _as_counts(counter, width):
-    return [counter.get(k, 0) for k in range(width)]
+def _reference_counts(key, items, width):
+    """Counts of key(item) over the given permutations or windows, one at a time."""
+    counter = Counter(key(item) for item in items)
+    return tuple(counter[k] for k in range(width))
 
 
 def test_kernels_match_per_permutation_reference():
-    # n <= P.TAIL + 1 (and n <= P.SIGNED_TAIL + 1) leaves an empty prefix:
-    # the whole tail after the first entry comes from the suffix table
+    # n <= P.TAIL + 1 (and n <= P.SIGNED_TAIL + 1) goes from the empty prefix
+    # straight to the walk's last level: all but the first entry come from
+    # the suffix table
     assert P.TAIL < 8 and P.SIGNED_TAIL < 5
     for n in range(1, 9):
         perms = list(itertools.permutations(range(1, n + 1)))
         for stat in P.PERM_STATS:
-            shards = _reference_shards(n, lambda pi: getattr(perm_stats(pi), stat), perms)
-            merged = [0] * P._stat_width(n, stat)
-            for first in range(1, n + 1):
-                got = P._perm_shard(n, first, stat)
-                assert got == _as_counts(shards[first], len(got)), (n, stat, first)
-                merged = [a + b for a, b in zip(merged, got)]
-            assert distribution(n, stat).counts == tuple(merged)
+            reference = _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms, P._stat_width(n, stat))
+            assert distribution(n, stat).counts == reference, (n, stat)
     for n in range(1, 6):
-        windows = [
-            tuple(s * v for s, v in zip(signs, pi))
-            for pi in itertools.permutations(range(1, n + 1))
-            for signs in itertools.product((1, -1), repeat=n)
-        ]
+        windows = _windows(n)
         for stat in P.SIGNED_STATS:
-            shards = _reference_shards(n, lambda w: getattr(signed_stats(w), stat), windows)
-            for first in [s * v for v in range(1, n + 1) for s in (1, -1)]:
-                assert P._signed_shard(n, first, stat) == _as_counts(shards[first], n + 1), (n, stat, first)
-            merged = [sum(shards[first][k] for first in shards) for k in range(n + 1)]
-            assert signed_distribution(n, stat).counts == tuple(merged)
+            reference = _reference_counts(lambda w: getattr(signed_stats(w), stat), windows, n + 1)
+            assert signed_distribution(n, stat).counts == reference, (n, stat)
     for n in range(1, 10):
+        perms = list(itertools.permutations(range(1, n + 1)))
         for reverse in (False, True):
             def alternates(pi):
                 return all((pi[i] > pi[i + 1]) == (i % 2 == reverse) for i in range(n - 1))
 
-            shards = Counter(pi[0] for pi in itertools.permutations(range(1, n + 1)) if alternates(pi))
-            for first in range(1, n + 1):
-                assert P._alt_shard(n, first, reverse) == shards[first], (n, reverse, first)
-            assert count_alternating(n, reverse=reverse) == sum(shards.values())
+            reference = sum(map(alternates, perms))
+            assert count_alternating(n, reverse=reverse) == reference, (n, reverse)
 
 
 def test_suffix_tables_are_built_once_per_tail_length():
@@ -266,44 +251,38 @@ def test_suffix_tables_are_built_once_per_tail_length():
 
 
 def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypatch):
-    # With TAIL = t the walk places n - 1 - t values after the first, so
-    # t = 0 .. 3 over n <= 7 runs every walk depth from 0 to 6 (signed: 0 to 4).
+    # With TAIL = t the walk places n - t values from the empty prefix, so
+    # t = 0 .. 3 over 1 <= n <= 7 runs every walk depth from 1 to 7 (signed,
+    # SIGNED_TAIL = 0 .. 2 over n <= 5: 1 to 5), each down to its last level.
     references = {}
     for n in range(1, 8):
         perms = list(itertools.permutations(range(1, n + 1)))
         references[n] = {
-            stat: _reference_shards(n, lambda pi: getattr(perm_stats(pi), stat), perms) for stat in P.PERM_STATS
+            stat: _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms, P._stat_width(n, stat))
+            for stat in P.PERM_STATS
         }
         for reverse in (False, True):
-            references[n]["alt", reverse] = Counter(pi[0] for pi in perms if P.is_alternating(pi, reverse=reverse))
+            references[n]["alt", reverse] = sum(P.is_alternating(pi, reverse=reverse) for pi in perms)
     for tail in range(4):
         monkeypatch.setattr(P, "TAIL", tail)
         P._tail_table.cache_clear()
-        for n, shards in references.items():
-            for first in range(1, n + 1):
-                for stat in P.PERM_STATS:
-                    got = P._perm_shard(n, first, stat)
-                    assert got == _as_counts(shards[stat][first], len(got)), (tail, n, stat, first)
-                for reverse in (False, True):
-                    assert P._alt_shard(n, first, reverse) == shards["alt", reverse][first], (tail, n, reverse, first)
+        for n, reference in references.items():
+            for stat in P.PERM_STATS:
+                assert distribution(n, stat).counts == reference[stat], (tail, n, stat)
+            for reverse in (False, True):
+                assert count_alternating(n, reverse=reverse) == reference["alt", reverse], (tail, n, reverse)
     signed_references = {}
     for n in range(1, 6):
-        windows = [
-            tuple(s * v for s, v in zip(signs, pi))
-            for pi in itertools.permutations(range(1, n + 1))
-            for signs in itertools.product((1, -1), repeat=n)
-        ]
+        windows = _windows(n)
         signed_references[n] = {
-            stat: _reference_shards(n, lambda w: getattr(signed_stats(w), stat), windows) for stat in P.SIGNED_STATS
+            stat: _reference_counts(lambda w: getattr(signed_stats(w), stat), windows, n + 1) for stat in P.SIGNED_STATS
         }
     for tail in range(3):
         monkeypatch.setattr(P, "SIGNED_TAIL", tail)
         P._signed_tail_table.cache_clear()
-        for n, shards in signed_references.items():
+        for n, reference in signed_references.items():
             for stat in P.SIGNED_STATS:
-                for first in [s * v for v in range(1, n + 1) for s in (1, -1)]:
-                    got = P._signed_shard(n, first, stat)
-                    assert got == _as_counts(shards[stat][first], n + 1), (tail, n, stat, first)
+                assert signed_distribution(n, stat).counts == reference[stat], (tail, n, stat)
 
 
 def test_every_statistic_at_its_cap_matches_the_recurrence_rows():
@@ -432,10 +411,12 @@ def _corrupt_cached(monkeypatch, name, args, table):
 
 def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     assert _shard_check().passed
-    des = P._tail_table(5, "des")  # n = 6 fills all five positions after the first from it
-    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), (_off_by_one(des[0]),) + des[1:])
+    # n = 6 fills all five positions after the first from it; the first
+    # value is reached from the sentinel 0 by an ascent, so key 1 is rank 0
+    des = P._tail_table(5, "des")
+    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), des[:1] + (_off_by_one(des[1]),) + des[2:])
     check = _shard_check()
-    assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[0][0][0])
+    assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[1][0][0])
     monkeypatch.undo()
     assert _shard_check().passed
     ades = P._signed_tail_table(3, "ades")  # signed n = 4 fills three positions from it
