@@ -23,11 +23,13 @@ suite cross-check them against each other, so no single recurrence is ever
 trusted on its own.  The routes of each family are listed in the family
 table, series.FAMILIES.
 
-Each recurrence family, and each table of order-k tangent/secant numbers, is
-one Memo: a growing tuple of terms 0..k that builds only terms k+1..n when
-term n is asked for, so per-n calls never rebuild a prefix.  The enumeration
-oracle results are memoized per (n, stat) (or (n, reverse) for alternating
-counts).
+Each recurrence family, each table of order-k tangent/secant numbers, and
+the partial Bell rows at each of the three argument sequences the identities
+use (peak, all ones, and 1, 1, 0, ...) is one Memo: a growing tuple of terms
+0..k that builds only terms k+1..n when term n is asked for, so per-n calls
+never rebuild a prefix.  The enumeration oracle results are memoized per
+(n, stat) (or (n, reverse) for alternating counts) by functools.cache; the
+module caches in no other way.
 """
 
 from __future__ import annotations
@@ -427,66 +429,60 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
 # partial Bell polynomials and Stirling numbers
 # ---------------------------------------------------------------------------
 
-# Tables of B_{m,j}, by argument tuple.  B_{m,j} reads only x_1 .. x_(m-j+1),
-# so a table filled under one tuple serves every tuple that extends it or
-# that it extends; it is kept under the longer one, and no key is a prefix of
-# another.
-_BELL_TABLES: dict[tuple[Poly, ...], dict[tuple[int, int], Poly]] = {}
+def _bell_step(args: Callable[[int], Sequence[Poly]]) -> Callable[[list, int], tuple[Poly, ...]]:
+    # Row m, B_{m,0..m}, from rows 0..m-1 by B_{m,j} = sum_i C(m-1, i-1) x_i
+    # B_{m-i,j-1}, where args(m) starts x_1..x_m; B_{m,0} = 0 for m > 0.
+    def step(rows: list, m: int) -> tuple[Poly, ...]:
+        xs = args(m)
 
-
-def _bell_table(args: tuple[Poly, ...]) -> dict[tuple[int, int], Poly]:
-    for key in _BELL_TABLES:
-        short, long = (key, args) if len(key) <= len(args) else (args, key)
-        if long[: len(short)] == short:
-            table = _BELL_TABLES.pop(key)
-            _BELL_TABLES[long] = table
-            return table
-    return _BELL_TABLES.setdefault(args, {})
-
-
-def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
-    """Partial Bell polynomial B_{n,k} at the arguments xs (xs[0] is x_1).
-
-    Computed by B_{n,k} = sum_i C(n-1, i-1) xs_i B_{n-i, k-1} with
-    B_{0,0} = 1 and B_{n,0} = 0 for n > 0; validated elsewhere against the
-    generating-function definition.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if k >= 1 and len(xs) < n - k + 1:
-        raise InsufficientArguments(f"need at least {n - k + 1} arguments, got {len(xs)}")
-    args = tuple(v if isinstance(v, Poly) else Poly.constant(v) for v in xs)
-    memo = _bell_table(args)
-
-    def b(m: int, j: int) -> Poly:
-        if j == 0:
-            return Poly.one() if m == 0 else Poly.zero()
-        if m < j:
-            return Poly.zero()
-        key = (m, j)
-        if key not in memo:
+        def entry(j: int) -> Poly:
             acc = Poly.zero()
             for i in range(1, m - j + 2):
-                xi = args[i - 1]
-                if not xi.is_zero():
-                    acc = acc + math.comb(m - 1, i - 1) * xi * b(m - i, j - 1)
-            memo[key] = acc
-        return memo[key]
+                if xs[i - 1]:
+                    acc = acc + math.comb(m - 1, i - 1) * xs[i - 1] * rows[m - i][j - 1]
+            return acc
 
-    return b(n, k)
+        return (Poly.zero(),) + tuple(entry(j) for j in range(1, m + 1))
 
-
-@cache
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, as B_{n,k} at all-ones arguments."""
-    value = bell_partial(n, k, (1,) * max(1, n - k + 1))
-    return value.coeff(0)
+    return step
 
 
 def bell_peak_arguments(count: int) -> tuple[Poly, ...]:
     """The substitution x_i = (1 - x^2)^floor((i-1)/2), for i = 1..count."""
     w = Poly((1, 0, -1))
     return tuple(w ** ((i - 1) // 2) for i in range(1, count + 1))
+
+
+# Rows of B_{n,k} at the peak arguments, at all ones (the Stirling numbers)
+# and at (1, 1, 0, 0, ...); row n is term n.
+_BELL_SEED = ((Poly.one(),),)
+_PEAK_BELL_ROWS = Memo(_BELL_SEED, _bell_step(bell_peak_arguments))
+_STIRLING_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: (Poly.one(),) * m))
+_FACTORIAL_BELL_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: (Poly.one(), Poly.one()) + (Poly.zero(),) * m))
+
+
+def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
+    """Partial Bell polynomial B_{n,k} at the arguments xs (xs[0] is x_1).
+
+    Computed by B_{n,k} = sum_i C(n-1, i-1) xs_i B_{n-i, k-1} with
+    B_{0,0} = 1 and B_{n,0} = 0 for n > 0, in rows built afresh on each call:
+    the uncached reference for the Bell row memos, validated elsewhere
+    against the generating-function definition.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if k >= 1 and len(xs) < n - k + 1:
+        raise InsufficientArguments(f"need at least {n - k + 1} arguments, got {len(xs)}")
+    # B_{n,k} reads only x_1 .. x_(n-k+1), so zeros may stand in for the rest.
+    args = tuple(v if isinstance(v, Poly) else Poly.constant(v) for v in xs) + (Poly.zero(),) * n
+    return Memo(_BELL_SEED, _bell_step(lambda m: args)).upto(n)[n][k]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, as B_{n,k} at all-ones arguments."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    return _STIRLING_ROWS.upto(n)[n][k].coeff(0)
 
 
 def tan_sec_poly_from_bell(n: int) -> Poly:
@@ -497,20 +493,20 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs = bell_peak_arguments(n)
+    row = _PEAK_BELL_ROWS.upto(n)[n]
     acc = Poly.zero()
     for k in range(1, n + 1):
-        term = math.factorial(k) * ONE_PLUS_X ** (k + 1) * bell_partial(n, k, xs)
+        term = math.factorial(k) * ONE_PLUS_X ** (k + 1) * row[k]
         acc = acc + ((-1) ** (n - k)) * term
     return acc
 
 
 def factorial_bell_sum(n: int) -> int:
     """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!."""
-    xs = (1, 1) + (0,) * n
-    return sum(
-        (-1) ** (n - k) * math.factorial(k) * 2**k * bell_partial(n, k, xs).coeff(0) for k in range(1, n + 1)
-    )
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    row = _FACTORIAL_BELL_ROWS.upto(n)[n]
+    return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(1, n + 1))
 
 
 def factorial_bell_identity(n: int) -> bool:

@@ -174,16 +174,11 @@ def check_stembridge(n: int) -> Witness | None:
 
 def check_petersen(n: int) -> Witness | None:
     """Petersen's identity, denominator-cleared: the left-peak transform
-    equals (1-x)^n + sum_i C(n,i) (1-x)^(n-i) 2^i x A_i(x)."""
-    rhs = ONE_MINUS_X**n
+    equals (1-x)^n + sum_i C(n,i) (1-x)^(n-i) 2^i x A_i(x), built by Horner
+    in (1-x)."""
+    rhs = Poly.one()
     for i in range(1, n + 1):
-        rhs = rhs + (
-            math.comb(n, i)
-            * 2**i
-            * ONE_MINUS_X ** (n - i)
-            * Poly.x()
-            * families.eulerian_poly(i)
-        )
+        rhs = rhs * ONE_MINUS_X + math.comb(n, i) * 2**i * Poly.x() * families.eulerian_poly(i)
     return first_difference(n, _left_peak_cleared(n), rhs)
 
 

@@ -45,7 +45,7 @@ process.  Nothing here relies on assert.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .polynomial import Poly
@@ -271,7 +271,7 @@ def _histogram(totals: Sequence[int]) -> Histogram:
     return tuple((d, c) for d, c in enumerate(totals) if c)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _tail_table(m: int, stat: str) -> tuple:
     """What the completions of a prefix add to pk, des or alternation, by key.
 
@@ -286,7 +286,8 @@ def _tail_table(m: int, stat: str) -> tuple:
     Each entry is taken by the walk the requests run, started at L = r with the
     ranks 0 .. m other than r still to place and base 0, run to the end over
     all m! orders; the table for m is never derived from another table.
-    Only the requested statistic's table is built.
+    Only the requested statistic's table is built.  des does not depend on
+    how L was reached, so its keys 2r and 2r + 1 share one histogram.
     """
     if stat not in ("pk", "des", "alt"):
         raise ValueError(f"no suffix table for {stat!r}")
@@ -294,7 +295,9 @@ def _tail_table(m: int, stat: str) -> tuple:
     for r in range(m + 1):
         others = [v for v in range(m + 1) if v != r]
         for asc in (False, True):
-            if stat == "alt":
+            if stat == "des" and asc:
+                table.append(table[-1])
+            elif stat == "alt":
                 hits = [0, 0]
                 _alt_walk(others, r, r, asc, 0, hits)
                 table.append(sum(hits))
@@ -305,7 +308,7 @@ def _tail_table(m: int, stat: str) -> tuple:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
     """What the completions of a signed prefix add to des_b or ades, by key.
 

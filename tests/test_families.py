@@ -225,23 +225,21 @@ def test_c_and_ct_requests_run_only_their_recurrence(monkeypatch, capsys):
     assert capsys.readouterr().out == "1,237,1682,1682,237,1\n0,32,832,2112,832,32\n"
 
 
-def test_bell_partial_shares_one_table_per_argument_prefix(monkeypatch):
-    monkeypatch.setattr(F, "_BELL_TABLES", {})
+def test_bell_rows_memo_never_rebuilds_a_row(monkeypatch):
+    memo = F._PEAK_BELL_ROWS
+    steps = []
+
+    def counting_step(rows, m):
+        steps.append(m)
+        return memo.step(rows, m)
+
+    monkeypatch.setattr(F, "_PEAK_BELL_ROWS", F.Memo(memo.terms[:1], counting_step))
+    values = [F.tan_sec_poly_from_bell(n) for n in range(1, 65)]
+    assert steps == list(range(1, 65))  # row 0 is the seed
+    assert values[-1] == F.tan_sec_poly(65)
+    # B_{6,2} reads only x_1 .. x_5
     xs = F.bell_peak_arguments(12)
-    first = [F.bell_partial(12, k, xs) for k in range(13)]
-    assert list(F._BELL_TABLES) == [xs]
-    table = dict(F._BELL_TABLES[xs])
-    assert [F.bell_partial(12, k, xs) for k in range(13)] == first
-    assert F._BELL_TABLES[xs] == table  # the second pass built nothing
-    # a prefix of the arguments reads the same table, an extension takes it over
-    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs)
-    assert F._BELL_TABLES[xs] == table
-    longer = F.bell_peak_arguments(14)
-    assert F.tan_sec_poly_from_bell(14) == F.tan_sec_poly(15)
-    assert list(F._BELL_TABLES) == [longer]
-    # other arguments get a table of their own
-    assert F.stirling2.__wrapped__(5, 2) == 15
-    assert len(F._BELL_TABLES) == 2
+    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs) == F._PEAK_BELL_ROWS.upto(6)[6][2]
 
 
 def test_tangent_secant_tables():
@@ -316,6 +314,9 @@ def test_bell_partial_worked_example():
 def test_bell_partial_base_cases():
     assert F.bell_partial(0, 0, ()) == Poly.one()
     assert F.bell_partial(3, 0, (1, 2, 3)) == Poly.zero()
+    for n, k in ((3, -1), (3, 4), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            F.bell_partial(n, k, (1, 2, 3))
 
 
 def test_bell_partial_symbolic_structure():
@@ -339,9 +340,11 @@ def test_bell_partial_matches_generating_function_definition():
     xs = F.bell_peak_arguments(nmax)
     base = TruncSeries(nmax, (Poly.zero(),) + xs[:nmax])
     power = TruncSeries.const(1, nmax)
+    rows = F._PEAK_BELL_ROWS.upto(nmax)
     for k in range(nmax + 1):
         for n in range(k, nmax + 1):
-            assert math.factorial(k) * F.bell_partial(n, k, xs) == power.coeffs[n]
+            for bell in (F.bell_partial(n, k, xs), rows[n][k]):
+                assert math.factorial(k) * bell == power.coeffs[n]
         power = power * base
 
 
@@ -372,6 +375,9 @@ def test_stirling2_against_brute_force_partitions():
     assert F.stirling2(4, 2) == 7
     for n in range(1, 10):
         assert F.stirling2(n, n) == 1
+    for n, k in ((3, -1), (3, 4), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            F.stirling2(n, k)
 
 
 def test_stirling_alternating_identity():
@@ -393,6 +399,21 @@ def test_factorial_bell_identity():
     assert total == 6
     for n in range(1, 13):
         assert F.factorial_bell_identity(n)
+    with pytest.raises(ValueError):
+        F.factorial_bell_sum(-1)
+
+
+def test_factorial_bell_rows_count_partitions_into_singletons_and_pairs():
+    # B_{n,k}(1, 1, 0, ...) counts partitions of [n] into k blocks of sizes 1
+    # and 2: n - k pairs and 2k - n singletons
+    rows = F._FACTORIAL_BELL_ROWS.upto(20)
+    for n in range(21):
+        assert len(rows[n]) == n + 1
+        for k in range(n + 1):
+            expected = 0
+            if 2 * k >= n:
+                expected = math.factorial(n) // (math.factorial(n - k) * math.factorial(2 * k - n) * 2 ** (n - k))
+            assert rows[n][k] == Poly.constant(expected), (n, k)
 
 
 def test_bell_expansion_reproduces_tan_sec_polys():
@@ -409,13 +430,13 @@ def test_bell_route_does_not_read_the_r_recurrence(monkeypatch):
     def recurrence_called(*args):
         raise AssertionError("the Bell route read the R recurrence")
 
-    monkeypatch.setattr(F, "_BELL_TABLES", {})  # rebuilt under the patch
+    monkeypatch.setattr(F._PEAK_BELL_ROWS, "terms", F._PEAK_BELL_ROWS.terms[:1])  # rebuilt under the patch
     monkeypatch.setattr(F, "tan_sec_poly", recurrence_called)
     monkeypatch.setattr(F, "tan_sec_polys", recurrence_called)
     monkeypatch.setattr(F._TAN_SEC_POLYS, "terms", F._TAN_SEC_POLYS.terms[:2])  # only the seed
     monkeypatch.setattr(F._TAN_SEC_POLYS, "step", recurrence_called)
     assert [F.tan_sec_poly_from_bell(n) for n in range(1, 13)] == expected
-    assert F._BELL_TABLES
+    assert len(F._PEAK_BELL_ROWS.terms) == 13
 
 
 def test_one_plus_x_squared_divides_higher_rows():

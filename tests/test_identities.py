@@ -88,8 +88,9 @@ def test_bell_x0_check_sees_a_wrong_stirling_number(monkeypatch):
 
 
 def test_bell_x1_check_reports_the_wrong_sum(monkeypatch):
-    real = F.bell_partial
-    monkeypatch.setattr(F, "bell_partial", lambda n, k, xs: real(n, k, xs) + int((n, k) == (5, 3)))
+    rows = list(F._FACTORIAL_BELL_ROWS.upto(5))
+    rows[5] = rows[5][:3] + (rows[5][3] + 1,) + rows[5][4:]  # B_{5,3} off by one
+    monkeypatch.setattr(F, "_FACTORIAL_BELL_ROWS", F.Memo(rows, F._FACTORIAL_BELL_ROWS.step))
     assert I.check_bell_x1(4) is None
     # the k = 3 term of n = 5 is +3! 2^3 B_{5,3}, so the sum rises by 48
     assert I.check_bell_x1(5) == I.Witness(5, 0, "768", "720")

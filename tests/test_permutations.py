@@ -373,6 +373,8 @@ def test_per_statistic_suffix_tables_match_the_all_statistics_loop():
     for m in range(P.TAIL + 1):
         for stat, table in _all_statistics_tail_tables(m).items():
             assert P._tail_table(m, stat) == table, (m, stat)
+        des = P._tail_table(m, "des")  # one walk per rank serves both of its keys
+        assert all(des[2 * r] is des[2 * r + 1] for r in range(m + 1)), m
     for m in range(P.SIGNED_TAIL + 1):
         for stat, table in _all_statistics_signed_tail_tables(m).items():
             assert P._signed_tail_table(m, stat) == table, (m, stat)
