@@ -7,8 +7,10 @@ neither the work nor the output.
 
 Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
 limit exceeded.  The families, their minimum n and their caps come from the family
-table, series.FAMILIES; every verify range has a cap (VERIFY_CAPS) checked
-before any work.
+table, series.FAMILIES; the verify checks from one table, identities.CHECKS,
+which a suite filters; the range knobs, their flags, defaults and caps from
+identities.RANGES.  Before any work, a knob below 1 exits 2, and a knob above
+its cap exits 3.
 """
 
 from __future__ import annotations
@@ -19,26 +21,9 @@ import os
 import sys
 
 from . import __version__, identities, permutations, series
-from .permutations import S_N_LIMIT, SIGNED_LIMIT, LimitExceeded
+from .permutations import LimitExceeded
 
 ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
-# the verify suites, each with the configuration entry its --nmax sets
-SUITES = {
-    "all": "nmax_exact", "identities": "nmax_exact", "gf": "gf_order",
-    "roots": "roots_nmax", "clt": "clt_nmax", "oracle": "oracle_nmax",
-}
-# The largest value of each verify range: the enumeration caps, the highest
-# solved z-order (the identities suite solves C to order nmax_exact for its
-# Dilks GF checks), 64 for roots, whose Sturm certification grows steeply
-# with n, and the cap of R for clt.
-VERIFY_CAPS = {
-    "nmax_exact": series.MAX_ORDER,
-    "oracle_nmax": S_N_LIMIT,
-    "signed_nmax": SIGNED_LIMIT,
-    "gf_order": series.MAX_ORDER,
-    "roots_nmax": 64,
-    "clt_nmax": series.FAMILIES["R"].cap,
-}
 
 
 def _check_jobs(args, parser) -> None:
@@ -82,13 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--jobs", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run verification suites, JSON report on stdout")
-    p_verify.add_argument("--suite", default="all", choices=tuple(SUITES))
+    p_verify.add_argument("--suite", default="all", choices=[s for knob in identities.RANGES for s in knob.nmax_of])
     p_verify.add_argument("--nmax", type=int, default=None, help="range for the selected suite")
-    p_verify.add_argument("--oracle-nmax", type=int, default=identities.DEFAULT_ORACLE_NMAX)
-    p_verify.add_argument("--signed-nmax", type=int, default=identities.DEFAULT_SIGNED_NMAX)
-    p_verify.add_argument("--gf-order", type=int, default=identities.DEFAULT_GF_ORDER)
-    p_verify.add_argument("--roots-nmax", type=int, default=identities.DEFAULT_ROOTS_NMAX)
-    p_verify.add_argument("--clt-nmax", type=int, default=identities.DEFAULT_CLT_NMAX)
+    for knob in identities.RANGES:
+        if knob.flag:
+            p_verify.add_argument(knob.flag, type=int, default=knob.default)
     p_verify.add_argument("--jobs", type=int, default=None)
     return parser
 
@@ -142,45 +125,23 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    for name in ("oracle_nmax", "signed_nmax", "gf_order", "roots_nmax", "clt_nmax"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name.replace('_', '-')} must be >= 1")
+    ranges = {knob.name: getattr(args, knob.name, knob.default) for knob in identities.RANGES}
+    for knob in identities.RANGES:
+        if ranges[knob.name] < 1:
+            parser.error(f"{knob.flag} must be >= 1")
     if args.nmax is not None and args.nmax < 1:
         parser.error("--nmax must be >= 1")
     _check_jobs(args, parser)
-
-    config = {
-        "suite": args.suite,
-        "nmax_exact": identities.DEFAULT_NMAX_EXACT,
-        "oracle_nmax": args.oracle_nmax,
-        "signed_nmax": args.signed_nmax,
-        "gf_order": args.gf_order,
-        "roots_nmax": args.roots_nmax,
-        "clt_nmax": args.clt_nmax,
-    }
     if args.nmax is not None:
-        config[SUITES[args.suite]] = args.nmax
-    for name, cap in VERIFY_CAPS.items():
-        if config[name] > cap:
-            raise LimitExceeded(f"{name} {config[name]} above cap {cap}")
+        ranges[next(knob.name for knob in identities.RANGES if args.suite in knob.nmax_of)] = args.nmax
+    for knob in identities.RANGES:
+        if ranges[knob.name] > knob.cap:
+            raise LimitExceeded(f"{knob.name} {ranges[knob.name]} above cap {knob.cap}")
 
-    if args.suite == "all":
-        ranges = {name: value for name, value in config.items() if name != "suite"}
-        results = identities.run_all(**ranges)
-    elif args.suite == "identities":
-        results = identities.run_identity_suite(config["nmax_exact"], config["signed_nmax"])
-    elif args.suite == "gf":
-        results = identities.run_gf_suite(config["gf_order"])
-    elif args.suite == "roots":
-        results = identities.run_roots_suite(config["roots_nmax"])
-    elif args.suite == "clt":
-        results = identities.run_clt_suite(config["clt_nmax"])
-    else:
-        results = identities.run_oracle_suite(config["oracle_nmax"], config["signed_nmax"])
-
+    results = identities.run(args.suite, **ranges)
     report = {
         "tool_version": __version__,
-        "configuration": config,
+        "configuration": {"suite": args.suite, **ranges},
         "results": [r.to_json() for r in results],
         "aggregate": identities.aggregate_verdict(results),
     }

@@ -195,7 +195,7 @@ def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
             "root_structure", (1, 2), "fail", identities.Witness(2, 0, "1", "2")
         )
     ]
-    monkeypatch.setattr(identities, "run_roots_suite", lambda nmax: failing)
+    monkeypatch.setattr(identities, "run", lambda suite, **ranges: failing)
     code = cli.main(["verify", "--suite", "roots", "--nmax", "2"])
     out = capsys.readouterr().out
     assert code == 1
@@ -210,8 +210,7 @@ def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, caps
     def no_work(*args, **kwargs):
         raise AssertionError("a suite ran")
 
-    for runner in ("run_all", "run_identity_suite", "run_gf_suite", "run_roots_suite", "run_clt_suite", "run_oracle_suite"):
-        monkeypatch.setattr(identities, runner, no_work)
+    monkeypatch.setattr(identities, "run", no_work)
     cases = [
         (["--suite", "gf", "--nmax", "70"], "gf_order 70 above cap 64"),
         (["--gf-order", "65"], "gf_order 65 above cap 64"),

@@ -97,7 +97,7 @@ def test_bell_x1_check_reports_the_wrong_sum(monkeypatch):
 
 
 def test_identity_suite_passes_at_defaults():
-    results = I.run_identity_suite()
+    results = I.run("identities")
     assert all(r.passed for r in results)
     ids = [r.check_id for r in results]
     assert "row_interleave" in ids
@@ -105,12 +105,12 @@ def test_identity_suite_passes_at_defaults():
 
 
 def test_identity_suite_degenerate_range():
-    results = I.run_identity_suite(nmax_exact=1, signed_nmax=1)
+    results = I.run("identities", nmax_exact=1, signed_nmax=1)
     assert all(r.passed for r in results)
 
 
 def test_gf_suite_passes():
-    results = I.run_gf_suite(gf_order=10)
+    results = I.run("gf", gf_order=10)
     assert all(r.passed for r in results)
     assert [r.check_id for r in results][:8] == [
         "gf_A", "gf_W", "gf_WL", "gf_P", "gf_C", "gf_CT", "gf_T", "gf_R",
@@ -118,8 +118,8 @@ def test_gf_suite_passes():
 
 
 def test_roots_and_clt_suites():
-    assert all(r.passed for r in I.run_roots_suite(10))
-    clt = I.run_clt_suite(12)
+    assert all(r.passed for r in I.run("roots", roots_nmax=10))
+    clt = I.run("clt", clt_nmax=12)
     assert len(clt) == 9
     assert all(r.passed for r in clt)
     assert clt[0].n_range == (4, 4)
@@ -138,7 +138,7 @@ def test_root_structure_fails_on_non_real_zeros(monkeypatch):
     with pytest.raises(R.StructureViolation) as raised:
         R.certify_root_structure(4)
     assert raised.value.clause == "degree"
-    structure = I.run_roots_suite(6)[0]
+    structure = I.run("roots", roots_nmax=6)[0]
     assert (structure.check_id, structure.verdict) == ("root_structure", "fail")
     assert structure.witness.n == 4
     assert structure.witness.lhs == "StructureViolation"
@@ -147,20 +147,21 @@ def test_root_structure_fails_on_non_real_zeros(monkeypatch):
 def test_nonpositive_reduced_coefficient_is_a_fail(monkeypatch):
     # (1+x)^3 (x-1): G_4 = x - 1 breaks the positivity claim
     _corrupt_r4(monkeypatch, Poly((1, 1)) ** 3 * Poly((-1, 1)))
-    structure, interlacing, _ = I.run_roots_suite(6)
+    structure, interlacing, _ = I.run("roots", roots_nmax=6)
     for result, n in ((structure, 4), (interlacing, 3)):
         assert result.verdict == "fail", result
         assert (result.witness.n, result.witness.lhs) == (n, "NonpositiveCoefficient")
 
 
 def test_oracle_suite_passes():
-    results = I.run_oracle_suite(oracle_nmax=6, signed_nmax=4)
+    results = I.run("oracle", oracle_nmax=6, signed_nmax=4)
     assert all(r.passed for r in results)
 
 
 def test_run_all_aggregate_and_order_stability():
-    results_a = I.run_all(8, 6, 4, 8, 8, 8)
-    results_b = I.run_all(8, 6, 4, 8, 8, 8)
+    ranges = dict(nmax_exact=8, oracle_nmax=6, signed_nmax=4, gf_order=8, roots_nmax=8, clt_nmax=8)
+    results_a = I.run("all", **ranges)
+    results_b = I.run("all", **ranges)
     assert I.aggregate_verdict(results_a) == "pass"
     assert [r.to_json() for r in results_a] == [r.to_json() for r in results_b]
 

@@ -396,7 +396,7 @@ def test_differential_against_sympy_at_the_caps():
 
 
 def _shard_check():
-    [check] = [r for r in identities.run_oracle_suite(1, 1) if r.check_id == "oracle_shard_determinism"]
+    [check] = [r for r in identities.run("oracle", oracle_nmax=1, signed_nmax=1) if r.check_id == "oracle_shard_determinism"]
     return check
 
 
