@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
 limit exceeded.  The families, their minimum n and their caps come from the family
 table, series.FAMILIES; the verify checks from one table, identities.CHECKS,
 which a suite filters; the range knobs, their flags, defaults and caps from
-identities.RANGES.  Before any work, a knob below 1 exits 2, and a knob above
-its cap exits 3.
+identities.RANGES.  Before any work, a knob below 1 or leaving a selected check
+empty (clt below 4, roots below 2) exits 2, and a knob above its cap exits 3.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def cmd_verify(args, parser) -> int:
     _check_jobs(args, parser)
     if args.nmax is not None:
         ranges[next(knob.name for knob in identities.RANGES if args.suite in knob.nmax_of)] = args.nmax
+    try:
+        identities.plan(args.suite, ranges)
+    except ValueError as exc:  # a selected check with no n to run over
+        parser.error(str(exc))
     for knob in identities.RANGES:
         if ranges[knob.name] > knob.cap:
             raise LimitExceeded(f"{knob.name} {ranges[knob.name]} above cap {knob.cap}")

@@ -423,7 +423,8 @@ CHECKS = (
 
 
 def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
-    """The checks of `suite` ("all": every check) in table order, each with its lo and hi."""
+    """The checks of `suite` ("all": every check) in table order, each with
+    its lo and hi; ValueError if a fixed lo is above its hi."""
     if suite != "all" and suite not in {check.suite for check in CHECKS}:
         raise ValueError(f"unknown suite {suite!r}")
     spans = []
@@ -432,6 +433,8 @@ def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
         lo = ranges[check.lo] + 1 if isinstance(check.lo, str) else check.lo
         if suite not in ("all", check.suite) or lo > hi and isinstance(check.lo, str):
             continue
+        if lo > hi:
+            raise ValueError(f"{check.knob} {ranges[check.knob]} leaves {check.check_id} empty: it starts at {lo}")
         spans.append((check, lo, hi))
     return spans
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from peakpoly import cli, identities
 
 CLI = [sys.executable, "-m", "peakpoly"]
 
@@ -240,3 +246,61 @@ def test_bad_jobs_env_is_a_usage_error(monkeypatch, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert message in err
+
+
+# The contract of `verify`, stated apart from the CLI: the knob --nmax sets
+# for each suite, and the lowest value of a knob that leaves each suite's
+# checks something to run over (mode_bracket starts at n = 2, clt_moments at 4).
+NMAX_KNOB = {"all": "nmax_exact", "identities": "nmax_exact", "gf": "gf_order",
+             "roots": "roots_nmax", "clt": "clt_nmax", "oracle": "oracle_nmax"}
+LOWEST = {"roots_nmax": ("roots", 2), "clt_nmax": ("clt", 4)}
+FLAGGED = [knob for knob in identities.RANGES if knob.flag]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    suite=st.sampled_from(sorted(NMAX_KNOB)),
+    flags=st.fixed_dictionaries({}, optional={knob.name: st.integers(-2, knob.cap + 2) for knob in FLAGGED}),
+    nmax=st.none() | st.integers(-2, 12) | st.integers(-2, 130),
+    jobs=st.sampled_from([None, "1", "2", "0", "-2", "x"]),
+)
+@example(suite="clt", flags={}, nmax=3, jobs=None)
+@example(suite="clt", flags={"clt_nmax": 1}, nmax=None, jobs=None)
+@example(suite="all", flags={"clt_nmax": 2}, nmax=None, jobs=None)
+@example(suite="roots", flags={}, nmax=1, jobs=None)
+@example(suite="roots", flags={"roots_nmax": 1}, nmax=None, jobs=None)
+@example(suite="all", flags={"roots_nmax": 1}, nmax=None, jobs=None)
+def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs):
+    argv = ["verify", "--suite", suite]
+    for knob in FLAGGED:
+        if knob.name in flags:
+            argv += [knob.flag, str(flags[knob.name])]
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    ranges = {knob.name: flags.get(knob.name, knob.default) for knob in identities.RANGES}
+    if nmax is not None:
+        ranges[NMAX_KNOB[suite]] = nmax
+    given = [*flags.values(), *([] if nmax is None else [nmax])]
+    below = any(value < 1 for value in given) or jobs not in (None, "1", "2")
+    empty = any(suite in ("all", owner) and ranges[knob] < lowest for knob, (owner, lowest) in LOWEST.items())
+    above = any(ranges[knob.name] > knob.cap for knob in identities.RANGES)
+    expected = 2 if below or empty else 3 if above else 0
+
+    calls = []
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(identities, "run", lambda suite, **ranges: calls.append((suite, ranges)) or [])
+        if jobs is None:
+            mp.delenv("PEAKPOLY_JOBS", raising=False)
+        else:
+            mp.setenv("PEAKPOLY_JOBS", jobs)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == expected, (argv, jobs, err.getvalue())
+    if code == 0:
+        assert calls == [(suite, ranges)]
+        assert json.loads(out.getvalue())["configuration"] == {"suite": suite, **ranges}
+    else:
+        assert calls == [] and out.getvalue() == ""

@@ -6,6 +6,7 @@ from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import roots as R
+from peakpoly import series as S
 from peakpoly.polynomial import Poly
 
 ONE_PLUS_X = Poly((1, 1))
@@ -164,6 +165,63 @@ def test_run_all_aggregate_and_order_stability():
     results_b = I.run("all", **ranges)
     assert I.aggregate_verdict(results_a) == "pass"
     assert [r.to_json() for r in results_a] == [r.to_json() for r in results_b]
+
+
+SMALL = dict(nmax_exact=8, oracle_nmax=6, signed_nmax=4, gf_order=8, roots_nmax=8, clt_nmax=8)
+SUITES = ["oracle", "identities", "gf", "roots", "clt"]  # in table order
+
+
+def test_every_read_names_a_family_route_or_a_declared_route():
+    for check in I.CHECKS:
+        assert check.reads, check.check_id
+        for name in check.reads:
+            family, _, route = name.partition(".")
+            assert name in I.ROUTES or family in S.FAMILIES and route in S.FAMILIES[family].routes, (check, name)
+    assert set(I.ROUTES) == {name for check in I.CHECKS for name in check.reads if name in I.ROUTES}
+
+
+def test_check_ids_are_unique_and_every_suite_has_checks():
+    ids = [check.check_id for check in I.CHECKS]
+    assert len(ids) == len(set(ids)) == 33
+    assert list(dict.fromkeys(check.suite for check in I.CHECKS)) == SUITES
+    assert sorted(suite for knob in I.RANGES for suite in knob.nmax_of) == sorted(SUITES + ["all"])
+    knobs = {knob.name for knob in I.RANGES}
+    for check in I.CHECKS:
+        assert check.knob in knobs | {None} and check.unit in ("range", "order", "n"), check
+        assert callable(getattr(I, check.fn)), check
+
+
+def test_all_is_the_suites_in_table_order():
+    together = I.run("all", **SMALL)
+    assert together == [r for suite in SUITES for r in I.run(suite, **SMALL)]
+    assert [r.check_id for r in together if r.check_id != "clt_moments"] == [
+        check.check_id for check in I.CHECKS if check.check_id != "clt_moments"
+    ]
+
+
+def test_a_check_function_is_looked_up_when_the_check_runs(monkeypatch):
+    monkeypatch.setattr(I, "check_stembridge", lambda n: I.Witness(n, 0, "1", "2") if n == 3 else None)
+    verdicts = {r.check_id: r for r in I.run("identities", nmax_exact=5, signed_nmax=3)}
+    assert verdicts["stembridge"] == I.CheckResult("stembridge", (1, 5), "fail", I.Witness(3, 0, "1", "2"))
+    assert all(r.passed for check_id, r in verdicts.items() if check_id != "stembridge")
+
+
+def test_empty_ranges_with_a_fixed_start_are_refused():
+    ranges = {knob.name: knob.default for knob in I.RANGES}
+    for suite, knob, lowest in (("roots", "roots_nmax", 2), ("clt", "clt_nmax", 4)):
+        for value in range(1, lowest):
+            with pytest.raises(ValueError, match="empty"):
+                I.plan(suite, {**ranges, knob: value})
+            with pytest.raises(ValueError, match="empty"):
+                I.plan("all", {**ranges, knob: value})
+        assert I.plan(suite, {**ranges, knob: lowest})
+    # the Dilks GF tail starts after signed_nmax and is left out when empty
+    ids = [check.check_id for check, _, _ in I.plan("identities", {**ranges, "nmax_exact": 7})]
+    assert "dilks_affine_gf" not in ids and "dilks_affine_oracle" in ids
+    with pytest.raises(ValueError, match="unknown suite"):
+        I.plan("bogus", ranges)
+    with pytest.raises(TypeError, match="unknown ranges"):
+        I.run("roots", roots=4)
 
 
 def test_check_result_serialization():
