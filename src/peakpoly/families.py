@@ -447,10 +447,14 @@ def _bell_step(args: Callable[[int], Sequence[Poly]]) -> Callable[[list, int], t
     return step
 
 
+# (1 - x^2)^e is term e
+_ONE_MINUS_X2_POWERS = Memo((Poly.one(),), lambda powers, e: powers[-1] * Poly((1, 0, -1)))
+
+
 def bell_peak_arguments(count: int) -> tuple[Poly, ...]:
     """The substitution x_i = (1 - x^2)^floor((i-1)/2), for i = 1..count."""
-    w = Poly((1, 0, -1))
-    return tuple(w ** ((i - 1) // 2) for i in range(1, count + 1))
+    powers = _ONE_MINUS_X2_POWERS.upto((count - 1) // 2)
+    return tuple(powers[(i - 1) // 2] for i in range(1, count + 1))
 
 
 # Rows of B_{n,k} at the peak arguments, at all ones (the Stirling numbers)
@@ -494,11 +498,10 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     row = _PEAK_BELL_ROWS.upto(n)[n]
-    acc = Poly.zero()
-    for k in range(1, n + 1):
-        term = math.factorial(k) * ONE_PLUS_X ** (k + 1) * row[k]
-        acc = acc + ((-1) ** (n - k)) * term
-    return acc
+    acc = Poly.zero()  # by Horner in (1+x), from k = n down
+    for k in range(n, 0, -1):
+        acc = (acc + (-1) ** (n - k) * math.factorial(k) * row[k]) * ONE_PLUS_X
+    return acc * ONE_PLUS_X
 
 
 def factorial_bell_sum(n: int) -> int:

@@ -304,6 +304,9 @@ def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypat
 
 
 def test_bell_partial_worked_example():
+    # the memoised powers of 1 - x^2 are the powers taken one by one
+    assert F.bell_peak_arguments(0) == ()
+    assert F.bell_peak_arguments(9) == tuple(Poly((1, 0, -1)) ** ((i - 1) // 2) for i in range(1, 10))
     xs = F.bell_peak_arguments(4)
     assert F.bell_partial(4, 1, xs) == Poly((1, 0, -1))
     assert F.bell_partial(4, 2, xs) == Poly((7, 0, -4))

@@ -5,6 +5,7 @@ import inspect
 import sys
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +104,21 @@ def test_all_routes_of_a_family_agree(name, data):
     values = {route: fn(n) for route, fn in family.routes.items()}
     assert len(set(values.values())) == 1, (name, n, values)
     assert family.poly(n) == values[next(iter(values))]
+
+
+def test_derivative_polynomials_by_the_papers_definition():
+    # D^n tan = P_n(tan) and D^n sec = sec Q_n(tan): with x = tan(theta),
+    # Taylor's theorem makes P_n(x)/n! the t^n coefficient of
+    # tan(theta + t) = (x + tan t)/(1 - x tan t), and Q_n(x)/n! that of
+    # sec(theta + t)/sec(theta) = 1/(cos t - x sin t).  A route outside the
+    # package, from sympy's series.
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t")
+    for route, expr, nmax in (
+        (F.tangent_derivative_poly, (x + sympy.tan(t)) / (1 - x * sympy.tan(t)), 16),
+        (F.secant_derivative_poly, 1 / (sympy.cos(t) - x * sympy.sin(t)), 12),
+    ):
+        taylor = sympy.series(expr, t, 0, nmax + 1).removeO()
+        for n in range(nmax + 1):
+            coeff = sympy.Poly(sympy.expand(taylor.coeff(t, n) * sympy.factorial(n)), x)
+            assert tuple(int(c) for c in reversed(coeff.all_coeffs())) == route(n).coeffs, (route.__name__, n)
