@@ -431,7 +431,7 @@ def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
     for check in CHECKS:
         hi = check.top + (ranges[check.knob] if check.knob else 0)
         lo = ranges[check.lo] + 1 if isinstance(check.lo, str) else check.lo
-        if suite not in ("all", check.suite) or lo > hi and isinstance(check.lo, str):
+        if suite not in ("all", check.suite) or (lo > hi and isinstance(check.lo, str)):
             continue
         if lo > hi:
             raise ValueError(f"{check.knob} {ranges[check.knob]} leaves {check.check_id} empty: it starts at {lo}")
