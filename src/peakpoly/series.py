@@ -439,8 +439,8 @@ def verify_pde(order: int) -> Witness | None:
     P is the EGF of the tan_sec family; with P known through z^order the
     identity is verified for all z-coefficients up to order - 1.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     p = engine_series("P", order)
     x = Poly.x()
     px = p.dx().truncate(order - 1)

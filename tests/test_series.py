@@ -188,10 +188,24 @@ def test_odd_even_split_of_combined_series():
 
 
 def test_verify_pde():
+    assert S.verify_pde(1) is None  # P through z^1 checks z-order 0
     assert S.verify_pde(8) is None
     assert S.verify_pde(16) is None
     with pytest.raises(ValueError):
-        S.verify_pde(1)
+        S.verify_pde(0)
+
+
+def test_pde_at_order_one_sees_a_corrupted_z1_term(monkeypatch):
+    # z-order 0 of the identity reads R_1 = R_0 + x, so an x^2 added to the
+    # z^1 term of P (R_1) is the witness
+    real = S.engine_series
+
+    def corrupt(family, order):
+        p = real(family, order)
+        return TruncSeries(order, (p.coeffs[0], p.coeffs[1] + Poly.monomial(1, 2), *p.coeffs[2:]))
+
+    monkeypatch.setattr(S, "engine_series", corrupt)
+    assert S.verify_pde(1) == S.Witness(0, 2, "1", "0")
 
 
 def test_pde_constant_term_by_hand():
