@@ -11,18 +11,22 @@ table, series.FAMILIES; the verify checks from one table, identities.CHECKS,
 which a suite filters; the range knobs, their flags, defaults and caps from
 identities.RANGES.  Before any work, a knob below 1 or leaving a selected check
 empty (clt below 4, roots below 2) exits 2, and a knob above its cap exits 3.
+
+A request imports only the layers its command runs, as the parser gives
+arguments only to the command it names: `oracle` loads permutations, `poly`
+and `triangle` the family table (series, families, polynomial, permutations),
+`verify` every layer, and `--version`, `--help` or a top-level usage error none.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import __version__, identities, permutations, series
-from .permutations import LimitExceeded
+from . import __version__
 
+COMMANDS = ("triangle", "poly", "oracle", "verify")
 ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
 
 
@@ -42,37 +46,42 @@ def _check_jobs(args, parser) -> None:
         parser.error(f"{name} must be >= 1")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """Every command with its help; arguments, and their layers, only for `commands`."""
     parser = argparse.ArgumentParser(
         prog="peakpoly",
         description="Exact peak-statistic families: triangles, polynomials, verification.",
     )
     parser.add_argument("--version", action="version", version=f"peakpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_tri = sub.add_parser("triangle", help="print rows of a coefficient triangle")
-    triangles = [name for name, family in series.FAMILIES.items() if "triangle" in family.routes]
-    p_tri.add_argument("--family", required=True, choices=triangles)
-    p_tri.add_argument("--nmax", required=True, type=int)
-    p_tri.add_argument("--format", default="csv", choices=("csv", "json"))
-
     p_poly = sub.add_parser("poly", help="print one family polynomial, coefficients ascending")
-    p_poly.add_argument("--family", required=True, choices=tuple(series.FAMILIES))
-    p_poly.add_argument("--n", required=True, type=int)
-    p_poly.add_argument("--format", default="csv", choices=("csv", "json"))
-
     p_oracle = sub.add_parser("oracle", help="brute-force statistic distribution")
-    p_oracle.add_argument("--stat", required=True, choices=ORACLE_STATS)
-    p_oracle.add_argument("--n", required=True, type=int)
-    p_oracle.add_argument("--jobs", type=int, default=None)
-
     p_verify = sub.add_parser("verify", help="run verification suites, JSON report on stdout")
-    p_verify.add_argument("--suite", default="all", choices=[s for knob in identities.RANGES for s in knob.nmax_of])
-    p_verify.add_argument("--nmax", type=int, default=None, help="range for the selected suite")
-    for knob in identities.RANGES:
-        if knob.flag:
-            p_verify.add_argument(knob.flag, type=int, default=knob.default)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    if "triangle" in commands or "poly" in commands:
+        from . import series
+    if "triangle" in commands:
+        triangles = [name for name, family in series.FAMILIES.items() if "triangle" in family.routes]
+        p_tri.add_argument("--family", required=True, choices=triangles)
+        p_tri.add_argument("--nmax", required=True, type=int)
+        p_tri.add_argument("--format", default="csv", choices=("csv", "json"))
+    if "poly" in commands:
+        p_poly.add_argument("--family", required=True, choices=tuple(series.FAMILIES))
+        p_poly.add_argument("--n", required=True, type=int)
+        p_poly.add_argument("--format", default="csv", choices=("csv", "json"))
+    if "oracle" in commands:
+        p_oracle.add_argument("--stat", required=True, choices=ORACLE_STATS)
+        p_oracle.add_argument("--n", required=True, type=int)
+        p_oracle.add_argument("--jobs", type=int, default=None)
+    if "verify" in commands:
+        from . import identities
+
+        p_verify.add_argument("--suite", default="all", choices=[s for knob in identities.RANGES for s in knob.nmax_of])
+        p_verify.add_argument("--nmax", type=int, default=None, help="range for the selected suite")
+        for knob in identities.RANGES:
+            if knob.flag:
+                p_verify.add_argument(knob.flag, type=int, default=knob.default)
+        p_verify.add_argument("--jobs", type=int, default=None)
     return parser
 
 
@@ -81,11 +90,16 @@ def _emit_rows(rows, fmt: str) -> None:
         for row in rows:
             print(",".join(str(v) for v in row))
     else:
+        import json
+
         print(json.dumps([[str(v) for v in row] for row in rows]))
 
 
 def _family(name: str, flag: str, n: int, parser) -> series.Family:
     """The family table entry, once n is within its minimum and cap."""
+    from . import series
+    from .permutations import LimitExceeded
+
     family = series.FAMILIES[name]
     if n < family.min_n:
         parser.error(f"{flag} must be >= {family.min_n} for family {name}")
@@ -112,6 +126,8 @@ def cmd_oracle(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     _check_jobs(args, parser)
+    from . import permutations
+
     if args.stat == "alt":
         print(permutations.count_alternating(args.n))
         return 0
@@ -125,6 +141,11 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    import json
+
+    from . import identities
+    from .permutations import LimitExceeded
+
     ranges = {knob.name: getattr(args, knob.name, knob.default) for knob in identities.RANGES}
     for knob in identities.RANGES:
         if ranges[knob.name] < 1:
@@ -154,8 +175,13 @@ def cmd_verify(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value, so the first other token is the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser((command,) if command in COMMANDS else ())
     args = parser.parse_args(argv)
+    from .permutations import LimitExceeded  # --help and --version have exited
+
     try:
         if args.command == "triangle":
             return cmd_triangle(args, parser)

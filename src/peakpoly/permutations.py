@@ -46,9 +46,10 @@ process.  Nothing here relies on assert.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .polynomial import Poly
+if TYPE_CHECKING:
+    from .polynomial import Poly
 
 # The enumeration caps: n above them raises LimitExceeded.
 S_N_LIMIT = 10
@@ -92,6 +93,8 @@ class StatDistribution(NamedTuple):
         return sum(self.counts)
 
     def as_poly(self) -> Poly:
+        from .polynomial import Poly  # not at module level: the oracle request never reads it
+
         return Poly(self.counts)
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peakpoly import cli, identities
+from peakpoly import cli, identities, series
+from peakpoly.permutations import S_N_LIMIT, SIGNED_LIMIT
 
 CLI = [sys.executable, "-m", "peakpoly"]
 
@@ -114,6 +115,100 @@ def test_cli_import_and_oracle_request_load_no_dataclasses_or_inspect():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
     preloaded = bare.stdout.strip()
     assert res.stdout == f"{preloaded} {preloaded} 0\n", res.stderr
+
+
+def test_oracle_and_version_requests_import_only_the_layers_they_run():
+    # an oracle request reads permutations alone, and --version no layer
+    unused = ("peakpoly.identities", "peakpoly.series", "peakpoly.roots", "peakpoly.families",
+              "peakpoly.polynomial", "fractions", "json")
+    loaded = f"[m for m in {unused + ('peakpoly.permutations',)!r} if m in sys.modules]"
+    oracle = (
+        "import contextlib, io, sys\n"
+        "from peakpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['oracle', '--stat', s, '--n', '5']) for s in ('des', 'desb', 'alt')]\n"
+        f"print(codes, {loaded})\n"
+    )
+    version = (
+        "import contextlib, io, sys\n"
+        "from peakpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(['--version'])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"print(code, {loaded})\n"
+    )
+    for script, expected in ((oracle, "[0, 0, 0] ['peakpoly.permutations']\n"), (version, "0 []\n")):
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+        assert res.stdout == expected, res.stderr
+
+
+SAMPLE_ARGV = {
+    "triangle": [["triangle", "--family", "W", "--nmax", "5", "--format", "json"], ["triangle", "--family", "R", "--nmax", "0"]],
+    "poly": [["poly", "--family", "CT", "--n", "3", "--format", "csv"], ["poly", "--n", "-1", "--family", "P"]],
+    "oracle": [["oracle", "--stat", "desb", "--n", "4", "--jobs", "2"], ["oracle", "--n", "3", "--stat", "alt"]],
+    "verify": [["verify"], ["verify", "--suite", "gf", "--nmax", "4", "--signed-nmax", "3", "--jobs", "1"]],
+}
+
+
+def _subparser(parser, command):
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+def _parse(parser, argv):
+    """(exit code or None, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_per_command_parser_equals_the_full_parser():
+    full = cli.build_parser()
+    assert list(next(a for a in full._actions if a.dest == "command").choices) == list(cli.COMMANDS)
+    for command, samples in SAMPLE_ARGV.items():
+        parser = cli.build_parser((command,))
+        for argv in samples:
+            assert parser.parse_args(argv) == full.parse_args(argv), argv
+        assert _subparser(parser, command).format_help() == _subparser(full, command).format_help()
+    assert cli.build_parser(()).format_help() == full.format_help()
+    # every top-level option takes no value, so the first token that is not
+    # an option is the command whenever argparse finds one
+    assert all(a.nargs == 0 for a in full._actions if a.option_strings)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "oracle"], ["--version"], ["bogus"], ["Oracle", "--n", "3"], ["-1", "oracle"],
+    ["oracle"], ["oracle", "--help"], ["oracle", "--stat", "zz", "--n", "3"], ["--", "oracle", "--n", "x"],
+    ["poly", "--family", "X", "--n", "1"], ["triangle", "--format", "xml"], ["verify", "--suite", "nope"],
+    ["verify", "--nmax", "x"], ["verify", "--stat", "pk"], ["oracle", "verify", "--n", "2"],
+])
+def test_main_reports_usage_errors_as_the_full_parser_does(argv):
+    expected = _parse(cli.build_parser(), argv)
+    assert expected[0] is not None  # each sample ends in the parser
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert (exc.value.code, out.getvalue(), err.getvalue()) == expected
+
+
+def test_package_names_resolve_on_first_access():
+    import peakpoly
+    from peakpoly import polynomial
+
+    assert peakpoly.Poly is polynomial.Poly
+    assert all(getattr(peakpoly, name) is not None for name in peakpoly.__all__)
+    namespace = {}
+    exec("from peakpoly import *", namespace)
+    assert set(peakpoly.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        peakpoly.no_such_name
 
 
 def test_oracle_rejects_nonpositive_jobs():
@@ -304,3 +399,55 @@ def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs
         assert json.loads(out.getvalue())["configuration"] == {"suite": suite, **ranges}
     else:
         assert calls == [] and out.getvalue() == ""
+
+
+# The contract of `poly`, `triangle` and `oracle`: the lowest and highest n of
+# each family (the family table) and statistic (the enumeration caps).
+ORACLE_CAPS = {stat: SIGNED_LIMIT if stat in ("desb", "ades") else S_N_LIMIT for stat in cli.ORACLE_STATS}
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["poly", "triangle", "oracle"]),
+       env_jobs=st.sampled_from([None, "1", "2", "0", "-2", "x"]))
+def test_poly_triangle_oracle_exit_code_follows_the_request(data, command, env_jobs):
+    if command == "oracle":
+        name = data.draw(st.sampled_from([*cli.ORACLE_STATS, "zz"]), label="stat")
+        lo, cap = 1, ORACLE_CAPS.get(name, S_N_LIMIT)
+        argv, malformed = ["oracle", "--stat", name], name not in ORACLE_CAPS
+    else:
+        names = [f for f, family in series.FAMILIES.items() if command == "poly" or "triangle" in family.routes]
+        name = data.draw(st.sampled_from([*names, "X"]), label="family")
+        lo, cap = (series.FAMILIES[name].min_n, series.FAMILIES[name].cap) if name in names else (0, 64)
+        fmt = data.draw(st.sampled_from(["csv", "json", "xml"]), label="format")
+        argv, malformed = [command, "--family", name, "--format", fmt], name not in names or fmt == "xml"
+    value = data.draw(st.integers(-2, cap + 2).map(str) | st.sampled_from(["x", "1.5", ""]), label="n")
+    argv += ["--nmax" if command == "triangle" else "--n", value]
+    n = _int(value)
+    below = n is None or n < lo
+    if command == "oracle":  # --jobs, else PEAKPOLY_JOBS, is used only here
+        flag_jobs = data.draw(st.sampled_from([None, "1", "2", "0", "x"]), label="--jobs")
+        argv += [] if flag_jobs is None else ["--jobs", flag_jobs]
+        jobs = _int(flag_jobs if flag_jobs is not None else env_jobs or "1")
+        below = below or jobs is None or jobs < 1
+    expected = 2 if malformed or below else 3 if n > cap else 0
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if env_jobs is None:
+            mp.delenv("PEAKPOLY_JOBS", raising=False)
+        else:
+            mp.setenv("PEAKPOLY_JOBS", env_jobs)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert code == expected, (argv, env_jobs, err.getvalue())
+    assert (out.getvalue() != "") == (code == 0)
