@@ -375,7 +375,7 @@ class Check(NamedTuple):
 # The routes the checks read that are not family routes of series.FAMILIES.
 ROUTES = frozenset({
     "euler", "oracle.alt", "oracle.des", "oracle.ades", "oracle.by_definition", "bell.peak_rows",
-    "bell.stirling_rows", "bell.factorial_rows", "egf.closed_form", "egf.pde", "mpmath.closed_form",
+    "bell.stirling_rows", "bell.factorial_rows", "egf.closed_form", "egf.pde", "decimal.closed_form",
     "sturm", "darroch", "clt.closed_form",
 })
 
@@ -411,9 +411,9 @@ CHECKS = (
             "egf.closed_form"), "order", args=(egf,)) for egf, (fam, _) in series.EGFS.items()),
     Check("t_vs_eulerian", "gf", "gf_order", 0, "check_t_vs_eulerian", ("T.interleave", "A.recurrence"), "order"),
     Check("pde", "gf", "gf_order", 0, "check_pde", ("R.recurrence", "egf.pde"), "order", top=-1),
-    Check("numeric_spotcheck_1", "gf", None, 0, "check_numeric_spot", ("R.recurrence", "mpmath.closed_form"), "order",
+    Check("numeric_spotcheck_1", "gf", None, 0, "check_numeric_spot", ("R.recurrence", "decimal.closed_form"), "order",
           20, (Fraction(1, 2), Fraction(1, 20), 1e-15)),
-    Check("numeric_spotcheck_2", "gf", None, 0, "check_numeric_spot", ("R.recurrence", "mpmath.closed_form"), "order",
+    Check("numeric_spotcheck_2", "gf", None, 0, "check_numeric_spot", ("R.recurrence", "decimal.closed_form"), "order",
           24, (Fraction(7, 10), Fraction(1, 10), 1e-12)),
     Check("root_structure", "roots", "roots_nmax", 1, "check_root_structure", ("R.recurrence", "G.recurrence", "sturm")),
     Check("interlacing", "roots", "roots_nmax", 1, "check_interlacing", ("R.recurrence", "G.recurrence", "sturm")),

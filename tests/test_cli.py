@@ -139,7 +139,18 @@ def test_oracle_and_version_requests_import_only_the_layers_they_run():
         "        code = exc.code\n"
         f"print(code, {loaded})\n"
     )
-    for script, expected in ((oracle, "[0, 0, 0] ['peakpoly.permutations']\n"), (version, "0 []\n")):
+    # and verify runs on the standard library alone: with mpmath blocked,
+    # the numeric spot-checks of gf and all still pass
+    no_mpmath = (
+        "import contextlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from peakpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', '--suite', 'gf', '--nmax', '4']), cli.main(['verify', '--suite', 'all'])]\n"
+        "print(codes)\n"
+    )
+    for script, expected in ((oracle, "[0, 0, 0] ['peakpoly.permutations']\n"), (version, "0 []\n"),
+                             (no_mpmath, "[0, 0]\n")):
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
         assert res.stdout == expected, res.stderr
 

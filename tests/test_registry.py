@@ -122,3 +122,17 @@ def test_derivative_polynomials_by_the_papers_definition():
         for n in range(nmax + 1):
             coeff = sympy.Poly(sympy.expand(taylor.coeff(t, n) * sympy.factorial(n)), x)
             assert tuple(int(c) for c in reversed(coeff.all_coeffs())) == route(n).coeffs, (route.__name__, n)
+
+
+def test_eulerian_polynomials_by_sympys_series_of_the_closed_form():
+    # A_n(x)/n! is the t^n coefficient of (x - 1)/(x - e^(t(x - 1))): sympy's
+    # expansion shares no code with the package's recurrence or its series
+    # solve of the same closed form
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t")
+    nmax = 6
+    taylor = sympy.series((x - 1) / (x - sympy.exp(t * (x - 1))), t, 0, nmax + 1).removeO()
+    for n in range(1, nmax + 1):
+        coeff = sympy.Poly(sympy.cancel(taylor.coeff(t, n) * sympy.factorial(n)), x)
+        a_n = tuple(int(c) for c in reversed(coeff.all_coeffs()))
+        assert a_n == F.eulerian_poly(n).coeffs == S.solved_family_polys("A", n)[n].coeffs, n

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakpoly import families as F
+from peakpoly import identities as I
 from peakpoly import series as S
 from peakpoly.polynomial import Poly
 from peakpoly.series import (
@@ -260,6 +261,30 @@ def test_numeric_spotcheck_zero_offset():
     # at t0 = 0 the closed form collapses to R_1(x0) = 1 + x0
     rep = numeric_spotcheck(Fraction(1, 2), 0, 4, 1e-30)
     assert rep.rel_error < 1e-30
+
+
+@pytest.mark.parametrize("x0, t0, order, tol", [
+    # the two points verify checks, at their orders and tolerances
+    *((*check.args[:2], check.top, check.args[2]) for check in I.CHECKS if check.fn == "check_numeric_spot"),
+    # low orders, where the truncation error dominates the relative error
+    (Fraction(1, 2), Fraction(1, 20), 4, 1e-3),
+    (Fraction(7, 10), Fraction(-1, 10), 6, 1e-2),
+    (Fraction(1, 3), Fraction(1, 8), 3, 1.0),
+    (Fraction(9, 10), Fraction(-3, 16), 5, 1.0),
+])
+def test_numeric_spotcheck_rel_error_agrees_with_mpmath(x0, t0, order, tol):
+    # mpmath's acosh and cosh at 320 bits evaluate the same closed form by
+    # code the spot-check does not share
+    mpmath = pytest.importorskip("mpmath")
+    partial = sum(F.tan_sec_poly(n + 1)(x0) * t0**n / math.factorial(n) for n in range(order + 1))
+    with mpmath.workprec(320):
+        xm = mpmath.mpf(x0.numerator) / x0.denominator
+        tm = mpmath.mpf(t0.numerator) / t0.denominator
+        z = -tm * mpmath.sqrt(1 - xm * xm) + mpmath.acosh(1 / xm)
+        closed = (1 - xm * xm) / (xm * (mpmath.cosh(z) - 1))
+        expected = float(abs(closed - mpmath.mpf(partial.numerator) / partial.denominator) / abs(closed))
+    assert expected > 0
+    assert math.isclose(numeric_spotcheck(x0, t0, order, tol).rel_error, expected, rel_tol=1e-9)
 
 
 def test_numeric_spotcheck_guards():
