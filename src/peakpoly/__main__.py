@@ -1,5 +1,3 @@
-import sys
+from .cli import entry
 
-from .cli import main
-
-sys.exit(main())
+entry()

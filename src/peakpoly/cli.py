@@ -16,6 +16,13 @@ A request imports only the layers its command runs, as the parser gives
 arguments only to the command it names: `oracle` loads permutations, `poly`
 and `triangle` the family table (series, families, polynomial, permutations),
 `verify` every layer, and `--version`, `--help` or a top-level usage error none.
+
+main(argv) runs one request in process and returns its exit code.  Every way of
+starting a process (`python -m peakpoly`, this module as a script, the
+`peakpoly` console script) goes through entry(), which ends the process as soon
+as stdout and stderr are flushed, without interpreter teardown.  Output and exit
+codes are those of the normal exit, which a failed flush, a tracer, a profiler
+or `python -i` still take.
 """
 
 from __future__ import annotations
@@ -195,5 +202,34 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _watched() -> bool:
+    """A tracer, a profiler, a sys.monitoring tool or `python -i` waits for the normal end."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tool ids 0-5
+    return (
+        sys.gettrace() is not None or sys.getprofile() is not None or bool(sys.flags.inspect)
+        or (monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+    )
+
+
+def entry() -> None:
+    """Run main() as a process, and end it once stdout and stderr are flushed.
+
+    A code other than an int or None, a failed flush (Python reports it and exits
+    120) or a watched process take the normal exit; any other exception propagates."""
+    try:
+        code = main()
+    except SystemExit as exc:  # --help, --version, usage errors
+        code = exc.code
+    if (code is None or isinstance(code, int)) and not _watched():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:  # reported again, and as always, by the normal exit
+            pass
+        else:
+            os._exit(code or 0)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -155,6 +156,50 @@ def test_oracle_and_version_requests_import_only_the_layers_they_run():
         assert res.stdout == expected, res.stderr
 
 
+# the same request ended by the normal exit, interpreter teardown included
+NORMAL_EXIT = [sys.executable, "-c", "import sys; from peakpoly.cli import main; sys.exit(main(sys.argv[1:]))"]
+# stdout to a pipe or a file is block-buffered, so the entry's own flush writes the output
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((["oracle", "--stat", stat, "--n", "6"], 0) for stat in cli.ORACLE_STATS),
+    (["verify", "--suite", "clt", "--nmax", "8"], 0),
+    (["poly", "--family", "R", "--n", "128"], 0),
+    (["triangle", "--family", "W", "--nmax", "12", "--format", "json"], 0),
+    (["--version"], 0), (["--help"], 0), (["oracle", "--help"], 0),
+    ([], 2), (["bogus"], 2), (["oracle", "--stat", "pk"], 2), (["verify", "--suite", "clt", "--nmax", "3"], 2),
+    (["oracle", "--stat", "pk", "--n", "11"], 3),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_process_entry_prints_what_the_normal_exit_prints(argv, code):
+    early, normal = (subprocess.run(head + argv, capture_output=True, env=BUFFERED, timeout=600)
+                     for head in (CLI, NORMAL_EXIT))
+    assert normal.returncode == code
+    assert (early.returncode, early.stdout, early.stderr) == (normal.returncode, normal.stdout, normal.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_entry_reports_a_failed_write_as_the_normal_exit_does():
+    argv = ["oracle", "--stat", "pk", "--n", "5"]
+    with open("/dev/full", "wb") as full:
+        early, normal = (subprocess.run(head + argv, stdout=full, stderr=subprocess.PIPE, env=BUFFERED, timeout=600)
+                         for head in (CLI, NORMAL_EXIT))
+    assert early.returncode == normal.returncode == 120
+    assert early.stderr == normal.stderr
+    assert b"No space left on device" in early.stderr
+
+
+def test_profiled_entry_ends_normally_so_the_profile_is_printed():
+    # cProfile prints its table after the request returns: sys.setprofile up to
+    # Python 3.11, a sys.monitoring tool from 3.12
+    res = subprocess.run([sys.executable, "-m", "cProfile", "-m", "peakpoly", "oracle", "--stat", "pk", "--n", "5"],
+                         capture_output=True, text=True, env=BUFFERED, timeout=600)
+    assert res.returncode == 0, res.stderr
+    counts, _, profile = res.stdout.partition("\n")
+    assert counts == "16,88,16"
+    assert "function calls" in profile and "Ordered by" in profile
+
+
 SAMPLE_ARGV = {
     "triangle": [["triangle", "--family", "W", "--nmax", "5", "--format", "json"], ["triangle", "--family", "R", "--nmax", "0"]],
     "poly": [["poly", "--family", "CT", "--n", "3", "--format", "csv"], ["poly", "--n", "-1", "--family", "P"]],
@@ -279,8 +324,6 @@ def test_verify_reports_are_deterministic():
 
 
 def test_jobs_env_variable_accepted(monkeypatch):
-    import os
-
     env = dict(os.environ, PEAKPOLY_JOBS="2")
     res = run("oracle", "--stat", "des", "--n", "5", env=env)
     assert res.returncode == 0
@@ -288,8 +331,6 @@ def test_jobs_env_variable_accepted(monkeypatch):
 
 
 def test_flag_overrides_jobs_env():
-    import os
-
     env = dict(os.environ, PEAKPOLY_JOBS="0")
     res = run("oracle", "--stat", "des", "--n", "4", "--jobs", "1", env=env)
     assert res.returncode == 0
