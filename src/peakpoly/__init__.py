@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # Each public name, with the module that defines it; a submodule maps to None.
 _FROM = {
-    **dict.fromkeys(("Poly", "NonzeroRemainder", "DivisionByZeroPoly", "ClearPowerTooSmall", "gcd_poly",
-                     "primitive_part"), "polynomial"),
+    **dict.fromkeys(("Poly", "NonzeroRemainder", "DivisionByZeroPoly", "gcd_poly", "primitive_part"), "polynomial"),
     **dict.fromkeys(("PermStats", "SignedStats", "StatDistribution", "NotAPermutation", "NotASignedPermutation",
                      "LimitExceeded", "perm_stats", "signed_stats", "distribution", "signed_distribution",
                      "count_alternating"), "permutations"),

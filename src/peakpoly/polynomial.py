@@ -38,10 +38,6 @@ class DivisionByZeroPoly(ZeroDivisionError):
     """Division by the zero polynomial."""
 
 
-class ClearPowerTooSmall(ValueError):
-    """Denominator-clearing exponent is smaller than the polynomial degree."""
-
-
 def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
     """den^d * f(num/den) for integer coefficients, by homogeneous Horner.
 
@@ -282,23 +278,18 @@ class Poly:
 
     # -- denominator-cleared substitution ------------------------------------
 
-    def subst_cleared(self, num: Poly, den: Poly, clear_power: int) -> Poly:
-        """den**clear_power * self(num/den), as an exact polynomial.
+    def subst_cleared(self, num: Poly, den: Poly) -> Poly:
+        """den**d * self(num/den) with d = deg self, as an exact polynomial.
 
-        Computes sum_k c_k * num**k * den**(clear_power - k).  The caller
-        supplies clear_power explicitly so that exponent bookkeeping between
-        identities stays visible; it must be at least the degree of self.
+        This is sum_k c_k * num**k * den**(d - k), computed by the homogeneous
+        Horner of evaluation at a rational point.  The zero polynomial gives
+        zero and a constant gives itself.
         """
-        if clear_power < self.degree:
-            raise ClearPowerTooSmall(
-                f"clear_power {clear_power} < degree {self.degree}"
-            )
         acc = Poly.zero()
-        num_pow = Poly.one()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + num_pow * den ** (clear_power - k) * c
-            num_pow = num_pow * num
+        den_pow = Poly.one()
+        for c in reversed(self.coeffs):
+            acc = acc * num + den_pow * c
+            den_pow = den_pow * den
         return acc
 
     # -- misc ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -278,6 +280,15 @@ def test_oracle_jobs_do_not_change_output():
     base = run("oracle", "--stat", "des", "--n", "6", "--jobs", "1")
     parallel = run("oracle", "--stat", "des", "--n", "6", "--jobs", "4")
     assert base.stdout == parallel.stdout
+
+
+def test_every_benchmark_request_prints_its_reference_output(capsys):
+    # The benchmark fails a request whose stdout digest is not the one stored
+    # for it; this sees such drift without running the benchmark.
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    for key, digest in reference.items():
+        assert cli.main(key.split()) == 0, key
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, key
 
 
 def test_verify_identities_suite():

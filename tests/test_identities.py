@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peakpoly import cli
 from peakpoly import families as F
@@ -10,6 +12,20 @@ from peakpoly import series as S
 from peakpoly.polynomial import Poly
 
 ONE_PLUS_X = Poly((1, 1))
+
+small_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=5).map(Poly)
+
+
+def _corrupt_row(monkeypatch, triangle, i, change):
+    """Rebind families.<triangle> so that entry i of what it returns, when
+    there is one, reads change(that row)."""
+    real = getattr(F, triangle)
+
+    def corrupted(nmax):
+        rows = real(nmax)
+        return rows[:i] + (tuple(change(rows[i])),) + rows[i + 1:] if len(rows) > i else rows
+
+    monkeypatch.setattr(F, triangle, corrupted)
 
 
 def test_row_interleave_reference_row():
@@ -23,13 +39,43 @@ def test_row_interleave_euler_corner():
     assert I.check_row_interleave(6) is None
 
 
-def test_row_interleave_detects_corruption():
-    good = list(F.tan_sec_triangle(5)[5])
-    good[2] += 1
-    witness = I.check_row_interleave(5, r_row=tuple(good))
+def test_row_interleave_detects_corruption(monkeypatch):
+    _corrupt_row(monkeypatch, "tan_sec_triangle", 5, lambda row: [v + (k == 2) for k, v in enumerate(row)])
+    witness = I.check_row_interleave(5)
     assert witness is not None
     assert witness.n == 5 and witness.index == 2
     assert witness.lhs == "59" and witness.rhs == "58"
+
+
+@given(small_polys, st.integers(min_value=0, max_value=3), small_polys, small_polys)
+def test_peak_transform_is_the_literal_sum(p, spare, a, b):
+    m = 2 * max(p.degree, 0) + spare
+    expected = sum((c * a**k * b ** (m - 2 * k) for k, c in enumerate(p.coeffs)), Poly.zero())
+    assert I._peak_transform(p, m, a, b) == expected
+
+
+W_CHECKS = {"row_interleave", "peak_to_derivative", "stembridge", "dilks_affine_gf"}
+WL_CHECKS = {"row_interleave", "peak_to_derivative", "petersen", "dilks_type_b_gf"}
+
+
+@pytest.mark.parametrize(
+    "triangle, change, failing, verdict",
+    [
+        ("peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, "fail"),
+        ("left_peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, "fail"),
+        ("peak_triangle", lambda row: [0] * len(row), W_CHECKS, "fail"),
+        # a row longer than its degree allows: the transform's power of b is negative
+        ("peak_triangle", lambda row: (*row, 1), W_CHECKS - {"row_interleave"}, "error"),
+    ],
+    ids=["W5_entry", "WL5_entry", "W5_zero", "W5_too_long"],
+)
+def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, triangle, change, failing, verdict):
+    _corrupt_row(monkeypatch, triangle, 4, change)  # index 0 of a peak triangle is row 1
+    flagged = [r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed]
+    assert {r.check_id for r in flagged} == failing
+    assert all(r.verdict == verdict and r.witness.n == 5 for r in flagged)
+    if verdict == "error":
+        assert all(r.witness.lhs == "ValueError" for r in flagged)
 
 
 def test_peak_to_derivative_hand_expansions():

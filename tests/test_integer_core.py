@@ -105,11 +105,9 @@ def test_poly_matches_fraction_reference(a, b, u, x):
 @given(int_lists, int_lists, st.integers(min_value=-50, max_value=50))
 def test_integral_inputs_stay_in_int(a, b, x):
     p, q = Poly(a), Poly(b)
-    outputs = [p + q, p - q, -p, p * q, p * 7, p**2, p.derivative(), p.compose(q)]
+    outputs = [p + q, p - q, -p, p * q, p * 7, p**2, p.derivative(), p.compose(q), p.subst_cleared(q, Poly((1, 1)))]
     if not q.is_zero():
         outputs.append((p * q).exact_div(q))
-    if not p.is_zero():
-        outputs.append(p.subst_cleared(q, Poly((1, 1)), int(p.degree)))
     for out in outputs:
         assert stored_as_ints(out)
     assert type(p(x)) is int

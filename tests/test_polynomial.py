@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from peakpoly.polynomial import (
-    ClearPowerTooSmall,
     DivisionByZeroPoly,
     NonzeroRemainder,
     Poly,
@@ -101,23 +100,18 @@ def test_division_by_zero_poly():
 def test_subst_cleared_peak_to_eulerian_shape():
     # hand expansion: 4(1+x)^2 + 2(4x) = 4 + 16x + 4x^2 = 4 (1 + 4x + x^2)
     p = Poly((4, 2))
-    out = p.subst_cleared(Poly((0, 4)), ONE_PLUS_X**2, 1)
+    out = p.subst_cleared(Poly((0, 4)), ONE_PLUS_X**2)
     assert out == Poly((4, 16, 4))
     assert out == 4 * Poly((1, 4, 1))
 
 
 def test_subst_cleared_identity_cases():
-    assert Poly.one().subst_cleared(Poly((0, 4)), ONE_PLUS_X, 0) == Poly.one()
-    assert Poly.x().subst_cleared(Poly((0, 0, 1)), Poly.one(), 1) == Poly((0, 0, 1))
-
-
-def test_subst_cleared_rejects_small_clear_power():
-    with pytest.raises(ClearPowerTooSmall):
-        Poly((1, 2, 3)).subst_cleared(Poly.x(), ONE_PLUS_X, 1)
+    assert Poly.one().subst_cleared(Poly((0, 4)), ONE_PLUS_X) == Poly.one()
+    assert Poly.x().subst_cleared(Poly((0, 0, 1)), Poly.one()) == Poly((0, 0, 1))
 
 
 def test_subst_cleared_zero_polynomial():
-    assert Poly.zero().subst_cleared(Poly.x(), ONE_PLUS_X, 0) == Poly.zero()
+    assert Poly.zero().subst_cleared(Poly.x(), ONE_PLUS_X) == Poly.zero()
 
 
 @given(small_polys, small_polys, small_polys)
@@ -164,11 +158,21 @@ def test_exact_div_roundtrip_500_random_pairs():
 
 @given(small_polys, st.lists(integers, min_size=1, max_size=4).map(Poly))
 def test_subst_cleared_with_unit_denominator_is_composition(p, q):
-    if p.is_zero():
-        clear = 0
-    else:
-        clear = int(p.degree)
-    assert p.subst_cleared(q, Poly.one(), clear) == p.compose(q)
+    assert p.subst_cleared(q, Poly.one()) == p.compose(q)
+
+
+# nonconstant denominators: a nonzero coefficient on top of up to three others
+nonunit_polys = st.tuples(st.lists(integers, min_size=1, max_size=3), integers.filter(bool)).map(
+    lambda t: Poly(t[0] + [t[1]])
+)
+
+
+@given(small_polys, small_polys, nonunit_polys)
+def test_subst_cleared_is_the_literal_sum_over_a_nonunit_denominator(p, num, den):
+    # den^d p(num/den) = sum_k c_k num^k den^(d-k), d = deg p, term by term
+    d = max(p.degree, 0)
+    expected = sum((c * num**k * den ** (d - k) for k, c in enumerate(p.coeffs)), Poly.zero())
+    assert p.subst_cleared(num, den) == expected
 
 
 def test_compose_example():
