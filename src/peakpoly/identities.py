@@ -3,13 +3,15 @@
 Each check compares two independently computed sides in exact arithmetic and
 returns a CheckResult; a failure carries a witness with the smallest n and
 coefficient index where the sides disagree, with both exact values, so it can
-be re-evaluated by hand.  CHECKS lists every check once, with its suite, its
-range and the routes it reads; a suite is a filter over it, and `run` runs
-one.  RANGES lists the range knobs once.  Failures are data, not exceptions:
-`run` catches what lower layers raise inside the range.  A violation (see
-VIOLATIONS) is a fail; any other exception is an error, since the code broke
-and no counterexample was found.  Either witness has index -1 and names the
-exception.
+be re-evaluated by hand.  The comparisons live here; the layers below only
+compute.  CHECKS lists every check once, with its suite, its range and the
+routes it reads; a check that only compares family routes reads them through
+series.FAMILIES, so a route rebound in that table is the one it compares.  A
+suite is a filter over CHECKS, and `run` runs one.  RANGES lists the range
+knobs once.  Failures are data, not exceptions: `run` catches what lower
+layers raise inside the range.  A violation (see VIOLATIONS) is a fail; any
+other exception is an error, since the code broke and no counterexample was
+found.  Either witness has index -1 and names the exception.
 """
 
 from __future__ import annotations
@@ -58,47 +60,32 @@ VIOLATIONS = (
     families.NonpositiveCoefficient,
     roots.StructureViolation,
     roots.InterlacingViolation,
-    roots.ClosedFormViolation,
     series.ToleranceExceeded,
 )
 
 
-def _raised(check_id: str, n_range: tuple[int, int], n: int, exc: Exception) -> CheckResult:
-    verdict = "fail" if isinstance(exc, VIOLATIONS) else "error"
-    return CheckResult(check_id, n_range, verdict, Witness(n, -1, type(exc).__name__, str(exc)))
-
-
-def _aggregate(check_id: str, lo: int, hi: int, fn: Callable[[int], Witness | None]) -> CheckResult:
-    """Run a per-n witness function over lo..hi; the first fail or error wins."""
-    for n in range(lo, hi + 1):
+def _aggregate(check_id: str, n_range: tuple[int, int], ns: Sequence[int],
+               fn: Callable[[int], Witness | None]) -> CheckResult:
+    """Run a per-n witness function over ns; the first fail or error wins."""
+    for n in ns:
         try:
             witness = fn(n)
         except Exception as exc:  # reported, not raised
-            return _raised(check_id, (lo, hi), n, exc)
+            verdict = "fail" if isinstance(exc, VIOLATIONS) else "error"
+            return CheckResult(check_id, n_range, verdict, Witness(n, -1, type(exc).__name__, str(exc)))
         if witness is not None:
-            return CheckResult(check_id, (lo, hi), "fail", witness)
-    return CheckResult(check_id, (lo, hi), "pass")
-
-
-def _single(check_id: str, n_range: tuple[int, int], fn: Callable[[], Witness | None]) -> CheckResult:
-    """Run one check whose reported range is not an iteration range."""
-    try:
-        witness = fn()
-    except Exception as exc:
-        return _raised(check_id, n_range, n_range[0], exc)
-    return CheckResult(check_id, n_range, "fail" if witness else "pass", witness)
+            return CheckResult(check_id, n_range, "fail", witness)
+    return CheckResult(check_id, n_range, "pass")
 
 
 # ---------------------------------------------------------------------------
 # row-level identities
 # ---------------------------------------------------------------------------
 
-def interleave_rows(w_row: Sequence[int], wl_row: Sequence[int], n: int) -> tuple[int, ...]:
-    """Row n of the combined triangle: odd entries from the interior-peak row,
-    even entries from the left-peak row."""
-    return tuple(
-        w_row[(k - 1) // 2] if k % 2 else wl_row[k // 2] for k in range(n + 1)
-    )
+def interleave_rows(w_row: Sequence[int], wl_row: Sequence[int]) -> tuple[int, ...]:
+    """The combined row: even entries from the left-peak row, odd entries
+    from the interior-peak row, every entry of both kept."""
+    return tuple(v for pair in itertools.zip_longest(wl_row, w_row) for v in pair if v is not None)
 
 
 def check_row_interleave(n: int) -> Witness | None:
@@ -108,7 +95,7 @@ def check_row_interleave(n: int) -> Witness | None:
     r_row = families.tan_sec_triangle(n)[n]
     w_row = families.peak_triangle(n)[n - 1]
     wl_row = families.left_peak_triangle(n)[n - 1]
-    expected = interleave_rows(w_row, wl_row, n)
+    expected = interleave_rows(w_row, wl_row)
     witness = first_difference(n, tuple(r_row), expected)
     if witness is not None:
         return witness
@@ -200,27 +187,16 @@ def check_bell_x1(n: int) -> Witness | None:
     total, expected = families.factorial_bell_sum(n), math.factorial(n + 1)
     return None if total == expected else Witness(n, 0, str(total), str(expected))
 
-def check_oracle_descent(n: int) -> Witness | None:
-    counts = families.cached_distribution(n, "des").counts
-    return first_difference(n, counts, families.eulerian_poly(n).coeffs)
 
-
-def check_oracle_peaks(n: int) -> Witness | None:
-    counts = families.cached_distribution(n, "pk").counts
-    witness = first_difference(n, counts, families.peak_triangle(n)[n - 1])
-    if witness is not None:
-        return witness
-    counts = families.cached_distribution(n, "lpk").counts
-    return first_difference(n, counts, families.left_peak_triangle(n)[n - 1])
-
-
-def check_oracle_signed(n: int) -> Witness | None:
-    counts = families.cached_signed_distribution(n, "des_b").as_poly()
-    witness = first_difference(n, counts, series.FAMILIES["C"].routes["gf"](n))
-    if witness is not None:
-        return witness
-    counts = families.cached_signed_distribution(n, "ades").as_poly()
-    return first_difference(n, counts, series.FAMILIES["CT"].routes["gf"](n))
+def check_routes_agree(n: int, *reads: str) -> Witness | None:
+    """Each pair of "F.route" names in reads, read through series.FAMILIES,
+    agrees at n; the witness of the first pair that does not."""
+    for pair in zip(reads[::2], reads[1::2]):
+        sides = (series.FAMILIES[family].routes[route](n) for family, route in (name.split(".") for name in pair))
+        witness = first_difference(n, *sides)
+        if witness is not None:
+            return witness
+    return None
 
 
 def check_oracle_alternating(n: int) -> Witness | None:
@@ -295,14 +271,16 @@ def check_mode_bracket(n: int) -> Witness | None:
 
 
 def check_clt_moments(n: int) -> Witness | None:
-    """The mean (2n-1)/3 and variance (8n+8)/45 of R_n's coefficients; the
-    closed forms of R_n(1), R_n'(1) and R_n''(1) are clt_stats's own."""
+    """The closed forms of R_n's coefficient distribution: total R_n(1) = 2 n!,
+    mean (2n-1)/3 and variance (8n+8)/45."""
     stats = roots.clt_stats(n)
-    mu, sigma2 = Fraction(2 * n - 1, 3), Fraction(8 * n + 8, 45)
-    if stats.mu != mu:
-        return Witness(n, 3, str(stats.mu), str(mu))
-    if stats.sigma2 != sigma2:
-        return Witness(n, 4, str(stats.sigma2), str(sigma2))
+    for index, value, closed in (
+        (0, stats.value_at_1, 2 * math.factorial(n)),
+        (3, stats.mu, Fraction(2 * n - 1, 3)),
+        (4, stats.sigma2, Fraction(8 * n + 8, 45)),
+    ):
+        if value != closed:
+            return Witness(n, index, str(value), str(closed))
     return None
 
 
@@ -365,14 +343,18 @@ ROUTES = frozenset({
     "sturm", "darroch", "clt.closed_form",
 })
 
+
+def _agree(check_id: str, knob: str, *reads: str) -> Check:
+    """An oracle row whose check is that each pair of routes it reads agrees."""
+    return Check(check_id, "oracle", knob, 1, "check_routes_agree", reads, args=reads)
+
+
 # Every check, in report order.  The Dilks checks read the enumeration up to
 # signed_nmax and the GF solve past it; gf_P and gf_R both read R's EGF.
 CHECKS = (
-    Check("oracle_descent_eulerian", "oracle", "oracle_nmax", 1, "check_oracle_descent", ("A.oracle", "A.recurrence")),
-    Check("oracle_peak_rows", "oracle", "oracle_nmax", 1, "check_oracle_peaks",
-          ("W.oracle", "W.triangle", "WL.oracle", "WL.triangle")),
-    Check("oracle_signed_rows", "oracle", "signed_nmax", 1, "check_oracle_signed",
-          ("C.oracle", "C.gf", "CT.oracle", "CT.gf")),
+    _agree("oracle_descent_eulerian", "oracle_nmax", "A.oracle", "A.recurrence"),
+    _agree("oracle_peak_rows", "oracle_nmax", "W.oracle", "W.triangle", "WL.oracle", "WL.triangle"),
+    _agree("oracle_signed_rows", "signed_nmax", "C.oracle", "C.gf", "CT.oracle", "CT.gf"),
     Check("oracle_alternating", "oracle", "oracle_nmax", 1, "check_oracle_alternating", ("oracle.alt", "euler")),
     Check("oracle_no_internal_zeros", "oracle", "oracle_nmax", 1, "check_oracle_internal_zeros",
           ("W.oracle", "WL.oracle", "A.oracle")),
@@ -436,12 +418,11 @@ def run(suite: str = "all", **ranges: int) -> list[CheckResult]:
         def fn(n: int, check: Check = check) -> Witness | None:
             return globals()[check.fn](n, *check.args)
 
-        if check.unit == "order":
-            results.append(_single(check.check_id, (lo, hi), lambda: fn(hi)))
-        elif check.unit == "n":
-            results += [_aggregate(check.check_id, n, n, fn) for n in range(lo, hi + 1)]
+        if check.unit == "n":
+            results += [_aggregate(check.check_id, (n, n), (n,), fn) for n in range(lo, hi + 1)]
         else:
-            results.append(_aggregate(check.check_id, lo, hi, fn))
+            ns = (hi,) if check.unit == "order" else range(lo, hi + 1)
+            results.append(_aggregate(check.check_id, (lo, hi), ns, fn))
     return results
 
 

@@ -88,10 +88,6 @@ class TruncSeries:
         return f"{self.__class__.__name__}(order={self.order!r}, coeffs={self.coeffs!r})"
 
     @classmethod
-    def zero(cls, order: int) -> TruncSeries:
-        return cls(order, (Poly.zero(),) * (order + 1))
-
-    @classmethod
     def const(cls, p: Poly | int, order: int) -> TruncSeries:
         p = p if isinstance(p, Poly) else Poly.constant(p)
         return cls(order, (p,) + (Poly.zero(),) * order)

@@ -54,7 +54,7 @@ def test_criterion_02_triple_agreement():
         assert tuple(int(c) for c in F.tan_sec_poly(n).coeffs) == row
         pk = F.cached_distribution(n, "pk").counts
         lpk = F.cached_distribution(n, "lpk").counts
-        assert I.interleave_rows(pk, lpk, n) == row
+        assert I.interleave_rows(pk, lpk) == row
     for n in range(1, 8):
         assert I.check_dilks_affine(n, source="oracle") is None
         assert I.check_dilks_type_b(n, source="oracle") is None

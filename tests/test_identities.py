@@ -30,7 +30,7 @@ def _corrupt_row(monkeypatch, triangle, i, change):
 
 def test_row_interleave_reference_row():
     # row 4 merges the two peak rows: odd slots [8, 16], even slots [1, 18, 5]
-    assert I.interleave_rows((8, 16), (1, 18, 5), 4) == (1, 8, 18, 16, 5)
+    assert I.interleave_rows((8, 16), (1, 18, 5)) == (1, 8, 18, 16, 5)
     assert I.check_row_interleave(4) is None
 
 
@@ -64,18 +64,33 @@ WL_CHECKS = {"row_interleave", "peak_to_derivative", "petersen", "dilks_type_b_g
         ("peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, "fail"),
         ("left_peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, "fail"),
         ("peak_triangle", lambda row: [0] * len(row), W_CHECKS, "fail"),
-        # a row longer than its degree allows: the transform's power of b is negative
-        ("peak_triangle", lambda row: (*row, 1), W_CHECKS - {"row_interleave"}, "error"),
+        # a row longer than its degree allows: the transform's power of b is
+        # negative, and the interleaved row has an entry R_5 lacks
+        ("peak_triangle", lambda row: (*row, 1), W_CHECKS, "error"),
     ],
     ids=["W5_entry", "WL5_entry", "W5_zero", "W5_too_long"],
 )
 def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, triangle, change, failing, verdict):
     _corrupt_row(monkeypatch, triangle, 4, change)  # index 0 of a peak triangle is row 1
-    flagged = [r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed]
-    assert {r.check_id for r in flagged} == failing
-    assert all(r.verdict == verdict and r.witness.n == 5 for r in flagged)
+    flagged = {r.check_id: r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed}
+    assert set(flagged) == failing
     if verdict == "error":
-        assert all(r.witness.lhs == "ValueError" for r in flagged)
+        interleave = flagged.pop("row_interleave")
+        assert (interleave.verdict, interleave.witness) == ("fail", I.Witness(5, 6, "None", "1"))
+        assert all(r.witness.lhs == "ValueError" for r in flagged.values())
+    assert all(r.verdict == verdict and r.witness.n == 5 for r in flagged.values())
+
+
+AGREEMENTS = [(check.check_id, name) for check in I.CHECKS if check.fn == "check_routes_agree" for name in check.reads]
+
+
+@pytest.mark.parametrize("row, name", AGREEMENTS, ids=[name for _, name in AGREEMENTS])
+def test_each_route_an_agreement_row_reads_can_fail_it(monkeypatch, row, name):
+    family, route = name.split(".")
+    real = S.FAMILIES[family].routes[route]
+    monkeypatch.setitem(S.FAMILIES[family].routes, route, lambda n: real(n) + 1 if n == 4 else real(n))
+    flagged = [r for r in I.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
+    assert [(r.check_id, r.verdict, r.witness.n) for r in flagged] == [(row, "fail", 4)]
 
 
 def test_peak_to_derivative_hand_expansions():
@@ -235,6 +250,7 @@ def test_check_ids_are_unique_and_every_suite_has_checks():
     for check in I.CHECKS:
         assert check.knob in knobs | {None} and check.unit in ("range", "order", "n"), check
         assert callable(getattr(I, check.fn)), check
+    assert {name for name in dir(I) if name.startswith("check_")} <= {check.fn for check in I.CHECKS}
 
 
 def test_all_is_the_suites_in_table_order():
@@ -296,21 +312,23 @@ def test_aggregate_reports_smallest_failing_n():
             return I.Witness(n, 0, "bad", "good")
         return None
 
-    result = I._aggregate("demo", 1, 9, flaky)
+    result = I._aggregate("demo", (1, 9), range(1, 10), flaky)
     assert result.verdict == "fail"
     assert result.witness.n == 4
     assert calls == [1, 2, 3, 4]
 
 
-def test_aggregate_turns_exceptions_into_errors():
+def test_aggregate_turns_exceptions_into_errors(monkeypatch):
     def boom(n):
         raise ValueError("injected")
 
-    result = I._aggregate("demo", 2, 5, boom)
+    result = I._aggregate("demo", (2, 5), range(2, 6), boom)
     assert result.verdict == "error"
     assert result.witness == I.Witness(2, -1, "ValueError", "injected")
-    single = I._single("demo", (0, 8), lambda: boom(0))
-    assert (single.verdict, single.witness) == ("error", I.Witness(0, -1, "ValueError", "injected"))
+    # an order check runs at its hi alone, and an exception is reported there
+    monkeypatch.setattr(I, "check_t_vs_eulerian", boom)
+    [single] = [r for r in I.run("gf", gf_order=8) if r.check_id == "t_vs_eulerian"]
+    assert single == I.CheckResult("t_vs_eulerian", (0, 8), "error", I.Witness(8, -1, "ValueError", "injected"))
 
     def violated(n):
         if n == 3:
@@ -318,7 +336,7 @@ def test_aggregate_turns_exceptions_into_errors():
         return None
 
     # a violation raised by a lower layer is a counterexample, not an error
-    result = I._aggregate("demo", 2, 5, violated)
+    result = I._aggregate("demo", (2, 5), range(2, 6), violated)
     assert result.verdict == "fail"
     assert result.witness == I.Witness(3, -1, "StructureViolation", "multiplicity: n=3")
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakpoly import families as F
+from peakpoly import identities as I
 from peakpoly.polynomial import Poly
 from peakpoly.roots import (
-    ClosedFormViolation,
     EndpointIsRoot,
     InterlacingViolation,
     NonSquarefreeInput,
@@ -266,17 +266,26 @@ def test_structure_violation_on_corrupted_polynomial(monkeypatch):
         certify_root_structure(3)
 
 
-def test_clt_stats_rejects_corrupted_polynomial(monkeypatch):
-    # R_5 with its x^2 coefficient raised by one: R(1) is no longer 2 n!
-    good = F.tan_sec_poly(5)
-    corrupt = good + Poly.monomial(1, 2)
-    monkeypatch.setattr(F, "tan_sec_poly", lambda n: corrupt)
-    with pytest.raises(ClosedFormViolation):
-        clt_stats(5)
-    # the same polynomial rebalanced so R(1) holds and R'(1) fails
-    monkeypatch.setattr(F, "tan_sec_poly", lambda n: corrupt - Poly.monomial(1, 1))
-    with pytest.raises(ClosedFormViolation):
-        clt_stats(5)
+@pytest.mark.parametrize(
+    "change, witness",
+    [
+        # the x^2 coefficient raised by one: R(1) is no longer 2 n!
+        (Poly.monomial(1, 2), (5, 0, "241", "240")),
+        # rebalanced so R(1) holds and R'(1), so the mean, fails
+        (Poly.monomial(1, 2) - Poly.monomial(1, 1), (5, 3, "721/240", "3")),
+        # (x - 1)^2 keeps R(1) and R'(1): only R''(1), so the variance, fails
+        (Poly((1, -1)) ** 2, (5, 4, "43/40", "16/15")),
+    ],
+    ids=["total", "mean", "variance"],
+)
+def test_clt_moments_sees_each_corrupted_closed_form(monkeypatch, change, witness):
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: real(n) + change if n == 5 else real(n))
+    assert I.run("clt", clt_nmax=6) == [
+        I.CheckResult("clt_moments", (4, 4), "pass"),
+        I.CheckResult("clt_moments", (5, 5), "fail", I.Witness(*witness)),
+        I.CheckResult("clt_moments", (6, 6), "pass"),
+    ]
 
 
 def test_clt_stats_reference_values():
