@@ -18,10 +18,10 @@ route below computes them in integer arithmetic:
   numbers of the second kind
 
 Every family has at least two independent computation routes (recurrence,
-series solve, or brute-force enumeration); the test-suite and the identity
-suite cross-check them against each other, so no single recurrence is ever
-trusted on its own.  The routes of each family are listed in the family
-table, series.FAMILIES.
+series solve, brute-force enumeration, or one of the paper's identities
+applied to another family); the test-suite and the identity suite
+cross-check them, so no single recurrence is ever trusted on its own.
+The routes of each family are listed in the family table, series.FAMILIES.
 
 Each recurrence family, each table of order-k tangent/secant numbers, and
 the partial Bell rows at each of the three argument sequences the identities
@@ -351,6 +351,54 @@ def signed_interleave_poly(n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# the paper's identities as routes: peak rows to P, Q, C and Ct, A to C
+# ---------------------------------------------------------------------------
+
+FOUR_X = Poly((0, 4))
+ONE_MINUS_X = Poly((1, -1))
+
+
+class RowTooLong(ArithmeticError):
+    """A peak row has an entry past the degree its transform allows."""
+
+
+def peak_transform(p: Poly, m: int, a: Poly, b: Poly) -> Poly:
+    """sum_k p_k a^k b^(m-2k), the one transform of a peak row p: x = a/b^2
+    cleared at the degree of p, times the powers of b that m leaves over."""
+    if 2 * p.degree > m:
+        raise RowTooLong(f"row of degree {p.degree} under b^{m}")
+    return p.subst_cleared(a, b * b) * b ** (m - 2 * max(p.degree, 0))
+
+
+def tangent_poly_from_peaks(n: int) -> Poly:
+    """P_n(y) = (1+y^2) sum_k W[n][k] y^(n-1-2k) (1+y^2)^k; P_0 = y."""
+    return ONE_PLUS_U2 * peak_transform(peak_poly(n), n - 1, ONE_PLUS_U2, X) if n else X
+
+
+def secant_poly_from_peaks(n: int) -> Poly:
+    """Q_n(y) = sum_k Wl[n][k] y^(n-2k) (1+y^2)^k; Q_0 = 1."""
+    return peak_transform(left_peak_poly(n), n, ONE_PLUS_U2, X) if n else Poly.one()
+
+
+def type_b_poly_from_peaks(n: int) -> Poly:
+    """C_n = sum_k Wl[n][k] (4x)^k (1+x)^(n-2k) (Dilks, Petersen, Stembridge)."""
+    return peak_transform(left_peak_poly(n), n, FOUR_X, ONE_PLUS_X)
+
+
+def affine_poly_from_peaks(n: int) -> Poly:
+    """Ct_n = 2x sum_k W[n][k] (4x)^k (1+x)^(n-1-2k) (Dilks, Petersen, Stembridge)."""
+    return 2 * X * peak_transform(peak_poly(n), n - 1, FOUR_X, ONE_PLUS_X)
+
+
+def type_b_poly_from_eulerian(n: int) -> Poly:
+    """C_n = (1-x)^n + sum_i C(n,i) (1-x)^(n-i) 2^i x A_i (Petersen), by Horner in 1-x."""
+    c = Poly.one()
+    for i in range(1, n + 1):
+        c = c * ONE_MINUS_X + math.comb(n, i) * 2**i * X * eulerian_poly(i)
+    return c
+
+
+# ---------------------------------------------------------------------------
 # tangent and secant numbers of order k
 # ---------------------------------------------------------------------------
 
@@ -510,11 +558,6 @@ def factorial_bell_sum(n: int) -> int:
         raise ValueError("n must be >= 0")
     row = _FACTORIAL_BELL_ROWS.upto(n)[n]
     return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(1, n + 1))
-
-
-def factorial_bell_identity(n: int) -> bool:
-    """True iff (n+1)! == sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...)."""
-    return factorial_bell_sum(n) == math.factorial(n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ Each check compares two independently computed sides in exact arithmetic and
 returns a CheckResult; a failure carries a witness with the smallest n and
 coefficient index where the sides disagree, with both exact values, so it can
 be re-evaluated by hand.  The comparisons live here; the layers below only
-compute.  CHECKS lists every check once, with its suite, its range and the
-routes it reads; a check that only compares family routes reads them through
-series.FAMILIES, so a route rebound in that table is the one it compares.  A
-suite is a filter over CHECKS, and `run` runs one.  RANGES lists the range
-knobs once.  Failures are data, not exceptions: `run` catches what lower
-layers raise inside the range.  A violation (see VIOLATIONS) is a fail; any
-other exception is an error, since the code broke and no counterexample was
-found.  Either witness has index -1 and names the exception.
+compute, and an identity that builds one family from another is a route of
+series.FAMILIES, checked by an agreement row.  CHECKS lists every check once,
+with its suite, its range and the routes it reads; a check that reads family
+routes by name reads them through series.FAMILIES, so a route rebound in that
+table is the one it compares.  A suite is a filter over CHECKS, and `run` runs
+one.  RANGES lists the range knobs once.  Failures are data, not exceptions:
+`run` catches what lower layers raise inside the range.  A violation (see
+VIOLATIONS) is a fail; any other exception is an error, since the code broke
+and no counterexample was found.  Either witness has index -1 and names the
+exception.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import families, permutations, roots, series
-from .polynomial import Poly
 from .series import Witness, first_difference
-
-
-FOUR_X = Poly((0, 4))
-ONE_PLUS_X = Poly((1, 1))
-ONE_MINUS_X = Poly((1, -1))
 
 
 class CheckResult(NamedTuple):
@@ -58,6 +54,7 @@ class CheckResult(NamedTuple):
 # the code broke, an error verdict.
 VIOLATIONS = (
     families.NonpositiveCoefficient,
+    families.RowTooLong,
     roots.StructureViolation,
     roots.InterlacingViolation,
     series.ToleranceExceeded,
@@ -118,56 +115,11 @@ def check_row_interleave(n: int) -> Witness | None:
     return None
 
 
-def _peak_transform(p: Poly, m: int, a: Poly, b: Poly) -> Poly:
-    """sum_k p_k a^k b^(m-2k), the one transform of a peak row p: the
-    substitution x = a/b^2 cleared at the degree of p, times the powers of b
-    that m leaves over.  ValueError if m < 2 deg p."""
-    return p.subst_cleared(a, b * b) * b ** (m - 2 * max(p.degree, 0))
-
-
-def check_peak_to_derivative(n: int) -> Witness | None:
-    """The derivative polynomials expand over the peak rows:
-    P_n(y) = sum_k W[n][k] y^(n-2k-1) (1+y^2)^(k+1) and
-    Q_n(y) = sum_k Wl[n][k] y^(n-2k) (1+y^2)^k."""
-    one_plus_y2 = Poly((1, 0, 1))
-    p_n, q_n = families.derivative_polys(n)
-    lhs_p = one_plus_y2 * _peak_transform(families.peak_poly(n), n - 1, one_plus_y2, Poly.x())
-    witness = first_difference(n, lhs_p, p_n[n])
-    if witness is not None:
-        return witness
-    return first_difference(n, _peak_transform(families.left_peak_poly(n), n, one_plus_y2, Poly.x()), q_n[n])
-
-
 def check_stembridge(n: int) -> Witness | None:
     """Stembridge's identity, denominator-cleared:
     sum_k W[n][k] (4x)^k (1+x)^(n-1-2k) = 2^(n-1) A_n(x)."""
-    lhs = _peak_transform(families.peak_poly(n), n - 1, FOUR_X, ONE_PLUS_X)
+    lhs = families.peak_transform(families.peak_poly(n), n - 1, families.FOUR_X, families.ONE_PLUS_X)
     return first_difference(n, lhs, 2 ** (n - 1) * families.eulerian_poly(n))
-
-
-def check_petersen(n: int) -> Witness | None:
-    """Petersen's identity, denominator-cleared: the left-peak transform
-    equals (1-x)^n + sum_i C(n,i) (1-x)^(n-i) 2^i x A_i(x), built by Horner
-    in (1-x)."""
-    rhs = Poly.one()
-    for i in range(1, n + 1):
-        rhs = rhs * ONE_MINUS_X + math.comb(n, i) * 2**i * Poly.x() * families.eulerian_poly(i)
-    return first_difference(n, _peak_transform(families.left_peak_poly(n), n, FOUR_X, ONE_PLUS_X), rhs)
-
-
-def check_dilks_affine(n: int, source: str = "oracle") -> Witness | None:
-    """2x times the interior-peak transform equals the affine Eulerian
-    polynomial Ct_n, taken from its "oracle" or "gf" route."""
-    ct = series.FAMILIES["CT"].routes[source](n)
-    lhs = Poly((0, 2)) * _peak_transform(families.peak_poly(n), n - 1, FOUR_X, ONE_PLUS_X)
-    return first_difference(n, lhs, ct)
-
-
-def check_dilks_type_b(n: int, source: str = "oracle") -> Witness | None:
-    """The left-peak transform equals the type-B Eulerian polynomial C_n,
-    taken from its "oracle" or "gf" route."""
-    c = series.FAMILIES["C"].routes[source](n)
-    return first_difference(n, _peak_transform(families.left_peak_poly(n), n, FOUR_X, ONE_PLUS_X), c)
 
 
 def check_bell_expansion(n: int) -> Witness | None:
@@ -188,15 +140,17 @@ def check_bell_x1(n: int) -> Witness | None:
     return None if total == expected else Witness(n, 0, str(total), str(expected))
 
 
+def _route(name: str, n: int):
+    """family_n by the route "F.route", read through series.FAMILIES."""
+    family, route = name.split(".")
+    return series.FAMILIES[family].routes[route](n)
+
+
 def check_routes_agree(n: int, *reads: str) -> Witness | None:
-    """Each pair of "F.route" names in reads, read through series.FAMILIES,
-    agrees at n; the witness of the first pair that does not."""
-    for pair in zip(reads[::2], reads[1::2]):
-        sides = (series.FAMILIES[family].routes[route](n) for family, route in (name.split(".") for name in pair))
-        witness = first_difference(n, *sides)
-        if witness is not None:
-            return witness
-    return None
+    """Each pair of "F.route" names in reads agrees at n; the witness of the
+    first pair that does not."""
+    witnesses = (first_difference(n, _route(lhs, n), _route(rhs, n)) for lhs, rhs in zip(reads[::2], reads[1::2]))
+    return next((witness for witness in witnesses if witness is not None), None)
 
 
 def check_oracle_alternating(n: int) -> Witness | None:
@@ -210,12 +164,9 @@ def check_oracle_alternating(n: int) -> Witness | None:
     return None
 
 
-def check_oracle_internal_zeros(n: int) -> Witness | None:
-    for stat in ("pk", "lpk", "des"):
-        counts = families.cached_distribution(n, stat).counts
-        if permutations.has_internal_zeros(counts):
-            return Witness(n, 0, stat, "internal zero")
-    return None
+def check_oracle_internal_zeros(n: int, *reads: str) -> Witness | None:
+    name = next((name for name in reads if permutations.has_internal_zeros(_route(name, n).coeffs)), None)
+    return None if name is None else Witness(n, 0, name, "internal zero")
 
 
 def check_oracle_by_definition(n: int) -> Witness | None:
@@ -344,34 +295,31 @@ ROUTES = frozenset({
 })
 
 
-def _agree(check_id: str, knob: str, *reads: str) -> Check:
-    """An oracle row whose check is that each pair of routes it reads agrees."""
-    return Check(check_id, "oracle", knob, 1, "check_routes_agree", reads, args=reads)
+def _agree(check_id: str, suite: str, knob: str, lo: int | str, *reads: str) -> Check:
+    """A row whose check is that each pair of routes it reads agrees."""
+    return Check(check_id, suite, knob, lo, "check_routes_agree", reads, args=reads)
 
 
 # Every check, in report order.  The Dilks checks read the enumeration up to
 # signed_nmax and the GF solve past it; gf_P and gf_R both read R's EGF.
 CHECKS = (
-    _agree("oracle_descent_eulerian", "oracle_nmax", "A.oracle", "A.recurrence"),
-    _agree("oracle_peak_rows", "oracle_nmax", "W.oracle", "W.triangle", "WL.oracle", "WL.triangle"),
-    _agree("oracle_signed_rows", "signed_nmax", "C.oracle", "C.gf", "CT.oracle", "CT.gf"),
+    _agree("oracle_descent_eulerian", "oracle", "oracle_nmax", 1, "A.oracle", "A.recurrence"),
+    _agree("oracle_peak_rows", "oracle", "oracle_nmax", 1, "W.oracle", "W.triangle", "WL.oracle", "WL.triangle"),
+    _agree("oracle_signed_rows", "oracle", "signed_nmax", 1, "C.oracle", "C.gf", "CT.oracle", "CT.gf"),
     Check("oracle_alternating", "oracle", "oracle_nmax", 1, "check_oracle_alternating", ("oracle.alt", "euler")),
     Check("oracle_no_internal_zeros", "oracle", "oracle_nmax", 1, "check_oracle_internal_zeros",
-          ("W.oracle", "WL.oracle", "A.oracle")),
+          ("W.oracle", "WL.oracle", "A.oracle"), args=("W.oracle", "WL.oracle", "A.oracle")),
     Check("oracle_shard_determinism", "oracle", None, 6, "check_oracle_by_definition",
           ("oracle.des", "oracle.ades", "oracle.by_definition"), top=6),
     Check("row_interleave", "identities", "nmax_exact", 1, "check_row_interleave",
           ("R.triangle", "R.recurrence", "W.triangle", "WL.triangle", "euler")),
-    Check("peak_to_derivative", "identities", "nmax_exact", 1, "check_peak_to_derivative",
-          ("P.recurrence", "Q.recurrence", "W.triangle", "WL.triangle")),
+    _agree("peak_to_derivative", "identities", "nmax_exact", 1, "P.peaks", "P.recurrence", "Q.peaks", "Q.recurrence"),
     Check("stembridge", "identities", "nmax_exact", 1, "check_stembridge", ("W.triangle", "A.recurrence")),
-    Check("petersen", "identities", "nmax_exact", 1, "check_petersen", ("WL.triangle", "A.recurrence")),
-    Check("dilks_affine_oracle", "identities", "signed_nmax", 1, "check_dilks_affine", ("W.triangle", "CT.oracle")),
-    Check("dilks_type_b_oracle", "identities", "signed_nmax", 1, "check_dilks_type_b", ("WL.triangle", "C.oracle")),
-    Check("dilks_affine_gf", "identities", "nmax_exact", "signed_nmax", "check_dilks_affine", ("W.triangle", "CT.gf"),
-          args=("gf",)),
-    Check("dilks_type_b_gf", "identities", "nmax_exact", "signed_nmax", "check_dilks_type_b", ("WL.triangle", "C.gf"),
-          args=("gf",)),
+    _agree("petersen", "identities", "nmax_exact", 1, "C.peaks", "C.petersen"),
+    _agree("dilks_affine_oracle", "identities", "signed_nmax", 1, "CT.peaks", "CT.oracle"),
+    _agree("dilks_type_b_oracle", "identities", "signed_nmax", 1, "C.peaks", "C.oracle"),
+    _agree("dilks_affine_gf", "identities", "nmax_exact", "signed_nmax", "CT.peaks", "CT.gf"),
+    _agree("dilks_type_b_gf", "identities", "nmax_exact", "signed_nmax", "C.peaks", "C.gf"),
     Check("bell_expansion", "identities", "nmax_exact", 1, "check_bell_expansion", ("bell.peak_rows", "R.recurrence")),
     Check("bell_stirling_x0", "identities", "nmax_exact", 1, "check_bell_x0", ("bell.stirling_rows",)),
     Check("bell_factorial_x1", "identities", "nmax_exact", 1, "check_bell_x1", ("bell.factorial_rows",)),

@@ -207,7 +207,8 @@ class Family(NamedTuple):
 
     `routes` maps a route name to an independent computation n -> family_n;
     the routes of a family share only the generic arithmetic (Poly,
-    hurwitz_mul, solve_series).  The first route is the package's own: the
+    hurwitz_mul, solve_series), and one may be an identity of the paper
+    applied to another family.  The first route is the package's own: the
     one `peakpoly poly` prints and engine_series assembles, a recurrence at
     every n up to the cap.  An "oracle" route raises LimitExceeded past its
     enumeration cap.  The rows of `peakpoly triangle` are the values of a
@@ -230,10 +231,12 @@ FAMILIES = {
     "P": Family(0, RECURRENCE_CAP, {
         "recurrence": lambda n: families.tangent_derivative_poly(n),
         "cvijovic": lambda n: families.cvijovic_polys(n)[0],
+        "peaks": lambda n: families.tangent_poly_from_peaks(n),
     }),
     "Q": Family(0, RECURRENCE_CAP, {
         "recurrence": lambda n: families.secant_derivative_poly(n),
         "cvijovic": lambda n: families.cvijovic_polys(n)[1],
+        "peaks": lambda n: families.secant_poly_from_peaks(n),
     }),
     "A": Family(1, RECURRENCE_CAP, {
         "recurrence": lambda n: families.eulerian_poly(n),
@@ -257,11 +260,14 @@ FAMILIES = {
         "recurrence": lambda n: families.type_b_eulerian_poly(n),
         "oracle": lambda n: families.cached_signed_distribution(n, "des_b").as_poly(),
         "gf": lambda n: solved_family_polys("C", n)[n],
+        "peaks": lambda n: families.type_b_poly_from_peaks(n),
+        "petersen": lambda n: families.type_b_poly_from_eulerian(n),
     }, egf0=Poly.one()),
     "CT": Family(1, MAX_ORDER, {
         "recurrence": lambda n: families.affine_eulerian_poly(n),
         "oracle": lambda n: families.cached_signed_distribution(n, "ades").as_poly(),
         "gf": lambda n: solved_family_polys("CT", n)[n],
+        "peaks": lambda n: families.affine_poly_from_peaks(n),
     }, egf0=Poly.one()),
     "W": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.peak_poly(n),

@@ -401,7 +401,7 @@ def test_factorial_bell_identity():
     )
     assert total == 6
     for n in range(1, 13):
-        assert F.factorial_bell_identity(n)
+        assert F.factorial_bell_sum(n) == math.factorial(n + 1)
     with pytest.raises(ValueError):
         F.factorial_bell_sum(-1)
 

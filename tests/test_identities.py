@@ -51,7 +51,10 @@ def test_row_interleave_detects_corruption(monkeypatch):
 def test_peak_transform_is_the_literal_sum(p, spare, a, b):
     m = 2 * max(p.degree, 0) + spare
     expected = sum((c * a**k * b ** (m - 2 * k) for k, c in enumerate(p.coeffs)), Poly.zero())
-    assert I._peak_transform(p, m, a, b) == expected
+    assert F.peak_transform(p, m, a, b) == expected
+    if p.degree >= 1:  # a row with an entry past floor(m/2) is refused
+        with pytest.raises(F.RowTooLong):
+            F.peak_transform(p, 2 * p.degree - 1, a, b)
 
 
 W_CHECKS = {"row_interleave", "peak_to_derivative", "stembridge", "dilks_affine_gf"}
@@ -59,51 +62,75 @@ WL_CHECKS = {"row_interleave", "peak_to_derivative", "petersen", "dilks_type_b_g
 
 
 @pytest.mark.parametrize(
-    "triangle, change, failing, verdict",
+    "triangle, change, failing, too_long",
     [
-        ("peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, "fail"),
-        ("left_peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, "fail"),
-        ("peak_triangle", lambda row: [0] * len(row), W_CHECKS, "fail"),
-        # a row longer than its degree allows: the transform's power of b is
-        # negative, and the interleaved row has an entry R_5 lacks
-        ("peak_triangle", lambda row: (*row, 1), W_CHECKS, "error"),
+        ("peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, False),
+        ("left_peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, False),
+        ("peak_triangle", lambda row: [0] * len(row), W_CHECKS, False),
+        # a row longer than its degree allows: the transform refuses it, and
+        # the interleaved row has an entry R_5 lacks
+        ("peak_triangle", lambda row: (*row, 1), W_CHECKS, True),
     ],
     ids=["W5_entry", "WL5_entry", "W5_zero", "W5_too_long"],
 )
-def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, triangle, change, failing, verdict):
+def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, triangle, change, failing, too_long):
     _corrupt_row(monkeypatch, triangle, 4, change)  # index 0 of a peak triangle is row 1
     flagged = {r.check_id: r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed}
     assert set(flagged) == failing
-    if verdict == "error":
-        interleave = flagged.pop("row_interleave")
-        assert (interleave.verdict, interleave.witness) == ("fail", I.Witness(5, 6, "None", "1"))
-        assert all(r.witness.lhs == "ValueError" for r in flagged.values())
-    assert all(r.verdict == verdict and r.witness.n == 5 for r in flagged.values())
+    assert all(r.verdict == "fail" and r.witness.n == 5 for r in flagged.values())
+    if too_long:
+        assert flagged.pop("row_interleave").witness == I.Witness(5, 6, "None", "1")
+        assert all(r.witness[1:3] == (-1, "RowTooLong") for r in flagged.values())
 
 
-AGREEMENTS = [(check.check_id, name) for check in I.CHECKS if check.fn == "check_routes_agree" for name in check.reads]
+AGREEMENTS = [(check, name) for check in I.CHECKS if check.fn == "check_routes_agree" for name in check.reads]
+# a case is named by its route, and by route@row where an earlier row reads the route too
+AGREEMENT_IDS = [
+    name if name not in [earlier for _, earlier in AGREEMENTS[:i]] else f"{name}@{row.check_id}"
+    for i, (row, name) in enumerate(AGREEMENTS)
+]
 
 
-@pytest.mark.parametrize("row, name", AGREEMENTS, ids=[name for _, name in AGREEMENTS])
+@pytest.mark.parametrize("row, name", AGREEMENTS, ids=AGREEMENT_IDS)
 def test_each_route_an_agreement_row_reads_can_fail_it(monkeypatch, row, name):
+    # The row's own suite, with signed_nmax below 4 where the row starts past
+    # it; exactly the agreement rows that read the route over a range holding
+    # n = 4 fail, there.
     family, route = name.split(".")
     real = S.FAMILIES[family].routes[route]
     monkeypatch.setitem(S.FAMILIES[family].routes, route, lambda n: real(n) + 1 if n == 4 else real(n))
-    flagged = [r for r in I.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
-    assert [(r.check_id, r.verdict, r.witness.n) for r in flagged] == [(row, "fail", 4)]
+    ranges = dict(nmax_exact=6, oracle_nmax=6, signed_nmax=3 if row.lo == "signed_nmax" else 4)
+    spans = I.plan(row.suite, {knob.name: knob.default for knob in I.RANGES} | ranges)
+    expected = [
+        check.check_id for check, lo, hi in spans
+        if check.fn == "check_routes_agree" and name in check.reads and lo <= 4 <= hi
+    ]
+    assert row.check_id in expected
+    flagged = [r for r in I.run(row.suite, **ranges) if not r.passed]
+    assert [(r.check_id, r.verdict, r.witness.n) for r in flagged] == [(check_id, "fail", 4) for check_id in expected]
+
+
+def test_an_oracle_row_with_an_internal_zero_fails_the_rows_that_read_it(monkeypatch):
+    real = S.FAMILIES["W"].routes["oracle"]
+    monkeypatch.setitem(S.FAMILIES["W"].routes, "oracle", lambda n: Poly((1, 0, 1)) if n == 4 else real(n))
+    flagged = {r.check_id: r.witness for r in I.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed}
+    assert flagged == {
+        "oracle_peak_rows": I.Witness(4, 0, "1", "8"),
+        "oracle_no_internal_zeros": I.Witness(4, 0, "W.oracle", "internal zero"),
+    }
 
 
 def test_peak_to_derivative_hand_expansions():
     # n = 3: 4 y^2 (1+y^2) + 2 (1+y^2)^2 = 2 + 8y^2 + 6y^4
     lhs = 4 * Poly((0, 0, 1)) * Poly((1, 0, 1)) + 2 * Poly((1, 0, 1)) ** 2
-    assert lhs == Poly((2, 0, 8, 0, 6))
-    assert I.check_peak_to_derivative(3) is None
+    assert lhs == Poly((2, 0, 8, 0, 6)) == F.tangent_poly_from_peaks(3) == F.tangent_derivative_poly(3)
     # n = 1: the left-peak side is the single term y
-    assert I.check_peak_to_derivative(1) is None
+    assert F.secant_poly_from_peaks(1) == Poly.x() == F.secant_derivative_poly(1)
+    assert F.tangent_poly_from_peaks(1) == Poly((1, 0, 1)) == F.tangent_derivative_poly(1)
     # n = 4: y^4 + 18y^2(1+y^2) + 5(1+y^2)^2 = 5 + 28y^2 + 24y^4
     lhs = Poly((0, 0, 0, 0, 1)) + 18 * Poly((0, 0, 1)) * Poly((1, 0, 1)) + 5 * Poly((1, 0, 1)) ** 2
-    assert lhs == Poly((5, 0, 28, 0, 24))
-    assert I.check_peak_to_derivative(4) is None
+    assert lhs == Poly((5, 0, 28, 0, 24)) == F.secant_poly_from_peaks(4) == F.secant_derivative_poly(4)
+    assert I.check_routes_agree(4, "P.peaks", "P.recurrence", "Q.peaks", "Q.recurrence") is None
 
 
 def test_stembridge_hand_values():
@@ -118,20 +145,21 @@ def test_petersen_hand_values():
     lhs = ONE_PLUS_X**2 + Poly((0, 4))
     rhs = Poly((1, -1)) ** 2 + 4 * Poly((0, 1, -1)) + 4 * Poly((0, 1, 1))
     assert lhs == rhs == Poly((1, 6, 1))
+    assert F.type_b_poly_from_eulerian(2) == F.type_b_poly_from_peaks(2) == lhs
     for n in (1, 2, 5, 8):
-        assert I.check_petersen(n) is None
+        assert F.type_b_poly_from_eulerian(n) == F.type_b_poly_from_peaks(n)
 
 
 def test_dilks_checks_against_oracle():
     for n in range(1, 6):
-        assert I.check_dilks_affine(n) is None
-        assert I.check_dilks_type_b(n) is None
+        for family in ("C", "CT"):
+            assert S.FAMILIES[family].routes["peaks"](n) == S.FAMILIES[family].routes["oracle"](n), (family, n)
 
 
 def test_dilks_checks_against_gf_beyond_oracle():
     for n in (8, 9, 10):
-        assert I.check_dilks_affine(n, source="gf") is None
-        assert I.check_dilks_type_b(n, source="gf") is None
+        for family in ("C", "CT"):
+            assert S.FAMILIES[family].routes["peaks"](n) == S.FAMILIES[family].routes["gf"](n), (family, n)
 
 
 def test_bell_checks():
