@@ -323,8 +323,9 @@ CHECKS = (
     Check("bell_expansion", "identities", "nmax_exact", 1, "check_bell_expansion", ("bell.peak_rows", "R.recurrence")),
     Check("bell_stirling_x0", "identities", "nmax_exact", 1, "check_bell_x0", ("bell.stirling_rows",)),
     Check("bell_factorial_x1", "identities", "nmax_exact", 1, "check_bell_x1", ("bell.factorial_rows",)),
-    *(Check(f"gf_{egf}", "gf", "gf_order", 0, "check_gf", (f"{fam}.{next(iter(series.FAMILIES[fam].routes))}",
-            "egf.closed_form"), "order", args=(egf,)) for egf, (fam, _) in series.EGFS.items()),
+    *(Check(f"gf_{gf_id}", "gf", "gf_order", 0, "check_gf",
+            (f"{egf.family}.{next(iter(series.FAMILIES[egf.family].routes))}", "egf.closed_form"), "order",
+            args=(gf_id,)) for gf_id, egf in series.EGFS.items()),
     Check("t_vs_eulerian", "gf", "gf_order", 0, "check_t_vs_eulerian", ("T.interleave", "A.recurrence"), "order"),
     Check("pde", "gf", "gf_order", 0, "check_pde", ("R.recurrence", "egf.pde"), "order", top=-1),
     Check("numeric_spotcheck_1", "gf", None, 0, "check_numeric_spot", ("R.recurrence", "decimal.closed_form"), "order",

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import families
-from .polynomial import Poly, gcd_poly, remainder_sequence
+from .polynomial import NonzeroRemainder, Poly, gcd_poly, remainder_sequence
 
 
 class EndpointIsRoot(ValueError):
@@ -185,8 +185,10 @@ def certify_interlacing(n: int) -> bool:
     m_n1 = multiplicity_at(r_n1, -1)
     if m_n1 - m_n not in (0, 1):
         raise InterlacingViolation(f"multiplicity step {m_n}->{m_n1} at n={n}")
-    g_n = families.reduced_tan_sec_poly(n)
-    g_n1 = families.reduced_tan_sec_poly(n + 1)
+    try:
+        g_n, g_n1 = families.reduced_tan_sec_poly(n), families.reduced_tan_sec_poly(n + 1)
+    except NonzeroRemainder:
+        raise InterlacingViolation(f"multiplicity at -1 of R_k below floor(k/2)+1, k = {n} or {n + 1}") from None
     common = gcd_poly(g_n, g_n1)
     f, g = g_n.exact_div(common), g_n1.exact_div(common)
     if g.degree - f.degree not in (0, 1):

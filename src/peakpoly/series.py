@@ -8,20 +8,21 @@ integer coefficients.  Products are binomial convolutions (hurwitz_mul), so
 no 1/m! factor is ever formed and the whole module runs in Z[x].
 
 Square roots never appear: cosh(z*sqrt(w)) and sinh(z*sqrt(w))/sqrt(w) are
-both power series in w (hyperbolic_blocks), which is what makes every closed
-form polynomial-checkable.  Identities are verified by cross-multiplying so
-that both sides are plain polynomial coefficients; the same relations are
-also *solved* coefficient-by-coefficient (division only ever by the
-exactly-dividing z^0 entry) to rebuild each family from its closed form,
-giving an independent derivation route.  Rationals appear only in the
-numeric spot-check's partial sum.
+both power series in w.  Each closed form is a row of EGFS, cross-multiplied
+as family * den = rhs, with den a + b d and d a running product of two
+ratios that alternate with the parity of the z-order.  Both sides are plain
+polynomial coefficients; the same relations are also *solved*
+coefficient-by-coefficient (division only ever by the exactly-dividing z^0
+entry) to rebuild each family from its closed form, giving an independent
+derivation route.  Rationals appear only in the numeric spot-check's
+partial sum.
 
 The family table lives here too: FAMILIES maps each CLI family id to its
-routes, minimum n, CLI cap and EGF entry 0, and EGFS maps each EGF id to a
-family and an offset.  The ids differ in one place: gf_P and gf_R are the
-EGF of R_n at offsets 0 and 1, while CLI family P is the tangent derivative
-polynomial P_n.  solved_family_polys keeps each family's longest solve and
-extends it on demand.
+routes, minimum n, CLI cap and EGF entry 0, and each EGFS row names the
+family and offset of its EGF.  The ids differ in one place: gf_P and gf_R
+are the EGF of R_n at offsets 0 and 1, while CLI family P is the tangent
+derivative polynomial P_n.  solved_family_polys keeps each family's longest
+solve and extends it on demand.
 """
 
 from __future__ import annotations
@@ -148,34 +149,6 @@ class TruncSeries:
         return TruncSeries(self.order, tuple(p.derivative() for p in self.coeffs))
 
 
-def exp_series(c: Poly | int, order: int) -> TruncSeries:
-    """exp(c z) = sum_m c^m z^m / m!, truncated at the given order."""
-    c = c if isinstance(c, Poly) else Poly.constant(c)
-    coeffs = [Poly.one()]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * c)
-    return TruncSeries(order, tuple(coeffs))
-
-
-def hyperbolic_blocks(w: Poly | int, order: int) -> tuple[TruncSeries, TruncSeries]:
-    """The square-root-free pair (cosh(z sqrt(w)), sinh(z sqrt(w))/sqrt(w)).
-
-    Both are polynomial in w: sum_m w^m z^(2m)/(2m)! and
-    sum_m w^m z^(2m+1)/(2m+1)!.
-    """
-    w = w if isinstance(w, Poly) else Poly.constant(w)
-    cosh_c = [Poly.zero()] * (order + 1)
-    sinh_c = [Poly.zero()] * (order + 1)
-    power = Poly.one()
-    for m in range(order // 2 + 1):
-        if 2 * m <= order:
-            cosh_c[2 * m] = power
-        if 2 * m + 1 <= order:
-            sinh_c[2 * m + 1] = power
-        power = power * w
-    return TruncSeries(order, tuple(cosh_c)), TruncSeries(order, tuple(sinh_c))
-
-
 def solve_series(num: TruncSeries, den: TruncSeries, known: Sequence[Poly] = ()) -> TruncSeries:
     """The series q with q * den = num, term by term.
 
@@ -283,70 +256,83 @@ FAMILIES = {
     }, egf0=Poly.one()),
 }
 
-# The EGFs of closed_form_sides, in the order the gf suite checks them:
-# id -> (family, offset) for the series sum_m family_(m + offset) z^m / m!.
-# gf_P and gf_R are both EGFs of R_n, at offsets 0 and 1; the CLI family P
-# is the tangent derivative polynomial P_n, which has no EGF here.
-EGFS = {
-    "A": ("A", 0), "W": ("W", 0), "WL": ("WL", 0), "P": ("R", 0),
-    "C": ("C", 0), "CT": ("CT", 0), "T": ("T", 0), "R": ("R", 1),
-}
-
-
-def _egf(family: str, order: int) -> tuple[Family, int]:
-    """The family and offset behind an EGF id; raises on an unknown id or order."""
-    if family not in EGFS:
-        raise UnknownFamily(f"unknown family {family!r}")
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
-    name, offset = EGFS[family]
-    return FAMILIES[name], offset
-
 
 # ---------------------------------------------------------------------------
 # the closed forms, in cross-multiplied shape: family * den = rhs
 # ---------------------------------------------------------------------------
 
+class EGF(NamedTuple):
+    """family_series * den = rhs, for the series sum_m family_(m + offset) z^m / m!.
+
+    In Hurwitz form, entry m of den is a [m = 0] + b d_m with d_0 = 1 and
+    d_m = d_(m-1) times `odd` or `even` by the parity of m, and entry m of
+    rhs is rhs(m).  So 1 - x e^(cz) is (1, -x, c, c) and
+    cosh(z sqrt(w)) - sinh(z sqrt(w))/sqrt(w) is (0, 1, -1, -w).
+    """
+
+    family: str
+    offset: int
+    a: Poly
+    b: Poly
+    odd: Poly
+    even: Poly
+    rhs: Callable[[int], Poly]
+
+
+_ZERO, _ONE, _X = Poly.zero(), Poly.one(), Poly.x()
+_U, _V = Poly((1, -1)), Poly((1, 0, -1))  # 1 - x and 1 - x^2
+
+
+def _powers(base: Poly) -> Callable[[int], Poly]:
+    """e -> base^e, each power built once."""
+    memo = families.Memo((_ONE,), lambda terms, m: terms[-1] * base)
+    return lambda e: memo.upto(e)[e]
+
+
+_U_POW, _V_POW = _powers(_U), _powers(_V)
+
+# The closed forms, in the order the gf suite checks them.  gf_P and gf_R are
+# both EGFs of R_n, at offsets 0 and 1; the CLI family P is the tangent
+# derivative polynomial P_n, which has no EGF here.  R's den is
+# cosh(z sqrt(w)) - sqrt(w) sinh(z sqrt(w)) - x with w = 1 - x^2.
+EGFS = {
+    "A": EGF("A", 0, _ONE, -_X, _U, _U, lambda m: _U_POW(m + 1)),
+    "W": EGF("W", 0, _ZERO, _ONE, -_ONE, -_U, lambda m: _U_POW(m // 2) if m % 2 else _ZERO),
+    "WL": EGF("WL", 0, _ZERO, _ONE, -_ONE, -_U, lambda m: _ZERO if m else _ONE),
+    "P": EGF("R", 0, _ZERO, _ONE, -_ONE, -_V,
+             lambda m: _X * _V_POW(m // 2) if m % 2 else _ZERO if m else _ONE),
+    "C": EGF("C", 0, _ONE, -_X, 2 * _U, 2 * _U, lambda m: _U_POW(m + 1)),
+    "CT": EGF("CT", 0, _ONE, -_X, 2 * _U, 2 * _U, lambda m: _ZERO if m else _U),
+    "T": EGF("T", 0, _ONE, -_X, _V, _V, lambda m: _V_POW(m) if m else _U),
+    "R": EGF("R", 1, -_X, _ONE, -_V, -_ONE, lambda m: _ZERO if m else _V),
+}
+
+
+def _egf(family: str, order: int) -> EGF:
+    """The row of an EGF id; raises on an unknown id or order."""
+    if family not in EGFS:
+        raise UnknownFamily(f"unknown family {family!r}")
+    if not 0 <= order <= MAX_ORDER:
+        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
+    return EGFS[family]
+
+
 def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries]:
     """(den, rhs) with family_series * den = rhs as exact truncated series."""
-    _egf(family, order)
-    x = Poly.x()
-    one_minus_x = Poly((1, -1))
-    one_minus_x2 = Poly((1, 0, -1))
-    if family == "A":
-        e = exp_series(one_minus_x, order)
-        return TruncSeries.const(1, order) - e.scale(x), e.scale(one_minus_x)
-    if family in ("W", "WL"):
-        cosh_w, sinh_w = hyperbolic_blocks(one_minus_x, order)
-        den = cosh_w - sinh_w
-        rhs = sinh_w if family == "W" else TruncSeries.const(1, order)
-        return den, rhs
-    if family == "P":
-        cosh_w, sinh_w = hyperbolic_blocks(one_minus_x2, order)
-        return cosh_w - sinh_w, TruncSeries.const(1, order) + sinh_w.scale(x)
-    if family in ("C", "CT"):
-        e2 = exp_series(2 * one_minus_x, order)
-        den = TruncSeries.const(1, order) - e2.scale(x)
-        if family == "CT":
-            return den, TruncSeries.const(one_minus_x, order)
-        return den, exp_series(one_minus_x, order).scale(one_minus_x)
-    if family == "T":
-        e = exp_series(one_minus_x2, order)
-        den = TruncSeries.const(1, order) - e.scale(x)
-        return den, e - TruncSeries.const(x, order)
-    # family == "R": the square-root-free rewriting of the closed form
-    # x (cosh z - 1) = (1 - x) + sum_i (-1)^i (1-x^2)^floor((i+1)/2) t^i / i!
-    coeffs = [one_minus_x]
-    for i in range(1, order + 1):
-        coeffs.append(one_minus_x2 ** ((i + 1) // 2) * (-1) ** i)
-    den = TruncSeries(order, tuple(coeffs))
-    return den, TruncSeries.const(one_minus_x2, order)
+    egf = _egf(family, order)
+    d = egf.b  # b d_m
+    den = [egf.a + d]
+    for m in range(1, order + 1):
+        d = d * (egf.odd if m % 2 else egf.even)
+        den.append(d)
+    return TruncSeries(order, tuple(den)), TruncSeries(order, tuple(map(egf.rhs, range(order + 1))))
 
 
 def engine_series(family: str, order: int) -> TruncSeries:
     """The family's series assembled from its first route, a recurrence, so
     that it is checked against the closed form and not against a solve of it."""
-    fam, offset = _egf(family, order)
+    egf = _egf(family, order)
+    fam, offset = FAMILIES[egf.family], egf.offset
     polys = [fam.egf0 if n < fam.min_n else fam.poly(n) for n in range(offset, order + offset + 1)]
     return TruncSeries.from_egf(polys, order)
 

@@ -215,32 +215,56 @@ def test_roots_and_clt_suites():
     assert clt[0].n_range == (4, 4)
 
 
-def _corrupt_r4(monkeypatch, r4):
+def _corrupt_r(monkeypatch, k, r_k):
     real = F.tan_sec_poly
-    monkeypatch.setattr(F, "tan_sec_poly", lambda n: r4 if n == 4 else real(n))
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: r_k if n == k else real(n))
 
 
-def test_root_structure_fails_on_non_real_zeros(monkeypatch):
+@pytest.mark.parametrize("clause, n, r_n", [
+    # (1+x)^4 (1+3x): one factor 1+x more at -1 than floor(5/2)+1 = 3
+    pytest.param("multiplicity", 5, ONE_PLUS_X**4 * Poly((1, 3)), id="multiplicity"),
+    # (1+x)^3 (1+2x)^2: G_5 = (1+2x)^2 has a double zero
+    pytest.param("squarefree", 5, ONE_PLUS_X**3 * Poly((1, 2)) ** 2, id="squarefree"),
+    # (1+x)^3 (1+x+x^2): G_5 is squarefree with positive coefficients and no real zero
+    pytest.param("simple-zero count", 5, ONE_PLUS_X**3 * Poly((1, 1, 1)), id="simple-zero-count"),
+    # (1+x)^3 (4x^2+8x+3): G_5 has positive coefficients and real zeros -3/2
+    # and -1/2, so only the range (-1, 0) rejects it
+    pytest.param("zero range", 5, ONE_PLUS_X**3 * Poly((3, 8, 4)), id="zero-range"),
     # (1+x)^3 (1+5x) (1+x^2): the right multiplicity at -1, a squarefree
     # G_4 with positive coefficients and its one real zero in (-1, 0), but
     # degree 3, so two zeros are not real
-    _corrupt_r4(monkeypatch, Poly((1, 1)) ** 3 * Poly((1, 5)) * Poly((1, 0, 1)))
+    pytest.param("degree", 4, ONE_PLUS_X**3 * Poly((1, 5)) * Poly((1, 0, 1)), id="degree"),
+])
+def test_root_structure_fails_on_non_real_zeros(monkeypatch, clause, n, r_n):
+    _corrupt_r(monkeypatch, n, r_n)
     with pytest.raises(R.StructureViolation) as raised:
-        R.certify_root_structure(4)
-    assert raised.value.clause == "degree"
+        R.certify_root_structure(n)
+    assert raised.value.clause == clause
     structure = I.run("roots", roots_nmax=6)[0]
     assert (structure.check_id, structure.verdict) == ("root_structure", "fail")
-    assert structure.witness.n == 4
+    assert structure.witness.n == n
     assert structure.witness.lhs == "StructureViolation"
 
 
 def test_nonpositive_reduced_coefficient_is_a_fail(monkeypatch):
     # (1+x)^3 (x-1): G_4 = x - 1 breaks the positivity claim
-    _corrupt_r4(monkeypatch, Poly((1, 1)) ** 3 * Poly((-1, 1)))
+    _corrupt_r(monkeypatch, 4, ONE_PLUS_X**3 * Poly((-1, 1)))
     structure, interlacing, _ = I.run("roots", roots_nmax=6)
     for result, n in ((structure, 4), (interlacing, 3)):
         assert result.verdict == "fail", result
         assert (result.witness.n, result.witness.lhs) == (n, "NonpositiveCoefficient")
+
+
+def test_missing_factor_at_minus_one_is_an_interlacing_fail(monkeypatch):
+    # (1+x)^3 (1+2x)(1+3x)(1+4x): R_6 needs (1+x)^4, so root_structure fails
+    # its multiplicity clause at 6; the step 3 -> 3 from R_5 is allowed, and
+    # dividing R_6 by (1+x)^4 fails, which is an interlacing fail at 5
+    _corrupt_r(monkeypatch, 6, ONE_PLUS_X**3 * Poly((1, 2)) * Poly((1, 3)) * Poly((1, 4)))
+    structure, interlacing, _ = I.run("roots", roots_nmax=8)
+    assert (structure.verdict, structure.witness.n, structure.witness.lhs) == ("fail", 6, "StructureViolation")
+    assert "multiplicity" in structure.witness.rhs
+    assert (interlacing.verdict, interlacing.witness.n, interlacing.witness.lhs) == (
+        "fail", 5, "InterlacingViolation")
 
 
 def test_oracle_suite_passes():

@@ -121,7 +121,9 @@ def test_hurwitz_mul_multiplies_exponentials():
         (a + b) ** m for m in range(order + 1)
     ]
     c1, c2 = Poly((1, -1)), Poly((0, 2))
-    assert S.exp_series(c1, 8) * S.exp_series(c2, 8) == S.exp_series(c1 + c2, 8)
+    assert hurwitz_mul([c1**m for m in range(9)], [c2**m for m in range(9)], 8) == [
+        (c1 + c2) ** m for m in range(9)
+    ]
 
 
 def test_family_series_have_integer_hurwitz_entries():

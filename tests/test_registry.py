@@ -89,11 +89,12 @@ def test_cli_family_choices_are_the_registry_ids():
 
 
 def test_egf_ids_name_registry_families():
-    for gf_id, (family, offset) in S.EGFS.items():
-        fam = S.FAMILIES[family]
-        assert offset in (0, 1)
-        assert (fam.egf0 is not None) == (offset < fam.min_n), gf_id
-    assert S.EGFS["P"] == ("R", 0) and S.EGFS["R"] == ("R", 1)
+    for gf_id, egf in S.EGFS.items():
+        fam = S.FAMILIES[egf.family]
+        assert egf.offset in (0, 1)
+        assert (fam.egf0 is not None) == (egf.offset < fam.min_n), gf_id
+    assert (S.EGFS["P"].family, S.EGFS["P"].offset) == ("R", 0)
+    assert (S.EGFS["R"].family, S.EGFS["R"].offset) == ("R", 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,8 +15,6 @@ from peakpoly.series import (
     ToleranceExceeded,
     TruncSeries,
     UnknownFamily,
-    exp_series,
-    hyperbolic_blocks,
     numeric_spotcheck,
     solve_series,
 )
@@ -41,34 +39,6 @@ def series_strategy(order):
     return st.lists(small_polys, min_size=order + 1, max_size=order + 1).map(
         lambda cs: TruncSeries(order, tuple(cs))
     )
-
-
-def test_hyperbolic_blocks_unit_weight():
-    cosh_s, sinh_s = hyperbolic_blocks(Poly.one(), 4)
-    assert ordinary(cosh_s) == ((1,), (), (Fraction(1, 2),), (), (Fraction(1, 24),))
-    assert cosh_s.coeffs == (Poly.one(), Poly.zero()) * 2 + (Poly.one(),)
-    assert ordinary(sinh_s)[1] == (1,)
-    assert ordinary(sinh_s)[3] == (Fraction(1, 6),)
-
-
-def test_hyperbolic_blocks_zero_weight():
-    cosh_s, sinh_s = hyperbolic_blocks(Poly.zero(), 3)
-    assert cosh_s == TruncSeries.const(1, 3)
-    assert sinh_s.coeffs == (Poly.zero(), Poly.one(), Poly.zero(), Poly.zero())
-
-
-def test_hyperbolic_blocks_polynomial_weight():
-    _, sinh_s = hyperbolic_blocks(Poly((1, -1)), 3)
-    assert ordinary(sinh_s)[3] == (Fraction(1, 6), Fraction(-1, 6))  # (1 - x)/3!
-
-
-def test_exp_series_cases():
-    assert exp_series(Poly.zero(), 3) == TruncSeries.const(1, 3)
-    e = exp_series(Poly((1, -1)), 2)
-    # (1 - x)^2 / 2! and (2 - 2x)^2 / 2!
-    assert ordinary(e) == ((1,), (1, -1), (Fraction(1, 2), -1, Fraction(1, 2)))
-    e2 = exp_series(Poly((2, -2)), 2)
-    assert ordinary(e2)[2] == (2, -4, 2)
 
 
 def test_series_addition_and_scaling():
@@ -122,6 +92,53 @@ def test_solve_series_roundtrip():
 def test_verify_gf_all_families_to_order_16():
     for family in S.EGFS:
         assert S.verify_gf(family, 16) is None, family
+
+
+def _closed_forms(sympy, x, z):
+    """The literal closed form of each EGF row as sympy (den, rhs)."""
+    def hyperbolic(w):
+        return sympy.cosh(z * sympy.sqrt(w)), sympy.sinh(z * sympy.sqrt(w)) / sympy.sqrt(w)
+
+    u, v = 1 - x, 1 - x**2
+    e_u, e_v = sympy.exp(u * z), sympy.exp(v * z)
+    (cosh_u, sinh_u), (cosh_v, sinh_v) = hyperbolic(u), hyperbolic(v)
+    return {
+        "A": (1 - x * e_u, u * e_u),
+        "W": (cosh_u - sinh_u, sinh_u),
+        "WL": (cosh_u - sinh_u, sympy.Integer(1)),
+        "P": (cosh_v - sinh_v, 1 + x * sinh_v),
+        "C": (1 - x * sympy.exp(2 * u * z), u * e_u),
+        "CT": (1 - x * sympy.exp(2 * u * z), u),
+        "T": (1 - x * e_v, e_v - x),
+        "R": (cosh_v - sympy.sqrt(v) * sympy.sinh(z * sympy.sqrt(v)) - x, v),
+    }
+
+
+def test_every_egf_row_is_its_literal_closed_form():
+    # hand values in Hurwitz form: e^((1-x)z), cosh - sinh at w = 1 - x
+    # (sinh's z^3 entry is (1-x)/3! in ordinary form) and e^(2(1-x)z)
+    u = Poly((1, -1))
+    den_a, rhs_a = S.closed_form_sides("A", 2)
+    assert den_a.coeffs == (u, -Poly.x() * u, -Poly.x() * Poly((1, -2, 1)))
+    assert rhs_a.coeffs == (u, Poly((1, -2, 1)), u**3)
+    den_w, rhs_w = S.closed_form_sides("W", 4)
+    assert den_w.coeffs == (Poly.one(), -Poly.one(), u, -u, Poly((1, -2, 1)))
+    assert rhs_w.coeffs == (Poly.zero(), Poly.one(), Poly.zero(), u, Poly.zero())
+    assert S.closed_form_sides("C", 2)[0].coeffs[2] == -Poly.x() * Poly((4, -8, 4))
+    # entry m of den and rhs is the m-th z-derivative at 0 of the closed
+    # form, taken by sympy from exp, cosh and sinh with the square roots in
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+    order = 10
+    forms = _closed_forms(sympy, x, z)
+    assert list(forms) == list(S.EGFS)
+    for gf_id, closed in forms.items():
+        sides = S.closed_form_sides(gf_id, order)
+        for side, expr in zip(sides, closed):
+            for m in range(order + 1):
+                entry = sum(c * x**i for i, c in enumerate(side.coeffs[m].coeffs))
+                assert sympy.expand(expr.subs(z, 0) - entry) == 0, (gf_id, m)
+                expr = expr.diff(z)
 
 
 def test_verify_gf_low_order_coefficients():
