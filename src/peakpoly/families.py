@@ -24,12 +24,13 @@ cross-check them, so no single recurrence is ever trusted on its own.
 The routes of each family are listed in the family table, series.FAMILIES.
 
 Each recurrence family, each table of order-k tangent/secant numbers, and
-the partial Bell rows at each of the three argument sequences the identities
-use (peak, all ones, and 1, 1, 0, ...) is one Memo: a growing tuple of terms
-0..k that builds only terms k+1..n when term n is asked for, so per-n calls
-never rebuild a prefix.  The enumeration oracle results are memoized per
-(n, stat) (or (n, reverse) for alternating counts) by functools.cache; the
-module caches in no other way.
+the partial Bell triangle is one Memo: a growing tuple of terms 0..k that
+builds only terms k+1..n when term n is asked for, so per-n calls never
+rebuild a prefix.  The Bell triangle is over Z[w], at the arguments
+x_i = w^floor((i-1)/2); the identities read it at w = 1 - x^2 (the peak
+arguments), at w = 1 (all ones) and at w = 0 (1, 1, 0, 0, ...).  The
+enumeration oracle results are memoized per (n, stat) (or (n, reverse) for
+alternating counts) by functools.cache; the module caches in no other way.
 """
 
 from __future__ import annotations
@@ -495,22 +496,13 @@ def _bell_step(args: Callable[[int], Sequence[Poly]]) -> Callable[[list, int], t
     return step
 
 
-# (1 - x^2)^e is term e
-_ONE_MINUS_X2_POWERS = Memo((Poly.one(),), lambda powers, e: powers[-1] * Poly((1, 0, -1)))
+ONE_MINUS_X2 = Poly((1, 0, -1))
 
-
-def bell_peak_arguments(count: int) -> tuple[Poly, ...]:
-    """The substitution x_i = (1 - x^2)^floor((i-1)/2), for i = 1..count."""
-    powers = _ONE_MINUS_X2_POWERS.upto((count - 1) // 2)
-    return tuple(powers[(i - 1) // 2] for i in range(1, count + 1))
-
-
-# Rows of B_{n,k} at the peak arguments, at all ones (the Stirling numbers)
-# and at (1, 1, 0, 0, ...); row n is term n.
+# Row n is B_{n,0..n} over Z[w] at x_i = w^floor((i-1)/2).  At w = 1 - x^2
+# these are the peak arguments, at w = 1 every argument is 1 (the Stirling
+# numbers), and at w = 0 they are 1, 1, 0, 0, ...
 _BELL_SEED = ((Poly.one(),),)
-_PEAK_BELL_ROWS = Memo(_BELL_SEED, _bell_step(bell_peak_arguments))
-_STIRLING_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: (Poly.one(),) * m))
-_FACTORIAL_BELL_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: (Poly.one(), Poly.one()) + (Poly.zero(),) * m))
+_PEAK_BELL_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: [Poly.monomial(1, (i - 1) // 2) for i in range(1, m + 1)]))
 
 
 def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
@@ -518,7 +510,7 @@ def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
 
     Computed by B_{n,k} = sum_i C(n-1, i-1) xs_i B_{n-i, k-1} with
     B_{0,0} = 1 and B_{n,0} = 0 for n > 0, in rows built afresh on each call:
-    the uncached reference for the Bell row memos, validated elsewhere
+    the uncached reference for the Bell triangle memo, validated elsewhere
     against the generating-function definition.
     """
     if not 0 <= k <= n:
@@ -531,10 +523,10 @@ def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, as B_{n,k} at all-ones arguments."""
+    """Stirling number of the second kind, as B_{n,k} at all-ones arguments (w = 1)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _STIRLING_ROWS.upto(n)[n][k].coeff(0)
+    return _PEAK_BELL_ROWS.upto(n)[n][k](1)
 
 
 def tan_sec_poly_from_bell(n: int) -> Poly:
@@ -548,16 +540,17 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     row = _PEAK_BELL_ROWS.upto(n)[n]
     acc = Poly.zero()  # by Horner in (1+x), from k = n down
     for k in range(n, 0, -1):
-        acc = (acc + (-1) ** (n - k) * math.factorial(k) * row[k]) * ONE_PLUS_X
+        acc = (acc + (-1) ** (n - k) * math.factorial(k) * row[k].compose(ONE_MINUS_X2)) * ONE_PLUS_X
     return acc * ONE_PLUS_X
 
 
 def factorial_bell_sum(n: int) -> int:
-    """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!."""
+    """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!; the
+    arguments are the peak rows' at w = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = _FACTORIAL_BELL_ROWS.upto(n)[n]
-    return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(1, n + 1))
+    row = _PEAK_BELL_ROWS.upto(n)[n]
+    return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,7 @@ class Check(NamedTuple):
 # The routes the checks read that are not family routes of series.FAMILIES.
 ROUTES = frozenset({
     "euler", "oracle.alt", "oracle.des", "oracle.ades", "oracle.by_definition", "bell.peak_rows",
-    "bell.stirling_rows", "bell.factorial_rows", "egf.closed_form", "egf.pde", "decimal.closed_form",
-    "sturm", "darroch", "clt.closed_form",
+    "egf.closed_form", "egf.pde", "decimal.closed_form", "sturm", "darroch", "clt.closed_form",
 })
 
 
@@ -321,8 +320,8 @@ CHECKS = (
     _agree("dilks_affine_gf", "identities", "nmax_exact", "signed_nmax", "CT.peaks", "CT.gf"),
     _agree("dilks_type_b_gf", "identities", "nmax_exact", "signed_nmax", "C.peaks", "C.gf"),
     Check("bell_expansion", "identities", "nmax_exact", 1, "check_bell_expansion", ("bell.peak_rows", "R.recurrence")),
-    Check("bell_stirling_x0", "identities", "nmax_exact", 1, "check_bell_x0", ("bell.stirling_rows",)),
-    Check("bell_factorial_x1", "identities", "nmax_exact", 1, "check_bell_x1", ("bell.factorial_rows",)),
+    Check("bell_stirling_x0", "identities", "nmax_exact", 1, "check_bell_x0", ("bell.peak_rows",)),
+    Check("bell_factorial_x1", "identities", "nmax_exact", 1, "check_bell_x1", ("bell.peak_rows",)),
     *(Check(f"gf_{gf_id}", "gf", "gf_order", 0, "check_gf",
             (f"{egf.family}.{next(iter(series.FAMILIES[egf.family].routes))}", "egf.closed_form"), "order",
             args=(gf_id,)) for gf_id, egf in series.EGFS.items()),

@@ -308,6 +308,11 @@ EGFS = {
 }
 
 
+# b d_m of each EGFS row as term m, so a longer order builds only the new terms
+_BD = {gf_id: families.Memo((egf.b,), lambda bd, m, egf=egf: bd[-1] * (egf.odd if m % 2 else egf.even))
+       for gf_id, egf in EGFS.items()}
+
+
 def _egf(family: str, order: int) -> EGF:
     """The row of an EGF id; raises on an unknown id or order."""
     if family not in EGFS:
@@ -320,12 +325,8 @@ def _egf(family: str, order: int) -> EGF:
 def closed_form_sides(family: str, order: int) -> tuple[TruncSeries, TruncSeries]:
     """(den, rhs) with family_series * den = rhs as exact truncated series."""
     egf = _egf(family, order)
-    d = egf.b  # b d_m
-    den = [egf.a + d]
-    for m in range(1, order + 1):
-        d = d * (egf.odd if m % 2 else egf.even)
-        den.append(d)
-    return TruncSeries(order, tuple(den)), TruncSeries(order, tuple(map(egf.rhs, range(order + 1))))
+    bd = _BD[family].upto(order)
+    return TruncSeries(order, (egf.a + bd[0],) + bd[1:]), TruncSeries(order, tuple(map(egf.rhs, range(order + 1))))
 
 
 def engine_series(family: str, order: int) -> TruncSeries:

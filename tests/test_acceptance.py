@@ -87,7 +87,7 @@ def test_criterion_04_generating_function_suite():
 
 
 def test_criterion_05_bell_formula():
-    xs = F.bell_peak_arguments(4)
+    xs = tuple(Poly((1, 0, -1)) ** ((i - 1) // 2) for i in range(1, 5))  # the peak arguments
     assert F.bell_partial(4, 1, xs) == Poly((1, 0, -1))
     assert F.bell_partial(4, 2, xs) == Poly((7, 0, -4))
     assert F.bell_partial(4, 3, xs) == Poly.constant(6)

@@ -237,9 +237,10 @@ def test_bell_rows_memo_never_rebuilds_a_row(monkeypatch):
     values = [F.tan_sec_poly_from_bell(n) for n in range(1, 65)]
     assert steps == list(range(1, 65))  # row 0 is the seed
     assert values[-1] == F.tan_sec_poly(65)
-    # B_{6,2} reads only x_1 .. x_5
-    xs = F.bell_peak_arguments(12)
-    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs) == F._PEAK_BELL_ROWS.upto(6)[6][2]
+    # B_{6,2} reads only x_1 .. x_5; the row is over Z[w], at w = 1 - x^2
+    xs = _peak_arguments(12)
+    row = F._PEAK_BELL_ROWS.upto(6)[6]
+    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs) == row[2].compose(Poly((1, 0, -1)))
 
 
 def test_tangent_secant_tables():
@@ -303,15 +304,21 @@ def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypat
     assert F.cvijovic_polys(2) == (F.tangent_derivative_poly(2), F.secant_derivative_poly(2))
 
 
+def _peak_arguments(count: int) -> tuple[Poly, ...]:
+    # x_i = (1 - x^2)^floor((i-1)/2), for i = 1..count
+    return tuple(Poly((1, 0, -1)) ** ((i - 1) // 2) for i in range(1, count + 1))
+
+
 def test_bell_partial_worked_example():
-    # the memoised powers of 1 - x^2 are the powers taken one by one
-    assert F.bell_peak_arguments(0) == ()
-    assert F.bell_peak_arguments(9) == tuple(Poly((1, 0, -1)) ** ((i - 1) // 2) for i in range(1, 10))
-    xs = F.bell_peak_arguments(4)
+    xs = _peak_arguments(4)
     assert F.bell_partial(4, 1, xs) == Poly((1, 0, -1))
     assert F.bell_partial(4, 2, xs) == Poly((7, 0, -4))
     assert F.bell_partial(4, 3, xs) == Poly.constant(6)
     assert F.bell_partial(4, 4, xs) == Poly.one()
+    # the memo's row 4 is over Z[w]: (0, w, 3 + 4w, 6, 1), the same values at w = 1 - x^2
+    row = F._PEAK_BELL_ROWS.upto(4)[4]
+    assert row == (Poly.zero(), Poly((0, 1)), Poly((3, 4)), Poly.constant(6), Poly.one())
+    assert [b.compose(Poly((1, 0, -1))) for b in row[1:]] == [F.bell_partial(4, k, xs) for k in range(1, 5)]
 
 
 def test_bell_partial_base_cases():
@@ -340,8 +347,8 @@ def test_bell_partial_matches_generating_function_definition():
     from peakpoly.series import TruncSeries
 
     nmax = 8
-    xs = F.bell_peak_arguments(nmax)
-    base = TruncSeries(nmax, (Poly.zero(),) + xs[:nmax])
+    xs = tuple(Poly.monomial(1, (i - 1) // 2) for i in range(1, nmax + 1))  # x_i = w^floor((i-1)/2)
+    base = TruncSeries(nmax, (Poly.zero(),) + xs)
     power = TruncSeries.const(1, nmax)
     rows = F._PEAK_BELL_ROWS.upto(nmax)
     for k in range(nmax + 1):
@@ -400,7 +407,7 @@ def test_factorial_bell_identity():
         for k in (1, 2)
     )
     assert total == 6
-    for n in range(1, 13):
+    for n in range(0, 13):
         assert F.factorial_bell_sum(n) == math.factorial(n + 1)
     with pytest.raises(ValueError):
         F.factorial_bell_sum(-1)
@@ -408,15 +415,15 @@ def test_factorial_bell_identity():
 
 def test_factorial_bell_rows_count_partitions_into_singletons_and_pairs():
     # B_{n,k}(1, 1, 0, ...) counts partitions of [n] into k blocks of sizes 1
-    # and 2: n - k pairs and 2k - n singletons
-    rows = F._FACTORIAL_BELL_ROWS.upto(20)
+    # and 2: n - k pairs and 2k - n singletons; those are the Z[w] rows at w = 0
+    rows = F._PEAK_BELL_ROWS.upto(20)
     for n in range(21):
         assert len(rows[n]) == n + 1
         for k in range(n + 1):
             expected = 0
             if 2 * k >= n:
                 expected = math.factorial(n) // (math.factorial(n - k) * math.factorial(2 * k - n) * 2 ** (n - k))
-            assert rows[n][k] == Poly.constant(expected), (n, k)
+            assert rows[n][k].coeff(0) == expected, (n, k)
 
 
 def test_bell_expansion_reproduces_tan_sec_polys():

@@ -178,12 +178,31 @@ def test_bell_x0_check_sees_a_wrong_stirling_number(monkeypatch):
 
 
 def test_bell_x1_check_reports_the_wrong_sum(monkeypatch):
-    rows = list(F._FACTORIAL_BELL_ROWS.upto(5))
+    rows = list(F._PEAK_BELL_ROWS.upto(5))
     rows[5] = rows[5][:3] + (rows[5][3] + 1,) + rows[5][4:]  # B_{5,3} off by one
-    monkeypatch.setattr(F, "_FACTORIAL_BELL_ROWS", F.Memo(rows, F._FACTORIAL_BELL_ROWS.step))
+    monkeypatch.setattr(F, "_PEAK_BELL_ROWS", F.Memo(rows, F._PEAK_BELL_ROWS.step))
     assert I.check_bell_x1(4) is None
     # the k = 3 term of n = 5 is +3! 2^3 B_{5,3}, so the sum rises by 48
     assert I.check_bell_x1(5) == I.Witness(5, 0, "768", "720")
+
+
+@pytest.mark.parametrize("bump, expected", [
+    # B_{5,3} + 1 is seen at every point: in R_6 it adds 3! (1+x)^4, so 1 + 6 at
+    # x^0; at w = 1 it adds 3! to the Stirling sum, at w = 0 it adds 3! 2^3.
+    (Poly.one(), {"bell_expansion": I.Witness(5, 0, "7", "1"), "bell_stirling_x0": I.Witness(5, 0, "7", "1"),
+                  "bell_factorial_x1": I.Witness(5, 0, "768", "720")}),
+    # w (1 - w) vanishes at w = 1 and at w = 0, so only the peak arguments see it:
+    # at w = 1 - x^2 it is x^2 - x^4, and R_6 gains 6 x^2 + ... (179 + 6 at x^2)
+    (Poly((0, 1, -1)), {"bell_expansion": I.Witness(5, 2, "185", "179")}),
+], ids=["plus-one", "plus-w(1-w)"])
+def test_a_corrupted_bell_row_fails_the_checks_that_can_see_it(monkeypatch, bump, expected):
+    rows = list(F._PEAK_BELL_ROWS.upto(5))
+    rows[5] = rows[5][:3] + (rows[5][3] + bump,) + rows[5][4:]
+    monkeypatch.setattr(F, "_PEAK_BELL_ROWS", F.Memo(rows, F._PEAK_BELL_ROWS.step))
+    results = I.run("identities", nmax_exact=6, signed_nmax=3)
+    failed = {r.check_id: r.witness for r in results if not r.passed}
+    assert failed == expected
+    assert all(r.verdict == "fail" for r in results if not r.passed)
 
 
 def test_identity_suite_passes_at_defaults():
