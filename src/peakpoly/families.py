@@ -148,21 +148,35 @@ def euler_numbers(nmax: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the triangles (entry recurrences)
+# the triangles, by their entry recurrences
 # ---------------------------------------------------------------------------
 
-def _tan_sec_row(rows: list, m: int) -> tuple[int, ...]:
-    n, prev = m - 1, rows[-1]
+def _tan_sec_step(rs: list, m: int) -> Poly:
+    # R_m from R_(m-1) = R_n: R[n+1][k] = (k+1) R[n][k] + (n-k+2) R[n][k-2].
+    n, prev = m - 1, rs[-1].coeffs
 
     def entry(k: int) -> int:
-        a = prev[k] if k <= n else 0
+        a = prev[k] if k < len(prev) else 0
         b = prev[k - 2] if k >= 2 else 0
         return (k + 1) * a + (n - k + 2) * b
 
-    return tuple(entry(k) for k in range(n + 2))
+    return Poly(entry(k) for k in range(n + 2))
 
 
-_TAN_SEC_ROWS = Memo(((1,), (1, 1)), _tan_sec_row)
+# R_n as a polynomial, seeded with R_0 = 1 and R_1 = 1 + x (the step applies
+# for n >= 1).
+_TAN_SEC_POLYS = Memo((Poly.one(), ONE_PLUS_X), _tan_sec_step)
+
+
+def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
+    """R_0..R_nmax, the rows of the triangle R as polynomials."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return _TAN_SEC_POLYS.upto(nmax)
+
+
+def tan_sec_poly(n: int) -> Poly:
+    return tan_sec_polys(n)[n]
 
 
 def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
@@ -170,9 +184,7 @@ def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
 
     Row n has n+1 entries; rows start [1], [1, 1], [1, 2, 1], [1, 4, 5, 2], ...
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return _TAN_SEC_ROWS.upto(nmax)
+    return tuple(r.coeffs for r in tan_sec_polys(nmax))
 
 
 def _peak_row_step(left: int) -> Callable[[list, int], tuple[int, ...]]:
@@ -228,59 +240,11 @@ def left_peak_poly(n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# the same families through their polynomial recurrences (second route)
+# Eulerian polynomials
 # ---------------------------------------------------------------------------
 
 X_ONE_MINUS_X = Poly((0, 1, -1))
-X_ONE_MINUS_X2 = Poly((0, 1, 0, -1))
 TWO_X_ONE_MINUS_X = Poly((0, 2, -2))
-
-# R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n', seeded with R_0 = 1 and
-# R_1 = 1 + x (the recurrence applies for n >= 1).
-_TAN_SEC_POLYS = Memo(
-    (Poly.one(), ONE_PLUS_X),
-    lambda rs, m: Poly((1, 0, m - 1)) * rs[-1] + X_ONE_MINUS_X2 * rs[-1].derivative(),
-)
-# W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n', with W_n as term n-1.
-_PEAK_POLYS = Memo(
-    (Poly.one(),),
-    lambda ws, m: Poly((2, m - 1)) * ws[-1] + TWO_X_ONE_MINUS_X * ws[-1].derivative(),
-)
-# Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n', with Wl_n as term n-1.
-_LEFT_PEAK_POLYS = Memo(
-    (Poly.one(),),
-    lambda ws, m: Poly((1, m)) * ws[-1] + TWO_X_ONE_MINUS_X * ws[-1].derivative(),
-)
-
-
-def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
-    """R_0..R_nmax via R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n'."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return _TAN_SEC_POLYS.upto(nmax)
-
-
-def tan_sec_poly(n: int) -> Poly:
-    return tan_sec_polys(n)[n]
-
-
-def peak_polys_by_recurrence(nmax: int) -> tuple[Poly, ...]:
-    """W_1..W_nmax via W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n'."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return _PEAK_POLYS.upto(nmax - 1)
-
-
-def left_peak_polys_by_recurrence(nmax: int) -> tuple[Poly, ...]:
-    """Wl_1..Wl_nmax via Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n'."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return _LEFT_PEAK_POLYS.upto(nmax - 1)
-
-
-# ---------------------------------------------------------------------------
-# Eulerian polynomials
-# ---------------------------------------------------------------------------
 
 # A_{n+1} = (1 + nx) A_n + x(1-x) A_n'.  This classical recurrence is not
 # taken on faith: the suite checks the result against the descent
@@ -432,12 +396,11 @@ _SECANT_ROWS = Memo(((1,),), _secant_row)
 
 
 def _order_k_table(memo: Memo, nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    # Rows 0..nmax cut or zero-padded to columns 0..kmax (row n ends at k = n);
-    # column 0 is always kept.
-    if kmax > nmax:
-        raise ValueError("kmax must be <= nmax")
+    # Rows 0..nmax cut or zero-padded to columns 0..kmax (row n ends at k = n).
+    if not 0 <= kmax <= nmax:
+        raise ValueError("need 0 <= kmax <= nmax")
     rows = memo.upto(nmax)
-    return tuple((rows[n] + (0,) * kmax)[: max(kmax, 0) + 1] for n in range(nmax + 1))
+    return tuple((rows[n] + (0,) * kmax)[: kmax + 1] for n in range(nmax + 1))
 
 
 def tangent_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:

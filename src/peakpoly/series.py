@@ -217,8 +217,7 @@ FAMILIES = {
         "oracle": lambda n: families.cached_distribution(n, "des").as_poly(),
     }, egf0=Poly.one()),
     "R": Family(0, RECURRENCE_CAP, {
-        "recurrence": lambda n: families.tan_sec_poly(n),
-        "triangle": lambda n: Poly(families.tan_sec_triangle(n)[n]),
+        "triangle": lambda n: families.tan_sec_poly(n),
         "gf": lambda n: solved_family_polys("P", n)[n],
     }),
     "G": Family(1, RECURRENCE_CAP, {
@@ -244,13 +243,11 @@ FAMILIES = {
     }, egf0=Poly.one()),
     "W": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.peak_poly(n),
-        "recurrence": lambda n: families.peak_polys_by_recurrence(n)[n - 1],
         "gf": lambda n: solved_family_polys("W", n)[n],
         "oracle": lambda n: families.cached_distribution(n, "pk").as_poly(),
     }, egf0=Poly.zero()),
     "WL": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.left_peak_poly(n),
-        "recurrence": lambda n: families.left_peak_polys_by_recurrence(n)[n - 1],
         "gf": lambda n: solved_family_polys("WL", n)[n],
         "oracle": lambda n: families.cached_distribution(n, "lpk").as_poly(),
     }, egf0=Poly.one()),

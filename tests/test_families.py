@@ -60,17 +60,23 @@ def test_tan_sec_poly_examples():
 
 
 def test_polynomial_recurrence_matches_triangle_route():
-    # two independent recurrences for each peak family
-    ws = F.peak_polys_by_recurrence(25)
-    wls = F.left_peak_polys_by_recurrence(25)
-    for n in range(1, 26):
-        assert ws[n - 1] == F.peak_poly(n)
-        assert wls[n - 1] == F.left_peak_poly(n)
+    # The paper gives each peak triangle twice: entry by entry (the package's
+    # only copy) and as a recurrence of the row polynomials, checked here:
+    # W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n',
+    # Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n', each for n >= 1.
+    for n in range(1, 41):
+        w, wl = F.peak_poly(n), F.left_peak_poly(n)
+        assert F.peak_poly(n + 1) == Poly((2, n - 1)) * w + Poly((0, 2, -2)) * w.derivative(), n
+        assert F.left_peak_poly(n + 1) == Poly((1, n)) * wl + Poly((0, 2, -2)) * wl.derivative(), n
 
 
 def test_triangle_rows_match_polynomial_recurrence():
-    for n in range(26):
-        assert tuple(int(c) for c in F.tan_sec_poly(n).coeffs) == F.tan_sec_triangle(n)[n]
+    # rows of the entry-by-entry triangle satisfy the paper's polynomial
+    # recurrence R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n' for n >= 1
+    rows = [Poly(row) for row in F.tan_sec_triangle(41)]
+    for n in range(1, 41):
+        r = rows[n]
+        assert rows[n + 1] == Poly((1, 0, n)) * r + Poly((0, 1, 0, -1)) * r.derivative(), n
 
 
 def test_derivative_polys_low_orders():
@@ -261,6 +267,10 @@ def test_tangent_secant_tables():
 def test_tangent_table_requires_kmax_le_nmax():
     with pytest.raises(ValueError):
         F.tangent_numbers_table(3, 4)
+    for table in (F.tangent_numbers_table, F.secant_numbers_table):
+        for nmax, kmax in ((3, -1), (3, -2), (-1, -1)):
+            with pytest.raises(ValueError):
+                table(nmax, kmax)
 
 
 def test_order_k_tables_build_one_row_per_new_n(monkeypatch):

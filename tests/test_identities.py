@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -45,6 +46,30 @@ def test_row_interleave_detects_corruption(monkeypatch):
     assert witness is not None
     assert witness.n == 5 and witness.index == 2
     assert witness.lhs == "59" and witness.rhs == "58"
+
+
+def test_triangle_rows_at_the_cap_sum_and_interleave(capsys):
+    # row_interleave stops at nmax_exact <= 64; the rows the CLI prints up to
+    # its cap of 128 are checked here
+    rows = {}
+    for family in ("R", "W", "WL"):
+        assert cli.main(["triangle", "--family", family, "--nmax", "128"]) == 0
+        rows[family] = [tuple(map(int, line.split(","))) for line in capsys.readouterr().out.splitlines()]
+    assert [len(rows[family]) for family in ("R", "W", "WL")] == [129, 128, 128]
+    for n in range(1, 129):
+        w_row, wl_row, r_row = rows["W"][n - 1], rows["WL"][n - 1], rows["R"][n]
+        assert sum(w_row) == sum(wl_row) == math.factorial(n), n
+        assert sum(r_row) == 2 * math.factorial(n), n
+        assert r_row == I.interleave_rows(w_row, wl_row), n
+    assert rows["R"][0] == (1,)
+
+
+def test_every_agreement_row_reads_whole_pairs():
+    # check_routes_agree compares reads[::2] with reads[1::2], so an odd last
+    # read would never be compared
+    for check in I.CHECKS:
+        if check.fn == "check_routes_agree":
+            assert check.reads and len(check.reads) % 2 == 0, check.check_id
 
 
 @given(small_polys, st.integers(min_value=0, max_value=3), small_polys, small_polys)
