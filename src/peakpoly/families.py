@@ -13,9 +13,12 @@ route below computes them in integer arithmetic:
 * eulerian_poly: descent polynomial of S_n
 * type_b / affine eulerian polys: descent and augmented-descent polynomials
   of signed permutations, by the type-B and affine Eulerian recurrences, and
-  their interleave T_n
-* tangent/secant numbers of order k, partial Bell polynomials, Stirling
-  numbers of the second kind
+  their interleave T_n; interleave_rows is the one row interleave, of R's
+  rows and of T_n
+* tangent/secant numbers of order k, T(n, k) = n! [x^n] tan^k and
+  S(n, k) = n! [x^n] sec tan^k, by the entry recurrences that differentiating
+  tan^k and sec tan^k gives; partial Bell polynomials, Stirling numbers of
+  the second kind
 
 Every family has at least two independent computation routes (recurrence,
 series solve, brute-force enumeration, or one of the paper's identities
@@ -26,15 +29,17 @@ The routes of each family are listed in the family table, series.FAMILIES.
 Each recurrence family, each table of order-k tangent/secant numbers, and
 the partial Bell triangle is one Memo: a growing tuple of terms 0..k that
 builds only terms k+1..n when term n is asked for, so per-n calls never
-rebuild a prefix.  The Bell triangle is over Z[w], at the arguments
-x_i = w^floor((i-1)/2); the identities read it at w = 1 - x^2 (the peak
-arguments), at w = 1 (all ones) and at w = 0 (1, 1, 0, 0, ...).  The
-enumeration oracle results are memoized per (n, stat) (or (n, reverse) for
-alternating counts) by functools.cache; the module caches in no other way.
+rebuild a prefix; a negative n is refused.  The Bell triangle is over Z[w],
+at the arguments x_i = w^floor((i-1)/2); the identities read it at
+w = 1 - x^2 (the peak arguments), at w = 1 (all ones) and at w = 0
+(1, 1, 0, 0, ...).  The enumeration oracle results are memoized per
+(n, stat) (or (n, reverse) for alternating counts) by functools.cache; the
+module caches in no other way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache
 from typing import Callable, Sequence
@@ -78,6 +83,8 @@ class Memo:
 
     def upto(self, n: int) -> tuple:
         """Terms 0..n."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
         if n >= len(self.terms):
             terms = list(self.terms)
             for m in range(len(terms), n + 1):
@@ -295,6 +302,13 @@ def affine_eulerian_poly(n: int) -> Poly:
     return _AFFINE_POLYS.upto(n)[n]
 
 
+def interleave_rows(odd: Sequence[int], even: Sequence[int]) -> tuple[int, ...]:
+    """The combined row: even entries from `even`, odd entries from `odd`,
+    every entry of both kept.  R_n's row interleaves the interior-peak row
+    (odd) with the left-peak row (even); T_n interleaves Ct_n/x with C_n."""
+    return tuple(v for pair in itertools.zip_longest(even, odd) for v in pair if v is not None)
+
+
 def signed_interleave_poly(n: int) -> Poly:
     """T_n(x) = C_n(x^2) + Ct_n(x^2)/x, interleaving the two signed families.
 
@@ -305,14 +319,7 @@ def signed_interleave_poly(n: int) -> Poly:
     c, ct = type_b_eulerian_poly(n), affine_eulerian_poly(n)
     if ct.coeff(0) != 0:
         raise ConstantTermNonzero(f"Ct_{n} has nonzero constant term {ct.coeff(0)}")
-    width = 2 * max(len(c.coeffs), len(ct.coeffs))
-    out = [0] * width
-    for i, v in enumerate(c.coeffs):
-        out[2 * i] += v
-    for i, v in enumerate(ct.coeffs):
-        if i >= 1:
-            out[2 * i - 1] += v
-    return Poly(out)
+    return Poly(interleave_rows(ct.coeffs[1:], c.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +374,21 @@ def type_b_poly_from_eulerian(n: int) -> Poly:
 # tangent and secant numbers of order k
 # ---------------------------------------------------------------------------
 
-def _times_tan(rows: list, tan: list, n: int, k: int) -> int:
-    # n! [x^n] of (column k-1 of rows) * tan, a Hurwitz product.  tan[0] = 0,
-    # so only rows 0..n-1 are read.
-    return sum(math.comb(n, i) * rows[i][k - 1] * tan[n - i] for i in range(k - 1, n))
+def _order_k_step(lift: int) -> Callable[[list, int], tuple[int, ...]]:
+    # Row n, k = 0..n, of T(n, k) (lift = 0) or S(n, k) (lift = 1) from row
+    # n-1, by d/dx sec^lift tan^k = sec^lift (k tan^(k-1) + (k+lift) tan^(k+1)):
+    # entry k is k * prev[k-1] + (k+lift) * prev[k+1].  Nothing is read off
+    # the derivative polynomials or the peak rows, so cvijovic_polys stays a
+    # route to P_n and Q_n of its own.
+    def step(rows: list, n: int) -> tuple[int, ...]:
+        prev = (0,) + rows[-1] + (0, 0)
+        return tuple(k * prev[k] + (k + lift) * prev[k + 2] for k in range(n + 1))
+
+    return step
 
 
-def _tangent_row(rows: list, n: int) -> tuple[int, ...]:
-    # Row n of T(n, k), k = 0..n.  Entry 1 is tan' = 1 + tan^2 read at
-    # x^(n-1); entry k >= 2 is the Hurwitz product of tan^(k-1) with tan.
-    # Nothing is read off the derivative polynomials, so cvijovic_polys stays
-    # a route to P_n and Q_n of its own.
-    prev = rows[-1]
-    tan = [0] + [row[1] for row in rows[1:]] + [int(n == 1) + (prev[2] if len(prev) > 2 else 0)]
-    return (0, tan[n]) + tuple(_times_tan(rows, tan, n, k) for k in range(2, n + 1))
-
-
-def _secant_row(rows: list, n: int) -> tuple[int, ...]:
-    # Row n of S(n, k), k = 0..n.  Entry 0 is sec' = sec tan read at x^(n-1);
-    # entry k >= 1 is the Hurwitz product of sec tan^(k-1) with tan.
-    prev = rows[-1]
-    tan = [0] + [row[1] for row in _TANGENT_ROWS.upto(n)[1:]]
-    return (prev[1] if len(prev) > 1 else 0,) + tuple(_times_tan(rows, tan, n, k) for k in range(1, n + 1))
-
-
-_TANGENT_ROWS = Memo(((1,),), _tangent_row)
-_SECANT_ROWS = Memo(((1,),), _secant_row)
+_TANGENT_ROWS = Memo(((1,),), _order_k_step(0))
+_SECANT_ROWS = Memo(((1,),), _order_k_step(1))
 
 
 def _order_k_table(memo: Memo, nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
@@ -425,16 +421,14 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    t_table = tangent_numbers_table(n + 1, n + 1)
-    s_table = secant_numbers_table(n, n)
-    p_coeffs = [t_table[n][1] if n >= 1 else 0]
+    t_rows = _TANGENT_ROWS.upto(n + 1)
+    p_coeffs = [t_rows[n][1] if n >= 1 else 0]
     for k in range(1, n + 2):
-        c, r = divmod(t_table[n + 1][k], k)
+        c, r = divmod(t_rows[n + 1][k], k)
         if r:
-            raise NonzeroRemainder(f"T({n + 1}, {k}) = {t_table[n + 1][k]} is not divisible by {k}")
+            raise NonzeroRemainder(f"T({n + 1}, {k}) = {t_rows[n + 1][k]} is not divisible by {k}")
         p_coeffs.append(c)
-    q_coeffs = [s_table[n][k] for k in range(n + 1)]
-    return Poly(p_coeffs), Poly(q_coeffs)
+    return Poly(p_coeffs), Poly(_SECANT_ROWS.upto(n)[n])
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,6 @@ def _aggregate(check_id: str, n_range: tuple[int, int], ns: Sequence[int],
 # row-level identities
 # ---------------------------------------------------------------------------
 
-def interleave_rows(w_row: Sequence[int], wl_row: Sequence[int]) -> tuple[int, ...]:
-    """The combined row: even entries from the left-peak row, odd entries
-    from the interior-peak row, every entry of both kept."""
-    return tuple(v for pair in itertools.zip_longest(wl_row, w_row) for v in pair if v is not None)
-
-
 def check_row_interleave(n: int) -> Witness | None:
     """Row n of the tan_sec triangle interleaves the two peak rows, and the
     row facts hold: leading 1, second entry 2^(n-1), row sum 2 n!, last entry
@@ -92,7 +86,7 @@ def check_row_interleave(n: int) -> Witness | None:
     r_row = families.tan_sec_triangle(n)[n]
     w_row = families.peak_triangle(n)[n - 1]
     wl_row = families.left_peak_triangle(n)[n - 1]
-    expected = interleave_rows(w_row, wl_row)
+    expected = families.interleave_rows(w_row, wl_row)
     witness = first_difference(n, tuple(r_row), expected)
     if witness is not None:
         return witness

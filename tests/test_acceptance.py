@@ -51,10 +51,10 @@ def test_criterion_02_triple_agreement():
     start = time.monotonic()
     for n in range(1, 10):
         row = F.tan_sec_triangle(n)[n]
-        assert tuple(int(c) for c in F.tan_sec_poly(n).coeffs) == row
+        assert S.FAMILIES["R"].routes["gf"](n).coeffs == row
         pk = F.cached_distribution(n, "pk").counts
         lpk = F.cached_distribution(n, "lpk").counts
-        assert I.interleave_rows(pk, lpk) == row
+        assert F.interleave_rows(pk, lpk) == row
     for n in range(1, 8):
         for family in ("C", "CT"):
             assert S.FAMILIES[family].routes["peaks"](n) == S.FAMILIES[family].routes["oracle"](n), (family, n)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,18 @@ def test_tan_sec_memo_never_rebuilds_a_prefix(monkeypatch):
     assert type(F.tan_sec_polys(5)) is tuple  # a caller cannot change the memo
 
 
+def test_memo_refuses_a_negative_index():
+    # a slice to n + 1 < 0 would hand back all but the last terms
+    memo = F.Memo((1,), lambda terms, m: terms[-1] + 1)
+    assert memo.upto(3) == (1, 2, 3, 4)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError):
+            memo.upto(n)
+        with pytest.raises(ValueError):
+            F._PEAK_ROWS.upto(n)
+    assert memo.terms == (1, 2, 3, 4)
+
+
 def test_cached_distribution_enumerates_once(monkeypatch):
     calls = []
     original = perms.distribution
@@ -295,6 +308,31 @@ def test_order_k_tables_build_one_row_per_new_n(monkeypatch):
     assert steps == []
 
 
+def test_order_k_tables_match_sympys_series_of_tan_and_sec():
+    # T(n, k) = n! [x^n] tan^k and S(n, k) = n! [x^n] sec tan^k, from sympy's
+    # series of tan and sec multiplied here, truncated at x^nmax, in Fractions
+    # (sympy's own Rationals would take seconds)
+    sympy = pytest.importorskip("sympy")
+    x, nmax = sympy.Symbol("x"), 12
+
+    def coefficients(f):
+        taylor = sympy.series(f(x), x, 0, nmax + 1).removeO()
+        return [Fraction(int(c.p), int(c.q)) for c in (taylor.coeff(x, i) for i in range(nmax + 1))]
+
+    tan, sec = coefficients(sympy.tan), coefficients(sympy.sec)
+
+    def times_tan(series):
+        return [sum(series[i] * tan[m - i] for i in range(m + 1)) for m in range(nmax + 1)]
+
+    t_table, s_table = F.tangent_numbers_table(nmax, nmax), F.secant_numbers_table(nmax, nmax)
+    tan_k, sec_tan_k = [1] + [0] * nmax, sec
+    for k in range(nmax + 1):
+        for n in range(nmax + 1):
+            assert t_table[n][k] == math.factorial(n) * tan_k[n], ("T", n, k)
+            assert s_table[n][k] == math.factorial(n) * sec_tan_k[n], ("S", n, k)
+        tan_k, sec_tan_k = times_tan(tan_k), times_tan(sec_tan_k)
+
+
 def test_cvijovic_rebuild_matches_recurrence():
     ps, qs = F.derivative_polys(12)
     for n in range(13):
@@ -308,7 +346,7 @@ def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypat
     rows = list(F._TANGENT_ROWS.upto(4))
     assert rows[4][2] == 16
     rows[4] = rows[4][:2] + (17,) + rows[4][3:]
-    monkeypatch.setattr(F, "_TANGENT_ROWS", F.Memo(rows, F._tangent_row))
+    monkeypatch.setattr(F, "_TANGENT_ROWS", F.Memo(rows, F._order_k_step(0)))
     with pytest.raises(NonzeroRemainder):
         F.cvijovic_polys(3)
     assert F.cvijovic_polys(2) == (F.tangent_derivative_poly(2), F.secant_derivative_poly(2))
@@ -488,7 +526,7 @@ def test_row_facts():
 
 
 def test_triple_agreement_with_oracle():
-    # triangle row == polynomial route == interleaved enumeration counts
+    # triangle row == GF solve == interleaved enumeration counts
     for n in range(1, 9):
         row = F.tan_sec_triangle(n)[n]
         pk = perms.distribution(n, "pk").counts
@@ -497,4 +535,4 @@ def test_triple_agreement_with_oracle():
             pk[(k - 1) // 2] if k % 2 else lpk[k // 2] for k in range(n + 1)
         )
         assert row == interleaved
-        assert Poly(row) == F.tan_sec_poly(n)
+        assert Poly(row) == S.FAMILIES["R"].routes["gf"](n)

@@ -31,7 +31,7 @@ def _corrupt_row(monkeypatch, triangle, i, change):
 
 def test_row_interleave_reference_row():
     # row 4 merges the two peak rows: odd slots [8, 16], even slots [1, 18, 5]
-    assert I.interleave_rows((8, 16), (1, 18, 5)) == (1, 8, 18, 16, 5)
+    assert F.interleave_rows((8, 16), (1, 18, 5)) == (1, 8, 18, 16, 5)
     assert I.check_row_interleave(4) is None
 
 
@@ -60,7 +60,7 @@ def test_triangle_rows_at_the_cap_sum_and_interleave(capsys):
         w_row, wl_row, r_row = rows["W"][n - 1], rows["WL"][n - 1], rows["R"][n]
         assert sum(w_row) == sum(wl_row) == math.factorial(n), n
         assert sum(r_row) == 2 * math.factorial(n), n
-        assert r_row == I.interleave_rows(w_row, wl_row), n
+        assert r_row == F.interleave_rows(w_row, wl_row), n
     assert rows["R"][0] == (1,)
 
 

@@ -107,6 +107,16 @@ def test_all_routes_of_a_family_agree(name, data):
     assert family.poly(n) == values[next(iter(values))]
 
 
+def test_the_three_routes_of_p_and_q_agree_up_to_the_cap():
+    # CI compares every route only to min(cap, 64); P and Q reach 128
+    for name in ("P", "Q"):
+        family = S.FAMILIES[name]
+        assert len(family.routes) == 3, name
+        for n in range(family.min_n, family.cap + 1):
+            first, *others = (route(n) for route in family.routes.values())
+            assert others == [first, first], (name, n)
+
+
 def test_derivative_polynomials_by_the_papers_definition():
     # D^n tan = P_n(tan) and D^n sec = sec Q_n(tan): with x = tan(theta),
     # Taylor's theorem makes P_n(x)/n! the t^n coefficient of

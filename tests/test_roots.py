@@ -84,7 +84,7 @@ def test_non_squarefree_rejected():
         sturm_chain(ONE_PLUS_X**2)
 
 
-def test_isolate_roots_linear_and_quadratic():
+def test_sturm_index_and_counts_linear_and_quadratic():
     p = Poly((1, 5))
     assert sturm_chain(p).cauchy_index() == 1
     assert count(p, Fraction(-1, 4), Fraction(-1, 8)) == 1
@@ -99,12 +99,12 @@ def test_isolate_roots_linear_and_quadratic():
     assert count(g5, Fraction(-1, 2), 0) == 1
 
 
-def test_isolate_roots_constant():
+def test_sturm_index_and_counts_of_a_constant():
     assert sturm_chain(Poly.one()).cauchy_index() == 0
     assert count(Poly.one(), -1, 1) == 0
 
 
-def test_isolate_roots_hits_rational_root_at_midpoint():
+def test_sturm_index_and_counts_between_rational_roots():
     # roots at -1/2 and 1/2, with the symmetric midpoint 0 between them; a
     # count may not end on a root
     p = Poly((-1, 0, 4))  # 4x^2 - 1
