@@ -2,8 +2,8 @@
 
 Subcommands: triangle, poly, oracle, verify.  All output is deterministic:
 the same invocation produces byte-identical output.  Enumeration runs in this
-process; --jobs / PEAKPOLY_JOBS is still accepted and validated, but changes
-neither the work nor the output.
+process; --jobs is still accepted and validated, but changes neither the
+work nor the output.
 
 Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
 limit exceeded.  The families, their minimum n and their caps come from the family
@@ -38,19 +38,12 @@ ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
 
 
 def _check_jobs(args, parser) -> None:
-    """--jobs, else PEAKPOLY_JOBS, must be an integer >= 1, else a usage error.
+    """--jobs must be >= 1, else a usage error.
 
     Enumeration is serial, so a valid value is accepted for the sake of
     existing invocations and otherwise ignored."""
-    name, jobs = "--jobs", args.jobs
-    if jobs is None:
-        name, raw = "PEAKPOLY_JOBS", os.environ.get("PEAKPOLY_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            parser.error(f"PEAKPOLY_JOBS must be an integer, got {raw!r}")
-    if jobs < 1:
-        parser.error(f"{name} must be >= 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
 
 def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
@@ -79,7 +72,7 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     if "oracle" in commands:
         p_oracle.add_argument("--stat", required=True, choices=ORACLE_STATS)
         p_oracle.add_argument("--n", required=True, type=int)
-        p_oracle.add_argument("--jobs", type=int, default=None)
+        p_oracle.add_argument("--jobs", type=int, default=1)
     if "verify" in commands:
         from . import identities
 
@@ -88,7 +81,7 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
         for knob in identities.RANGES:
             if knob.flag:
                 p_verify.add_argument(knob.flag, type=int, default=knob.default)
-        p_verify.add_argument("--jobs", type=int, default=None)
+        p_verify.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -130,8 +130,6 @@ def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     P_0 = u, P_{n+1} = (1+u^2) P_n'; Q_0 = 1, Q_{n+1} = (1+u^2) Q_n' + u Q_n.
     P_n(0) and Q_n(0) are the tangent and secant numbers.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
     pqs = _DERIVATIVE_POLYS.upto(nmax)
     return tuple(p for p, _ in pqs), tuple(q for _, q in pqs)
 
@@ -177,8 +175,6 @@ _TAN_SEC_POLYS = Memo((Poly.one(), ONE_PLUS_X), _tan_sec_step)
 
 def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
     """R_0..R_nmax, the rows of the triangle R as polynomials."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
     return _TAN_SEC_POLYS.upto(nmax)
 
 
@@ -504,8 +500,6 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
 def factorial_bell_sum(n: int) -> int:
     """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!; the
     arguments are the peak rows' at w = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     row = _PEAK_BELL_ROWS.upto(n)[n]
     return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(n + 1))
 

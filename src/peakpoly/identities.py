@@ -3,8 +3,10 @@
 Each check compares two independently computed sides in exact arithmetic and
 returns a CheckResult; a failure carries a witness with the smallest n and
 coefficient index where the sides disagree, with both exact values, so it can
-be re-evaluated by hand.  The comparisons live here; the layers below only
-compute, and an identity that builds one family from another is a route of
+be re-evaluated by hand.  The comparisons live here, the generating-function
+ones too, and this is the only module that builds a Witness; the layers
+below only compute (a certificate of roots or series raises a violation),
+and an identity that builds one family from another is a route of
 series.FAMILIES, checked by an agreement row.  CHECKS lists every check once,
 with its suite, its range and the routes it reads; a check that reads family
 routes by name reads them through series.FAMILIES, so a route rebound in that
@@ -25,7 +27,51 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import families, permutations, roots, series
-from .series import Witness, first_difference
+from .polynomial import Poly
+
+
+class Witness(NamedTuple):
+    """Where two exactly computed sides first differ: n (the z-order for a
+    series), the coefficient index and both exact values as strings.  Index
+    -1 marks a violation raised by a lower layer (lhs is its type).  The
+    witness type of every check."""
+
+    n: int
+    index: int
+    lhs: str
+    rhs: str
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "index": self.index, "lhs": self.lhs, "rhs": self.rhs}
+
+
+def first_difference(n: int, lhs: Poly | Sequence, rhs: Poly | Sequence) -> Witness | None:
+    """The witness at the first index where lhs and rhs differ, or None.
+
+    Polynomials compare coefficient by coefficient (missing coefficients are
+    0); plain sequences entry by entry, where a missing entry reads None, so
+    a length mismatch is a difference.
+    """
+    pad = None
+    if isinstance(lhs, Poly):
+        lhs, rhs, pad = lhs.coeffs, rhs.coeffs, 0
+    for j in range(max(len(lhs), len(rhs))):
+        a = lhs[j] if j < len(lhs) else pad
+        b = rhs[j] if j < len(rhs) else pad
+        if a != b:
+            return Witness(n, j, str(a), str(b))
+    return None
+
+
+def _series_difference(a: series.TruncSeries, b: series.TruncSeries) -> Witness | None:
+    """First differing coefficient of two series; its n is the z-order and
+    its values are Hurwitz entries (m! [z^m])."""
+    a._require_same_order(b)
+    for m in range(a.order + 1):
+        witness = first_difference(m, a.coeffs[m], b.coeffs[m])
+        if witness is not None:
+            return witness
+    return None
 
 
 class CheckResult(NamedTuple):
@@ -146,8 +192,14 @@ def check_oracle_alternating(n: int) -> Witness | None:
     return first_difference(n, counts, (e_n, e_n))
 
 
+def has_internal_zeros(counts: Sequence[int]) -> bool:
+    """True when a zero sits strictly between two nonzero counts."""
+    nz = [i for i, c in enumerate(counts) if c]
+    return bool(nz) and any(counts[i] == 0 for i in range(nz[0], nz[-1]))
+
+
 def check_oracle_internal_zeros(n: int, *reads: str) -> Witness | None:
-    name = next((name for name in reads if permutations.has_internal_zeros(_route(name, n).coeffs)), None)
+    name = next((name for name in reads if has_internal_zeros(_route(name, n).coeffs)), None)
     return None if name is None else Witness(n, 0, name, "internal zero")
 
 
@@ -169,16 +221,36 @@ def check_oracle_by_definition(n: int) -> Witness | None:
     return first_difference(n, counts, [ades[k] for k in range(m + 1)])
 
 
+# The series checks read series.engine_series and series.closed_form_sides
+# through the module, so a function rebound there is the one they compare.
+
 def check_gf(order: int, egf: str) -> Witness | None:
-    return series.verify_gf(egf, order)
+    """The cross-multiplied closed form of EGF id `egf`, family * den = rhs,
+    with the family's series assembled from its first route."""
+    den, rhs = series.closed_form_sides(egf, order)
+    return _series_difference(series.engine_series(egf, order) * den, rhs)
 
 
 def check_t_vs_eulerian(order: int) -> Witness | None:
-    return series.verify_t_vs_eulerian(order)
+    """x + T(x, z) = (1+x) A(x, z(1+x)) through order; its entry n >= 1 is
+    the per-coefficient form T_n = (1+x)^(n+1) A_n."""
+    one_plus_x = Poly((1, 1))
+    a = series.engine_series("A", order)
+    rescaled = series.TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
+    lhs = series.engine_series("T", order) + series.TruncSeries.const(Poly.x(), order)
+    return _series_difference(lhs, rescaled.scale(one_plus_x))
 
 
 def check_pde(order: int) -> Witness | None:
-    return series.verify_pde(order + 1)  # P through z^(order+1) checks z-orders 0..order
+    """x(x^2-1) dP/dx + (1 - x^2 z) dP/dz = P + x at z-orders 0..order,
+    where P, the EGF of the tan_sec family, is known through z^(order+1)."""
+    p = series.engine_series("P", order + 1)
+    x = Poly.x()
+    px = p.dx().truncate(order)
+    pz = p.dz()
+    lhs = px.scale(Poly((0, -1, 0, 1))) + pz - pz.shift_z(1).scale(x * x)
+    rhs = p.truncate(order) + series.TruncSeries.const(x, order)
+    return _series_difference(lhs, rhs)
 
 
 def check_numeric_spot(order: int, x0: Fraction, t0: Fraction, tol: float) -> Witness | None:

@@ -40,7 +40,8 @@ At its end the request folds the hit counts into the histograms, once.
 Each permutation or window is counted exactly once: its prefix is walked
 once and fixes a base value, and its completion is one of those the
 histogram counts at base + increment.  Everything runs in the calling
-process.  Nothing here relies on assert.
+process.  Nothing here relies on assert.  This module only counts; the
+checks that judge the counts live in identities.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class StatDistribution(NamedTuple):
         from .polynomial import Poly  # not at module level: the oracle request never reads it
 
         return Poly(self.counts)
-
-
-def has_internal_zeros(counts: Sequence[int]) -> bool:
-    """True when a zero sits strictly between two nonzero counts."""
-    nz = [i for i, c in enumerate(counts) if c]
-    return bool(nz) and any(counts[i] == 0 for i in range(nz[0], nz[-1]))
 
 
 def _peaks(pi: tuple[int, ...]) -> int:

@@ -10,12 +10,14 @@ no 1/m! factor is ever formed and the whole module runs in Z[x].
 Square roots never appear: cosh(z*sqrt(w)) and sinh(z*sqrt(w))/sqrt(w) are
 both power series in w.  Each closed form is a row of EGFS, cross-multiplied
 as family * den = rhs, with den a + b d and d a running product of two
-ratios that alternate with the parity of the z-order.  Both sides are plain
-polynomial coefficients; the same relations are also *solved*
-coefficient-by-coefficient (division only ever by the exactly-dividing z^0
-entry) to rebuild each family from its closed form, giving an independent
-derivation route.  Rationals appear only in the numeric spot-check's
-partial sum.
+ratios that alternate with the parity of the z-order.  This module only
+computes the two sides (closed_form_sides, and engine_series from each
+family's first route); identities compares them.  The same relations are
+also *solved* coefficient-by-coefficient (division only ever by the
+exactly-dividing z^0 entry) to rebuild each family from its closed form,
+giving an independent derivation route.  Rationals appear only in the
+numeric spot-check's partial sum, a certificate that raises
+ToleranceExceeded, as the certificates of roots raise their violations.
 
 The family table lives here too: FAMILIES maps each CLI family id to its
 routes, minimum n, CLI cap and EGF entry 0, and each EGFS row names the
@@ -353,88 +355,6 @@ def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
         den, rhs = closed_form_sides(family, order)
         solved = _SOLVED[family] = solve_series(rhs, den, solved).coeffs
     return solved[: order + 1]
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-class Witness(NamedTuple):
-    """Where two exactly computed sides first differ: n (the z-order for a
-    series), the coefficient index and both exact values as strings.  Index
-    -1 marks a violation raised by a lower layer (lhs is its type).  The
-    witness type of every check here and in identities."""
-
-    n: int
-    index: int
-    lhs: str
-    rhs: str
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "index": self.index, "lhs": self.lhs, "rhs": self.rhs}
-
-
-def first_difference(n: int, lhs: Poly | Sequence, rhs: Poly | Sequence) -> Witness | None:
-    """The witness at the first index where lhs and rhs differ, or None.
-
-    Polynomials compare coefficient by coefficient (missing coefficients are
-    0); plain sequences entry by entry, where a missing entry reads None, so
-    a length mismatch is a difference.
-    """
-    pad = None
-    if isinstance(lhs, Poly):
-        lhs, rhs, pad = lhs.coeffs, rhs.coeffs, 0
-    for j in range(max(len(lhs), len(rhs))):
-        a = lhs[j] if j < len(lhs) else pad
-        b = rhs[j] if j < len(rhs) else pad
-        if a != b:
-            return Witness(n, j, str(a), str(b))
-    return None
-
-
-def _series_difference(a: TruncSeries, b: TruncSeries) -> Witness | None:
-    """First differing coefficient of two series; its n is the z-order and
-    its values are Hurwitz entries (m! [z^m])."""
-    a._require_same_order(b)
-    for m in range(a.order + 1):
-        witness = first_difference(m, a.coeffs[m], b.coeffs[m])
-        if witness is not None:
-            return witness
-    return None
-
-
-def verify_gf(family: str, order: int) -> Witness | None:
-    """Cross-multiplied closed-form check for one family; None means pass."""
-    engine = engine_series(family, order)
-    den, rhs = closed_form_sides(family, order)
-    return _series_difference(engine * den, rhs)
-
-
-def verify_t_vs_eulerian(order: int) -> Witness | None:
-    """Checks x + T(x, z) = (1+x) A(x, z(1+x)) through order; its entry n >= 1
-    is the per-coefficient form T_n = (1+x)^(n+1) A_n."""
-    one_plus_x = Poly((1, 1))
-    a = engine_series("A", order)
-    rescaled = TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
-    lhs = engine_series("T", order) + TruncSeries.const(Poly.x(), order)
-    return _series_difference(lhs, rescaled.scale(one_plus_x))
-
-
-def verify_pde(order: int) -> Witness | None:
-    """Exact check of x(x^2-1) dP/dx + (1 - x^2 z) dP/dz = P + x.
-
-    P is the EGF of the tan_sec family; with P known through z^order the
-    identity is verified for all z-coefficients up to order - 1.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    p = engine_series("P", order)
-    x = Poly.x()
-    px = p.dx().truncate(order - 1)
-    pz = p.dz()
-    lhs = px.scale(Poly((0, -1, 0, 1))) + pz - pz.shift_z(1).scale(x * x)
-    rhs = p.truncate(order - 1) + TruncSeries.const(x, order - 1)
-    return _series_difference(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

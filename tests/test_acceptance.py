@@ -78,9 +78,9 @@ def test_criterion_03_derivative_polynomial_cross_check():
 def test_criterion_04_generating_function_suite():
     start = time.monotonic()
     for family in ("A", "W", "WL", "P", "C", "CT", "T", "R"):
-        assert S.verify_gf(family, 16) is None, family
-    assert S.verify_pde(16) is None  # checks all z-coefficients up to 15
-    assert S.verify_t_vs_eulerian(16) is None
+        assert I.check_gf(16, family) is None, family
+    assert I.check_pde(15) is None  # P through z^16 checks all z-coefficients up to 15
+    assert I.check_t_vs_eulerian(16) is None
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
     print("ACCEPTANCE 4 (generating functions): PASS")

@@ -334,21 +334,13 @@ def test_verify_reports_are_deterministic():
     assert run(*args).stdout == run(*args).stdout
 
 
-def test_jobs_env_variable_accepted(monkeypatch):
-    env = dict(os.environ, PEAKPOLY_JOBS="2")
-    res = run("oracle", "--stat", "des", "--n", "5", env=env)
+def test_jobs_env_variable_is_ignored():
+    # PEAKPOLY_JOBS is no longer read: even a value that is not a number
+    # leaves the exit code and the output as they are without it
+    env = dict(os.environ, PEAKPOLY_JOBS="abc")
+    res = run("oracle", "--stat", "pk", "--n", "5", env=env)
     assert res.returncode == 0
-    assert res.stdout == run("oracle", "--stat", "des", "--n", "5").stdout
-
-
-def test_flag_overrides_jobs_env():
-    env = dict(os.environ, PEAKPOLY_JOBS="0")
-    res = run("oracle", "--stat", "des", "--n", "4", "--jobs", "1", env=env)
-    assert res.returncode == 0
-    assert res.stdout == "1,11,11,1\n"
-    res = run("oracle", "--stat", "des", "--n", "4", env=env)
-    assert res.returncode == 2
-    assert "PEAKPOLY_JOBS must be >= 1" in res.stderr
+    assert res.stdout == run("oracle", "--stat", "pk", "--n", "5").stdout
 
 
 def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
@@ -391,21 +383,6 @@ def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, caps
         assert message in err
 
 
-def test_bad_jobs_env_is_a_usage_error(monkeypatch, capsys):
-    from peakpoly import cli
-
-    for value, message in (("0", "PEAKPOLY_JOBS must be >= 1"), ("-2", "PEAKPOLY_JOBS must be >= 1"),
-                           ("abc", "PEAKPOLY_JOBS must be an integer"), ("1.5", "PEAKPOLY_JOBS must be an integer")):
-        monkeypatch.setenv("PEAKPOLY_JOBS", value)
-        for argv in (["oracle", "--stat", "des", "--n", "3"], ["verify", "--suite", "clt", "--nmax", "4"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert message in err
-
-
 # The contract of `verify`, stated apart from the CLI: the knob --nmax sets
 # for each suite, and the lowest value of a knob that leaves each suite's
 # checks something to run over (mode_bracket starts at n = 2, clt_moments at 4).
@@ -435,6 +412,8 @@ def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs
             argv += [knob.flag, str(flags[knob.name])]
     if nmax is not None:
         argv += ["--nmax", str(nmax)]
+    if jobs is not None:
+        argv += ["--jobs", jobs]
     ranges = {knob.name: flags.get(knob.name, knob.default) for knob in identities.RANGES}
     if nmax is not None:
         ranges[NMAX_KNOB[suite]] = nmax
@@ -448,15 +427,11 @@ def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         mp.setattr(identities, "run", lambda suite, **ranges: calls.append((suite, ranges)) or [])
-        if jobs is None:
-            mp.delenv("PEAKPOLY_JOBS", raising=False)
-        else:
-            mp.setenv("PEAKPOLY_JOBS", jobs)
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code == expected, (argv, jobs, err.getvalue())
+    assert code == expected, (argv, err.getvalue())
     if code == 0:
         assert calls == [(suite, ranges)]
         assert json.loads(out.getvalue())["configuration"] == {"suite": suite, **ranges}
@@ -477,9 +452,8 @@ def _int(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["poly", "triangle", "oracle"]),
-       env_jobs=st.sampled_from([None, "1", "2", "0", "-2", "x"]))
-def test_poly_triangle_oracle_exit_code_follows_the_request(data, command, env_jobs):
+@given(data=st.data(), command=st.sampled_from(["poly", "triangle", "oracle"]))
+def test_poly_triangle_oracle_exit_code_follows_the_request(data, command):
     if command == "oracle":
         name = data.draw(st.sampled_from([*cli.ORACLE_STATS, "zz"]), label="stat")
         lo, cap = 1, ORACLE_CAPS.get(name, S_N_LIMIT)
@@ -494,23 +468,19 @@ def test_poly_triangle_oracle_exit_code_follows_the_request(data, command, env_j
     argv += ["--nmax" if command == "triangle" else "--n", value]
     n = _int(value)
     below = n is None or n < lo
-    if command == "oracle":  # --jobs, else PEAKPOLY_JOBS, is used only here
-        flag_jobs = data.draw(st.sampled_from([None, "1", "2", "0", "x"]), label="--jobs")
+    if command == "oracle":  # --jobs is used only here
+        flag_jobs = data.draw(st.sampled_from([None, "1", "2", "0", "-2", "x"]), label="--jobs")
         argv += [] if flag_jobs is None else ["--jobs", flag_jobs]
-        jobs = _int(flag_jobs if flag_jobs is not None else env_jobs or "1")
+        jobs = _int(flag_jobs or "1")
         below = below or jobs is None or jobs < 1
     expected = 2 if malformed or below else 3 if n > cap else 0
 
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        if env_jobs is None:
-            mp.delenv("PEAKPOLY_JOBS", raising=False)
-        else:
-            mp.setenv("PEAKPOLY_JOBS", env_jobs)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
-    assert code == expected, (argv, env_jobs, err.getvalue())
+    assert code == expected, (argv, err.getvalue())
     assert (out.getvalue() != "") == (code == 0)

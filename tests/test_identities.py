@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -463,3 +465,16 @@ def test_a_raising_family_function_is_an_error_verdict(monkeypatch, capsys):
         "verdict": "error",
         "witness": {"n": 1, "index": -1, "lhs": "RuntimeError", "rhs": "injected"},
     }
+
+
+def test_only_the_check_table_names_the_witness_type():
+    # the layers below compute and raise; every comparison, and so every
+    # Witness, is written here
+    package = Path(I.__file__).parent
+    named = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "Witness"
+    }
+    assert named == {"identities.py"}

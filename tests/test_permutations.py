@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from peakpoly import families, identities, series
 from peakpoly import permutations as P
+from peakpoly.identities import has_internal_zeros
 from peakpoly.permutations import (
     LimitExceeded,
     NotAPermutation,
     NotASignedPermutation,
     count_alternating,
     distribution,
-    has_internal_zeros,
     perm_stats,
     signed_distribution,
     signed_stats,

@@ -6,10 +6,10 @@ import pickle
 
 import pytest
 
-from peakpoly.identities import CheckResult
+from peakpoly.identities import CheckResult, Witness
 from peakpoly.permutations import StatDistribution
 from peakpoly.polynomial import Poly
-from peakpoly.series import TruncSeries, Witness
+from peakpoly.series import TruncSeries
 
 RECORDS = [
     Poly((1, -4, 0, 2)),

@@ -91,7 +91,7 @@ def test_solve_series_roundtrip():
 
 def test_verify_gf_all_families_to_order_16():
     for family in S.EGFS:
-        assert S.verify_gf(family, 16) is None, family
+        assert I.check_gf(16, family) is None, family
 
 
 def _closed_forms(sympy, x, z):
@@ -153,14 +153,14 @@ def test_verify_gf_low_order_coefficients():
 
 
 def test_verify_gf_order_zero_trivial():
-    assert S.verify_gf("A", 0) is None
+    assert I.check_gf(0, "A") is None
 
 
 def test_unknown_family_rejected():
     with pytest.raises(UnknownFamily):
-        S.verify_gf("B", 4)
+        I.check_gf(4, "B")
     with pytest.raises(OrderExceedsComputedFamilies):
-        S.verify_gf("A", S.MAX_ORDER + 1)
+        I.check_gf(S.MAX_ORDER + 1, "A")
 
 
 def test_solved_families_match_engine_routes():
@@ -206,11 +206,11 @@ def test_odd_even_split_of_combined_series():
 
 
 def test_verify_pde():
-    assert S.verify_pde(1) is None  # P through z^1 checks z-order 0
-    assert S.verify_pde(8) is None
-    assert S.verify_pde(16) is None
+    assert I.check_pde(0) is None  # P through z^1 checks z-order 0
+    assert I.check_pde(7) is None
+    assert I.check_pde(15) is None
     with pytest.raises(ValueError):
-        S.verify_pde(0)
+        I.check_pde(-1)
 
 
 def test_pde_at_order_one_sees_a_corrupted_z1_term(monkeypatch):
@@ -223,7 +223,7 @@ def test_pde_at_order_one_sees_a_corrupted_z1_term(monkeypatch):
         return TruncSeries(order, (p.coeffs[0], p.coeffs[1] + Poly.monomial(1, 2), *p.coeffs[2:]))
 
     monkeypatch.setattr(S, "engine_series", corrupt)
-    assert S.verify_pde(1) == S.Witness(0, 2, "1", "0")
+    assert I.check_pde(0) == I.Witness(0, 2, "1", "0")
 
 
 def test_pde_constant_term_by_hand():
@@ -232,7 +232,7 @@ def test_pde_constant_term_by_hand():
 
 
 def test_verify_t_vs_eulerian():
-    assert S.verify_t_vs_eulerian(10) is None
+    assert I.check_t_vs_eulerian(10) is None
     one_plus_x = Poly((1, 1))
     assert F.signed_interleave_poly(1) == one_plus_x**2 * F.eulerian_poly(1)
     assert F.signed_interleave_poly(2) == one_plus_x**3 * F.eulerian_poly(2)
@@ -245,15 +245,15 @@ def test_t_vs_eulerian_sees_a_corrupted_t3(monkeypatch):
     monkeypatch.setattr(
         F, "signed_interleave_poly", lambda n: real(n) + (Poly.monomial(1, 2) if n == 3 else Poly.zero())
     )
-    assert S.verify_t_vs_eulerian(16) == S.Witness(3, 2, "24", "23")
+    assert I.check_t_vs_eulerian(16) == I.Witness(3, 2, "24", "23")
 
 
 @pytest.mark.parametrize("memo", ["_TYPE_B_POLYS", "_AFFINE_POLYS"])
 def test_gf_checks_see_a_wrong_signed_recurrence_past_the_enumeration_cap(monkeypatch, memo):
     # The first route of C and CT is a recurrence at every n, so a wrong term
     # far past the signed enumeration cap (n = 7) fails the closed-form checks.
-    assert S.verify_gf("C", 16) is None and S.verify_gf("CT", 16) is None
-    assert S.verify_gf("T", 16) is None and S.verify_t_vs_eulerian(16) is None
+    assert I.check_gf(16, "C") is None and I.check_gf(16, "CT") is None
+    assert I.check_gf(16, "T") is None and I.check_t_vs_eulerian(16) is None
     real = getattr(F, memo)
 
     def corrupt(terms, m):
@@ -261,9 +261,9 @@ def test_gf_checks_see_a_wrong_signed_recurrence_past_the_enumeration_cap(monkey
 
     monkeypatch.setattr(F, memo, F.Memo(real.terms[:1], corrupt))
     family = "C" if memo == "_TYPE_B_POLYS" else "CT"
-    assert S.verify_gf(family, 16).n == 9
-    assert S.verify_gf("T", 16).n == 9
-    assert S.verify_t_vs_eulerian(16).n == 9
+    assert I.check_gf(16, family).n == 9
+    assert I.check_gf(16, "T").n == 9
+    assert I.check_t_vs_eulerian(16).n == 9
 
 
 def test_numeric_spotcheck_reference_points():
