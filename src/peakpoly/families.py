@@ -20,17 +20,22 @@ route below computes them in integer arithmetic:
   tan^k and sec tan^k gives; partial Bell polynomials, Stirling numbers of
   the second kind
 
-Every family has at least two independent computation routes (recurrence,
-series solve, brute-force enumeration, or one of the paper's identities
-applied to another family); the test-suite and the identity suite
-cross-check them, so no single recurrence is ever trusted on its own.
-The routes of each family are listed in the family table, series.FAMILIES.
+The first route of P, Q, A, R, W, WL, C and CT is one row of the recurrence
+table RECURRENCES: a seed and (alpha, beta, b) with
+F_{n+1} = (alpha + n beta) F_n + b F_n', the shape in which the paper states
+the recurrences of P, Q, R, W and WL.  The triangles R, W and WL are the
+coefficients of their rows' polynomials.  Every family has at least two
+independent computation routes (recurrence, series solve, brute-force
+enumeration, or one of the paper's identities applied to another family);
+the test-suite and the identity suite cross-check them, so no single
+recurrence is ever trusted on its own.  The routes of each family are listed
+in the family table, series.FAMILIES.
 
-Each recurrence family, each table of order-k tangent/secant numbers, and
-the partial Bell triangle is one Memo: a growing tuple of terms 0..k that
-builds only terms k+1..n when term n is asked for, so per-n calls never
-rebuild a prefix; a negative n is refused.  The Bell triangle is over Z[w],
-at the arguments x_i = w^floor((i-1)/2); the identities read it at
+Each row of the recurrence table, each table of order-k tangent/secant
+numbers, and the partial Bell triangle is one Memo: a growing tuple of terms
+0..k that builds only terms k+1..n when term n is asked for, so per-n calls
+never rebuild a prefix; a negative n is refused.  The Bell triangle is over
+Z[w], at the arguments x_i = w^floor((i-1)/2); the identities read it at
 w = 1 - x^2 (the peak arguments), at w = 1 (all ones) and at w = 0
 (1, 1, 0, 0, ...).  The enumeration oracle results are memoized per
 (n, stat) (or (n, reverse) for alternating counts) by functools.cache; the
@@ -110,19 +115,56 @@ def cached_count_alternating(n: int, reverse: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
-# derivative polynomials and Euler numbers
+# the recurrence table: F_{n+1} = (alpha + n beta) F_n + b F_n'
 # ---------------------------------------------------------------------------
 
 ONE_PLUS_U2 = Poly((1, 0, 1))
 
 
-def _derivative_step(pqs: list, m: int) -> tuple[Poly, Poly]:
-    p, q = pqs[-1]
-    return ONE_PLUS_U2 * p.derivative(), ONE_PLUS_U2 * q.derivative() + X * q
+# Row (seed, alpha, beta, b): F_0..F_(s-1) are the s polynomials of the seed,
+# then F_{n+1} = (alpha + n beta) F_n + b F_n' for n >= s - 1.  The first
+# route of eight families: the paper's recurrences of P, Q, R, W and WL, the
+# classical one of A, and the type-B (Brenti, Europ. J. Combin. 1994) and
+# affine (Dilks, Petersen, Stembridge 2009) Eulerian ones of C and CT.
+# W_0 = 0 is no count (W starts at n = 1) but lets the step give W_2 = 2 W_1;
+# Ct_0 = 1 is the EGF's entry 0 and makes the step give Ct_1 = 2x.  No row is
+# taken on faith: the suite checks each family against its enumeration
+# oracle, its closed-form series solve or the paper's identities.
+RECURRENCES = {
+    "P": ((X,), Poly.zero(), Poly.zero(), ONE_PLUS_U2),
+    "Q": ((Poly.one(),), X, Poly.zero(), ONE_PLUS_U2),
+    "A": ((Poly.one(),), Poly.one(), X, Poly((0, 1, -1))),
+    "R": ((Poly.one(), ONE_PLUS_X), Poly.one(), Poly((0, 0, 1)), Poly((0, 1, 0, -1))),
+    "W": ((Poly.zero(), Poly.one()), Poly((2, -1)), X, Poly((0, 2, -2))),
+    "WL": ((Poly.one(),), Poly.one(), X, Poly((0, 2, -2))),
+    "C": ((Poly.one(),), ONE_PLUS_X, Poly((0, 2)), Poly((0, 2, -2))),
+    "CT": ((Poly.one(),), Poly((0, 2)), Poly((0, 2)), Poly((0, 2, -2))),
+}
 
 
-_DERIVATIVE_POLYS = Memo(((X, Poly.one()),), _derivative_step)
+def _recurrence_memo(seed: tuple[Poly, ...], alpha: Poly, beta: Poly, b: Poly) -> Memo:
+    # F_0..F_n of one row.  Each memo gets a step of its own, in Poly
+    # arithmetic only, so a route reaches the step of each row it reads and
+    # of no other.
+    def step(fs: list, m: int) -> Poly:
+        return (alpha + (m - 1) * beta) * fs[-1] + b * fs[-1].derivative()
 
+    return Memo(seed, step)
+
+
+_TANGENT_DERIVATIVE_POLYS = _recurrence_memo(*RECURRENCES["P"])
+_SECANT_DERIVATIVE_POLYS = _recurrence_memo(*RECURRENCES["Q"])
+_EULERIAN_POLYS = _recurrence_memo(*RECURRENCES["A"])
+_TAN_SEC_POLYS = _recurrence_memo(*RECURRENCES["R"])
+_PEAK_POLYS = _recurrence_memo(*RECURRENCES["W"])
+_LEFT_PEAK_POLYS = _recurrence_memo(*RECURRENCES["WL"])
+_TYPE_B_POLYS = _recurrence_memo(*RECURRENCES["C"])
+_AFFINE_POLYS = _recurrence_memo(*RECURRENCES["CT"])
+
+
+# ---------------------------------------------------------------------------
+# derivative polynomials and Euler numbers
+# ---------------------------------------------------------------------------
 
 def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     """Derivative polynomials (P_0..P_nmax, Q_0..Q_nmax).
@@ -130,8 +172,7 @@ def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     P_0 = u, P_{n+1} = (1+u^2) P_n'; Q_0 = 1, Q_{n+1} = (1+u^2) Q_n' + u Q_n.
     P_n(0) and Q_n(0) are the tangent and secant numbers.
     """
-    pqs = _DERIVATIVE_POLYS.upto(nmax)
-    return tuple(p for p, _ in pqs), tuple(q for _, q in pqs)
+    return _TANGENT_DERIVATIVE_POLYS.upto(nmax), _SECANT_DERIVATIVE_POLYS.upto(nmax)
 
 
 def tangent_derivative_poly(n: int) -> Poly:
@@ -153,25 +194,8 @@ def euler_numbers(nmax: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the triangles, by their entry recurrences
+# the triangles: coefficients of the rows R, W and WL of the table
 # ---------------------------------------------------------------------------
-
-def _tan_sec_step(rs: list, m: int) -> Poly:
-    # R_m from R_(m-1) = R_n: R[n+1][k] = (k+1) R[n][k] + (n-k+2) R[n][k-2].
-    n, prev = m - 1, rs[-1].coeffs
-
-    def entry(k: int) -> int:
-        a = prev[k] if k < len(prev) else 0
-        b = prev[k - 2] if k >= 2 else 0
-        return (k + 1) * a + (n - k + 2) * b
-
-    return Poly(entry(k) for k in range(n + 2))
-
-
-# R_n as a polynomial, seeded with R_0 = 1 and R_1 = 1 + x (the step applies
-# for n >= 1).
-_TAN_SEC_POLYS = Memo((Poly.one(), ONE_PLUS_X), _tan_sec_step)
-
 
 def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
     """R_0..R_nmax, the rows of the triangle R as polynomials."""
@@ -183,53 +207,36 @@ def tan_sec_poly(n: int) -> Poly:
 
 
 def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..nmax of the triangle R with R[n+1][k] = (k+1) R[n][k] + (n-k+2) R[n][k-2].
+    """Rows 0..nmax of the triangle R: the coefficients of R_0..R_nmax, where
+    R_{n+1} = (1 + n x^2) R_n + x(1 - x^2) R_n' from R_1 = 1 + x.
 
     Row n has n+1 entries; rows start [1], [1, 1], [1, 2, 1], [1, 4, 5, 2], ...
     """
     return tuple(r.coeffs for r in tan_sec_polys(nmax))
 
 
-def _peak_row_step(left: int) -> Callable[[list, int], tuple[int, ...]]:
-    # Row n of the interior-peak (left = 0) or left-peak (left = 1) triangle
-    # from row n-1; the memos hold row n as term n-1.
-    def step(rows: list, m: int) -> tuple[int, ...]:
-        n, prev = m + 1, rows[-1]
-
-        def entry(k: int) -> int:
-            a = prev[k] if k < len(prev) else 0
-            b = prev[k - 1] if k >= 1 else 0
-            return (2 * k + 2 - left) * a + (n - 2 * k + left) * b
-
-        return tuple(entry(k) for k in range((n + left - 1) // 2 + 1))
-
-    return step
-
-
-_PEAK_ROWS = Memo(((1,),), _peak_row_step(0))
-_LEFT_PEAK_ROWS = Memo(((1,),), _peak_row_step(1))
-
-
 def peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..nmax of interior-peak counts W[n][k] over S_n (A008303).
 
-    W[n][k] = (2k+2) W[n-1][k] + (n-2k) W[n-1][k-1]; row n has floor((n-1)/2)+1
-    entries and sums to n!.  Index 0 of the result is row n=1.
+    Row n is the coefficients of W_n, where
+    W_{n+1} = (2 - x + nx) W_n + 2x(1-x) W_n' from W_1 = 1; row n has
+    floor((n-1)/2)+1 entries and sums to n!.  Index 0 of the result is row n=1.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    return _PEAK_ROWS.upto(nmax - 1)
+    return tuple(w.coeffs for w in _PEAK_POLYS.upto(nmax)[1:])
 
 
 def left_peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..nmax of left-peak counts Wl[n][k] over S_n (A008971).
 
-    Wl[n][k] = (2k+1) Wl[n-1][k] + (n-2k+1) Wl[n-1][k-1]; row n has
+    Row n is the coefficients of Wl_n, where
+    Wl_{n+1} = (1 + nx) Wl_n + 2x(1-x) Wl_n' from Wl_0 = 1; row n has
     floor(n/2)+1 entries.  Index 0 of the result is row n=1.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    return _LEFT_PEAK_ROWS.upto(nmax - 1)
+    return tuple(w.coeffs for w in _LEFT_PEAK_POLYS.upto(nmax)[1:])
 
 
 def peak_poly(n: int) -> Poly:
@@ -246,18 +253,6 @@ def left_peak_poly(n: int) -> Poly:
 # Eulerian polynomials
 # ---------------------------------------------------------------------------
 
-X_ONE_MINUS_X = Poly((0, 1, -1))
-TWO_X_ONE_MINUS_X = Poly((0, 2, -2))
-
-# A_{n+1} = (1 + nx) A_n + x(1-x) A_n'.  This classical recurrence is not
-# taken on faith: the suite checks the result against the descent
-# distribution and against the exponential generating function.
-_EULERIAN_POLYS = Memo(
-    (Poly.one(),),
-    lambda an, m: Poly((1, m - 1)) * an[-1] + X_ONE_MINUS_X * an[-1].derivative(),
-)
-
-
 def eulerian_poly(n: int) -> Poly:
     """The Eulerian (descent) polynomial A_n, n >= 1; A_n(1) = n!."""
     if n < 1:
@@ -268,21 +263,6 @@ def eulerian_poly(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 # signed-permutation families
 # ---------------------------------------------------------------------------
-
-# C_n = (1 + (2n-1)x) C_{n-1} + 2x(1-x) C_{n-1}', C_0 = 1: the type-B
-# Eulerian recurrence (Brenti, Europ. J. Combin. 1994).
-_TYPE_B_POLYS = Memo(
-    (Poly.one(),),
-    lambda cs, m: Poly((1, 2 * m - 1)) * cs[-1] + TWO_X_ONE_MINUS_X * cs[-1].derivative(),
-)
-# Ct_n = 2nx Ct_{n-1} + 2x(1-x) Ct_{n-1}', Ct_1 = 2x: the affine Eulerian
-# recurrence (Dilks, Petersen, Stembridge 2009).  Seeding Ct_0 = 1, the EGF's
-# entry 0, makes the step give Ct_1 = 2x.
-_AFFINE_POLYS = Memo(
-    (Poly.one(),),
-    lambda cts, m: Poly((0, 2 * m)) * cts[-1] + TWO_X_ONE_MINUS_X * cts[-1].derivative(),
-)
-
 
 def type_b_eulerian_poly(n: int) -> Poly:
     """C_n, the descent polynomial of signed permutations (type-B Eulerian)."""

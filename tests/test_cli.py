@@ -291,6 +291,40 @@ def test_every_benchmark_request_prints_its_reference_output(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, key
 
 
+# sha256 of the stdout of every family's poly at its cap and of the three
+# triangles at 128.  Past n = 64, A, R, G, W and WL are compared with no
+# other route anywhere (the route agreement runs to min(cap, 64), the Bell
+# route stops at 65), so these bytes pin them.
+CAP_DIGESTS = {
+    "poly --family P --n 128": "98d3b520192c91c79e36e6ebcf863d732adc502ea216f11c8a92515768febd19",
+    "poly --family Q --n 128": "71f0645a6a9c1f262989edc99854db0ee3c23b0eccc658f296cd818b3856d1ba",
+    "poly --family A --n 128": "dc62adc94bf4b93e12bc6e8bf006c614c675595371aaa223ad4fc65a4dcb8738",
+    "poly --family R --n 128": "80da05890b75795dcbf095f30187d2e89e0acbfc28f8f93786e0c25a8cd3682c",
+    "poly --family G --n 128": "35fafb0b11a7c638f7c3305693cfdaa9b24f20b45ad9bffdd41b15c22d8b52e8",
+    "poly --family T --n 64": "814a1b8c0a19059c0fb79fac2cad2b494a32ef9e0315be65617d6eb52be72968",
+    "poly --family C --n 64": "b3ad588f3b80e2b1fb07770a23b137e20116be46cfc932f6919e987804abafb2",
+    "poly --family CT --n 64": "f4309ade9a97f5ea680deb6c4bd28ff05c0c88157142890983afc1477fa42327",
+    "poly --family W --n 128": "9cb6684b6ae082d057c8be8af096f51965c96f623e048d0b08c6ed3c7c9dd026",
+    "poly --family WL --n 128": "32e07ef4409c6d6c1e2c9e751b107bf7d862cf1efd6f4b2a203967d2ee479b2d",
+    "triangle --family R --nmax 128": "abdc1e291e521b0b9c365314294ae761ca472c751b835c92875d25b9b63067c8",
+    "triangle --family R --nmax 128 --format json": "4963635c7ce0a541f21b67f0a9e7331ec047294964b45d23bf82e5a5bdd4c6b2",
+    "triangle --family W --nmax 128": "6a8235fc342af197f67215b23eb64f7b52dd54285f888f36f38fa9a7de9a13d7",
+    "triangle --family W --nmax 128 --format json": "e9336ab1ff21f730ab60c0eb61f5dfc64d85e93ec89ce8d8501a340582bd75a2",
+    "triangle --family WL --nmax 128": "6464485d95eddeb670757ab9889671a04a7ad1f4849fbd92da40363fa00f59b1",
+    "triangle --family WL --nmax 128 --format json": "410a55490d32042d5f9f0abb2ceb1488dc3f23f46192bbaf74e668f81b29a94e",
+}
+
+
+def test_every_family_at_its_cap_prints_its_pinned_bytes(capsys):
+    assert [key.split()[2] for key in CAP_DIGESTS if key.startswith("poly")] == list(series.FAMILIES)
+    for key, digest in CAP_DIGESTS.items():
+        args = key.split()
+        if args[0] == "poly":
+            assert args[-1] == str(series.FAMILIES[args[2]].cap), key
+        assert cli.main(args) == 0, key
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, key
+
+
 def test_verify_identities_suite():
     res = run("verify", "--suite", "identities", "--nmax", "6", "--signed-nmax", "4")
     assert res.returncode == 0

@@ -60,24 +60,33 @@ def test_tan_sec_poly_examples():
     assert F.tan_sec_poly(5) == Poly((1, 16, 58, 88, 61, 16))
 
 
+def _entry(row, k):
+    return row[k] if 0 <= k < len(row) else 0
+
+
 def test_polynomial_recurrence_matches_triangle_route():
-    # The paper gives each peak triangle twice: entry by entry (the package's
-    # only copy) and as a recurrence of the row polynomials, checked here:
-    # W_{n+1} = (nx - x + 2) W_n + 2x(1-x) W_n',
-    # Wl_{n+1} = (nx + 1) Wl_n + 2x(1-x) Wl_n', each for n >= 1.
-    for n in range(1, 41):
-        w, wl = F.peak_poly(n), F.left_peak_poly(n)
-        assert F.peak_poly(n + 1) == Poly((2, n - 1)) * w + Poly((0, 2, -2)) * w.derivative(), n
-        assert F.left_peak_poly(n + 1) == Poly((1, n)) * wl + Poly((0, 2, -2)) * wl.derivative(), n
+    # The package builds W and WL as rows of the polynomial recurrence table;
+    # the paper also gives them entry by entry, from row 1 = [1]:
+    # W[n][k] = (2k+2) W[n-1][k] + (n-2k) W[n-1][k-1],
+    # Wl[n][k] = (2k+1) Wl[n-1][k] + (n-2k+1) Wl[n-1][k-1].
+    w, wl = [(1,)], [(1,)]
+    for n in range(2, 41):
+        w.append(tuple((2 * k + 2) * _entry(w[-1], k) + (n - 2 * k) * _entry(w[-1], k - 1)
+                       for k in range((n - 1) // 2 + 1)))
+        wl.append(tuple((2 * k + 1) * _entry(wl[-1], k) + (n - 2 * k + 1) * _entry(wl[-1], k - 1)
+                        for k in range(n // 2 + 1)))
+    assert F.peak_triangle(40) == tuple(w)
+    assert F.left_peak_triangle(40) == tuple(wl)
 
 
 def test_triangle_rows_match_polynomial_recurrence():
-    # rows of the entry-by-entry triangle satisfy the paper's polynomial
-    # recurrence R_{n+1} = (1 + n x^2) R_n + x (1 - x^2) R_n' for n >= 1
-    rows = [Poly(row) for row in F.tan_sec_triangle(41)]
-    for n in range(1, 41):
-        r = rows[n]
-        assert rows[n + 1] == Poly((1, 0, n)) * r + Poly((0, 1, 0, -1)) * r.derivative(), n
+    # R_n from the table's row, against the paper's entry recurrence
+    # R[n+1][k] = (k+1) R[n][k] + (n-k+2) R[n][k-2] from R_1 = [1, 1]
+    rows = [(1,), (1, 1)]
+    for n in range(1, 40):
+        rows.append(tuple((k + 1) * _entry(rows[-1], k) + (n - k + 2) * _entry(rows[-1], k - 2)
+                          for k in range(n + 2)))
+    assert F.tan_sec_triangle(40) == tuple(rows)
 
 
 def test_derivative_polys_low_orders():
@@ -208,7 +217,7 @@ def test_memo_refuses_a_negative_index():
         with pytest.raises(ValueError):
             memo.upto(n)
         with pytest.raises(ValueError):
-            F._PEAK_ROWS.upto(n)
+            F._PEAK_POLYS.upto(n)
     assert memo.terms == (1, 2, 3, 4)
 
 

@@ -74,6 +74,11 @@ def test_independence_check_sees_a_shared_helper():
     one, two = (lambda n: F.eulerian_poly(n)), (lambda n: F.eulerian_poly(n) + 0)
     assert F.eulerian_poly in _reach(one) & _reach(two)
     assert F.derivative_polys in _reach(lambda n: F.euler_numbers(n)) & _reach(lambda n: F.tangent_derivative_poly(n))
+    # each row of the recurrence table has a step of its own, and a route
+    # through another family's row reaches that row's step
+    a_step = F._EULERIAN_POLYS.step
+    assert a_step in _reach(S.FAMILIES["A"].routes["recurrence"]) & _reach(S.FAMILIES["C"].routes["petersen"])
+    assert a_step not in _reach(S.FAMILIES["C"].routes["recurrence"])
 
 
 def test_cli_family_choices_are_the_registry_ids():

@@ -89,7 +89,7 @@ def test_solve_series_roundtrip():
     assert solve_series(q * den, den) == q
 
 
-def test_verify_gf_all_families_to_order_16():
+def test_check_gf_all_families_to_order_16():
     for family in S.EGFS:
         assert I.check_gf(16, family) is None, family
 
@@ -141,7 +141,36 @@ def test_every_egf_row_is_its_literal_closed_form():
                 expr = expr.diff(z)
 
 
-def test_verify_gf_low_order_coefficients():
+def test_every_table_row_is_the_pde_of_its_closed_form():
+    # F_{n+1} = (alpha + n beta) F_n + b F_n' for n >= o is, on the EGF
+    # F(x, z) = sum_n F_(n+o) z^n/n!, the PDE
+    # dF/dz = (alpha + o beta) F + beta z dF/dz + b dF/dx, up to the terms of
+    # dF/dz a seed gives that the step does not: W_1 = 1 from W_0 = 0, and
+    # R_1 = 1 + x from R_0 = 1 in gf_P (R at offset 0).  With the low-order
+    # agreement of the gf suite this proves each row for every n.  P and Q
+    # are tan(theta + z) and sec(theta + z)/sec(theta) at x = tan(theta).
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+    cases = [
+        (gf_id, S.EGFS[gf_id].family, S.EGFS[gf_id].offset, rhs / den)
+        for gf_id, (den, rhs) in _closed_forms(sympy, x, z).items()
+        if S.EGFS[gf_id].family in F.RECURRENCES
+    ]
+    cases += [
+        ("P", "P", 0, (x + sympy.tan(z)) / (1 - x * sympy.tan(z))),
+        ("Q", "Q", 0, 1 / (sympy.cos(z) - x * sympy.sin(z))),
+    ]
+    assert sorted(family for _, family, _, _ in cases) == sorted([*F.RECURRENCES, "R"])
+    seed_terms = {("W", "W"): 1, ("P", "R"): x}
+    for gf_id, family, offset, closed in cases:
+        alpha, beta, b = (sum(c * x**i for i, c in enumerate(p.coeffs)) for p in F.RECURRENCES[family][1:])
+        dz = closed.diff(z)
+        residual = dz - ((alpha + offset * beta) * closed + beta * z * dz + b * closed.diff(x))
+        expected = seed_terms.get((gf_id, family), 0)
+        assert sympy.simplify(residual.rewrite(sympy.exp)) == expected, (gf_id, family)
+
+
+def test_solve_series_low_order_coefficients():
     # z^3 coefficient of the peak series is W_3/3! = (4+2x)/6
     den, rhs = S.closed_form_sides("W", 8)
     w = solve_series(rhs, den)
@@ -152,7 +181,7 @@ def test_verify_gf_low_order_coefficients():
     assert r.egf_poly(0) == Poly((1, 1))
 
 
-def test_verify_gf_order_zero_trivial():
+def test_check_gf_order_zero_trivial():
     assert I.check_gf(0, "A") is None
 
 
@@ -205,7 +234,7 @@ def test_odd_even_split_of_combined_series():
                 assert c == wl.coeff(j // 2)
 
 
-def test_verify_pde():
+def test_check_pde():
     assert I.check_pde(0) is None  # P through z^1 checks z-order 0
     assert I.check_pde(7) is None
     assert I.check_pde(15) is None
@@ -231,7 +260,7 @@ def test_pde_constant_term_by_hand():
     assert F.tan_sec_poly(1) == F.tan_sec_poly(0) + Poly.x()
 
 
-def test_verify_t_vs_eulerian():
+def test_check_t_vs_eulerian():
     assert I.check_t_vs_eulerian(10) is None
     one_plus_x = Poly((1, 1))
     assert F.signed_interleave_poly(1) == one_plus_x**2 * F.eulerian_poly(1)
