@@ -9,8 +9,11 @@ Exit codes: 0 success, 1 verification failure or error, 2 usage error, 3
 limit exceeded.  The families, their minimum n and their caps come from the family
 table, series.FAMILIES; the verify checks from one table, identities.CHECKS,
 which a suite filters; the range knobs, their flags, defaults and caps from
-identities.RANGES.  Before any work, a knob below 1 or leaving a selected check
-empty (clt below 4, roots below 2) exits 2, and a knob above its cap exits 3.
+identities.RANGES.  The parser rejects a count flag (oracle --n, --jobs, the
+verify ranges) that is not an integer >= 1; a family's minimum n and a verify
+range that leaves a selected check empty (clt below 4, roots below 2) are
+reported through the command's own parser, so each usage error (exit 2) prints
+the usage of its command.  Then, before any work, a value above its cap exits 3.
 
 A request imports only the layers its command runs, as the parser gives
 arguments only to the command it names: `oracle` loads permutations, `poly`
@@ -37,13 +40,16 @@ COMMANDS = ("triangle", "poly", "oracle", "verify")
 ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
 
 
-def _check_jobs(args, parser) -> None:
-    """--jobs must be >= 1, else a usage error.
-
-    Enumeration is serial, so a valid value is accepted for the sake of
-    existing invocations and otherwise ignored."""
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+def count(text: str) -> int:
+    """The type of every count flag: an integer >= 1, else a usage error.
+    A non-integer keeps argparse's own `invalid int value` text."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
 
 
 def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
@@ -71,17 +77,17 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
         p_poly.add_argument("--format", default="csv", choices=("csv", "json"))
     if "oracle" in commands:
         p_oracle.add_argument("--stat", required=True, choices=ORACLE_STATS)
-        p_oracle.add_argument("--n", required=True, type=int)
-        p_oracle.add_argument("--jobs", type=int, default=1)
+        p_oracle.add_argument("--n", required=True, type=count)
+        p_oracle.add_argument("--jobs", type=count, default=1)
     if "verify" in commands:
         from . import identities
 
         p_verify.add_argument("--suite", default="all", choices=[s for knob in identities.RANGES for s in knob.nmax_of])
-        p_verify.add_argument("--nmax", type=int, default=None, help="range for the selected suite")
+        p_verify.add_argument("--nmax", type=count, default=None, help="range for the selected suite")
         for knob in identities.RANGES:
             if knob.flag:
-                p_verify.add_argument(knob.flag, type=int, default=knob.default)
-        p_verify.add_argument("--jobs", type=int, default=1)
+                p_verify.add_argument(knob.flag, type=count, default=knob.default)
+        p_verify.add_argument("--jobs", type=count, default=1)
     return parser
 
 
@@ -123,9 +129,6 @@ def cmd_poly(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
-    _check_jobs(args, parser)
     from . import permutations
 
     if args.stat == "alt":
@@ -147,12 +150,6 @@ def cmd_verify(args, parser) -> int:
     from .permutations import LimitExceeded
 
     ranges = {knob.name: getattr(args, knob.name, knob.default) for knob in identities.RANGES}
-    for knob in identities.RANGES:
-        if ranges[knob.name] < 1:
-            parser.error(f"{knob.flag} must be >= 1")
-    if args.nmax is not None and args.nmax < 1:
-        parser.error("--nmax must be >= 1")
-    _check_jobs(args, parser)
     if args.nmax is not None:
         ranges[next(knob.name for knob in identities.RANGES if args.suite in knob.nmax_of)] = args.nmax
     try:
@@ -182,14 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from .permutations import LimitExceeded  # --help and --version have exited
 
+    # the command's own parser reports the usage errors its handler finds
+    command_parser = next(action for action in parser._actions if action.dest == "command").choices[args.command]
     try:
-        if args.command == "triangle":
-            return cmd_triangle(args, parser)
-        if args.command == "poly":
-            return cmd_poly(args, parser)
-        if args.command == "oracle":
-            return cmd_oracle(args, parser)
-        return cmd_verify(args, parser)
+        return globals()[f"cmd_{args.command}"](args, command_parser)
     except LimitExceeded as exc:
         print(f"peakpoly: {exc}", file=sys.stderr)
         return 3

@@ -108,12 +108,6 @@ def cached_signed_distribution(n: int, stat: str) -> StatDistribution:
     return permutations.signed_distribution(n, stat)
 
 
-@cache
-def cached_count_alternating(n: int, reverse: bool = False) -> int:
-    # The cache keys on the call as written: (n) and (n, False) are two keys.
-    return permutations.count_alternating(n, reverse=reverse)
-
-
 # ---------------------------------------------------------------------------
 # the recurrence table: F_{n+1} = (alpha + n beta) F_n + b F_n'
 # ---------------------------------------------------------------------------

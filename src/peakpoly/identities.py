@@ -188,7 +188,7 @@ def check_routes_agree(n: int, *reads: str) -> Witness | None:
 
 def check_oracle_alternating(n: int) -> Witness | None:
     e_n = families.euler_numbers(n)[n]
-    counts = (families.cached_count_alternating(n), families.cached_count_alternating(n, True))
+    counts = (permutations.count_alternating(n), permutations.count_alternating(n, reverse=True))
     return first_difference(n, counts, (e_n, e_n))
 
 

@@ -86,7 +86,7 @@ def test_oracle_n_below_one_is_a_usage_error():
     for n in ("0", "-3"):
         res = run("oracle", "--stat", "pk", "--n", n)
         assert res.returncode == 2
-        assert "--n must be >= 1" in res.stderr
+        assert "argument --n: must be >= 1" in res.stderr
 
 
 def test_enumeration_starts_no_worker_processes():
@@ -256,6 +256,28 @@ def test_main_reports_usage_errors_as_the_full_parser_does(argv):
     assert (exc.value.code, out.getvalue(), err.getvalue()) == expected
 
 
+def test_each_usage_error_prints_the_usage_of_its_command():
+    # every count flag at 0, -3 and a non-integer, then the checks beyond the parser
+    verify_flags = ["--nmax", *(knob.flag for knob in identities.RANGES if knob.flag), "--jobs"]
+    requests = [
+        *(head + [value] for value in ("0", "-3", "x") for head in (
+            ["oracle", "--stat", "pk", "--n"], ["oracle", "--stat", "pk", "--n", "3", "--jobs"],
+            *(["verify", flag] for flag in verify_flags))),
+        ["poly", "--family", "A", "--n", "0"], ["poly", "--family", "W", "--n", "-1"],
+        ["triangle", "--family", "W", "--nmax", "0"],
+        ["verify", "--suite", "clt", "--nmax", "3"], ["verify", "--suite", "roots", "--nmax", "1"],
+        ["verify", "--clt-nmax", "2"],
+    ]
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+        assert (exc.value.code, out.getvalue()) == (2, ""), argv
+        err = err.getvalue()
+        assert err.startswith(f"usage: peakpoly {argv[0]} ") and f"\npeakpoly {argv[0]}: error: " in err, argv
+
+
 def test_package_names_resolve_on_first_access():
     import peakpoly
     from peakpoly import polynomial
@@ -273,7 +295,7 @@ def test_oracle_rejects_nonpositive_jobs():
     for jobs in ("0", "-2"):
         res = run("oracle", "--stat", "des", "--n", "4", "--jobs", jobs)
         assert res.returncode == 2
-        assert "--jobs must be >= 1" in res.stderr
+        assert "argument --jobs: must be >= 1" in res.stderr
 
 
 def test_oracle_jobs_do_not_change_output():

@@ -117,7 +117,7 @@ def test_derivative_poly_constants_are_euler_numbers():
 
 def test_constants_match_alternating_count():
     for n in range(1, 11):
-        assert F.euler_numbers(n)[n] == F.cached_count_alternating(n)
+        assert F.euler_numbers(n)[n] == perms.count_alternating(n)
 
 
 def test_eulerian_polys():

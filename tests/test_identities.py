@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import identities as I
+from peakpoly import permutations as perms
 from peakpoly import roots as R
 from peakpoly import series as S
 from peakpoly.polynomial import Poly
@@ -145,6 +146,28 @@ def test_an_oracle_row_with_an_internal_zero_fails_the_rows_that_read_it(monkeyp
         "oracle_peak_rows": I.Witness(4, 0, "1", "8"),
         "oracle_no_internal_zeros": I.Witness(4, 0, "W.oracle", "internal zero"),
     }
+
+
+def _count_alternating_off_by_one(monkeypatch, n):
+    real = perms.count_alternating
+    monkeypatch.setattr(perms, "count_alternating",
+                        lambda m, reverse=False: real(m, reverse=reverse) + (reverse and m == n))
+
+
+@pytest.mark.parametrize("suite, ranges, corrupt, failed", [
+    # R_5 = (1, 16, 58, 88, 61, 16) with its two largest entries swapped:
+    # the largest sits at 4, one place right of the bracket {(2*5-1)/3}
+    pytest.param("roots", dict(roots_nmax=8),
+                 lambda mp: _corrupt_row(mp, "tan_sec_triangle", 5, lambda row: (*row[:3], row[4], row[3], *row[5:])),
+                 I.CheckResult("mode_bracket", (2, 8), "fail", I.Witness(5, 4, "(4,)", "(3,)")), id="mode_bracket"),
+    # one reverse alternating permutation of S_4 too many: 6 against E_4 = 5
+    pytest.param("oracle", dict(oracle_nmax=6, signed_nmax=4), lambda mp: _count_alternating_off_by_one(mp, 4),
+                 I.CheckResult("oracle_alternating", (1, 6), "fail", I.Witness(4, 1, "6", "5")),
+                 id="oracle_alternating"),
+])
+def test_a_check_reading_its_input_directly_fails_on_it_alone(monkeypatch, suite, ranges, corrupt, failed):
+    corrupt(monkeypatch)
+    assert [r for r in I.run(suite, **ranges) if not r.passed] == [failed]
 
 
 def test_peak_to_derivative_hand_expansions():

@@ -122,6 +122,15 @@ def test_the_three_routes_of_p_and_q_agree_up_to_the_cap():
             assert others == [first, first], (name, n)
 
 
+def test_the_gf_routes_of_t_and_g_agree_with_their_first_routes_to_24():
+    # the agreement property draws T and G only up to SMALL_N
+    for name in ("T", "G"):
+        family = S.FAMILIES[name]
+        first = next(iter(family.routes.values()))
+        for n in range(family.min_n, 25):
+            assert family.routes["gf"](n) == first(n), (name, n)
+
+
 def test_derivative_polynomials_by_the_papers_definition():
     # D^n tan = P_n(tan) and D^n sec = sec Q_n(tan): with x = tan(theta),
     # Taylor's theorem makes P_n(x)/n! the t^n coefficient of
