@@ -483,15 +483,23 @@ def factorial_bell_sum(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def reduced_tan_sec_poly(n: int) -> Poly:
-    """G_n with tan_sec_poly(n) = (1+x)^(floor(n/2)+1) G_n; coefficients must
-    be positive integers.
+    """G_n with tan_sec_poly(n) = (1+x)^(floor(n/2)+1) G_n and G_n(-1) != 0;
+    coefficients must be positive integers.
 
-    NonzeroRemainder from the division signals that the multiplicity claim
-    fails; NonpositiveCoefficient that the positivity claim does.
+    This is where the multiplicity claim is checked: -1 is a zero of R_n of
+    multiplicity exactly floor(n/2)+1.  The division shows it is at least
+    that and the one sign test of G_n at -1 that it is no more; either
+    failure raises NonzeroRemainder.  NonpositiveCoefficient signals that the
+    positivity claim fails.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = tan_sec_poly(n).exact_div(ONE_PLUS_X ** (n // 2 + 1))
+    m = n // 2 + 1
+    g, rem = divmod(tan_sec_poly(n), ONE_PLUS_X**m)
+    if not rem.is_zero():
+        raise NonzeroRemainder(f"-1 is a zero of R_{n} of multiplicity below {m}")
+    if g.sign_at(-1) == 0:
+        raise NonzeroRemainder(f"-1 is a zero of R_{n} of multiplicity above {m}")
     for i, c in enumerate(g.coeffs):
         if c <= 0:
             raise NonpositiveCoefficient(f"G_{n} coefficient {c} at index {i}")

@@ -3,7 +3,7 @@
 Everything here is exact, and the hot paths run in integer arithmetic.  The
 central facts being certified, for R_n = tan_sec_poly(n):
 
-* x = -1 is a zero of multiplicity floor(n/2) + 1, and the reduced
+* x = -1 is a zero of multiplicity exactly floor(n/2) + 1, and the reduced
   polynomial G_n = R_n / (1+x)^(floor(n/2)+1) has exactly ceil(n/2) - 1
   simple real zeros, all inside (-1, 0) -- so every zero of R_n is real;
 * consecutive R_n weakly interlace (R_n separates R_{n+1});
@@ -16,8 +16,10 @@ Root counting uses Sturm chains built as primitive pseudo-remainder
 sequences over Z (Collins 1967): every remainder is scaled by a positive
 integer and reduced to its primitive part, so sign variations are untouched
 and no fraction is ever formed.  The root structure is certified by counts
-alone.  Once the multiplicity at -1 is an exact division, a squarefree G_n of
-degree ceil(n/2)-1 whose chain has Cauchy index ceil(n/2)-1 (the distinct real
+alone.  The multiplicity at -1 is checked once, where G_n is divided out
+(families.reduced_tan_sec_poly): the exact division by (1+x)^(floor(n/2)+1)
+and one sign test of G_n at -1.  Then a squarefree G_n of degree
+ceil(n/2)-1 whose chain has Cauchy index ceil(n/2)-1 (the distinct real
 zeros, read off leading coefficients and degrees) and V(-1) - V(0) equal to
 the same number has every zero real, simple and inside (-1, 0).  The only
 evaluations are integer Horner sign tests at -1 and 0 (Poly.sign_at).
@@ -133,21 +135,20 @@ def multiplicity_at(p: Poly, r: Fraction | int) -> int:
 def certify_root_structure(n: int) -> bool:
     """Certify the zero structure of R_n = tan_sec_poly(n): every zero is real.
 
-    The clauses, in order: multiplicity floor(n/2)+1 at -1; the reduced
-    polynomial G_n squarefree; ceil(n/2)-1 distinct real zeros of G_n (the
-    Cauchy index of its Sturm chain); all of them in (-1, 0) (the chain's
-    count there); and deg G_n equal to that count, so no zero is non-real.
+    The clauses, in order: multiplicity exactly floor(n/2)+1 at -1 (the
+    division and sign test of reduced_tan_sec_poly); the reduced polynomial
+    G_n squarefree; ceil(n/2)-1 distinct real zeros of G_n (the Cauchy index
+    of its Sturm chain); all of them in (-1, 0) (the chain's count there);
+    and deg G_n equal to that count, so no zero is non-real.
     The first clause that fails raises StructureViolation; otherwise True.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rn = families.tan_sec_poly(n)
-    expected_mult = n // 2 + 1
     expected_simple = (n + 1) // 2 - 1
-    mult = multiplicity_at(rn, -1)
-    if mult != expected_mult:
-        raise StructureViolation("multiplicity", f"n={n}: {mult} != {expected_mult}")
-    g = families.reduced_tan_sec_poly(n)
+    try:
+        g = families.reduced_tan_sec_poly(n)
+    except NonzeroRemainder as exc:
+        raise StructureViolation("multiplicity", str(exc)) from None
     try:
         chain = sturm_chain(g)
     except NonSquarefreeInput:
@@ -165,10 +166,11 @@ def certify_root_structure(n: int) -> bool:
 def certify_interlacing(n: int) -> bool:
     """Certify that R_n separates R_{n+1} (weak interlacing of all zeros).
 
-    The shared zeros at -1 are compared through their multiplicities, which
-    may differ by at most one.  For the rest, let d = gcd(G_n, G_{n+1}) (its
-    zeros are coincident points), f = G_n/d and g = G_{n+1}/d.  Each real
-    zero s of g adds sign(f(s) g'(s)) to the Cauchy index of f/g over R.
+    The shared zeros at -1 have multiplicity exactly floor(k/2)+1 in R_k,
+    k = n, n+1 (reduced_tan_sec_poly checks it), so the two differ by at
+    most one.  For the rest, let d = gcd(G_n, G_{n+1}) (its zeros are
+    coincident points), f = G_n/d and g = G_{n+1}/d.  Each real zero s of
+    g adds sign(f(s) g'(s)) to the Cauchy index of f/g over R.
     With deg g - deg f in {0, 1}, the index is sign(lc f * lc g) * deg g
     exactly when all zeros of g are real and simple, f changes sign between
     consecutive ones, and no zero of f lies above the top one: the zeros
@@ -181,14 +183,10 @@ def certify_interlacing(n: int) -> bool:
     r_n1 = families.tan_sec_poly(n + 1)
     if r_n1.degree != r_n.degree + 1:
         raise InterlacingViolation(f"degree step failed at n={n}")
-    m_n = multiplicity_at(r_n, -1)
-    m_n1 = multiplicity_at(r_n1, -1)
-    if m_n1 - m_n not in (0, 1):
-        raise InterlacingViolation(f"multiplicity step {m_n}->{m_n1} at n={n}")
     try:
         g_n, g_n1 = families.reduced_tan_sec_poly(n), families.reduced_tan_sec_poly(n + 1)
-    except NonzeroRemainder:
-        raise InterlacingViolation(f"multiplicity at -1 of R_k below floor(k/2)+1, k = {n} or {n + 1}") from None
+    except NonzeroRemainder as exc:
+        raise InterlacingViolation(f"at n={n}: {exc}") from None
     common = gcd_poly(g_n, g_n1)
     f, g = g_n.exact_div(common), g_n1.exact_div(common)
     if g.degree - f.degree not in (0, 1):

@@ -278,6 +278,21 @@ def test_each_usage_error_prints_the_usage_of_its_command():
         assert err.startswith(f"usage: peakpoly {argv[0]} ") and f"\npeakpoly {argv[0]}: error: " in err, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["poly", "--family", "A", "--n", "0"], "argument --n: must be >= 1 for family A, not 0"),
+    (["poly", "--family", "P", "--n", "-1"], "argument --n: must be >= 0 for family P, not -1"),
+    (["triangle", "--family", "W", "--nmax", "0"], "argument --nmax: must be >= 1 for family W, not 0"),
+], ids=["poly-A-0", "poly-P-minus-1", "triangle-W-0"])
+def test_a_family_minimum_reads_like_a_count_flag_error(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    err = err.getvalue()
+    assert err.startswith(f"usage: peakpoly {argv[0]} ") and err.endswith(f"\npeakpoly {argv[0]}: error: {message}\n")
+
+
 def test_package_names_resolve_on_first_access():
     import peakpoly
     from peakpoly import polynomial

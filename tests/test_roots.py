@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from peakpoly import families as F
 from peakpoly import identities as I
+from peakpoly import roots as R
 from peakpoly.polynomial import Poly
 from peakpoly.roots import (
     EndpointIsRoot,
@@ -164,6 +165,54 @@ def test_certify_root_structure_full_range():
 def test_certify_interlacing_full_range():
     for n in range(1, 26):
         assert certify_interlacing(n)
+
+
+def test_one_factor_too_many_at_minus_one_is_an_interlacing_violation(monkeypatch):
+    # R_4 (1+x) and R_5 (1+x): the degree step holds and the multiplicities
+    # at -1, 4 and 4, differ by at most one, but each is one above floor(k/2)+1
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: real(n) * ONE_PLUS_X if n in (4, 5) else real(n))
+    with pytest.raises(InterlacingViolation, match="multiplicity above 3"):
+        certify_interlacing(4)
+    with pytest.raises(StructureViolation, match="multiplicity above 3") as raised:
+        certify_root_structure(5)
+    assert raised.value.clause == "multiplicity"
+
+
+def test_certificates_run_without_the_division_loop(monkeypatch):
+    def loop(p, r):
+        raise AssertionError("multiplicity_at called")
+
+    monkeypatch.setattr(R, "multiplicity_at", loop)
+    results = I.run("roots", roots_nmax=25)
+    assert results and all(r.passed for r in results), results
+
+
+# The paper's peak polynomials W_n and WL_n, and the Eulerian polynomials A_n,
+# C_n and Ct_n / x (Ct_n(0) = 0), have only real zeros.
+REAL_ROOTED = {
+    "W": F.peak_poly,
+    "WL": F.left_peak_poly,
+    "A": F.eulerian_poly,
+    "C": F.type_b_eulerian_poly,
+    "CT/x": lambda n: F.affine_eulerian_poly(n).exact_div(Poly.x()),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ROOTED)
+def test_peak_and_eulerian_polynomials_have_real_simple_zeros(name):
+    # sturm_chain refuses a repeated zero; a Cauchy index equal to the degree
+    # leaves no zero off the real line.  sympy, where installed, counts again.
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    for n in range(1, 25):
+        p = REAL_ROOTED[name](n)
+        assert sturm_chain(p).cauchy_index() == p.degree, (name, n)
+        if sympy is not None:
+            sp = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain=sympy.ZZ)
+            assert sp.count_roots() == p.degree, (name, n)
 
 
 def test_interlacing_violation_on_unrelated_polys(monkeypatch):
