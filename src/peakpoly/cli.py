@@ -110,7 +110,7 @@ def _family(name: str, flag: str, n: int, parser) -> series.Family:
     if n < family.min_n:
         parser.error(f"argument {flag}: must be >= {family.min_n} for family {name}, not {n}")
     if n > family.cap:
-        raise LimitExceeded(f"{flag} above cap {family.cap} for family {name}")
+        raise LimitExceeded(f"{flag} {n} above cap {family.cap} for family {name}")
     return family
 
 

@@ -37,20 +37,17 @@ numbers, and the partial Bell triangle is one Memo: a growing tuple of terms
 never rebuild a prefix; a negative n is refused.  The Bell triangle is over
 Z[w], at the arguments x_i = w^floor((i-1)/2); the identities read it at
 w = 1 - x^2 (the peak arguments), at w = 1 (all ones) and at w = 0
-(1, 1, 0, 0, ...).  The enumeration oracle results are memoized per
-(n, stat) (or (n, reverse) for alternating counts) by functools.cache; the
-module caches in no other way.
+(1, 1, 0, 0, ...).  Every cache in the module is a Memo, and the module
+imports polynomial alone: the enumeration oracle routes of the family table,
+series.FAMILIES, call permutations themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
 from typing import Callable, Sequence
 
-from . import permutations
-from .permutations import StatDistribution
 from .polynomial import NonzeroRemainder, Poly
 
 X = Poly.x()
@@ -96,16 +93,6 @@ class Memo:
                 terms.append(self.step(terms, m))
             self.terms = tuple(terms)
         return self.terms[: n + 1]
-
-
-@cache
-def cached_distribution(n: int, stat: str) -> StatDistribution:
-    return permutations.distribution(n, stat)
-
-
-@cache
-def cached_signed_distribution(n: int, stat: str) -> StatDistribution:
-    return permutations.signed_distribution(n, stat)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +157,11 @@ def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
 
 
 def tangent_derivative_poly(n: int) -> Poly:
-    return derivative_polys(n)[0][n]
+    return _TANGENT_DERIVATIVE_POLYS.upto(n)[n]
 
 
 def secant_derivative_poly(n: int) -> Poly:
-    return derivative_polys(n)[1][n]
+    return _SECANT_DERIVATIVE_POLYS.upto(n)[n]
 
 
 def euler_numbers(nmax: int) -> tuple[int, ...]:

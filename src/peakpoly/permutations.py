@@ -72,6 +72,14 @@ class LimitExceeded(ValueError):
     """Requested size is outside the configured enumeration cap."""
 
 
+def _within_cap(n: int, cap: int) -> None:
+    # Raise LimitExceeded unless 1 <= n <= cap, in the CLI's `<name> <value> above cap <cap>` form.
+    if n < 1:
+        raise LimitExceeded(f"n {n} below minimum 1")
+    if n > cap:
+        raise LimitExceeded(f"n {n} above cap {cap}")
+
+
 class PermStats(NamedTuple):
     pk: int
     lpk: int
@@ -346,8 +354,7 @@ def distribution(n: int, stat: str) -> StatDistribution:
     """
     if stat not in PERM_STATS:
         raise ValueError(f"unknown permutation statistic {stat!r}")
-    if not 1 <= n <= S_N_LIMIT:
-        raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
+    _within_cap(n, S_N_LIMIT)
     width = _stat_width(n, stat)
     m = min(TAIL, n - 1)
     hits = [[0] * (2 * (m + 1)) for _ in range(width)]
@@ -364,8 +371,7 @@ def signed_distribution(n: int, stat: str) -> StatDistribution:
     """
     if stat not in SIGNED_STATS:
         raise ValueError(f"unknown signed statistic {stat!r}")
-    if not 1 <= n <= SIGNED_LIMIT:
-        raise LimitExceeded(f"n={n} outside enumeration cap {SIGNED_LIMIT}")
+    _within_cap(n, SIGNED_LIMIT)
     m = min(SIGNED_TAIL, n - 1)
     hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
     _signed_walk(list(range(1, n + 1)), 0, 0, 0, m, hits)
@@ -378,8 +384,7 @@ def count_alternating(n: int, *, reverse: bool = False) -> int:
     With reverse=True the first comparison flips, counting reverse-alternating
     permutations instead; the two counts agree (complement pi -> n+1-pi).
     """
-    if not 1 <= n <= S_N_LIMIT:
-        raise LimitExceeded(f"n={n} outside enumeration cap {S_N_LIMIT}")
+    _within_cap(n, S_N_LIMIT)
     m = min(TAIL, n - 1)
     hits = [0] * (2 * (m + 1))
     # The sentinel n + 1 counts as reached by an ascent, so the first value,

@@ -34,7 +34,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import families
+from . import families, permutations
 from .polynomial import Poly, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
@@ -216,7 +216,7 @@ FAMILIES = {
     "A": Family(1, RECURRENCE_CAP, {
         "recurrence": lambda n: families.eulerian_poly(n),
         "gf": lambda n: solved_family_polys("A", n)[n],
-        "oracle": lambda n: families.cached_distribution(n, "des").as_poly(),
+        "oracle": lambda n: permutations.distribution(n, "des").as_poly(),
     }, egf0=Poly.one()),
     "R": Family(0, RECURRENCE_CAP, {
         "triangle": lambda n: families.tan_sec_poly(n),
@@ -232,26 +232,26 @@ FAMILIES = {
     }, egf0=Poly.one()),
     "C": Family(1, MAX_ORDER, {
         "recurrence": lambda n: families.type_b_eulerian_poly(n),
-        "oracle": lambda n: families.cached_signed_distribution(n, "des_b").as_poly(),
+        "oracle": lambda n: permutations.signed_distribution(n, "des_b").as_poly(),
         "gf": lambda n: solved_family_polys("C", n)[n],
         "peaks": lambda n: families.type_b_poly_from_peaks(n),
         "petersen": lambda n: families.type_b_poly_from_eulerian(n),
     }, egf0=Poly.one()),
     "CT": Family(1, MAX_ORDER, {
         "recurrence": lambda n: families.affine_eulerian_poly(n),
-        "oracle": lambda n: families.cached_signed_distribution(n, "ades").as_poly(),
+        "oracle": lambda n: permutations.signed_distribution(n, "ades").as_poly(),
         "gf": lambda n: solved_family_polys("CT", n)[n],
         "peaks": lambda n: families.affine_poly_from_peaks(n),
     }, egf0=Poly.one()),
     "W": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.peak_poly(n),
         "gf": lambda n: solved_family_polys("W", n)[n],
-        "oracle": lambda n: families.cached_distribution(n, "pk").as_poly(),
+        "oracle": lambda n: permutations.distribution(n, "pk").as_poly(),
     }, egf0=Poly.zero()),
     "WL": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.left_peak_poly(n),
         "gf": lambda n: solved_family_polys("WL", n)[n],
-        "oracle": lambda n: families.cached_distribution(n, "lpk").as_poly(),
+        "oracle": lambda n: permutations.distribution(n, "lpk").as_poly(),
     }, egf0=Poly.one()),
 }
 

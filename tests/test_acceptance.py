@@ -53,8 +53,8 @@ def test_criterion_02_triple_agreement():
     for n in range(1, 10):
         row = F.tan_sec_triangle(n)[n]
         assert S.FAMILIES["R"].routes["gf"](n).coeffs == row
-        pk = F.cached_distribution(n, "pk").counts
-        lpk = F.cached_distribution(n, "lpk").counts
+        pk = perms.distribution(n, "pk").counts
+        lpk = perms.distribution(n, "lpk").counts
         assert F.interleave_rows(pk, lpk) == row
     for n in range(1, 8):
         for family in ("C", "CT"):

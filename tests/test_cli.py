@@ -82,6 +82,21 @@ def test_oracle_limit_exit_code():
     assert run("poly", "--family", "C", "--n", "65").returncode == 3
 
 
+def test_every_over_cap_request_names_its_value_and_cap(capsys):
+    # `<name> <value> above cap <cap>`, as the verify ranges read
+    from peakpoly import cli
+
+    cases = [
+        (["poly", "--family", "C", "--n", "65"], "peakpoly: --n 65 above cap 64 for family C\n"),
+        (["triangle", "--family", "R", "--nmax", "129"], "peakpoly: --nmax 129 above cap 128 for family R\n"),
+        (["oracle", "--stat", "pk", "--n", "11"], "peakpoly: n 11 above cap 10\n"),
+        (["oracle", "--stat", "ades", "--n", "8"], "peakpoly: n 8 above cap 7\n"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
 def test_oracle_n_below_one_is_a_usage_error():
     for n in ("0", "-3"):
         res = run("oracle", "--stat", "pk", "--n", n)
@@ -152,8 +167,14 @@ def test_oracle_and_version_requests_import_only_the_layers_they_run():
         "    codes = [cli.main(['verify', '--suite', 'gf', '--nmax', '4']), cli.main(['verify', '--suite', 'all'])]\n"
         "print(codes)\n"
     )
+    # the recurrences load polynomial alone, and no enumeration
+    families = (
+        "import sys\n"
+        "import peakpoly.families\n"
+        "print([m for m in ('peakpoly.polynomial', 'peakpoly.permutations') if m in sys.modules])\n"
+    )
     for script, expected in ((oracle, "[0, 0, 0] ['peakpoly.permutations']\n"), (version, "0 []\n"),
-                             (no_mpmath, "[0, 0]\n")):
+                             (no_mpmath, "[0, 0]\n"), (families, "['peakpoly.polynomial']\n")):
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
         assert res.stdout == expected, res.stderr
 

@@ -130,7 +130,7 @@ def test_eulerian_polys():
 
 def test_eulerian_matches_descent_oracle():
     for n in range(1, 10):
-        counts = F.cached_distribution(n, "des").counts
+        counts = perms.distribution(n, "des").counts
         assert Poly(counts) == F.eulerian_poly(n)
 
 
@@ -221,35 +221,16 @@ def test_memo_refuses_a_negative_index():
     assert memo.terms == (1, 2, 3, 4)
 
 
-def test_cached_distribution_enumerates_once(monkeypatch):
-    calls = []
-    original = perms.distribution
-
-    def spy(n, stat):
-        calls.append((n, stat))
-        return original(n, stat)
-
-    monkeypatch.setattr(perms, "distribution", spy)
-    F.cached_distribution.cache_clear()
-    first = F.cached_distribution(6, "pk")
-    assert F.cached_distribution(6, "pk") is first
-    assert calls == [(6, "pk")]
-    info = F.cached_distribution.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 def test_c_and_ct_requests_run_only_their_recurrence(monkeypatch, capsys):
     from peakpoly import cli
 
     runs = []
     monkeypatch.setattr(perms, "_signed_walk", lambda *args: runs.append("walk"))
     monkeypatch.setattr(S, "solve_series", lambda *args: runs.append("solve"))
-    F.cached_signed_distribution.cache_clear()
     monkeypatch.setattr(S, "_SOLVED", {})
     for family in ("C", "CT"):
         assert cli.main(["poly", "--family", family, "--n", "5"]) == 0
     assert runs == []  # neither enumeration nor the GF solve
-    assert F.cached_signed_distribution.cache_info().currsize == 0
     assert capsys.readouterr().out == "1,237,1682,1682,237,1\n0,32,832,2112,832,32\n"
 
 

@@ -154,6 +154,21 @@ def _count_alternating_off_by_one(monkeypatch, n):
                         lambda m, reverse=False: real(m, reverse=reverse) + (reverse and m == n))
 
 
+def _tan_sec_poly_plus_x2(monkeypatch, n):
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda m: real(m) + Poly((0, 0, 1)) if m == n else real(m))
+
+
+def _identity_with_one_descent(monkeypatch, n):
+    real = perms._perm_counts
+
+    def counts(pi):
+        pk, lpk, des = real(pi)
+        return pk, lpk, des + (pi == tuple(range(1, n + 1)))
+
+    monkeypatch.setattr(perms, "_perm_counts", counts)
+
+
 @pytest.mark.parametrize("suite, ranges, corrupt, failed", [
     # R_5 = (1, 16, 58, 88, 61, 16) with its two largest entries swapped:
     # the largest sits at 4, one place right of the bracket {(2*5-1)/3}
@@ -164,6 +179,13 @@ def _count_alternating_off_by_one(monkeypatch, n):
     pytest.param("oracle", dict(oracle_nmax=6, signed_nmax=4), lambda mp: _count_alternating_off_by_one(mp, 4),
                  I.CheckResult("oracle_alternating", (1, 6), "fail", I.Witness(4, 1, "6", "5")),
                  id="oracle_alternating"),
+    # R_6 plus x^2: its total R_6(1) reads 1441 against the closed form 2 * 6! = 1440
+    pytest.param("clt", dict(clt_nmax=8), lambda mp: _tan_sec_poly_plus_x2(mp, 6),
+                 I.CheckResult("clt_moments", (6, 6), "fail", I.Witness(6, 0, "1441", "1440")), id="clt_moments"),
+    # the identity of S_6 counted with one descent: the definition's des = 0 count is 1, the walk's 0
+    pytest.param("oracle", dict(oracle_nmax=6, signed_nmax=4), lambda mp: _identity_with_one_descent(mp, 6),
+                 I.CheckResult("oracle_shard_determinism", (6, 6), "fail", I.Witness(6, 0, "1", "0")),
+                 id="oracle_shard_determinism"),
 ])
 def test_a_check_reading_its_input_directly_fails_on_it_alone(monkeypatch, suite, ranges, corrupt, failed):
     corrupt(monkeypatch)

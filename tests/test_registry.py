@@ -73,7 +73,9 @@ def test_independence_check_sees_a_shared_helper():
     # sharing is found below the entry points too
     one, two = (lambda n: F.eulerian_poly(n)), (lambda n: F.eulerian_poly(n) + 0)
     assert F.eulerian_poly in _reach(one) & _reach(two)
-    assert F.derivative_polys in _reach(lambda n: F.euler_numbers(n)) & _reach(lambda n: F.tangent_derivative_poly(n))
+    p_step, q_step = F._TANGENT_DERIVATIVE_POLYS.step, F._SECANT_DERIVATIVE_POLYS.step
+    assert p_step in _reach(lambda n: F.euler_numbers(n)) & _reach(lambda n: F.tangent_derivative_poly(n))
+    assert q_step not in _reach(lambda n: F.tangent_derivative_poly(n))
     # each row of the recurrence table has a step of its own, and a route
     # through another family's row reaches that row's step
     a_step = F._EULERIAN_POLYS.step

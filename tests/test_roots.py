@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import roots as R
+from peakpoly import series as S
 from peakpoly.polynomial import Poly
 from peakpoly.roots import (
     EndpointIsRoot,
@@ -213,6 +214,54 @@ def test_peak_and_eulerian_polynomials_have_real_simple_zeros(name):
         if sympy is not None:
             sp = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain=sympy.ZZ)
             assert sp.count_roots() == p.degree, (name, n)
+
+
+def _liu_wang_failures(name):
+    """The hypotheses of the Liu-Wang corollary that row `name` of RECURRENCES fails.
+
+    The corollary (Liu and Wang, Adv. Appl. Math. 2007), as ROADMAP item 15
+    states it; it was not re-read from the paper, of which the project holds
+    no copy.  Let F_n = a_n F_(n-1) + b_n F'_(n-1) have nonnegative
+    coefficients, with deg F_n - deg F_(n-1) in {0, 1} and b_n(x) <= 0 for
+    x <= 0; as usually quoted it also asks deg a_n <= 1.  If F_(n-1) is
+    real-rooted, then F_n is real-rooted and F_(n-1) interlaces it.
+
+    A row gives a_n = alpha + (n-1) beta and b_n = b.  Two hypotheses are
+    checked exactly, for every n: deg alpha, deg beta <= 1, and b = x c with
+    c(0) > 0 and no zero of c in (-oo, 0], counted as V(-oo) - V(0) on c's
+    Sturm chain, so b <= 0 on x <= 0.  The per-n premises (a real-rooted last
+    seed term, nonnegative coefficients, the degree step) are checked only up
+    to the family's cap, so the corollary is shown to apply only that far.
+    """
+    seed, alpha, beta, b = F.RECURRENCES[name]
+    failed = set()
+    if max(alpha.degree, beta.degree) > 1:
+        failed.add("deg a")
+    c, rem = divmod(b, Poly.x())
+    chain = sturm_chain(c)
+    at_minus_oo = [-p.leading() if p.degree % 2 else p.leading() for p in chain.polys]
+    zeros_left_of_0 = sum(s * t < 0 for s, t in zip(at_minus_oo, at_minus_oo[1:])) - chain.variations(Fraction(0))
+    if not rem.is_zero() or c.sign_at(0) <= 0 or zeros_left_of_0 != 0:
+        failed.add("sign of b")
+    start = len(seed) - 1  # the last seed term, where the recurrence takes over
+    fs = F._recurrence_memo(*F.RECURRENCES[name]).upto(S.FAMILIES[name].cap)
+    if fs[start].degree not in (0, 1):
+        failed.add("real-rooted start")
+    for n in range(start, len(fs)):
+        if min(fs[n].coeffs) < 0 or (n > start and fs[n].degree - fs[n - 1].degree not in (0, 1)):
+            failed.add("per n")
+    return failed
+
+
+@pytest.mark.parametrize("name", ("W", "WL", "A", "C", "CT"))
+def test_peak_and_eulerian_rows_meet_the_liu_wang_hypotheses(name):
+    assert _liu_wang_failures(name) == set()
+
+
+def test_the_tan_sec_row_is_outside_the_liu_wang_corollary():
+    # b = x(1 - x^2) is positive left of -1, and a_n = 1 + (n-1) x^2 has
+    # degree 2; R keeps its per-n certificates
+    assert _liu_wang_failures("R") == {"deg a", "sign of b"}
 
 
 def test_interlacing_violation_on_unrelated_polys(monkeypatch):
