@@ -26,15 +26,17 @@ Enumeration is exhaustive and exact, in two levels per request:
   taken from, so it comes with the walk.  Each prefix that leaves the tail
   adds 1 to a hit count by (statistic so far, key);
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
-  suffix table, one per tail length and statistic, built the first time a
-  request needs it (lpk reads the table of pk).  It is keyed by the rank of
+  suffix table, built the first time a request needs it: one per tail
+  length and statistic of S_n (lpk reads the table of pk), and one des_b
+  and one ades table per signed tail length, built together from the
+  same signed walks.  It is keyed by the rank of
   the prefix's last value among the values still to place (and, for
   pk/lpk/alternation, whether that value was reached by an ascent).  Its
   entry is a histogram: each increment the completions add to the
   statistic, with the number of completions that add it (for alternation,
   the number of alternating completions).  The same walk builds it, run to
   the end over every completion of each key; no table is derived from
-  another.
+  another table.
 
 At its end the request folds the hit counts into the histograms, once.
 Each permutation or window is counted exactly once: its prefix is walked
@@ -152,16 +154,6 @@ def signed_stats(omega: Sequence[int]) -> SignedStats:
     if sorted(abs(v) for v in omega) != list(range(1, n + 1)) or 0 in omega:
         raise NotASignedPermutation(f"{omega!r} is not a signed permutation window")
     return SignedStats(*_signed_counts(tuple(omega)))
-
-
-def _stat_width(n: int, stat: str) -> int:
-    if stat == "pk":
-        return (n - 1) // 2 + 1
-    if stat == "lpk":
-        return n // 2 + 1
-    if stat == "des":
-        return n
-    raise ValueError(f"unknown permutation statistic {stat!r}")
 
 
 # Positions filled from a suffix table: the last TAIL positions of a
@@ -315,33 +307,35 @@ def _tail_table(m: int, stat: str) -> tuple:
 
 
 @cache
-def _signed_tail_table(m: int, stat: str) -> tuple[Histogram | None, ...]:
-    """What the completions of a signed prefix add to des_b or ades, by key.
+def _signed_tail_tables(m: int) -> tuple[tuple[Histogram | None, ...], ...]:
+    """The des_b and the ades table: what the completions of a signed prefix
+    add to each statistic, by key.
 
     A prefix ends in an entry L with m absolute values still to place.  Its
     key is 2r + (L > 0), where r is the rank of L among the 2m signed values
-    those m can take.  Entry key is a histogram over the m! 2^m completions:
-    each value of the statistic of the window (L, c_1, .., c_m) of [m+1]
-    less the descent 0 > L, which the prefix has already counted, with the
-    number of completions that give it.  Keys no prefix can have are None.
-    Each entry is taken by the walk the requests run, started at L with the
-    other values of [m+1] still to place and base 0, run to the end over all
-    m! 2^m completions: it ends with key c_m > 0, which ades adds.  The
-    table for m is never derived from another table.
+    those m can take.  Entry key of a table is a histogram over the m! 2^m
+    completions: each value of the statistic of the window (L, c_1, .., c_m)
+    of [m+1] less the descent 0 > L, which the prefix has already counted,
+    with the number of completions that give it.  Keys no prefix can have
+    are None.  Both tables come from one walk per L, the walk the requests
+    run, started at L with the other values of [m+1] still to place and
+    base 0, run to the end over all m! 2^m completions: it ends with key
+    c_m > 0, which ades adds.  No table is derived from another table.
     """
-    ades = SIGNED_STATS.index(stat)  # 1 for ades, which adds c_m > 0
-    table: list[Histogram | None] = [None] * (2 * (2 * m + 1))
+    des_b: list[Histogram | None] = [None] * (2 * (2 * m + 1))
+    ades = des_b.copy()
     for i in range(m + 1):
         others = [v for v in range(1, m + 2) if v != i + 1]
         for key, lead in ((2 * (m - i), -(i + 1)), (2 * (m + i) + 1, i + 1)):
             rows = [[0, 0] for _ in range(m + 1)]
             _signed_walk(others, int(lead > 0), lead, 0, 0, rows)
-            totals = [0] * (m + 2)
+            totals = [0] * (m + 1), [0] * (m + 2)  # of des_b and of ades
             for d, row in enumerate(rows):
                 for last_positive, completions in enumerate(row):
-                    totals[d + ades * last_positive] += completions
-            table[key] = _histogram(totals)
-    return tuple(table)
+                    totals[0][d] += completions
+                    totals[1][d + last_positive] += completions
+            des_b[key], ades[key] = map(_histogram, totals)
+    return tuple(des_b), tuple(ades)
 
 
 def distribution(n: int, stat: str) -> StatDistribution:
@@ -355,12 +349,13 @@ def distribution(n: int, stat: str) -> StatDistribution:
     if stat not in PERM_STATS:
         raise ValueError(f"unknown permutation statistic {stat!r}")
     _within_cap(n, S_N_LIMIT)
-    width = _stat_width(n, stat)
     m = min(TAIL, n - 1)
-    hits = [[0] * (2 * (m + 1)) for _ in range(width)]
+    hits = [[0] * (2 * (m + 1)) for _ in range(n)]  # no statistic reaches n
     _perm_walk(list(range(1, n + 1)), 0, n + 1 if stat == "pk" else 0, False, 0, m, stat != "des", hits)
-    table = _tail_table(m, "des" if stat == "des" else "pk")
-    return StatDistribution(n, stat, tuple(_fold(hits, table, width)))
+    counts = _fold(hits, _tail_table(m, "des" if stat == "des" else "pk"), n)
+    while not counts[-1]:  # the counts end at the largest value some permutation takes
+        counts.pop()
+    return StatDistribution(n, stat, tuple(counts))
 
 
 def signed_distribution(n: int, stat: str) -> StatDistribution:
@@ -375,7 +370,8 @@ def signed_distribution(n: int, stat: str) -> StatDistribution:
     m = min(SIGNED_TAIL, n - 1)
     hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
     _signed_walk(list(range(1, n + 1)), 0, 0, 0, m, hits)
-    return StatDistribution(n, stat, tuple(_fold(hits, _signed_tail_table(m, stat), n + 1)))
+    table = _signed_tail_tables(m)[SIGNED_STATS.index(stat)]
+    return StatDistribution(n, stat, tuple(_fold(hits, table, n + 1)))
 
 
 def count_alternating(n: int, *, reverse: bool = False) -> int:

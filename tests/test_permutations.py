@@ -189,10 +189,11 @@ def _windows(n):
     ]
 
 
-def _reference_counts(key, items, width):
-    """Counts of key(item) over the given permutations or windows, one at a time."""
+def _reference_counts(key, items):
+    """Counts of key(item) over the given permutations or windows, one at a
+    time, up to the largest value taken."""
     counter = Counter(key(item) for item in items)
-    return tuple(counter[k] for k in range(width))
+    return tuple(counter[k] for k in range(max(counter) + 1))
 
 
 def test_kernels_match_per_permutation_reference():
@@ -203,12 +204,12 @@ def test_kernels_match_per_permutation_reference():
     for n in range(1, 9):
         perms = list(itertools.permutations(range(1, n + 1)))
         for stat in P.PERM_STATS:
-            reference = _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms, P._stat_width(n, stat))
+            reference = _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms)
             assert distribution(n, stat).counts == reference, (n, stat)
     for n in range(1, 6):
         windows = _windows(n)
         for stat in P.SIGNED_STATS:
-            reference = _reference_counts(lambda w: getattr(signed_stats(w), stat), windows, n + 1)
+            reference = _reference_counts(lambda w: getattr(signed_stats(w), stat), windows)
             assert signed_distribution(n, stat).counts == reference, (n, stat)
     for n in range(1, 10):
         perms = list(itertools.permutations(range(1, n + 1)))
@@ -224,7 +225,7 @@ def test_suffix_tables_are_built_once_per_tail_length():
     # A table is built on a cache miss, so misses count builds, and a lookup
     # that hits shows which table an earlier request built.
     P._tail_table.cache_clear()
-    P._signed_tail_table.cache_clear()
+    P._signed_tail_tables.cache_clear()
     m, sm = P.TAIL, P.SIGNED_TAIL
     distribution(m + 2, "des")  # builds the des table and no other
     assert P._tail_table.cache_info().misses == 1
@@ -235,6 +236,9 @@ def test_suffix_tables_are_built_once_per_tail_length():
     assert P._tail_table.cache_info().misses == 2
     P._tail_table(m, "pk")
     assert P._tail_table.cache_info().misses == 2
+    signed_distribution(sm + 1, "des_b")  # builds the des_b and the ades table
+    signed_distribution(sm + 1, "ades")  # reads the ades table: builds nothing
+    assert P._signed_tail_tables.cache_info().misses == 1
     for _ in range(2):
         for n in (m + 2, m + 3):  # both leave a tail of m positions
             for stat in P.PERM_STATS:
@@ -244,10 +248,10 @@ def test_suffix_tables_are_built_once_per_tail_length():
         for n in (sm + 1, sm + 2):
             for stat in P.SIGNED_STATS:
                 signed_distribution(n, stat)
-    # one build per (tail length, statistic)
+    # one build per (tail length, statistic), and one per signed tail length
     assert P._tail_table.cache_info().misses == P._tail_table.cache_info().currsize == 3  # pk, des and alt
-    signed = P._signed_tail_table.cache_info()
-    assert signed.misses == signed.currsize == len(P.SIGNED_STATS)
+    signed = P._signed_tail_tables.cache_info()
+    assert signed.misses == signed.currsize == 1
 
 
 def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypatch):
@@ -258,8 +262,7 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
     for n in range(1, 8):
         perms = list(itertools.permutations(range(1, n + 1)))
         references[n] = {
-            stat: _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms, P._stat_width(n, stat))
-            for stat in P.PERM_STATS
+            stat: _reference_counts(lambda pi: getattr(perm_stats(pi), stat), perms) for stat in P.PERM_STATS
         }
         for reverse in (False, True):
             references[n]["alt", reverse] = sum(P.is_alternating(pi, reverse=reverse) for pi in perms)
@@ -275,11 +278,11 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
     for n in range(1, 6):
         windows = _windows(n)
         signed_references[n] = {
-            stat: _reference_counts(lambda w: getattr(signed_stats(w), stat), windows, n + 1) for stat in P.SIGNED_STATS
+            stat: _reference_counts(lambda w: getattr(signed_stats(w), stat), windows) for stat in P.SIGNED_STATS
         }
     for tail in range(3):
         monkeypatch.setattr(P, "SIGNED_TAIL", tail)
-        P._signed_tail_table.cache_clear()
+        P._signed_tail_tables.cache_clear()
         for n, reference in signed_references.items():
             for stat in P.SIGNED_STATS:
                 assert signed_distribution(n, stat).counts == reference[stat], (tail, n, stat)
@@ -293,6 +296,13 @@ def test_every_statistic_at_its_cap_matches_the_recurrence_rows():
     assert signed_distribution(signed_n, "ades").counts == series.FAMILIES["CT"].poly(signed_n).coeffs
 
 
+def test_each_distribution_ends_at_the_largest_value_of_its_statistic():
+    # some permutation of [n] has (n - 1) // 2 peaks, n // 2 left peaks and n - 1 descents, none has more
+    for n in range(1, P.S_N_LIMIT + 1):
+        for stat, width in (("pk", (n - 1) // 2 + 1), ("lpk", n // 2 + 1), ("des", n)):
+            assert len(distribution(n, stat).counts) == width, (n, stat)
+
+
 def test_suffix_table_histograms_count_every_completion():
     for m in range(P.TAIL + 1):
         for stat in ("pk", "des"):  # lpk reads the table of pk
@@ -303,8 +313,8 @@ def test_suffix_table_histograms_count_every_completion():
                 assert [d for d, _ in entry] == sorted({d for d, _ in entry})
                 assert all(c > 0 for _, c in entry)
     for m in range(P.SIGNED_TAIL + 1):
-        for stat in P.SIGNED_STATS:
-            entries = [entry for entry in P._signed_tail_table(m, stat) if entry is not None]
+        for stat, table in zip(P.SIGNED_STATS, P._signed_tail_tables(m), strict=True):
+            entries = [entry for entry in table if entry is not None]
             assert len(entries) == 2 * (m + 1)  # one per signed last entry
             for entry in entries:
                 assert sum(c for _, c in entry) == math.factorial(m) * 2**m, (m, stat)
@@ -350,8 +360,8 @@ def _all_statistics_tail_tables(m):
 
 
 def _all_statistics_signed_tail_tables(m):
-    """The signed suffix tables of des_b and ades from one loop, windows
-    built from sign tuples, as before each statistic had its own table."""
+    """The signed suffix tables of des_b and ades from one loop over the
+    windows, built from sign tuples and counted one window at a time."""
     tables = {stat: [None] * (2 * (2 * m + 1)) for stat in P.SIGNED_STATS}
     signs = list(itertools.product((1, -1), repeat=m))
     for a in range(1, m + 2):
@@ -376,8 +386,9 @@ def test_per_statistic_suffix_tables_match_the_all_statistics_loop():
         des = P._tail_table(m, "des")  # one walk per rank serves both of its keys
         assert all(des[2 * r] is des[2 * r + 1] for r in range(m + 1)), m
     for m in range(P.SIGNED_TAIL + 1):
+        tables = dict(zip(P.SIGNED_STATS, P._signed_tail_tables(m), strict=True))
         for stat, table in _all_statistics_signed_tail_tables(m).items():
-            assert P._signed_tail_table(m, stat) == table, (m, stat)
+            assert tables[stat] == table, (m, stat)
     with pytest.raises(ValueError):
         P._tail_table(P.TAIL, "lpk")
 
@@ -421,9 +432,22 @@ def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[1][0][0])
     monkeypatch.undo()
     assert _shard_check().passed
-    ades = P._signed_tail_table(3, "ades")  # signed n = 4 fills three positions from it
+    des_b, ades = P._signed_tail_tables(3)  # signed n = 4 fills three positions from them
     key = next(k for k, entry in enumerate(ades) if entry is not None)
     corrupted = ades[:key] + (_off_by_one(ades[key]),) + ades[key + 1:]
-    _corrupt_cached(monkeypatch, "_signed_tail_table", (3, "ades"), corrupted)
+    _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (des_b, corrupted))
     check = _shard_check()
     assert (check.verdict, check.witness.n) == ("fail", 6)
+
+
+def test_signed_rows_check_fails_on_a_corrupted_des_b_table(monkeypatch):
+    # Signed n = 4 reads the des_b table of tail length 3 through C.oracle;
+    # oracle_shard_determinism reads only the ades table of the same build.
+    # Its first key is the first entry -4, one descent after 0; its first
+    # histogram pair counts the completions that add no descent, so one more
+    # of them makes 77 windows with one descent, where C_4 has 76.
+    des_b, ades = P._signed_tail_tables(3)
+    corrupted = (_off_by_one(des_b[0]),) + des_b[1:]
+    _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (corrupted, ades))
+    flagged = [r for r in identities.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
+    assert flagged == [identities.CheckResult("oracle_signed_rows", (1, 4), "fail", identities.Witness(4, 1, "77", "76"))]
