@@ -10,20 +10,40 @@ family.
 Importing the package loads no layer: each name of `__all__` imports its
 module on first access (PEP 562), so a caller pays only for the layers it
 reads.  `from peakpoly import *` loads them all.
+
+Every layer refuses a count the same way, with the exception and the check
+defined here, in the one module every layer loads: a count below a
+function's minimum raises LimitExceeded as `<name> <value> below minimum
+<minimum>`, naming the function's argument, and one above an enumeration or
+CLI cap as `<name> <value> above cap <cap>`.
 """
 
 __version__ = "0.1.0"
+
+
+class LimitExceeded(ValueError):
+    """A count outside what the library accepts, in any layer: below a
+    function's minimum or above an enumeration or CLI cap.  The CLI exits 3."""
+
+
+def _at_least(name: str, value: int, minimum: int) -> None:
+    """Refuse a count below its minimum: LimitExceeded, `<name> <value> below
+    minimum <minimum>`.  It only checks an argument and computes no value
+    that the routes of a family are compared on, so routes may share it."""
+    if value < minimum:
+        raise LimitExceeded(f"{name} {value} below minimum {minimum}")
+
 
 # Each public name, with the module that defines it; a submodule maps to None.
 _FROM = {
     **dict.fromkeys(("Poly", "NonzeroRemainder", "DivisionByZeroPoly", "gcd_poly", "primitive_part"), "polynomial"),
     **dict.fromkeys(("PermStats", "SignedStats", "StatDistribution", "NotAPermutation", "NotASignedPermutation",
-                     "LimitExceeded", "perm_stats", "signed_stats", "distribution", "signed_distribution",
+                     "perm_stats", "signed_stats", "distribution", "signed_distribution",
                      "count_alternating"), "permutations"),
     **dict.fromkeys(("families", "series", "roots", "identities")),
 }
 
-__all__ = [*_FROM, "__version__"]
+__all__ = [*_FROM, "LimitExceeded", "__version__"]
 
 
 def __getattr__(name: str):

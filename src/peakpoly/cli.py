@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 
-from . import __version__
+from . import LimitExceeded, __version__
 
 COMMANDS = ("triangle", "poly", "oracle", "verify")
 ORACLE_STATS = ("pk", "lpk", "des", "desb", "ades", "alt")
@@ -104,7 +104,6 @@ def _emit_rows(rows, fmt: str) -> None:
 def _family(name: str, flag: str, n: int, parser) -> series.Family:
     """The family table entry, once n is within its minimum and cap."""
     from . import series
-    from .permutations import LimitExceeded
 
     family = series.FAMILIES[name]
     if n < family.min_n:
@@ -147,7 +146,6 @@ def cmd_verify(args, parser) -> int:
     import json
 
     from . import identities
-    from .permutations import LimitExceeded
 
     ranges = {knob.name: getattr(args, knob.name, knob.default) for knob in identities.RANGES}
     if args.nmax is not None:
@@ -177,8 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = build_parser((command,) if command in COMMANDS else ())
     args = parser.parse_args(argv)
-    from .permutations import LimitExceeded  # --help and --version have exited
-
     # the command's own parser reports the usage errors its handler finds
     command_parser = next(action for action in parser._actions if action.dest == "command").choices[args.command]
     try:

@@ -48,6 +48,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
+from . import _at_least
 from .polynomial import NonzeroRemainder, Poly
 
 X = Poly.x()
@@ -85,8 +86,7 @@ class Memo:
 
     def upto(self, n: int) -> tuple:
         """Terms 0..n."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        _at_least("n", n, 0)
         if n >= len(self.terms):
             terms = list(self.terms)
             for m in range(len(terms), n + 1):
@@ -153,6 +153,7 @@ def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     P_0 = u, P_{n+1} = (1+u^2) P_n'; Q_0 = 1, Q_{n+1} = (1+u^2) Q_n' + u Q_n.
     P_n(0) and Q_n(0) are the tangent and secant numbers.
     """
+    _at_least("nmax", nmax, 0)
     return _TANGENT_DERIVATIVE_POLYS.upto(nmax), _SECANT_DERIVATIVE_POLYS.upto(nmax)
 
 
@@ -180,11 +181,12 @@ def euler_numbers(nmax: int) -> tuple[int, ...]:
 
 def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
     """R_0..R_nmax, the rows of the triangle R as polynomials."""
+    _at_least("nmax", nmax, 0)
     return _TAN_SEC_POLYS.upto(nmax)
 
 
 def tan_sec_poly(n: int) -> Poly:
-    return tan_sec_polys(n)[n]
+    return _TAN_SEC_POLYS.upto(n)[n]
 
 
 def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
@@ -203,8 +205,7 @@ def peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     W_{n+1} = (2 - x + nx) W_n + 2x(1-x) W_n' from W_1 = 1; row n has
     floor((n-1)/2)+1 entries and sums to n!.  Index 0 of the result is row n=1.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    _at_least("nmax", nmax, 1)
     return tuple(w.coeffs for w in _PEAK_POLYS.upto(nmax)[1:])
 
 
@@ -215,18 +216,19 @@ def left_peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     Wl_{n+1} = (1 + nx) Wl_n + 2x(1-x) Wl_n' from Wl_0 = 1; row n has
     floor(n/2)+1 entries.  Index 0 of the result is row n=1.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    _at_least("nmax", nmax, 1)
     return tuple(w.coeffs for w in _LEFT_PEAK_POLYS.upto(nmax)[1:])
 
 
 def peak_poly(n: int) -> Poly:
     """Generating polynomial of interior peaks over S_n."""
+    _at_least("n", n, 1)
     return Poly(peak_triangle(n)[n - 1])
 
 
 def left_peak_poly(n: int) -> Poly:
     """Generating polynomial of left peaks over S_n."""
+    _at_least("n", n, 1)
     return Poly(left_peak_triangle(n)[n - 1])
 
 
@@ -236,8 +238,7 @@ def left_peak_poly(n: int) -> Poly:
 
 def eulerian_poly(n: int) -> Poly:
     """The Eulerian (descent) polynomial A_n, n >= 1; A_n(1) = n!."""
-    if n < 1:
-        raise ValueError("eulerian_poly requires n >= 1")
+    _at_least("n", n, 1)
     return _EULERIAN_POLYS.upto(n)[n]
 
 
@@ -247,15 +248,13 @@ def eulerian_poly(n: int) -> Poly:
 
 def type_b_eulerian_poly(n: int) -> Poly:
     """C_n, the descent polynomial of signed permutations (type-B Eulerian)."""
-    if n < 1:
-        raise ValueError("signed families require n >= 1")
+    _at_least("n", n, 1)
     return _TYPE_B_POLYS.upto(n)[n]
 
 
 def affine_eulerian_poly(n: int) -> Poly:
     """Ct_n, the augmented-descent polynomial of signed windows (affine Eulerian)."""
-    if n < 1:
-        raise ValueError("signed families require n >= 1")
+    _at_least("n", n, 1)
     return _AFFINE_POLYS.upto(n)[n]
 
 
@@ -301,11 +300,13 @@ def peak_transform(p: Poly, m: int, a: Poly, b: Poly) -> Poly:
 
 def tangent_poly_from_peaks(n: int) -> Poly:
     """P_n(y) = (1+y^2) sum_k W[n][k] y^(n-1-2k) (1+y^2)^k; P_0 = y."""
+    _at_least("n", n, 0)
     return ONE_PLUS_U2 * peak_transform(peak_poly(n), n - 1, ONE_PLUS_U2, X) if n else X
 
 
 def secant_poly_from_peaks(n: int) -> Poly:
     """Q_n(y) = sum_k Wl[n][k] y^(n-2k) (1+y^2)^k; Q_0 = 1."""
+    _at_least("n", n, 0)
     return peak_transform(left_peak_poly(n), n, ONE_PLUS_U2, X) if n else Poly.one()
 
 
@@ -321,6 +322,7 @@ def affine_poly_from_peaks(n: int) -> Poly:
 
 def type_b_poly_from_eulerian(n: int) -> Poly:
     """C_n = (1-x)^n + sum_i C(n,i) (1-x)^(n-i) 2^i x A_i (Petersen), by Horner in 1-x."""
+    _at_least("n", n, 1)
     c = Poly.one()
     for i in range(1, n + 1):
         c = c * ONE_MINUS_X + math.comb(n, i) * 2**i * X * eulerian_poly(i)
@@ -376,8 +378,7 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
     and Q_n(x) = sum_k S(n,k) x^k; must agree with derivative_polys().  A
     T(n+1,k) that k does not divide raises NonzeroRemainder.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _at_least("n", n, 0)
     t_rows = _TANGENT_ROWS.upto(n + 1)
     p_coeffs = [t_rows[n][1] if n >= 1 else 0]
     for k in range(1, n + 2):
@@ -449,8 +450,7 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     An explicit-formula route to the same polynomial tan_sec_poly(n+1)
     produces by recurrence.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least("n", n, 1)
     row = _PEAK_BELL_ROWS.upto(n)[n]
     acc = Poly.zero()  # by Horner in (1+x), from k = n down
     for k in range(n, 0, -1):
@@ -479,8 +479,7 @@ def reduced_tan_sec_poly(n: int) -> Poly:
     failure raises NonzeroRemainder.  NonpositiveCoefficient signals that the
     positivity claim fails.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least("n", n, 1)
     m = n // 2 + 1
     g, rem = divmod(tan_sec_poly(n), ONE_PLUS_X**m)
     if not rem.is_zero():

@@ -51,6 +51,8 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import LimitExceeded, _at_least
+
 if TYPE_CHECKING:
     from .polynomial import Poly
 
@@ -70,14 +72,9 @@ class NotASignedPermutation(ValueError):
     """Absolute values are not a permutation of [n]."""
 
 
-class LimitExceeded(ValueError):
-    """Requested size is outside the configured enumeration cap."""
-
-
 def _within_cap(n: int, cap: int) -> None:
-    # Raise LimitExceeded unless 1 <= n <= cap, in the CLI's `<name> <value> above cap <cap>` form.
-    if n < 1:
-        raise LimitExceeded(f"n {n} below minimum 1")
+    # Raise LimitExceeded unless 1 <= n <= cap.
+    _at_least("n", n, 1)
     if n > cap:
         raise LimitExceeded(f"n {n} above cap {cap}")
 
@@ -109,21 +106,11 @@ class StatDistribution(NamedTuple):
         return Poly(self.counts)
 
 
-def _peaks(pi: tuple[int, ...]) -> int:
-    """Interior peaks of a sequence, by definition."""
-    return sum(a < b > c for a, b, c in zip(pi, pi[1:], pi[2:]))
-
-
-def _descents(pi: tuple[int, ...]) -> int:
-    """Descents of a sequence, by definition."""
-    return sum(a > b for a, b in zip(pi, pi[1:]))
-
-
 def _perm_counts(pi: tuple[int, ...]) -> tuple[int, int, int]:
     """(pk, lpk, des) of a permutation, by definition; pi is not checked."""
-    pk = _peaks(pi)
+    pk = sum(a < b > c for a, b, c in zip(pi, pi[1:], pi[2:]))
     lpk = pk + (1 if len(pi) >= 2 and pi[0] > pi[1] else 0)
-    return pk, lpk, _descents(pi)
+    return pk, lpk, sum(a > b for a, b in zip(pi, pi[1:]))
 
 
 def perm_stats(pi: Sequence[int]) -> PermStats:
@@ -141,7 +128,7 @@ def perm_stats(pi: Sequence[int]) -> PermStats:
 def _signed_counts(omega: tuple[int, ...]) -> tuple[int, int]:
     """(des_b, ades) of a signed window, by definition; omega is not checked."""
     des_b = sum(a > b for a, b in zip((0,) + omega, omega))
-    return des_b, des_b + (1 if omega[-1] > 0 else 0)
+    return des_b, des_b + (1 if omega and omega[-1] > 0 else 0)
 
 
 def signed_stats(omega: Sequence[int]) -> SignedStats:

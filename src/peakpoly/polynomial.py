@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import _at_least
+
 NEG_INF = float("-inf")
 
 
@@ -116,8 +118,7 @@ class Poly:
     @classmethod
     def monomial(cls, coeff: int, power: int) -> Poly:
         """coeff * x**power."""
-        if power < 0:
-            raise ValueError("negative power")
+        _at_least("power", power, 0)
         return cls((0,) * power + (coeff,))
 
     # -- structure ---------------------------------------------------------
@@ -183,8 +184,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        _at_least("n", n, 0)
         result = Poly.one()
         base = self
         while n:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import families
+from . import _at_least, families
 from .polynomial import NonzeroRemainder, Poly, gcd_poly, remainder_sequence
 
 
@@ -142,8 +142,7 @@ def certify_root_structure(n: int) -> bool:
     and deg G_n equal to that count, so no zero is non-real.
     The first clause that fails raises StructureViolation; otherwise True.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least("n", n, 1)
     expected_simple = (n + 1) // 2 - 1
     try:
         g = families.reduced_tan_sec_poly(n)
@@ -177,8 +176,7 @@ def certify_interlacing(n: int) -> bool:
     alternate from the top, starting with one of g.  The index is
     V(-oo) - V(+oo) of the remainder sequence of g and f.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least("n", n, 1)
     r_n = families.tan_sec_poly(n)
     r_n1 = families.tan_sec_poly(n + 1)
     if r_n1.degree != r_n.degree + 1:
@@ -218,8 +216,7 @@ def clt_stats(n: int) -> CltStats:
     compared here: identities.check_clt_moments holds them to their closed
     forms.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least("n", n, 1)
     rn = families.tan_sec_poly(n)
     v = rn(1)
     d1 = rn.derivative()(1)
@@ -243,8 +240,7 @@ def mode_bracket(n: int) -> ModeResult:
     If (2n-1)/3 is an integer the maximum must sit exactly there; otherwise
     at its floor or ceiling.  Ties are reported, not failed.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _at_least("n", n, 2)
     row = families.tan_sec_triangle(n)[n]
     top = max(row)
     argmax = tuple(k for k, v in enumerate(row) if v == top)

@@ -34,7 +34,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import families, permutations
+from . import _at_least, families, permutations
 from .polynomial import Poly, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
@@ -316,8 +316,9 @@ def _egf(family: str, order: int) -> EGF:
     """The row of an EGF id; raises on an unknown id or order."""
     if family not in EGFS:
         raise UnknownFamily(f"unknown family {family!r}")
-    if not 0 <= order <= MAX_ORDER:
-        raise OrderExceedsComputedFamilies(f"order {order} outside 0..{MAX_ORDER}")
+    _at_least("order", order, 0)
+    if order > MAX_ORDER:
+        raise OrderExceedsComputedFamilies(f"order {order} above cap {MAX_ORDER}")
     return EGFS[family]
 
 
@@ -382,6 +383,7 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
     |R_{n+1}(x0)| <= R_{n+1}(1) = 2 (n+1)! for x0 in (0, 1); the bound must
     certify the tolerance or PrecisionInsufficient is raised.
     """
+    _at_least("order", order, 0)
     x0 = Fraction(x0)
     t0 = Fraction(t0)
     if not 0 < x0 < 1:
