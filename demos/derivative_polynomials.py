@@ -10,7 +10,8 @@ import sys
 
 from peakpoly import families as F
 
-ps, qs = F.derivative_polys(6)
+ps = [F.tangent_derivative_poly(n) for n in range(7)]
+qs = [F.secant_derivative_poly(n) for n in range(7)]
 for n in range(7):
     print(f"P_{n} =", ps[n])
 for n in range(7):

@@ -22,24 +22,25 @@ for n in range(1, 7):
 
 # The same numbers come out of two-term recurrences (OEIS A008303/A008971),
 # with no enumeration at all.
+# Row n of each triangle is the coefficient tuple of a polynomial.
 print("\ninterior-peak triangle, rows 1..8")
-for row in F.peak_triangle(8):
-    print(" ", row)
+for n in range(1, 9):
+    print(" ", F.peak_poly(n).coeffs)
 print("left-peak triangle, rows 1..8")
-for row in F.left_peak_triangle(8):
-    print(" ", row)
+for n in range(1, 9):
+    print(" ", F.left_peak_poly(n).coeffs)
 
 # Interleaving the two rows (odd slots from pk, even slots from lpk) yields
 # the triangle of coefficients of the n-th derivative of tan + sec.
 print("\ncombined triangle, rows 0..6")
-for row in F.tan_sec_triangle(6):
-    print(" ", row)
+for n in range(7):
+    print(" ", F.tan_sec_poly(n).coeffs)
 
 # Row facts: leading entry 1, second entry 2^(n-1), row sum 2 n!, and the
 # last entry is the Euler number E_n (alternating permutations).
 euler = F.euler_numbers(10)
 for n in range(2, 9):
-    row = F.tan_sec_triangle(n)[n]
+    row = F.tan_sec_poly(n).coeffs
     if row[1] != 2 ** (n - 1) or row[n] != euler[n]:
         sys.exit(f"row facts fail at n = {n}: {row}")
 print("\nrow facts hold for n <= 8; Euler numbers:", euler)

@@ -3,13 +3,13 @@
 The families all live over one variable with integer coefficients, and every
 route below computes them in integer arithmetic:
 
-* peak_triangle / peak_poly: interior-peak counts over S_n (OEIS A008303)
-* left_peak_triangle / left_peak_poly: left-peak counts (OEIS A008971)
-* tan_sec_triangle / tan_sec_poly: coefficients of the n-th derivative of
-  tan + sec, written D^n(tan+sec) = sum_k R[n][k] tan^(n-k) sec^(k+1); the
-  row polynomial interleaves the two peak distributions
-* derivative_polys: the tangent/secant derivative polynomials defined by
-  D^n(tan) = P_n(tan) and D^n(sec) = sec * Q_n(tan)
+* peak_poly: interior-peak counts W[n][k] over S_n (OEIS A008303)
+* left_peak_poly: left-peak counts WL[n][k] (OEIS A008971)
+* tan_sec_poly: coefficients of the n-th derivative of tan + sec, written
+  D^n(tan+sec) = sum_k R[n][k] tan^(n-k) sec^(k+1); the row polynomial
+  interleaves the two peak distributions
+* tangent_derivative_poly / secant_derivative_poly: the derivative
+  polynomials defined by D^n(tan) = P_n(tan) and D^n(sec) = sec * Q_n(tan)
 * eulerian_poly: descent polynomial of S_n
 * type_b / affine eulerian polys: descent and augmented-descent polynomials
   of signed permutations, by the type-B and affine Eulerian recurrences, and
@@ -24,7 +24,8 @@ The first route of P, Q, A, R, W, WL, C and CT is one row of the recurrence
 table RECURRENCES: a seed and (alpha, beta, b) with
 F_{n+1} = (alpha + n beta) F_n + b F_n', the shape in which the paper states
 the recurrences of P, Q, R, W and WL.  The triangles R, W and WL are the
-coefficients of their rows' polynomials.  Every family has at least two
+coefficients of their rows' polynomials, and each family is read through
+one function, the one its first route calls.  Every family has at least two
 independent computation routes (recurrence, series solve, brute-force
 enumeration, or one of the paper's identities applied to another family);
 the test-suite and the identity suite cross-check them, so no single
@@ -147,21 +148,16 @@ _AFFINE_POLYS = _recurrence_memo(*RECURRENCES["CT"])
 # derivative polynomials and Euler numbers
 # ---------------------------------------------------------------------------
 
-def derivative_polys(nmax: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """Derivative polynomials (P_0..P_nmax, Q_0..Q_nmax).
-
-    P_0 = u, P_{n+1} = (1+u^2) P_n'; Q_0 = 1, Q_{n+1} = (1+u^2) Q_n' + u Q_n.
-    P_n(0) and Q_n(0) are the tangent and secant numbers.
-    """
-    _at_least("nmax", nmax, 0)
-    return _TANGENT_DERIVATIVE_POLYS.upto(nmax), _SECANT_DERIVATIVE_POLYS.upto(nmax)
-
-
 def tangent_derivative_poly(n: int) -> Poly:
+    """P_n, with D^n(tan) = P_n(tan): P_0 = u, P_{n+1} = (1+u^2) P_n'.
+    P_n(0) is the tangent number for odd n and 0 for even n."""
     return _TANGENT_DERIVATIVE_POLYS.upto(n)[n]
 
 
 def secant_derivative_poly(n: int) -> Poly:
+    """Q_n, with D^n(sec) = sec Q_n(tan): Q_0 = 1,
+    Q_{n+1} = (1+u^2) Q_n' + u Q_n.  Q_n(0) is the secant number for even n
+    and 0 for odd n."""
     return _SECANT_DERIVATIVE_POLYS.upto(n)[n]
 
 
@@ -171,65 +167,47 @@ def euler_numbers(nmax: int) -> tuple[int, ...]:
     Taken from the constant terms of the derivative polynomials: E_n is
     P_n(0) for odd n and Q_n(0) for even n.
     """
-    ps, qs = derivative_polys(nmax)
-    return tuple(ps[n].coeff(0) if n % 2 else qs[n].coeff(0) for n in range(nmax + 1))
+    _at_least("nmax", nmax, 0)
+    return tuple((tangent_derivative_poly(n) if n % 2 else secant_derivative_poly(n)).coeff(0)
+                 for n in range(nmax + 1))
 
 
 # ---------------------------------------------------------------------------
 # the triangles: coefficients of the rows R, W and WL of the table
 # ---------------------------------------------------------------------------
 
+def tan_sec_poly(n: int) -> Poly:
+    """R_n, whose coefficients are row n of the triangle R:
+    R_{n+1} = (1 + n x^2) R_n + x(1 - x^2) R_n' from R_0 = 1, R_1 = 1 + x.
+
+    Row n has n+1 entries; rows start [1], [1, 1], [1, 2, 1], [1, 4, 5, 2], ...
+    """
+    return _TAN_SEC_POLYS.upto(n)[n]
+
+
 def tan_sec_polys(nmax: int) -> tuple[Poly, ...]:
-    """R_0..R_nmax, the rows of the triangle R as polynomials."""
+    """R_0..R_nmax at once, for callers outside the package (the benchmark's
+    probes take operands from it).  The package reads R through
+    tan_sec_poly alone, so a corrupted tan_sec_poly reaches every check that
+    reads R."""
     _at_least("nmax", nmax, 0)
     return _TAN_SEC_POLYS.upto(nmax)
 
 
-def tan_sec_poly(n: int) -> Poly:
-    return _TAN_SEC_POLYS.upto(n)[n]
-
-
-def tan_sec_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..nmax of the triangle R: the coefficients of R_0..R_nmax, where
-    R_{n+1} = (1 + n x^2) R_n + x(1 - x^2) R_n' from R_1 = 1 + x.
-
-    Row n has n+1 entries; rows start [1], [1, 1], [1, 2, 1], [1, 4, 5, 2], ...
-    """
-    return tuple(r.coeffs for r in tan_sec_polys(nmax))
-
-
-def peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..nmax of interior-peak counts W[n][k] over S_n (A008303).
-
-    Row n is the coefficients of W_n, where
-    W_{n+1} = (2 - x + nx) W_n + 2x(1-x) W_n' from W_1 = 1; row n has
-    floor((n-1)/2)+1 entries and sums to n!.  Index 0 of the result is row n=1.
-    """
-    _at_least("nmax", nmax, 1)
-    return tuple(w.coeffs for w in _PEAK_POLYS.upto(nmax)[1:])
-
-
-def left_peak_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..nmax of left-peak counts Wl[n][k] over S_n (A008971).
-
-    Row n is the coefficients of Wl_n, where
-    Wl_{n+1} = (1 + nx) Wl_n + 2x(1-x) Wl_n' from Wl_0 = 1; row n has
-    floor(n/2)+1 entries.  Index 0 of the result is row n=1.
-    """
-    _at_least("nmax", nmax, 1)
-    return tuple(w.coeffs for w in _LEFT_PEAK_POLYS.upto(nmax)[1:])
-
-
 def peak_poly(n: int) -> Poly:
-    """Generating polynomial of interior peaks over S_n."""
+    """W_n, the interior-peak counts W[n][k] over S_n as a polynomial (OEIS
+    A008303): W_{n+1} = (2 - x + nx) W_n + 2x(1-x) W_n' from W_1 = 1.  Its
+    row has floor((n-1)/2)+1 entries and sums to n!."""
     _at_least("n", n, 1)
-    return Poly(peak_triangle(n)[n - 1])
+    return _PEAK_POLYS.upto(n)[n]
 
 
 def left_peak_poly(n: int) -> Poly:
-    """Generating polynomial of left peaks over S_n."""
+    """WL_n, the left-peak counts WL[n][k] over S_n as a polynomial (OEIS
+    A008971): WL_{n+1} = (1 + nx) WL_n + 2x(1-x) WL_n' from WL_0 = 1.  Its
+    row has floor(n/2)+1 entries and sums to n!."""
     _at_least("n", n, 1)
-    return Poly(left_peak_triangle(n)[n - 1])
+    return _LEFT_PEAK_POLYS.upto(n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +271,7 @@ class RowTooLong(ArithmeticError):
 def peak_transform(p: Poly, m: int, a: Poly, b: Poly) -> Poly:
     """sum_k p_k a^k b^(m-2k), the one transform of a peak row p: x = a/b^2
     cleared at the degree of p, times the powers of b that m leaves over."""
+    _at_least("m", m, 0)
     if 2 * p.degree > m:
         raise RowTooLong(f"row of degree {p.degree} under b^{m}")
     return p.subst_cleared(a, b * b) * b ** (m - 2 * max(p.degree, 0))
@@ -375,8 +354,9 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
     """(P_n, Q_n) rebuilt from the order-k tangent/secant number tables.
 
     Uses Cvijovic's closed formulas P_n(x) = T(n,1) + sum_k T(n+1,k) x^k / k
-    and Q_n(x) = sum_k S(n,k) x^k; must agree with derivative_polys().  A
-    T(n+1,k) that k does not divide raises NonzeroRemainder.
+    and Q_n(x) = sum_k S(n,k) x^k; must agree with tangent_derivative_poly(n)
+    and secant_derivative_poly(n).  A T(n+1,k) that k does not divide raises
+    NonzeroRemainder.
     """
     _at_least("n", n, 0)
     t_rows = _TANGENT_ROWS.upto(n + 1)

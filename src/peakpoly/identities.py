@@ -126,14 +126,12 @@ def _aggregate(check_id: str, n_range: tuple[int, int], ns: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def check_row_interleave(n: int) -> Witness | None:
-    """Row n of the tan_sec triangle interleaves the two peak rows, and the
-    row facts hold: leading 1, second entry 2^(n-1), row sum 2 n!, last entry
-    the Euler number E_n."""
-    r_row = families.tan_sec_triangle(n)[n]
-    w_row = families.peak_triangle(n)[n - 1]
-    wl_row = families.left_peak_triangle(n)[n - 1]
-    expected = families.interleave_rows(w_row, wl_row)
-    witness = first_difference(n, tuple(r_row), expected)
+    """Row n of the tan_sec triangle, the coefficients of R_n, interleaves
+    the two peak rows, and the row facts hold: leading 1, second entry
+    2^(n-1), row sum 2 n!, last entry the Euler number E_n."""
+    r_row = families.tan_sec_poly(n).coeffs
+    expected = families.interleave_rows(families.peak_poly(n).coeffs, families.left_peak_poly(n).coeffs)
+    witness = first_difference(n, r_row, expected)
     if witness is not None:
         return witness
     if r_row[0] != 1:
@@ -146,9 +144,9 @@ def check_row_interleave(n: int) -> Witness | None:
         e_n = families.euler_numbers(n)[n]
         if r_row[n] != e_n:
             return Witness(n, n, str(r_row[n]), str(e_n))
-        prev = families.tan_sec_triangle(n - 1)[n - 1]
-        if prev[n - 2] != e_n:
-            return Witness(n - 1, n - 2, str(prev[n - 2]), str(e_n))
+        prev = families.tan_sec_poly(n - 1).coeff(n - 2)
+        if prev != e_n:
+            return Witness(n - 1, n - 2, str(prev), str(e_n))
     return None
 
 

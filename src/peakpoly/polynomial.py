@@ -390,6 +390,7 @@ def hurwitz_mul(a: Sequence, b: Sequence, order: int) -> list:
     ever appears.  Entries past the end of a or b count as zero; both must
     be nonempty.
     """
+    _at_least("order", order, 0)
     zero = a[0] * 0
     out = []
     for m in range(order + 1):

@@ -241,7 +241,7 @@ def mode_bracket(n: int) -> ModeResult:
     at its floor or ceiling.  Ties are reported, not failed.
     """
     _at_least("n", n, 2)
-    row = families.tan_sec_triangle(n)[n]
+    row = families.tan_sec_poly(n).coeffs
     top = max(row)
     argmax = tuple(k for k, v in enumerate(row) if v == top)
     num = 2 * n - 1

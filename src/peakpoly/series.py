@@ -65,7 +65,8 @@ class TruncSeries:
     coeffs: tuple[Poly, ...]
 
     def __init__(self, order: int, coeffs: tuple[Poly, ...]):
-        if order < 0 or len(coeffs) != order + 1:
+        _at_least("order", order, 0)
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must equal order + 1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
@@ -185,8 +186,8 @@ class Family(NamedTuple):
     hurwitz_mul, solve_series), and one may be an identity of the paper
     applied to another family.  The first route is the package's own: the
     one `peakpoly poly` prints and engine_series assembles, a recurrence at
-    every n up to the cap.  An "oracle" route raises LimitExceeded past its
-    enumeration cap.  The rows of `peakpoly triangle` are the values of a
+    every n up to the cap.  Every route refuses an n below min_n with
+    LimitExceeded, and an "oracle" route one past its enumeration cap.  The rows of `peakpoly triangle` are the values of a
     "triangle" route.
     """
 
@@ -198,6 +199,14 @@ class Family(NamedTuple):
     def poly(self, n: int) -> Poly:
         """family_n by the first route."""
         return next(iter(self.routes.values()))(n)
+
+
+def _solved(gf_id: str, n: int, min_n: int) -> Poly:
+    """Entry n of the solve of EGF gf_id, for a gf route whose family starts
+    at min_n: the one check that keeps every gf route to its family's
+    minimum, since the EGF has entries below it."""
+    _at_least("n", n, min_n)
+    return solved_family_polys(gf_id, n)[n]
 
 
 # The routes look functions up at call time, so a function rebound on its
@@ -215,42 +224,42 @@ FAMILIES = {
     }),
     "A": Family(1, RECURRENCE_CAP, {
         "recurrence": lambda n: families.eulerian_poly(n),
-        "gf": lambda n: solved_family_polys("A", n)[n],
+        "gf": lambda n: _solved("A", n, 1),
         "oracle": lambda n: permutations.distribution(n, "des").as_poly(),
     }, egf0=Poly.one()),
     "R": Family(0, RECURRENCE_CAP, {
         "triangle": lambda n: families.tan_sec_poly(n),
-        "gf": lambda n: solved_family_polys("P", n)[n],
+        "gf": lambda n: _solved("P", n, 0),
     }),
     "G": Family(1, RECURRENCE_CAP, {
         "recurrence": lambda n: families.reduced_tan_sec_poly(n),
-        "gf": lambda n: solved_family_polys("P", n)[n].exact_div(Poly((1, 1)) ** (n // 2 + 1)),
+        "gf": lambda n: _solved("P", n, 1).exact_div(Poly((1, 1)) ** (n // 2 + 1)),
     }),
     "T": Family(1, MAX_ORDER, {
         "interleave": lambda n: families.signed_interleave_poly(n),
-        "gf": lambda n: solved_family_polys("T", n)[n],
+        "gf": lambda n: _solved("T", n, 1),
     }, egf0=Poly.one()),
     "C": Family(1, MAX_ORDER, {
         "recurrence": lambda n: families.type_b_eulerian_poly(n),
         "oracle": lambda n: permutations.signed_distribution(n, "des_b").as_poly(),
-        "gf": lambda n: solved_family_polys("C", n)[n],
+        "gf": lambda n: _solved("C", n, 1),
         "peaks": lambda n: families.type_b_poly_from_peaks(n),
         "petersen": lambda n: families.type_b_poly_from_eulerian(n),
     }, egf0=Poly.one()),
     "CT": Family(1, MAX_ORDER, {
         "recurrence": lambda n: families.affine_eulerian_poly(n),
         "oracle": lambda n: permutations.signed_distribution(n, "ades").as_poly(),
-        "gf": lambda n: solved_family_polys("CT", n)[n],
+        "gf": lambda n: _solved("CT", n, 1),
         "peaks": lambda n: families.affine_poly_from_peaks(n),
     }, egf0=Poly.one()),
     "W": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.peak_poly(n),
-        "gf": lambda n: solved_family_polys("W", n)[n],
+        "gf": lambda n: _solved("W", n, 1),
         "oracle": lambda n: permutations.distribution(n, "pk").as_poly(),
     }, egf0=Poly.zero()),
     "WL": Family(1, RECURRENCE_CAP, {
         "triangle": lambda n: families.left_peak_poly(n),
-        "gf": lambda n: solved_family_polys("WL", n)[n],
+        "gf": lambda n: _solved("WL", n, 1),
         "oracle": lambda n: permutations.distribution(n, "lpk").as_poly(),
     }, egf0=Poly.one()),
 }
@@ -390,9 +399,8 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
         raise ValueError("x0 must lie in (0, 1)")
     if abs(t0) >= Fraction(1, 4):
         raise ValueError("|t0| must be < 1/4 for the remainder bound")
-    rs = families.tan_sec_polys(order + 1)
     partial = sum(
-        (rs[n + 1](x0) * t0**n / math.factorial(n) for n in range(order + 1)),
+        (families.tan_sec_poly(n + 1)(x0) * t0**n / math.factorial(n) for n in range(order + 1)),
         start=Fraction(0),
     )
     t = abs(t0)

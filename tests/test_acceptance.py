@@ -51,7 +51,7 @@ def test_criterion_01_triangle_fidelity():
 def test_criterion_02_triple_agreement():
     start = time.monotonic()
     for n in range(1, 10):
-        row = F.tan_sec_triangle(n)[n]
+        row = F.tan_sec_poly(n).coeffs
         assert S.FAMILIES["R"].routes["gf"](n).coeffs == row
         pk = perms.distribution(n, "pk").counts
         lpk = perms.distribution(n, "lpk").counts
@@ -65,7 +65,8 @@ def test_criterion_02_triple_agreement():
 
 
 def test_criterion_03_derivative_polynomial_cross_check():
-    ps, qs = F.derivative_polys(12)
+    ps = [F.tangent_derivative_poly(n) for n in range(13)]
+    qs = [F.secant_derivative_poly(n) for n in range(13)]
     for n in range(13):
         assert F.cvijovic_polys(n) == (ps[n], qs[n])
     euler = F.euler_numbers(12)
@@ -131,7 +132,7 @@ def test_criterion_07_clt_statistics():
 def test_criterion_08_mode_corollary():
     for n in range(2, 26):
         assert R.mode_bracket(n).ok
-    rows = F.tan_sec_triangle(6)
+    rows = [F.tan_sec_poly(n).coeffs for n in range(7)]
     assert max(rows[2]) == 2
     assert max(rows[5]) == 88
     assert max(rows[6]) == 479

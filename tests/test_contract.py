@@ -24,27 +24,24 @@ from peakpoly import families as F
 from peakpoly import permutations as P
 from peakpoly import roots as R
 from peakpoly import series as S
-from peakpoly.polynomial import Poly
+from peakpoly.polynomial import Poly, hurwitz_mul
 
 # Each function that takes a count: (a call of it at that count, the
 # argument its refusal names, the least count it accepts).
 COUNTS = {
     "polynomial.Poly.monomial": (lambda n: Poly.monomial(1, n), "power", 0),
     "polynomial.Poly.__pow__": (lambda n: Poly((1, 1)) ** n, "n", 0),
+    "polynomial.hurwitz_mul": (lambda n: hurwitz_mul((1, 2), (3,), n), "order", 0),
     "permutations.distribution": (lambda n: [P.distribution(n, stat) for stat in P.PERM_STATS], "n", 1),
     "permutations.signed_distribution": (lambda n: [P.signed_distribution(n, s) for s in P.SIGNED_STATS], "n", 1),
     "permutations.count_alternating": (lambda n: (P.count_alternating(n), P.count_alternating(n, reverse=True)),
                                        "n", 1),
     "families.Memo.upto": (lambda n: F.Memo((1,), lambda terms, m: terms[-1] + 1).upto(n), "n", 0),
-    "families.derivative_polys": (F.derivative_polys, "nmax", 0),
     "families.tangent_derivative_poly": (F.tangent_derivative_poly, "n", 0),
     "families.secant_derivative_poly": (F.secant_derivative_poly, "n", 0),
     "families.euler_numbers": (F.euler_numbers, "nmax", 0),
     "families.tan_sec_polys": (F.tan_sec_polys, "nmax", 0),
     "families.tan_sec_poly": (F.tan_sec_poly, "n", 0),
-    "families.tan_sec_triangle": (F.tan_sec_triangle, "nmax", 0),
-    "families.peak_triangle": (F.peak_triangle, "nmax", 1),
-    "families.left_peak_triangle": (F.left_peak_triangle, "nmax", 1),
     "families.peak_poly": (F.peak_poly, "n", 1),
     "families.left_peak_poly": (F.left_peak_poly, "n", 1),
     "families.eulerian_poly": (F.eulerian_poly, "n", 1),
@@ -56,6 +53,8 @@ COUNTS = {
     "families.type_b_poly_from_peaks": (F.type_b_poly_from_peaks, "n", 1),
     "families.affine_poly_from_peaks": (F.affine_poly_from_peaks, "n", 1),
     "families.type_b_poly_from_eulerian": (F.type_b_poly_from_eulerian, "n", 1),
+    "families.peak_transform": (lambda m: [F.peak_transform(p, m, F.FOUR_X, F.ONE_PLUS_X)
+                                           for p in (Poly.zero(), Poly.one())], "m", 0),
     "families.cvijovic_polys": (F.cvijovic_polys, "n", 0),
     "families.tan_sec_poly_from_bell": (F.tan_sec_poly_from_bell, "n", 1),
     "families.factorial_bell_sum": (F.factorial_bell_sum, "n", 0),
@@ -68,8 +67,13 @@ COUNTS = {
     "series.engine_series": (lambda n: [S.engine_series(gf_id, n) for gf_id in S.EGFS], "order", 0),
     "series.solved_family_polys": (lambda n: [S.solved_family_polys(gf_id, n) for gf_id in S.EGFS], "order", 0),
     "series.numeric_spotcheck": (lambda n: S.numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), n, 0.5), "order", 0),
-    # the first route of each family, the one `peakpoly poly` prints
+    "series.TruncSeries": (lambda n: S.TruncSeries(n, (Poly.one(),) * (n + 1)), "order", 0),
+    "series.TruncSeries.const": (lambda n: S.TruncSeries.const(1, n), "order", 0),
+    # the first route of each family, the one `peakpoly poly` prints, and
+    # every route: none reads an entry of an EGF below the family's minimum
     **{f"series.Family.poly[{name}]": (family.poly, "n", family.min_n) for name, family in S.FAMILIES.items()},
+    **{f"series.FAMILIES[{name}].{route_name}": (route, "n", family.min_n)
+       for name, family in S.FAMILIES.items() for route_name, route in family.routes.items()},
 }
 
 # Each function of a sequence: its value at the empty one.
@@ -96,7 +100,6 @@ NO_COUNT = {
     **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain", "roots.multiplicity_at",
                      "series.solve_series"), "takes polynomials or series"),
     "families.interleave_rows": "takes two rows",
-    "families.peak_transform": "its m is held to the row's degree (RowTooLong), a relation of the row",
 }
 
 
@@ -173,8 +176,7 @@ def test_the_empty_sequence_has_zero_statistics(name):
 
 
 def test_every_route_of_every_family_agrees_up_to_min_cap_64():
-    # routes below min_n are not held to the family: some gf routes read the
-    # EGF's entry 0 there
+    # from min_n up: below it every route refuses, as the route rows of COUNTS check
     disagree = []
     for name, family in S.FAMILIES.items():
         for n in range(family.min_n, min(family.cap, 64) + 1):

@@ -29,22 +29,22 @@ EULER = (1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521)
 
 
 def test_tan_sec_triangle_reference_rows():
-    assert F.tan_sec_triangle(6) == tuple(R_TABLE)
+    assert tuple(F.tan_sec_poly(n).coeffs for n in range(7)) == tuple(R_TABLE)
 
 
 def test_tan_sec_triangle_row_zero():
-    assert F.tan_sec_triangle(0) == ((1,),)
+    assert F.tan_sec_poly(0).coeffs == (1,)
 
 
 def test_peak_triangle_rows():
-    assert F.peak_triangle(4) == ((1,), (2,), (4, 2), (8, 16))
-    assert F.left_peak_triangle(4) == ((1,), (1, 1), (1, 5), (1, 18, 5))
+    assert tuple(F.peak_poly(n).coeffs for n in range(1, 5)) == ((1,), (2,), (4, 2), (8, 16))
+    assert tuple(F.left_peak_poly(n).coeffs for n in range(1, 5)) == ((1,), (1, 1), (1, 5), (1, 18, 5))
 
 
 def test_peak_row_sums_are_factorials():
     for n in range(1, 12):
-        assert sum(F.peak_triangle(n)[n - 1]) == math.factorial(n)
-        assert sum(F.left_peak_triangle(n)[n - 1]) == math.factorial(n)
+        assert sum(F.peak_poly(n).coeffs) == math.factorial(n)
+        assert sum(F.left_peak_poly(n).coeffs) == math.factorial(n)
 
 
 def test_degree_contracts():
@@ -75,8 +75,8 @@ def test_polynomial_recurrence_matches_triangle_route():
                        for k in range((n - 1) // 2 + 1)))
         wl.append(tuple((2 * k + 1) * _entry(wl[-1], k) + (n - 2 * k + 1) * _entry(wl[-1], k - 1)
                         for k in range(n // 2 + 1)))
-    assert F.peak_triangle(40) == tuple(w)
-    assert F.left_peak_triangle(40) == tuple(wl)
+    assert tuple(F.peak_poly(n).coeffs for n in range(1, 41)) == tuple(w)
+    assert tuple(F.left_peak_poly(n).coeffs for n in range(1, 41)) == tuple(wl)
 
 
 def test_triangle_rows_match_polynomial_recurrence():
@@ -86,11 +86,12 @@ def test_triangle_rows_match_polynomial_recurrence():
     for n in range(1, 40):
         rows.append(tuple((k + 1) * _entry(rows[-1], k) + (n - k + 2) * _entry(rows[-1], k - 2)
                           for k in range(n + 2)))
-    assert F.tan_sec_triangle(40) == tuple(rows)
+    assert tuple(F.tan_sec_poly(n).coeffs for n in range(41)) == tuple(rows)
 
 
 def test_derivative_polys_low_orders():
-    ps, qs = F.derivative_polys(4)
+    ps = [F.tangent_derivative_poly(n) for n in range(5)]
+    qs = [F.secant_derivative_poly(n) for n in range(5)]
     assert ps[0] == Poly.x()
     assert ps[1] == Poly((1, 0, 1))
     assert ps[3] == Poly((2, 0, 8, 0, 6))
@@ -104,15 +105,15 @@ def test_euler_numbers_reference():
 
 
 def test_derivative_poly_constants_are_euler_numbers():
-    ps, qs = F.derivative_polys(12)
     for n in range(13):
+        p_n, q_n = F.tangent_derivative_poly(n), F.secant_derivative_poly(n)
         expected = F.euler_numbers(12)[n]
         if n % 2:
-            assert ps[n](0) == expected
-            assert qs[n](0) == 0
+            assert p_n(0) == expected
+            assert q_n(0) == 0
         else:
-            assert qs[n](0) == expected
-            assert ps[n](0) == 0
+            assert q_n(0) == expected
+            assert p_n(0) == 0
 
 
 def test_constants_match_alternating_count():
@@ -324,11 +325,10 @@ def test_order_k_tables_match_sympys_series_of_tan_and_sec():
 
 
 def test_cvijovic_rebuild_matches_recurrence():
-    ps, qs = F.derivative_polys(12)
     for n in range(13):
         p_n, q_n = F.cvijovic_polys(n)
-        assert p_n == ps[n]
-        assert q_n == qs[n]
+        assert p_n == F.tangent_derivative_poly(n)
+        assert q_n == F.secant_derivative_poly(n)
 
 
 def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypatch):
@@ -506,19 +506,19 @@ def test_reduced_poly_positive_integer_coefficients():
 
 def test_row_facts():
     for n in range(1, 13):
-        row = F.tan_sec_triangle(n)[n]
+        row = F.tan_sec_poly(n).coeffs
         assert row[0] == 1
         assert row[1] == 2 ** (n - 1)
         assert sum(row) == 2 * math.factorial(n)
         if n >= 2:
             assert row[n] == F.euler_numbers(n)[n]
-            assert F.tan_sec_triangle(n - 1)[n - 1][n - 2] == F.euler_numbers(n)[n]
+            assert F.tan_sec_poly(n - 1).coeffs[n - 2] == F.euler_numbers(n)[n]
 
 
 def test_triple_agreement_with_oracle():
     # triangle row == GF solve == interleaved enumeration counts
     for n in range(1, 9):
-        row = F.tan_sec_triangle(n)[n]
+        row = F.tan_sec_poly(n).coeffs
         pk = perms.distribution(n, "pk").counts
         lpk = perms.distribution(n, "lpk").counts
         interleaved = tuple(

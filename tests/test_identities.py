@@ -20,16 +20,16 @@ ONE_PLUS_X = Poly((1, 1))
 small_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=5).map(Poly)
 
 
-def _corrupt_row(monkeypatch, triangle, i, change):
-    """Rebind families.<triangle> so that entry i of what it returns, when
-    there is one, reads change(that row)."""
-    real = getattr(F, triangle)
+def _corrupt_row(monkeypatch, accessor, n, change):
+    """Rebind families.<accessor> so that its polynomial at n has the
+    coefficients change(its row)."""
+    real = getattr(F, accessor)
+    monkeypatch.setattr(F, accessor, lambda m: Poly(change(real(m).coeffs)) if m == n else real(m))
 
-    def corrupted(nmax):
-        rows = real(nmax)
-        return rows[:i] + (tuple(change(rows[i])),) + rows[i + 1:] if len(rows) > i else rows
 
-    monkeypatch.setattr(F, triangle, corrupted)
+def _top_two_of_r5_swapped(row):
+    # R_5 = (1, 16, 58, 88, 61, 16) with its two largest entries swapped
+    return (*row[:3], row[4], row[3], *row[5:])
 
 
 def test_row_interleave_reference_row():
@@ -44,7 +44,7 @@ def test_row_interleave_euler_corner():
 
 
 def test_row_interleave_detects_corruption(monkeypatch):
-    _corrupt_row(monkeypatch, "tan_sec_triangle", 5, lambda row: [v + (k == 2) for k, v in enumerate(row)])
+    _corrupt_row(monkeypatch, "tan_sec_poly", 5, lambda row: [v + (k == 2) for k, v in enumerate(row)])
     witness = I.check_row_interleave(5)
     assert witness is not None
     assert witness.n == 5 and witness.index == 2
@@ -90,19 +90,19 @@ WL_CHECKS = {"row_interleave", "peak_to_derivative", "petersen", "dilks_type_b_g
 
 
 @pytest.mark.parametrize(
-    "triangle, change, failing, too_long",
+    "accessor, change, failing, too_long",
     [
-        ("peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, False),
-        ("left_peak_triangle", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, False),
-        ("peak_triangle", lambda row: [0] * len(row), W_CHECKS, False),
+        ("peak_poly", lambda row: (row[0], row[1] + 1, *row[2:]), W_CHECKS, False),
+        ("left_peak_poly", lambda row: (row[0], row[1] + 1, *row[2:]), WL_CHECKS, False),
+        ("peak_poly", lambda row: [0] * len(row), W_CHECKS, False),
         # a row longer than its degree allows: the transform refuses it, and
         # the interleaved row has an entry R_5 lacks
-        ("peak_triangle", lambda row: (*row, 1), W_CHECKS, True),
+        ("peak_poly", lambda row: (*row, 1), W_CHECKS, True),
     ],
     ids=["W5_entry", "WL5_entry", "W5_zero", "W5_too_long"],
 )
-def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, triangle, change, failing, too_long):
-    _corrupt_row(monkeypatch, triangle, 4, change)  # index 0 of a peak triangle is row 1
+def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, accessor, change, failing, too_long):
+    _corrupt_row(monkeypatch, accessor, 5, change)
     flagged = {r.check_id: r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed}
     assert set(flagged) == failing
     assert all(r.verdict == "fail" and r.witness.n == 5 for r in flagged.values())
@@ -170,26 +170,54 @@ def _identity_with_one_descent(monkeypatch, n):
 
 
 @pytest.mark.parametrize("suite, ranges, corrupt, failed", [
-    # R_5 = (1, 16, 58, 88, 61, 16) with its two largest entries swapped:
-    # the largest sits at 4, one place right of the bracket {(2*5-1)/3}
-    pytest.param("roots", dict(roots_nmax=8),
-                 lambda mp: _corrupt_row(mp, "tan_sec_triangle", 5, lambda row: (*row[:3], row[4], row[3], *row[5:])),
-                 I.CheckResult("mode_bracket", (2, 8), "fail", I.Witness(5, 4, "(4,)", "(3,)")), id="mode_bracket"),
+    # R_5 with its two largest entries swapped: the largest sits at 4, one
+    # place right of the bracket {(2*5-1)/3}.  The two root checks read R_5
+    # through tan_sec_poly too, and -1 is no longer a zero of it of
+    # multiplicity 3.
+    pytest.param("roots", dict(roots_nmax=8), lambda mp: _corrupt_row(mp, "tan_sec_poly", 5, _top_two_of_r5_swapped),
+                 [I.CheckResult("root_structure", (1, 8), "fail", I.Witness(
+                     5, -1, "StructureViolation", "multiplicity: -1 is a zero of R_5 of multiplicity below 3")),
+                  I.CheckResult("interlacing", (1, 8), "fail", I.Witness(
+                      4, -1, "InterlacingViolation", "at n=4: -1 is a zero of R_5 of multiplicity below 3")),
+                  I.CheckResult("mode_bracket", (2, 8), "fail", I.Witness(5, 4, "(4,)", "(3,)"))], id="mode_bracket"),
     # one reverse alternating permutation of S_4 too many: 6 against E_4 = 5
     pytest.param("oracle", dict(oracle_nmax=6, signed_nmax=4), lambda mp: _count_alternating_off_by_one(mp, 4),
-                 I.CheckResult("oracle_alternating", (1, 6), "fail", I.Witness(4, 1, "6", "5")),
+                 [I.CheckResult("oracle_alternating", (1, 6), "fail", I.Witness(4, 1, "6", "5"))],
                  id="oracle_alternating"),
     # R_6 plus x^2: its total R_6(1) reads 1441 against the closed form 2 * 6! = 1440
     pytest.param("clt", dict(clt_nmax=8), lambda mp: _tan_sec_poly_plus_x2(mp, 6),
-                 I.CheckResult("clt_moments", (6, 6), "fail", I.Witness(6, 0, "1441", "1440")), id="clt_moments"),
+                 [I.CheckResult("clt_moments", (6, 6), "fail", I.Witness(6, 0, "1441", "1440"))], id="clt_moments"),
     # the identity of S_6 counted with one descent: the definition's des = 0 count is 1, the walk's 0
     pytest.param("oracle", dict(oracle_nmax=6, signed_nmax=4), lambda mp: _identity_with_one_descent(mp, 6),
-                 I.CheckResult("oracle_shard_determinism", (6, 6), "fail", I.Witness(6, 0, "1", "0")),
+                 [I.CheckResult("oracle_shard_determinism", (6, 6), "fail", I.Witness(6, 0, "1", "0"))],
                  id="oracle_shard_determinism"),
 ])
 def test_a_check_reading_its_input_directly_fails_on_it_alone(monkeypatch, suite, ranges, corrupt, failed):
     corrupt(monkeypatch)
-    assert [r for r in I.run(suite, **ranges) if not r.passed] == [failed]
+    assert [r for r in I.run(suite, **ranges) if not r.passed] == failed
+
+
+@pytest.mark.parametrize("accessor, route, change", [
+    ("tan_sec_poly", "R.triangle", _top_two_of_r5_swapped),
+    ("peak_poly", "W.triangle", lambda row: (row[0], row[1] + 1, *row[2:])),
+    ("left_peak_poly", "WL.triangle", lambda row: (row[0], row[1] + 1, *row[2:])),
+], ids=["R", "W", "WL"])
+def test_a_corrupted_route_function_reaches_every_check_that_reads_the_route(monkeypatch, accessor, route, change):
+    # The function a family's first route calls is the one name through which
+    # every check reads the family, so corrupting it at n = 5 fails each check
+    # whose reads name the route, with a counterexample and not an error.
+    row = getattr(F, accessor)(5).coeffs
+    _corrupt_row(monkeypatch, accessor, 5, change)
+    family, route_name = route.split(".")
+    assert S.FAMILIES[family].routes[route_name](5).coeffs == tuple(change(row))
+    readers = {check.check_id for check in I.CHECKS if route in check.reads}
+    results = I.run("all", nmax_exact=6, oracle_nmax=6, signed_nmax=4, gf_order=6, roots_nmax=6, clt_nmax=6)
+    flagged = {r.check_id: r.verdict for r in results if not r.passed}
+    assert set(flagged.values()) == {"fail"}
+    if family == "R":  # nothing else reads R_5
+        assert set(flagged) == readers and len(readers) == 11
+    else:  # the peak routes of P, Q, C and CT read the peak rows too
+        assert readers <= set(flagged)
 
 
 def test_peak_to_derivative_hand_expansions():

@@ -290,8 +290,8 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
 
 def test_every_statistic_at_its_cap_matches_the_recurrence_rows():
     n, signed_n = P.S_N_LIMIT, P.SIGNED_LIMIT
-    assert distribution(n, "pk").counts == families.peak_triangle(n)[n - 1]
-    assert distribution(n, "lpk").counts == families.left_peak_triangle(n)[n - 1]
+    assert distribution(n, "pk").counts == families.peak_poly(n).coeffs
+    assert distribution(n, "lpk").counts == families.left_peak_poly(n).coeffs
     assert signed_distribution(signed_n, "des_b").counts == series.FAMILIES["C"].poly(signed_n).coeffs
     assert signed_distribution(signed_n, "ades").counts == series.FAMILIES["CT"].poly(signed_n).coeffs
 

@@ -343,9 +343,8 @@ def test_numeric_spotcheck_guards():
 
 
 def test_numeric_spotcheck_detects_corrupt_series(monkeypatch):
-    good = F.tan_sec_polys(13)
-    corrupt = good[:3] + (good[3] + Poly.one(),) + good[4:]
-    monkeypatch.setattr(F, "tan_sec_polys", lambda nmax: corrupt[: nmax + 1])
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: real(n) + Poly.one() if n == 3 else real(n))
     with pytest.raises(ToleranceExceeded):
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, 1e-15)
 
