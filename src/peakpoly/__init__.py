@@ -16,6 +16,10 @@ defined here, in the one module every layer loads: a count below a
 function's minimum raises LimitExceeded as `<name> <value> below minimum
 <minimum>`, naming the function's argument, and one above an enumeration or
 CLI cap as `<name> <value> above cap <cap>`.
+
+So do two more shared rules: a certificate's counterexample is a Violation,
+which `identities.run` reports as `fail` (any other exception is an `error`),
+and Poly and TruncSeries share one immutable-value base.
 """
 
 __version__ = "0.1.0"
@@ -34,6 +38,39 @@ def _at_least(name: str, value: int, minimum: int) -> None:
         raise LimitExceeded(f"{name} {value} below minimum {minimum}")
 
 
+class Violation(Exception):
+    """A certificate found a counterexample at n: the check reports `fail`.
+    A subclass may keep a second base, which its callers' `except`s name."""
+
+
+class _Value:
+    """An immutable value: of one class and equal slots (in `__slots__` order),
+    two are equal, and they hash and pickle as their slot tuple.  A subclass's
+    constructor sets its slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
+
+    def __reduce__(self):
+        return self.__class__, self._slot_values()
+
+
 # Each public name, with the module that defines it; a submodule maps to None.
 _FROM = {
     **dict.fromkeys(("Poly", "NonzeroRemainder", "DivisionByZeroPoly", "gcd_poly", "primitive_part"), "polynomial"),
@@ -43,7 +80,7 @@ _FROM = {
     **dict.fromkeys(("families", "series", "roots", "identities")),
 }
 
-__all__ = [*_FROM, "LimitExceeded", "__version__"]
+__all__ = [*_FROM, "LimitExceeded", "Violation", "__version__"]
 
 
 def __getattr__(name: str):

@@ -49,7 +49,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from . import _at_least
+from . import Violation, _at_least
 from .polynomial import NonzeroRemainder, Poly
 
 X = Poly.x()
@@ -64,7 +64,7 @@ class InsufficientArguments(ValueError):
     """Too few arguments supplied to a partial Bell polynomial."""
 
 
-class NonpositiveCoefficient(ArithmeticError):
+class NonpositiveCoefficient(ArithmeticError, Violation):
     """A coefficient asserted to be a positive integer is not."""
 
 
@@ -264,7 +264,7 @@ FOUR_X = Poly((0, 4))
 ONE_MINUS_X = Poly((1, -1))
 
 
-class RowTooLong(ArithmeticError):
+class RowTooLong(ArithmeticError, Violation):
     """A peak row has an entry past the degree its transform allows."""
 
 

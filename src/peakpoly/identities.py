@@ -12,10 +12,10 @@ with its suite, its range and the routes it reads; a check that reads family
 routes by name reads them through series.FAMILIES, so a route rebound in that
 table is the one it compares.  A suite is a filter over CHECKS, and `run` runs
 one.  RANGES lists the range knobs once.  Failures are data, not exceptions:
-`run` catches what lower layers raise inside the range.  A violation (see
-VIOLATIONS) is a fail; any other exception is an error, since the code broke
-and no counterexample was found.  Either witness has index -1 and names the
-exception.
+`run` catches what lower layers raise inside the range.  A peakpoly.Violation
+is a fail; any other exception is an error, since the code broke and no
+counterexample was found.  Either witness has index -1 and names the
+exception.  `plan` refuses a knob above its RANGES cap before any check runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import families, permutations, roots, series
+from . import LimitExceeded, Violation, families, permutations, roots, series
 from .polynomial import Poly
 
 
@@ -95,18 +95,6 @@ class CheckResult(NamedTuple):
         return doc
 
 
-# The exceptions by which a lower layer reports that a certified property is
-# false at n: a counterexample, so a fail verdict.  Any other exception means
-# the code broke, an error verdict.
-VIOLATIONS = (
-    families.NonpositiveCoefficient,
-    families.RowTooLong,
-    roots.StructureViolation,
-    roots.InterlacingViolation,
-    series.ToleranceExceeded,
-)
-
-
 def _aggregate(check_id: str, n_range: tuple[int, int], ns: Sequence[int],
                fn: Callable[[int], Witness | None]) -> CheckResult:
     """Run a per-n witness function over ns; the first fail or error wins."""
@@ -114,7 +102,7 @@ def _aggregate(check_id: str, n_range: tuple[int, int], ns: Sequence[int],
         try:
             witness = fn(n)
         except Exception as exc:  # reported, not raised
-            verdict = "fail" if isinstance(exc, VIOLATIONS) else "error"
+            verdict = "fail" if isinstance(exc, Violation) else "error"
             return CheckResult(check_id, n_range, verdict, Witness(n, -1, type(exc).__name__, str(exc)))
         if witness is not None:
             return CheckResult(check_id, n_range, "fail", witness)
@@ -392,7 +380,8 @@ CHECKS = (
 
 def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
     """The checks of `suite` ("all": every check) in table order, each with
-    its lo and hi; ValueError if a fixed lo is above its hi."""
+    its lo and hi; ValueError if a fixed lo is above its hi, and then
+    LimitExceeded if any knob, whatever the suite, is above its cap."""
     if suite != "all" and suite not in {check.suite for check in CHECKS}:
         raise ValueError(f"unknown suite {suite!r}")
     spans = []
@@ -404,6 +393,9 @@ def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
         if lo > hi:
             raise ValueError(f"{check.knob} {ranges[check.knob]} leaves {check.check_id} empty: it starts at {lo}")
         spans.append((check, lo, hi))
+    for knob in RANGES:
+        if ranges[knob.name] > knob.cap:
+            raise LimitExceeded(f"{knob.name} {ranges[knob.name]} above cap {knob.cap}")
     return spans
 
 

@@ -16,7 +16,8 @@ Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
 -inf (never -1, which would compare like a valid degree).  Every operation is
 exact and returns a new value; nothing here mutates, so polynomials can be
-shared freely between concurrent tasks.
+shared freely between concurrent tasks.  A Poly is an immutable value on the
+package's one value base: equal, hashed and pickled as its coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import _at_least
+from . import _Value, _at_least
 
 NEG_INF = float("-inf")
 
@@ -60,7 +61,7 @@ def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-class Poly:
+class Poly(_Value):
     """A univariate polynomial with int coefficients, constant term first.
 
     >>> Poly([1, 4, 5, 2])
@@ -79,23 +80,6 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Poly is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Poly is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __reduce__(self):
-        return self.__class__, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _at_least, families
+from . import Violation, _at_least, families
 from .polynomial import NonzeroRemainder, Poly, gcd_poly, remainder_sequence
 
 
@@ -48,7 +48,7 @@ class NonSquarefreeInput(ValueError):
     """A squarefree polynomial was required."""
 
 
-class StructureViolation(Exception):
+class StructureViolation(Violation):
     """A clause of the certified root structure failed."""
 
     def __init__(self, clause: str, detail: str = ""):
@@ -56,7 +56,7 @@ class StructureViolation(Exception):
         self.clause = clause
 
 
-class InterlacingViolation(Exception):
+class InterlacingViolation(Violation):
     """The separation (weak interlacing) certificate failed."""
 
 

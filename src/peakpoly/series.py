@@ -5,7 +5,8 @@ ring of Hurwitz series", 1997): entry m holds m! * [z^m], a Poly in x.  The
 exponential generating functions of all families in this package live here,
 and in this form entry n of a family series is simply family_n(x), with
 integer coefficients.  Products are binomial convolutions (hurwitz_mul), so
-no 1/m! factor is ever formed and the whole module runs in Z[x].
+no 1/m! factor is ever formed and the whole module runs in Z[x].  Like Poly,
+a series is an immutable value: equal, hashed and pickled as (order, coeffs).
 
 Square roots never appear: cosh(z*sqrt(w)) and sinh(z*sqrt(w))/sqrt(w) are
 both power series in w.  Each closed form is a row of EGFS, cross-multiplied
@@ -17,7 +18,8 @@ also *solved* coefficient-by-coefficient (division only ever by the
 exactly-dividing z^0 entry) to rebuild each family from its closed form,
 giving an independent derivation route.  Rationals appear only in the
 numeric spot-check's partial sum, a certificate that raises
-ToleranceExceeded, as the certificates of roots raise their violations.
+ToleranceExceeded, a peakpoly.Violation, as the certificates of roots raise
+theirs.
 
 The family table lives here too: FAMILIES maps each CLI family id to its
 routes, minimum n, CLI cap and EGF entry 0, and each EGFS row names the
@@ -34,7 +36,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import _at_least, families, permutations
+from . import Violation, _Value, _at_least, families, permutations
 from .polynomial import Poly, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
@@ -49,7 +51,7 @@ class OrderExceedsComputedFamilies(ValueError):
     """Requested truncation order is outside the supported range."""
 
 
-class ToleranceExceeded(ArithmeticError):
+class ToleranceExceeded(ArithmeticError, Violation):
     """Numeric spot-check disagreed beyond the requested tolerance."""
 
 
@@ -57,7 +59,7 @@ class PrecisionInsufficient(ArithmeticError):
     """Truncation remainder bound is too large to certify the tolerance."""
 
 
-class TruncSeries:
+class TruncSeries(_Value):
     """Power series in z truncated after z^order; entry m is m! [z^m], a Poly."""
 
     __slots__ = ("order", "coeffs")
@@ -70,23 +72,6 @@ class TruncSeries:
             raise ValueError("coefficient count must equal order + 1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"TruncSeries is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"TruncSeries is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.coeffs) == (other.order, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __reduce__(self):
-        return self.__class__, (self.order, self.coeffs)
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}(order={self.order!r}, coeffs={self.coeffs!r})"
@@ -133,6 +118,7 @@ class TruncSeries:
 
         In Hurwitz form entry m becomes m!/(m-k)! times entry m-k.
         """
+        _at_least("k", k, 0)
         out = (Poly.zero(),) * k + tuple(
             math.perm(m, k) * self.coeffs[m - k] for m in range(k, self.order + 1)
         )
@@ -145,6 +131,7 @@ class TruncSeries:
 
     def dz(self) -> TruncSeries:
         """Derivative in z; the order drops by one (in Hurwitz form, a shift)."""
+        _at_least("order", self.order, 1)
         return TruncSeries(self.order - 1, self.coeffs[1:])
 
     def dx(self) -> TruncSeries:

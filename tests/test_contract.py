@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import peakpoly
 from peakpoly import LimitExceeded
 from peakpoly import families as F
+from peakpoly import identities as I
 from peakpoly import permutations as P
 from peakpoly import roots as R
 from peakpoly import series as S
@@ -69,6 +70,10 @@ COUNTS = {
     "series.numeric_spotcheck": (lambda n: S.numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), n, 0.5), "order", 0),
     "series.TruncSeries": (lambda n: S.TruncSeries(n, (Poly.one(),) * (n + 1)), "order", 0),
     "series.TruncSeries.const": (lambda n: S.TruncSeries.const(1, n), "order", 0),
+    "series.TruncSeries.shift_z": (lambda k: S.TruncSeries.const(1, 3).shift_z(k), "k", 0),
+    # dz refuses the order of its series; a stand-in holds any order, a negative one too
+    "series.TruncSeries.dz": (
+        lambda n: S.TruncSeries.dz(types.SimpleNamespace(order=n, coeffs=(Poly.one(),) * (n + 1))), "order", 1),
     # the first route of each family, the one `peakpoly poly` prints, and
     # every route: none reads an entry of an EGF below the family's minimum
     **{f"series.Family.poly[{name}]": (family.poly, "n", family.min_n) for name, family in S.FAMILIES.items()},
@@ -95,7 +100,8 @@ RELATIONS = {
 NO_COUNT = {
     **dict.fromkeys(("polynomial.Poly", "polynomial.NonzeroRemainder", "polynomial.DivisionByZeroPoly",
                      "permutations.PermStats", "permutations.SignedStats", "permutations.StatDistribution",
-                     "permutations.NotAPermutation", "permutations.NotASignedPermutation", "peakpoly.LimitExceeded"),
+                     "permutations.NotAPermutation", "permutations.NotASignedPermutation", "peakpoly.LimitExceeded",
+                     "peakpoly.Violation"),
                     "a class; the methods that take a count are rows of COUNTS"),
     **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain", "roots.multiplicity_at",
                      "series.solve_series"), "takes polynomials or series"),
@@ -133,6 +139,18 @@ def test_one_exception_type_for_both_ends():
     with pytest.raises(LimitExceeded) as info:
         P.distribution(P.S_N_LIMIT + 1, "pk")
     assert str(info.value) == f"n {P.S_N_LIMIT + 1} above cap {P.S_N_LIMIT}"
+
+
+@pytest.mark.parametrize("knob", I.RANGES, ids=lambda knob: knob.name)
+def test_the_library_run_refuses_each_knob_above_its_cap_before_any_check(monkeypatch, knob):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(I, "_aggregate", no_work)
+    for suite in ("all", *dict.fromkeys(check.suite for check in I.CHECKS)):
+        with pytest.raises(LimitExceeded) as info:
+            I.run(suite, **{knob.name: knob.cap + 1})
+        assert str(info.value) == f"{knob.name} {knob.cap + 1} above cap {knob.cap}", suite
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))

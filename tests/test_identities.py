@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly import cli
+from peakpoly import Violation, cli
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
 from peakpoly import roots as R
 from peakpoly import series as S
-from peakpoly.polynomial import Poly
+from peakpoly.polynomial import NonzeroRemainder, Poly
 
 ONE_PLUS_X = Poly((1, 1))
 
@@ -510,6 +510,40 @@ def test_aggregate_turns_exceptions_into_errors(monkeypatch):
     result = I._aggregate("demo", (2, 5), range(2, 6), violated)
     assert result.verdict == "fail"
     assert result.witness == I.Witness(3, -1, "StructureViolation", "multiplicity: n=3")
+
+
+def test_exactly_the_counterexample_classes_are_violations():
+    from peakpoly import polynomial
+
+    modules = (polynomial, perms, F, S, R, I, cli)
+    violations = {obj for module in modules for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Violation) and obj is not Violation}
+    assert violations == {F.NonpositiveCoefficient, F.RowTooLong, R.StructureViolation, R.InterlacingViolation,
+                          S.ToleranceExceeded}
+
+
+class _NewViolation(Violation):
+    """A counterexample class that identities has never heard of."""
+
+
+@pytest.mark.parametrize("exc, verdict", [
+    (_NewViolation("at n=3"), "fail"),
+    (NonzeroRemainder("at n=3"), "error"),
+    (S.PrecisionInsufficient("at n=3"), "error"),
+    (F.ConstantTermNonzero("at n=3"), "error"),
+    (R.EndpointIsRoot("at n=3"), "error"),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value)
+def test_a_violation_raised_inside_a_range_is_a_fail_and_any_other_exception_an_error(monkeypatch, exc, verdict):
+    real = R.certify_interlacing
+
+    def certify(n):
+        if n == 3:
+            raise exc
+        return real(n)
+
+    monkeypatch.setattr(R, "certify_interlacing", certify)
+    [result] = [r for r in I.run("roots", roots_nmax=4) if r.check_id == "interlacing"]
+    assert result == I.CheckResult("interlacing", (1, 4), verdict, I.Witness(3, -1, type(exc).__name__, "at n=3"))
 
 
 def test_aggregate_verdict_is_fail_before_error():

@@ -39,6 +39,10 @@ def test_poly_and_series_are_frozen():
         p.coeffs = (3,)
     with pytest.raises(AttributeError):
         s.order = 1
+    with pytest.raises(AttributeError, match="Poly is immutable: cannot delete 'coeffs'"):
+        del p.coeffs
+    with pytest.raises(AttributeError, match="TruncSeries is immutable: cannot delete 'order'"):
+        del s.order
     assert p.coeffs == (1, 2) and s.order == 0
 
 
@@ -46,6 +50,9 @@ def test_poly_equals_only_polys():
     assert Poly((1,)) != (1,)
     assert Poly((1, 0)) == Poly((1,))
     assert hash(Poly((1, 0))) == hash(Poly((1,)))
+    # the hash of a value is that of its slot tuple
+    assert hash(Poly((1, 2))) == hash(((1, 2),))
+    assert hash(TruncSeries(0, (Poly((1,)),))) == hash((0, (Poly((1,)),)))
     assert TruncSeries(0, (Poly((1,)),)) != (0, (Poly((1,)),))
 
 
