@@ -11,11 +11,13 @@ Importing the package loads no layer: each name of `__all__` imports its
 module on first access (PEP 562), so a caller pays only for the layers it
 reads.  `from peakpoly import *` loads them all.
 
-Every layer refuses a count the same way, with the exception and the check
-defined here, in the one module every layer loads: a count below a
-function's minimum raises LimitExceeded as `<name> <value> below minimum
-<minimum>`, naming the function's argument, and one above an enumeration or
-CLI cap as `<name> <value> above cap <cap>`.
+Every layer refuses a count the same way, with the exception and the two
+checks defined here, in the one module every layer loads: a count below a
+function's minimum raises LimitExceeded from _at_least as `<name> <value>
+below minimum <minimum>`, and one above a cap (the enumeration caps, the
+solved z-order, a verify range) from _at_most as `<name> <value> above cap
+<cap>`, each naming the function's argument.  Only the CLI words a cap of
+its own, the one that names a family.
 
 So do two more shared rules: a certificate's counterexample is a Violation,
 which `identities.run` reports as `fail` (any other exception is an `error`),
@@ -27,7 +29,7 @@ __version__ = "0.1.0"
 
 class LimitExceeded(ValueError):
     """A count outside what the library accepts, in any layer: below a
-    function's minimum or above an enumeration or CLI cap.  The CLI exits 3."""
+    function's minimum or above a cap.  The CLI exits 3."""
 
 
 def _at_least(name: str, value: int, minimum: int) -> None:
@@ -36,6 +38,13 @@ def _at_least(name: str, value: int, minimum: int) -> None:
     that the routes of a family are compared on, so routes may share it."""
     if value < minimum:
         raise LimitExceeded(f"{name} {value} below minimum {minimum}")
+
+
+def _at_most(name: str, value: int, cap: int) -> None:
+    """Refuse a count above its cap: LimitExceeded, `<name> <value> above cap
+    <cap>`.  Like _at_least, it only checks an argument."""
+    if value > cap:
+        raise LimitExceeded(f"{name} {value} above cap {cap}")
 
 
 class Violation(Exception):

@@ -64,6 +64,8 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="print one family polynomial, coefficients ascending")
     p_oracle = sub.add_parser("oracle", help="brute-force statistic distribution")
     p_verify = sub.add_parser("verify", help="run verification suites, JSON report on stdout")
+    for command_parser in (p_tri, p_poly, p_oracle, p_verify):  # reports its handler's usage errors
+        command_parser.set_defaults(command_parser=command_parser)
     if "triangle" in commands or "poly" in commands:
         from . import series
     if "triangle" in commands:
@@ -174,10 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = build_parser((command,) if command in COMMANDS else ())
     args = parser.parse_args(argv)
-    # the command's own parser reports the usage errors its handler finds
-    command_parser = next(action for action in parser._actions if action.dest == "command").choices[args.command]
     try:
-        return globals()[f"cmd_{args.command}"](args, command_parser)
+        return globals()[f"cmd_{args.command}"](args, args.command_parser)
     except LimitExceeded as exc:
         print(f"peakpoly: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import LimitExceeded, Violation, families, permutations, roots, series
+from . import Violation, _at_most, families, permutations, roots, series
 from .polynomial import Poly
 
 
@@ -394,8 +394,7 @@ def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
             raise ValueError(f"{check.knob} {ranges[check.knob]} leaves {check.check_id} empty: it starts at {lo}")
         spans.append((check, lo, hi))
     for knob in RANGES:
-        if ranges[knob.name] > knob.cap:
-            raise LimitExceeded(f"{knob.name} {ranges[knob.name]} above cap {knob.cap}")
+        _at_most(knob.name, ranges[knob.name], knob.cap)
     return spans
 
 

@@ -51,12 +51,12 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import LimitExceeded, _at_least
+from . import LimitExceeded, _at_least, _at_most  # LimitExceeded: re-exported
 
 if TYPE_CHECKING:
     from .polynomial import Poly
 
-# The enumeration caps: n above them raises LimitExceeded.
+# The enumeration caps: n above them is refused by peakpoly._at_most.
 S_N_LIMIT = 10
 SIGNED_LIMIT = 7
 
@@ -70,13 +70,6 @@ class NotAPermutation(ValueError):
 
 class NotASignedPermutation(ValueError):
     """Absolute values are not a permutation of [n]."""
-
-
-def _within_cap(n: int, cap: int) -> None:
-    # Raise LimitExceeded unless 1 <= n <= cap.
-    _at_least("n", n, 1)
-    if n > cap:
-        raise LimitExceeded(f"n {n} above cap {cap}")
 
 
 class PermStats(NamedTuple):
@@ -335,7 +328,8 @@ def distribution(n: int, stat: str) -> StatDistribution:
     """
     if stat not in PERM_STATS:
         raise ValueError(f"unknown permutation statistic {stat!r}")
-    _within_cap(n, S_N_LIMIT)
+    _at_least("n", n, 1)
+    _at_most("n", n, S_N_LIMIT)
     m = min(TAIL, n - 1)
     hits = [[0] * (2 * (m + 1)) for _ in range(n)]  # no statistic reaches n
     _perm_walk(list(range(1, n + 1)), 0, n + 1 if stat == "pk" else 0, False, 0, m, stat != "des", hits)
@@ -353,7 +347,8 @@ def signed_distribution(n: int, stat: str) -> StatDistribution:
     """
     if stat not in SIGNED_STATS:
         raise ValueError(f"unknown signed statistic {stat!r}")
-    _within_cap(n, SIGNED_LIMIT)
+    _at_least("n", n, 1)
+    _at_most("n", n, SIGNED_LIMIT)
     m = min(SIGNED_TAIL, n - 1)
     hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
     _signed_walk(list(range(1, n + 1)), 0, 0, 0, m, hits)
@@ -367,7 +362,8 @@ def count_alternating(n: int, *, reverse: bool = False) -> int:
     With reverse=True the first comparison flips, counting reverse-alternating
     permutations instead; the two counts agree (complement pi -> n+1-pi).
     """
-    _within_cap(n, S_N_LIMIT)
+    _at_least("n", n, 1)
+    _at_most("n", n, S_N_LIMIT)
     m = min(TAIL, n - 1)
     hits = [0] * (2 * (m + 1))
     # The sentinel n + 1 counts as reached by an ascent, so the first value,

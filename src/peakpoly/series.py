@@ -26,7 +26,8 @@ routes, minimum n, CLI cap and EGF entry 0, and each EGFS row names the
 family and offset of its EGF.  The ids differ in one place: gf_P and gf_R
 are the EGF of R_n at offsets 0 and 1, while CLI family P is the tangent
 derivative polynomial P_n.  solved_family_polys keeps each family's longest
-solve and extends it on demand.
+solve and extends it on demand.  Nothing is solved past z-order MAX_ORDER:
+an order above it is refused, and so is a "gf" route's n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import Violation, _Value, _at_least, families, permutations
+from . import Violation, _Value, _at_least, _at_most, families, permutations
 from .polynomial import Poly, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
@@ -45,10 +46,6 @@ RECURRENCE_CAP = 128  # the CLI cap of the recurrence families
 
 class UnknownFamily(ValueError):
     """Family identifier is not a key of EGFS."""
-
-
-class OrderExceedsComputedFamilies(ValueError):
-    """Requested truncation order is outside the supported range."""
 
 
 class ToleranceExceeded(ArithmeticError, Violation):
@@ -85,9 +82,7 @@ class TruncSeries(_Value):
     def from_egf(cls, polys: Sequence[Poly], order: int) -> TruncSeries:
         """Series sum_m polys[m] z^m / m! (exponential normalization)."""
         if len(polys) < order + 1:
-            raise OrderExceedsComputedFamilies(
-                f"need {order + 1} polynomials, got {len(polys)}"
-            )
+            raise ValueError(f"need {order + 1} polynomials, got {len(polys)}")
         return cls(order, tuple(polys[: order + 1]))
 
     def egf_poly(self, m: int) -> Poly:
@@ -126,7 +121,7 @@ class TruncSeries(_Value):
 
     def truncate(self, order: int) -> TruncSeries:
         if order > self.order:
-            raise OrderExceedsComputedFamilies("cannot extend a truncated series")
+            raise ValueError("cannot extend a truncated series")
         return TruncSeries(order, self.coeffs[: order + 1])
 
     def dz(self) -> TruncSeries:
@@ -174,8 +169,9 @@ class Family(NamedTuple):
     applied to another family.  The first route is the package's own: the
     one `peakpoly poly` prints and engine_series assembles, a recurrence at
     every n up to the cap.  Every route refuses an n below min_n with
-    LimitExceeded, and an "oracle" route one past its enumeration cap.  The rows of `peakpoly triangle` are the values of a
-    "triangle" route.
+    LimitExceeded, a "gf" route one above MAX_ORDER, and an "oracle" route
+    one above its enumeration cap.  The rows of `peakpoly triangle` are the
+    values of a "triangle" route.
     """
 
     min_n: int
@@ -191,8 +187,9 @@ class Family(NamedTuple):
 def _solved(gf_id: str, n: int, min_n: int) -> Poly:
     """Entry n of the solve of EGF gf_id, for a gf route whose family starts
     at min_n: the one check that keeps every gf route to its family's
-    minimum, since the EGF has entries below it."""
+    minimum, since the EGF has entries below it, and to MAX_ORDER."""
     _at_least("n", n, min_n)
+    _at_most("n", n, MAX_ORDER)
     return solved_family_polys(gf_id, n)[n]
 
 
@@ -313,8 +310,7 @@ def _egf(family: str, order: int) -> EGF:
     if family not in EGFS:
         raise UnknownFamily(f"unknown family {family!r}")
     _at_least("order", order, 0)
-    if order > MAX_ORDER:
-        raise OrderExceedsComputedFamilies(f"order {order} above cap {MAX_ORDER}")
+    _at_most("order", order, MAX_ORDER)
     return EGFS[family]
 
 

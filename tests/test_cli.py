@@ -157,11 +157,11 @@ def test_oracle_and_version_requests_import_only_the_layers_they_run():
         "        code = exc.code\n"
         f"print(code, {loaded})\n"
     )
-    # and verify runs on the standard library alone: with mpmath blocked,
-    # the numeric spot-checks of gf and all still pass
-    no_mpmath = (
+    # and verify runs on the standard library alone: with every test extra
+    # blocked, the numeric spot-checks of gf and all still pass
+    no_extras = (
         "import contextlib, io, sys\n"
-        "sys.modules['mpmath'] = None\n"
+        "sys.modules.update(dict.fromkeys(('mpmath', 'sympy', 'hypothesis')))\n"
         "from peakpoly import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['verify', '--suite', 'gf', '--nmax', '4']), cli.main(['verify', '--suite', 'all'])]\n"
@@ -174,7 +174,7 @@ def test_oracle_and_version_requests_import_only_the_layers_they_run():
         "print([m for m in ('peakpoly.polynomial', 'peakpoly.permutations') if m in sys.modules])\n"
     )
     for script, expected in ((oracle, "[0, 0, 0] ['peakpoly.permutations']\n"), (version, "0 []\n"),
-                             (no_mpmath, "[0, 0]\n"), (families, "['peakpoly.polynomial']\n")):
+                             (no_extras, "[0, 0]\n"), (families, "['peakpoly.polynomial']\n")):
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
         assert res.stdout == expected, res.stderr
 
@@ -253,7 +253,12 @@ def test_per_command_parser_equals_the_full_parser():
     for command, samples in SAMPLE_ARGV.items():
         parser = cli.build_parser((command,))
         for argv in samples:
-            assert parser.parse_args(argv) == full.parse_args(argv), argv
+            parsed, full_parsed = parser.parse_args(argv), full.parse_args(argv)
+            # each records the parser of its command, which reports its handler's usage errors
+            assert parsed.command_parser is _subparser(parser, command)
+            assert full_parsed.command_parser is _subparser(full, command)
+            del parsed.command_parser, full_parsed.command_parser
+            assert parsed == full_parsed, argv
         assert _subparser(parser, command).format_help() == _subparser(full, command).format_help()
     assert cli.build_parser(()).format_help() == full.format_help()
     # every top-level option takes no value, so the first token that is not

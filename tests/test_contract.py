@@ -6,13 +6,19 @@ below it with peakpoly.LimitExceeded, worded `<name> <value> below minimum
 public name of the package (`peakpoly.__all__`) and every public function of
 families, roots and series a contract: a count and its minimum, the value at
 an empty input, a relation between two counts with its own ValueError, or no
-count at all.  A public name missing from them fails here.  The module also
-runs under `python -O`, so no bound it checks rests on `assert`.
+count at all.  A public name missing from them fails here.  A count with a
+cap as well accepts it and refuses one above it, worded `<name> <value> above
+cap <cap>`; only peakpoly's two helpers word either refusal, and the CLI its
+family caps.  The module also runs under `python -O`, so no bound it checks
+rests on `assert`.
 """
 
+import ast
 import inspect
 import types
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +87,17 @@ COUNTS = {
        for name, family in S.FAMILIES.items() for route_name, route in family.routes.items()},
 }
 
+# Each row of COUNTS with a cap too: the cap.
+CAPS = {
+    "permutations.distribution": P.S_N_LIMIT,
+    "permutations.signed_distribution": P.SIGNED_LIMIT,
+    "permutations.count_alternating": P.S_N_LIMIT,
+    **dict.fromkeys(("series.closed_form_sides", "series.engine_series", "series.solved_family_polys"), S.MAX_ORDER),
+    **{f"series.FAMILIES[{name}].gf": S.MAX_ORDER for name, family in S.FAMILIES.items() if "gf" in family.routes},
+    **{f"series.FAMILIES[{name}].oracle": P.SIGNED_LIMIT if name in ("C", "CT") else P.S_N_LIMIT
+       for name, family in S.FAMILIES.items() if "oracle" in family.routes},
+}
+
 # Each function of a sequence: its value at the empty one.
 EMPTY = {
     "permutations.perm_stats": (lambda: P.perm_stats(()), P.PermStats(0, 0, 0)),
@@ -139,6 +156,21 @@ def test_one_exception_type_for_both_ends():
     with pytest.raises(LimitExceeded) as info:
         P.distribution(P.S_N_LIMIT + 1, "pk")
     assert str(info.value) == f"n {P.S_N_LIMIT + 1} above cap {P.S_N_LIMIT}"
+    gf = S.FAMILIES["A"].routes["gf"]
+    for n, text in ((0, "n 0 below minimum 1"), (S.MAX_ORDER + 1, f"n {S.MAX_ORDER + 1} above cap {S.MAX_ORDER}")):
+        with pytest.raises(LimitExceeded) as info:
+            gf(n)
+        assert str(info.value) == text
+
+
+def test_only_the_two_helpers_and_the_family_caps_of_the_cli_construct_the_refusal():
+    sources = Path(peakpoly.__file__).parent.glob("*.py")
+    constructed = Counter(
+        path.name for path in sources for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "LimitExceeded" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert constructed == {"__init__.py": 2, "cli.py": 1}
 
 
 @pytest.mark.parametrize("knob", I.RANGES, ids=lambda knob: knob.name)
@@ -160,6 +192,16 @@ def test_each_count_is_accepted_at_its_minimum_and_refused_below_it(name):
     with pytest.raises(LimitExceeded) as info:
         call(minimum - 1)
     assert str(info.value) == _refusal(name, minimum - 1)
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_each_capped_count_is_accepted_at_its_cap_and_refused_above_it(name):
+    call, arg, _ = COUNTS[name]
+    cap = CAPS[name]
+    call(cap)  # an order-64 solve is shared with the every-route test below, through series._SOLVED
+    with pytest.raises(LimitExceeded) as info:
+        call(cap + 1)
+    assert str(info.value) == f"{arg} {cap + 1} above cap {cap}"
 
 
 @settings(max_examples=300, deadline=None)

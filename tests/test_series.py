@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peakpoly import LimitExceeded
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import series as S
 from peakpoly.polynomial import Poly
 from peakpoly.series import (
-    OrderExceedsComputedFamilies,
     PrecisionInsufficient,
     ToleranceExceeded,
     TruncSeries,
@@ -188,7 +188,7 @@ def test_check_gf_order_zero_trivial():
 def test_unknown_family_rejected():
     with pytest.raises(UnknownFamily):
         I.check_gf(4, "B")
-    with pytest.raises(OrderExceedsComputedFamilies):
+    with pytest.raises(LimitExceeded, match=f"^order {S.MAX_ORDER + 1} above cap {S.MAX_ORDER}$"):
         I.check_gf(S.MAX_ORDER + 1, "A")
 
 
@@ -350,5 +350,6 @@ def test_numeric_spotcheck_detects_corrupt_series(monkeypatch):
 
 
 def test_engine_series_requires_enough_polys():
-    with pytest.raises(OrderExceedsComputedFamilies):
+    with pytest.raises(ValueError) as info:
         TruncSeries.from_egf([Poly.one()], 3)
+    assert type(info.value) is ValueError and str(info.value) == "need 4 polynomials, got 1"
