@@ -14,6 +14,8 @@ verify ranges) that is not an integer >= 1; a family's minimum n and a verify
 range that leaves a selected check empty (clt below 4, roots below 2) are
 reported through the command's own parser, so each usage error (exit 2) prints
 the usage of its command.  Then, before any work, a value above its cap exits 3.
+`verify` leaves its ranges to identities.run, whose one gate refuses them before
+any check: its ValueError is the usage error, its LimitExceeded exits 3.
 
 A request imports only the layers its command runs, as the parser gives
 arguments only to the command it names: `oracle` loads permutations, `poly`
@@ -153,13 +155,11 @@ def cmd_verify(args, parser) -> int:
     if args.nmax is not None:
         ranges[next(knob.name for knob in identities.RANGES if args.suite in knob.nmax_of)] = args.nmax
     try:
-        identities.plan(args.suite, ranges)
+        results = identities.run(args.suite, **ranges)
     except LimitExceeded:  # a knob above its cap, once every check has an n: exit 3
         raise
     except ValueError as exc:  # a selected check with no n to run over
         parser.error(str(exc))
-
-    results = identities.run(args.suite, **ranges)
     report = {
         "tool_version": __version__,
         "configuration": {"suite": args.suite, **ranges},

@@ -15,7 +15,11 @@ one.  RANGES lists the range knobs once.  Failures are data, not exceptions:
 `run` catches what lower layers raise inside the range.  A peakpoly.Violation
 is a fail; any other exception is an error, since the code broke and no
 counterexample was found.  Either witness has index -1 and names the
-exception.  `plan` refuses a knob above its RANGES cap before any check runs.
+exception.  `plan`, which `run` calls before any check, is the one gate of a
+verify request, for the CLI and the library alike.  It refuses, in this
+order, a knob below 1 (LimitExceeded), a knob that leaves a check with a
+fixed start empty (ValueError) and a knob above its RANGES cap
+(LimitExceeded).  Each check function refuses an n below its own minimum.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import Violation, _at_most, families, permutations, roots, series
+from . import Violation, _at_least, _at_most, families, permutations, roots, series
 from .polynomial import Poly
 
 
@@ -117,6 +121,7 @@ def check_row_interleave(n: int) -> Witness | None:
     """Row n of the tan_sec triangle, the coefficients of R_n, interleaves
     the two peak rows, and the row facts hold: leading 1, second entry
     2^(n-1), row sum 2 n!, last entry the Euler number E_n."""
+    _at_least("n", n, 1)
     r_row = families.tan_sec_poly(n).coeffs
     expected = families.interleave_rows(families.peak_poly(n).coeffs, families.left_peak_poly(n).coeffs)
     witness = first_difference(n, r_row, expected)
@@ -151,6 +156,7 @@ def check_bell_expansion(n: int) -> Witness | None:
 
 
 def check_bell_x0(n: int) -> Witness | None:
+    _at_least("n", n, 0)
     total = sum((-1) ** (n - k) * math.factorial(k) * families.stirling2(n, k) for k in range(n + 1))
     return first_difference(n, (total,), (1,))
 
@@ -173,6 +179,7 @@ def check_routes_agree(n: int, *reads: str) -> Witness | None:
 
 
 def check_oracle_alternating(n: int) -> Witness | None:
+    _at_least("n", n, 1)
     e_n = families.euler_numbers(n)[n]
     counts = (permutations.count_alternating(n), permutations.count_alternating(n, reverse=True))
     return first_difference(n, counts, (e_n, e_n))
@@ -230,6 +237,7 @@ def check_t_vs_eulerian(order: int) -> Witness | None:
 def check_pde(order: int) -> Witness | None:
     """x(x^2-1) dP/dx + (1 - x^2 z) dP/dz = P + x at z-orders 0..order,
     where P, the EGF of the tan_sec family, is known through z^(order+1)."""
+    _at_least("order", order, 0)
     p = series.engine_series("P", order + 1)
     x = Poly.x()
     px = p.dx().truncate(order)
@@ -261,9 +269,13 @@ def check_mode_bracket(n: int) -> Witness | None:
     return None
 
 
+CLT_FROM = 4  # the least n at which the closed forms of clt_moments hold together
+
+
 def check_clt_moments(n: int) -> Witness | None:
     """The closed forms of R_n's coefficient distribution: total R_n(1) = 2 n!,
-    mean (2n-1)/3 and variance (8n+8)/45."""
+    mean (2n-1)/3 and variance (8n+8)/45, from n = CLT_FROM."""
+    _at_least("n", n, CLT_FROM)
     stats = roots.clt_stats(n)
     for index, value, closed in (
         (0, stats.value_at_1, 2 * math.factorial(n)),
@@ -374,16 +386,20 @@ CHECKS = (
     Check("root_structure", "roots", "roots_nmax", 1, "check_root_structure", ("R.triangle", "G.recurrence", "sturm")),
     Check("interlacing", "roots", "roots_nmax", 1, "check_interlacing", ("R.triangle", "G.recurrence", "sturm")),
     Check("mode_bracket", "roots", "roots_nmax", 2, "check_mode_bracket", ("R.triangle", "darroch")),
-    Check("clt_moments", "clt", "clt_nmax", 4, "check_clt_moments", ("R.triangle", "clt.closed_form"), "n"),
+    Check("clt_moments", "clt", "clt_nmax", CLT_FROM, "check_clt_moments", ("R.triangle", "clt.closed_form"), "n"),
 )
 
 
 def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
     """The checks of `suite` ("all": every check) in table order, each with
-    its lo and hi; ValueError if a fixed lo is above its hi, and then
-    LimitExceeded if any knob, whatever the suite, is above its cap."""
+    its lo and hi.  The one gate of a verify request, which `run` passes
+    before any check: LimitExceeded if any knob, whatever the suite, is below
+    1; then ValueError if a fixed lo is above its hi; then LimitExceeded if
+    any knob is above its cap."""
     if suite != "all" and suite not in {check.suite for check in CHECKS}:
         raise ValueError(f"unknown suite {suite!r}")
+    for knob in RANGES:
+        _at_least(knob.name, ranges[knob.name], 1)
     spans = []
     for check in CHECKS:
         hi = check.top + (ranges[check.knob] if check.knob else 0)

@@ -87,6 +87,7 @@ class TruncSeries(_Value):
 
     def egf_poly(self, m: int) -> Poly:
         """m! times the z^m coefficient."""
+        _at_least("m", m, 0)
         return self.coeffs[m]
 
     def _require_same_order(self, other: TruncSeries) -> None:

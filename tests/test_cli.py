@@ -440,6 +440,14 @@ def test_jobs_env_variable_is_ignored():
     assert res.stdout == run("oracle", "--stat", "pk", "--n", "5").stdout
 
 
+def test_a_verify_request_plans_its_checks_once(monkeypatch, capsys):
+    calls = []
+    real_plan = identities.plan
+    monkeypatch.setattr(identities, "plan", lambda suite, ranges: calls.append(suite) or real_plan(suite, ranges))
+    assert cli.main(["verify", "--suite", "clt", "--nmax", "5"]) == 0
+    assert calls == ["clt"]
+
+
 def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
     from peakpoly import cli, identities
 
@@ -461,9 +469,9 @@ def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, caps
     from peakpoly import cli, identities
 
     def no_work(*args, **kwargs):
-        raise AssertionError("a suite ran")
+        raise AssertionError("a check ran")
 
-    monkeypatch.setattr(identities, "run", no_work)
+    monkeypatch.setattr(identities, "_aggregate", no_work)
     cases = [
         (["--suite", "gf", "--nmax", "70"], "gf_order 70 above cap 64"),
         (["--gf-order", "65"], "gf_order 65 above cap 64"),
@@ -520,10 +528,20 @@ def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs
     above = any(ranges[knob.name] > knob.cap for knob in identities.RANGES)
     expected = 2 if below or empty else 3 if above else 0
 
+    # the real run, whose plan refuses the request before any check; every check passes unrun
     calls = []
+    real_run = identities.run
+
+    def run(suite, **ranges):
+        results = real_run(suite, **ranges)
+        calls.append((suite, ranges))
+        return results
+
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        mp.setattr(identities, "run", lambda suite, **ranges: calls.append((suite, ranges)) or [])
+        mp.setattr(identities, "_aggregate",
+                   lambda check_id, n_range, *_: identities.CheckResult(check_id, n_range, "pass"))
+        mp.setattr(identities, "run", run)
         try:
             code = cli.main(argv)
         except SystemExit as exc:

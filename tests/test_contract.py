@@ -4,13 +4,13 @@ Every public function that takes a count accepts its minimum and refuses one
 below it with peakpoly.LimitExceeded, worded `<name> <value> below minimum
 <minimum>` with the name of its own argument.  The tables below give every
 public name of the package (`peakpoly.__all__`) and every public function of
-families, roots and series a contract: a count and its minimum, the value at
-an empty input, a relation between two counts with its own ValueError, or no
-count at all.  A public name missing from them fails here.  A count with a
-cap as well accepts it and refuses one above it, worded `<name> <value> above
-cap <cap>`; only peakpoly's two helpers word either refusal, and the CLI its
-family caps.  The module also runs under `python -O`, so no bound it checks
-rests on `assert`.
+families, roots, series and identities a contract: a count and its minimum,
+the value at an empty input, a relation between two counts with its own
+ValueError, or no count at all.  A public name missing from them fails here.
+A count with a cap as well accepts it and refuses one above it, worded
+`<name> <value> above cap <cap>`; only peakpoly's two helpers word either
+refusal, and the CLI its family caps.  The module also runs under
+`python -O`, so no bound it checks rests on `assert`.
 """
 
 import ast
@@ -77,6 +77,7 @@ COUNTS = {
     "series.TruncSeries": (lambda n: S.TruncSeries(n, (Poly.one(),) * (n + 1)), "order", 0),
     "series.TruncSeries.const": (lambda n: S.TruncSeries.const(1, n), "order", 0),
     "series.TruncSeries.shift_z": (lambda k: S.TruncSeries.const(1, 3).shift_z(k), "k", 0),
+    "series.TruncSeries.egf_poly": (lambda m: S.TruncSeries.const(1, 3).egf_poly(m), "m", 0),
     # dz refuses the order of its series; a stand-in holds any order, a negative one too
     "series.TruncSeries.dz": (
         lambda n: S.TruncSeries.dz(types.SimpleNamespace(order=n, coeffs=(Poly.one(),) * (n + 1))), "order", 1),
@@ -85,6 +86,27 @@ COUNTS = {
     **{f"series.Family.poly[{name}]": (family.poly, "n", family.min_n) for name, family in S.FAMILIES.items()},
     **{f"series.FAMILIES[{name}].{route_name}": (route, "n", family.min_n)
        for name, family in S.FAMILIES.items() for route_name, route in family.routes.items()},
+    # every check of identities; one that reads routes reads one fixed set of them
+    "identities.check_row_interleave": (I.check_row_interleave, "n", 1),
+    "identities.check_stembridge": (I.check_stembridge, "n", 1),
+    "identities.check_bell_expansion": (I.check_bell_expansion, "n", 1),
+    "identities.check_bell_x0": (I.check_bell_x0, "n", 0),
+    "identities.check_bell_x1": (I.check_bell_x1, "n", 0),
+    "identities.check_routes_agree": (lambda n: I.check_routes_agree(n, "C.oracle", "C.gf", "W.oracle", "W.triangle"),
+                                      "n", 1),
+    "identities.check_oracle_alternating": (I.check_oracle_alternating, "n", 1),
+    "identities.check_oracle_internal_zeros": (
+        lambda n: I.check_oracle_internal_zeros(n, "W.oracle", "WL.oracle", "A.oracle"), "n", 1),
+    "identities.check_oracle_by_definition": (I.check_oracle_by_definition, "n", 1),
+    "identities.check_gf": (lambda n: [I.check_gf(n, gf_id) for gf_id in S.EGFS], "order", 0),
+    "identities.check_t_vs_eulerian": (I.check_t_vs_eulerian, "order", 0),
+    "identities.check_pde": (I.check_pde, "order", 0),
+    "identities.check_numeric_spot": (lambda n: I.check_numeric_spot(n, Fraction(1, 2), Fraction(1, 20), 0.5),
+                                      "order", 0),
+    "identities.check_root_structure": (I.check_root_structure, "n", 1),
+    "identities.check_interlacing": (I.check_interlacing, "n", 1),
+    "identities.check_mode_bracket": (I.check_mode_bracket, "n", 2),
+    "identities.check_clt_moments": (I.check_clt_moments, "n", 4),
 }
 
 # Each row of COUNTS with a cap too: the cap.
@@ -123,6 +145,11 @@ NO_COUNT = {
     **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain", "roots.multiplicity_at",
                      "series.solve_series"), "takes polynomials or series"),
     "families.interleave_rows": "takes two rows",
+    "identities.first_difference": "its n only labels the witness",
+    "identities.has_internal_zeros": "takes a sequence of counts",
+    "identities.aggregate_verdict": "takes check results",
+    **dict.fromkeys(("identities.plan", "identities.run"),
+                    "takes the RANGES knobs, which plan refuses below 1 and above their caps (tested below)"),
 }
 
 
@@ -133,7 +160,7 @@ def _key(obj) -> str:
 def _public_names() -> set[str]:
     names = {_key(getattr(peakpoly, name)) for name in peakpoly.__all__
              if not isinstance(getattr(peakpoly, name), (types.ModuleType, str))}
-    for module in (F, R, S):
+    for module in (F, R, S, I):
         names |= {_key(obj) for name, obj in vars(module).items()
                   if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__}
     return names
@@ -173,25 +200,42 @@ def test_only_the_two_helpers_and_the_family_caps_of_the_cli_construct_the_refus
     assert constructed == {"__init__.py": 2, "cli.py": 1}
 
 
+SUITES = ("all", *dict.fromkeys(check.suite for check in I.CHECKS))
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a check ran")
+
+
 @pytest.mark.parametrize("knob", I.RANGES, ids=lambda knob: knob.name)
 def test_the_library_run_refuses_each_knob_above_its_cap_before_any_check(monkeypatch, knob):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(I, "_aggregate", no_work)
-    for suite in ("all", *dict.fromkeys(check.suite for check in I.CHECKS)):
+    monkeypatch.setattr(I, "_aggregate", _no_work)
+    for suite in SUITES:
         with pytest.raises(LimitExceeded) as info:
             I.run(suite, **{knob.name: knob.cap + 1})
         assert str(info.value) == f"{knob.name} {knob.cap + 1} above cap {knob.cap}", suite
+
+
+@pytest.mark.parametrize("knob", I.RANGES, ids=lambda knob: knob.name)
+def test_the_library_run_refuses_each_knob_below_one_before_any_check(monkeypatch, knob):
+    monkeypatch.setattr(I, "_aggregate", _no_work)
+    for suite in SUITES:
+        for value in (0, -5):
+            with pytest.raises(LimitExceeded) as info:
+                I.run(suite, **{knob.name: value})
+            assert str(info.value) == f"{knob.name} {value} below minimum 1", (suite, value)
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_each_count_is_accepted_at_its_minimum_and_refused_below_it(name):
     call, _, minimum = COUNTS[name]
     call(minimum)
-    with pytest.raises(LimitExceeded) as info:
-        call(minimum - 1)
-    assert str(info.value) == _refusal(name, minimum - 1)
+    # two below too: the refusal names the value given, not one a later call
+    # derives from it, and a check never returns a witness there (a false fail)
+    for n in (minimum - 1, minimum - 2):
+        with pytest.raises(LimitExceeded) as info:
+            call(n)
+        assert str(info.value) == _refusal(name, n)
 
 
 @pytest.mark.parametrize("name", sorted(CAPS))
