@@ -36,7 +36,8 @@ Each row of the recurrence table, each table of order-k tangent/secant
 numbers, and the partial Bell triangle is one Memo: a growing tuple of terms
 0..k that builds only terms k+1..n when term n is asked for, so per-n calls
 never rebuild a prefix; a negative n is refused.  The Bell triangle is over
-Z[w], at the arguments x_i = w^floor((i-1)/2); the identities read it at
+Z[w], at the arguments x_i = w^floor((i-1)/2), its entries the series'
+binomial convolution (polynomial._hurwitz_entry); the identities read it at
 w = 1 - x^2 (the peak arguments), at w = 1 (all ones) and at w = 0
 (1, 1, 0, 0, ...).  Every cache in the module is a Memo, and the module
 imports polynomial alone: the enumeration oracle routes of the family table,
@@ -50,7 +51,7 @@ import math
 from typing import Callable, Sequence
 
 from . import Violation, _at_least
-from .polynomial import NonzeroRemainder, Poly
+from .polynomial import NonzeroRemainder, Poly, _hurwitz_entry
 
 X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
@@ -375,16 +376,14 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
 
 def _bell_step(args: Callable[[int], Sequence[Poly]]) -> Callable[[list, int], tuple[Poly, ...]]:
     # Row m, B_{m,0..m}, from rows 0..m-1 by B_{m,j} = sum_i C(m-1, i-1) x_i
-    # B_{m-i,j-1}, where args(m) starts x_1..x_m; B_{m,0} = 0 for m > 0.
+    # B_{m-i,j-1}, where args(m) starts x_1..x_m; B_{m,0} = 0 for m > 0: entry
+    # m-1 of the Hurwitz product of the x_i and column j-1 (zero above row j-1).
     def step(rows: list, m: int) -> tuple[Poly, ...]:
         xs = args(m)
 
         def entry(j: int) -> Poly:
-            acc = Poly.zero()
-            for i in range(1, m - j + 2):
-                if xs[i - 1]:
-                    acc = acc + math.comb(m - 1, i - 1) * xs[i - 1] * rows[m - i][j - 1]
-            return acc
+            column = (Poly.zero(),) * (j - 1) + tuple(row[j - 1] for row in rows[j - 1:])
+            return _hurwitz_entry(m - 1, xs, column, range(m - j + 1))
 
         return (Poly.zero(),) + tuple(entry(j) for j in range(1, m + 1))
 

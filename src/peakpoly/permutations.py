@@ -51,7 +51,7 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import LimitExceeded, _at_least, _at_most  # LimitExceeded: re-exported
+from . import _at_least, _at_most
 
 if TYPE_CHECKING:
     from .polynomial import Poly

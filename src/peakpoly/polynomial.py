@@ -10,7 +10,8 @@ an integer, which never happens for a divisor with leading coefficient +-1
 and, for a primitive divisor, only when it does not divide (Gauss's lemma).
 A greatest common divisor is primitive with a positive leading coefficient.
 Rationals appear only as values: evaluating at p/q uses homogeneous integer
-Horner, q^d f(p/q), and reduces the fraction once at the end.
+Horner, q^d f(p/q), and reduces the fraction once at the end.  A Poly product
+and each entry of a Hurwitz product share one schoolbook loop over ints.
 
 Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
@@ -155,15 +156,7 @@ class Poly(_Value):
             return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        b_coeffs = other.coeffs
-        out = [0] * (len(self.coeffs) + len(b_coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(b_coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return _sum_of_products(((1, self.coeffs, other.coeffs),))
 
     __rmul__ = __mul__
 
@@ -365,23 +358,34 @@ def gcd_poly(p: Poly, q: Poly) -> Poly:
     return -g if g.leading() < 0 else g
 
 
-def hurwitz_mul(a: Sequence, b: Sequence, order: int) -> list:
-    """Product of two Hurwitz series, truncated after entry `order`.
+def _sum_of_products(terms: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> Poly:
+    """sum c a b over the (c, a, b) of terms, a and b coefficient tuples: the
+    one schoolbook product loop, on a single list of ints, and one Poly."""
+    out: list[int] = []
+    for c, a, b in terms:
+        if a and b:
+            out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+            for i, u in enumerate(a):
+                if u:
+                    u *= c
+                    for j, v in enumerate(b, i):
+                        out[j] += u * v
+    return Poly(out)
+
+
+def _hurwitz_entry(m: int, a: Sequence[Poly], b: Sequence[Poly], ks: Iterable[int]) -> Poly:
+    """sum_(k in ks) C(m, k) a_k b_(m-k): entry m of a Hurwitz product, or the
+    part of it over ks.  The package's one binomial convolution."""
+    return _sum_of_products((math.comb(m, k), a[k].coeffs, b[m - k].coeffs) for k in ks)
+
+
+def hurwitz_mul(a: Sequence[Poly], b: Sequence[Poly], order: int) -> list[Poly]:
+    """Product of two Hurwitz series of Polys, truncated after entry `order`.
 
     Entry m of a Hurwitz series holds m! times its z^m coefficient, so the
     product is the binomial convolution sum_k C(m, k) a_k b_(m-k): it stays
-    in the ring of the entries (Z, or Z[x] for Poly entries) and no 1/m!
-    ever appears.  Entries past the end of a or b count as zero; both must
-    be nonempty.
+    in Z[x] and no 1/m! ever appears.  Entries past the end of a or b count
+    as zero.
     """
     _at_least("order", order, 0)
-    zero = a[0] * 0
-    out = []
-    for m in range(order + 1):
-        acc = zero
-        for k in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
-            u, v = a[k], b[m - k]
-            if u and v:
-                acc = acc + math.comb(m, k) * u * v
-        out.append(acc)
-    return out
+    return [_hurwitz_entry(m, a, b, range(max(0, m - len(b) + 1), min(m + 1, len(a)))) for m in range(order + 1)]

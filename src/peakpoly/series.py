@@ -4,7 +4,8 @@ A TruncSeries of order N keeps z^0..z^N in Hurwitz form (Keigher, "On the
 ring of Hurwitz series", 1997): entry m holds m! * [z^m], a Poly in x.  The
 exponential generating functions of all families in this package live here,
 and in this form entry n of a family series is simply family_n(x), with
-integer coefficients.  Products are binomial convolutions (hurwitz_mul), so
+integer coefficients.  Products are binomial convolutions, each entry one
+polynomial._hurwitz_entry (hurwitz_mul multiplies, solve_series divides), so
 no 1/m! factor is ever formed and the whole module runs in Z[x].  Like Poly,
 a series is an immutable value: equal, hashed and pickled as (order, coeffs).
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import Violation, _Value, _at_least, _at_most, families, permutations
-from .polynomial import Poly, hurwitz_mul
+from .polynomial import Poly, _hurwitz_entry, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
 RECURRENCE_CAP = 128  # the CLI cap of the recurrence families
@@ -86,8 +87,9 @@ class TruncSeries(_Value):
         return cls(order, tuple(polys[: order + 1]))
 
     def egf_poly(self, m: int) -> Poly:
-        """m! times the z^m coefficient."""
+        """m! times the z^m coefficient, for m up to the series' order."""
         _at_least("m", m, 0)
+        _at_most("m", m, self.order)
         return self.coeffs[m]
 
     def _require_same_order(self, other: TruncSeries) -> None:
@@ -146,14 +148,9 @@ def solve_series(num: TruncSeries, den: TruncSeries, known: Sequence[Poly] = ())
     only on entries below it); solving resumes after it.
     """
     num._require_same_order(den)
-    d0 = den.coeffs[0]
     out: list[Poly] = list(known)
     for m in range(len(out), num.order + 1):
-        acc = num.coeffs[m]
-        for i in range(m):
-            if out[i] and den.coeffs[m - i]:
-                acc = acc - math.comb(m, i) * out[i] * den.coeffs[m - i]
-        out.append(acc.exact_div(d0))
+        out.append((num.coeffs[m] - _hurwitz_entry(m, out, den.coeffs, range(m))).exact_div(den.coeffs[0]))
     return TruncSeries(num.order, tuple(out))
 
 

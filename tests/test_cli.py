@@ -431,6 +431,14 @@ def test_verify_reports_are_deterministic():
     assert run(*args).stdout == run(*args).stdout
 
 
+def test_the_full_report_prints_the_same_bytes_under_two_hash_seeds():
+    # no set or dict order that string hashing decides reaches the report
+    reports = [subprocess.run(CLI + ["verify", "--suite", "all"], capture_output=True, timeout=600,
+                              env=dict(os.environ, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
+    assert [r.returncode for r in reports] == [0, 0]
+    assert reports[0].stdout and reports[0].stdout == reports[1].stdout
+
+
 def test_jobs_env_variable_is_ignored():
     # PEAKPOLY_JOBS is no longer read: even a value that is not a number
     # leaves the exit code and the output as they are without it

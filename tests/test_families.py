@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from peakpoly import LimitExceeded
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
 from peakpoly import series as S
 from peakpoly.families import ConstantTermNonzero, InsufficientArguments
-from peakpoly.permutations import LimitExceeded
 from peakpoly.polynomial import NonzeroRemainder, Poly
 
 ONE_PLUS_X = Poly((1, 1))

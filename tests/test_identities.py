@@ -1,6 +1,8 @@
 import ast
+import itertools
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,39 @@ def test_row_interleave_detects_corruption(monkeypatch):
     assert witness is not None
     assert witness.n == 5 and witness.index == 2
     assert witness.lhs == "59" and witness.rhs == "58"
+
+
+def _plus_one_at(k):
+    return lambda row: [v + (i == k) for i, v in enumerate(row)]
+
+
+def _row_and_peak_row(monkeypatch, peak_accessor, k, peak_k):
+    """R_5 and the peak row it interleaves, each with one entry raised by
+    one, so that the interleave holds and only a row fact can fail."""
+    _corrupt_row(monkeypatch, "tan_sec_poly", 5, _plus_one_at(k))
+    _corrupt_row(monkeypatch, peak_accessor, 5, _plus_one_at(peak_k))
+
+
+def _euler_plus_one(monkeypatch, n):
+    real = F.euler_numbers
+    monkeypatch.setattr(F, "euler_numbers", lambda m: tuple(v + (i == n) for i, v in enumerate(real(m))))
+
+
+# R_5 = (1, 16, 58, 88, 61, 16): its even entries are WL_5 = (1, 58, 61) and
+# its odd ones W_5 = (16, 88, 16); E_5 = 16, and R_4 = (1, 8, 18, 16, 5).
+@pytest.mark.parametrize("corrupt, witness", [
+    pytest.param(lambda mp: _row_and_peak_row(mp, "left_peak_poly", 0, 0), I.Witness(5, 0, "2", "1"), id="leading_1"),
+    pytest.param(lambda mp: _row_and_peak_row(mp, "peak_poly", 1, 0), I.Witness(5, 1, "17", "16"), id="second_2^(n-1)"),
+    pytest.param(lambda mp: _row_and_peak_row(mp, "left_peak_poly", 2, 1), I.Witness(5, -1, "241", "240"),
+                 id="row_sum_2n!"),
+    pytest.param(lambda mp: _euler_plus_one(mp, 5), I.Witness(5, 5, "16", "17"), id="E_n_last_entry_of_R_n"),
+    pytest.param(lambda mp: _corrupt_row(mp, "tan_sec_poly", 4, _plus_one_at(3)), I.Witness(4, 3, "17", "16"),
+                 id="E_n_at_n-2_of_R_(n-1)"),
+])
+def test_row_interleave_reports_each_row_fact_that_fails_alone(monkeypatch, corrupt, witness):
+    assert I.check_row_interleave(5) is None
+    corrupt(monkeypatch)
+    assert I.check_row_interleave(5) == witness
 
 
 def test_triangle_rows_at_the_cap_sum_and_interleave(capsys):
@@ -160,13 +195,14 @@ def _tan_sec_poly_plus_x2(monkeypatch, n):
 
 
 def _identity_with_one_descent(monkeypatch, n):
-    real = perms._perm_counts
+    # the check counts descents over identities' itertools.permutations, which
+    # here yields S_n's identity as (2, 1, 3, ..., n), a one-descent permutation
+    identity, swapped = tuple(range(1, n + 1)), (2, 1, *range(3, n + 1))
 
-    def counts(pi):
-        pk, lpk, des = real(pi)
-        return pk, lpk, des + (pi == tuple(range(1, n + 1)))
+    def permutations(items):
+        return (swapped if pi == identity else pi for pi in itertools.permutations(items))
 
-    monkeypatch.setattr(perms, "_perm_counts", counts)
+    monkeypatch.setattr(I, "itertools", types.SimpleNamespace(permutations=permutations, product=itertools.product))
 
 
 @pytest.mark.parametrize("suite, ranges, corrupt, failed", [

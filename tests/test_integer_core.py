@@ -116,7 +116,7 @@ def test_integral_inputs_stay_in_int(a, b, x):
 
 def test_hurwitz_mul_multiplies_exponentials():
     # exp(az) exp(bz) = exp((a+b)z): in Hurwitz form the entries are powers
-    a, b, order = 3, -5, 12
+    a, b, order = Poly.constant(3), Poly.constant(-5), 12
     assert hurwitz_mul([a**m for m in range(order + 1)], [b**m for m in range(order + 1)], order) == [
         (a + b) ** m for m in range(order + 1)
     ]
@@ -124,6 +124,40 @@ def test_hurwitz_mul_multiplies_exponentials():
     assert hurwitz_mul([c1**m for m in range(9)], [c2**m for m in range(9)], 8) == [
         (c1 + c2) ** m for m in range(9)
     ]
+
+
+poly_series = st.lists(coeff_lists.map(Poly), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_series, poly_series, st.integers(min_value=0, max_value=8))
+def test_hurwitz_mul_is_the_binomial_convolution_of_reference_products(a, b, order):
+    # unequal lengths, zero entries and negative coefficients; an entry past
+    # the end of either series counts as zero
+    product = hurwitz_mul(a, b, order)
+    assert len(product) == order + 1
+    for m, entry in enumerate(product):
+        expected = []
+        for k in range(m + 1):
+            if k < len(a) and m - k < len(b):
+                expected = ref_add(expected, [math.comb(m, k) * c for c in ref_mul(a[k].coeffs, b[m - k].coeffs)])
+        assert stored_as_ints(entry) and list(entry.coeffs) == expected, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda order: st.tuples(
+    st.lists(coeff_lists.map(Poly), min_size=order + 1, max_size=order + 1),
+    st.lists(coeff_lists.map(Poly), min_size=order, max_size=order),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=0, max_value=order + 1),
+)))
+def test_solving_a_product_by_its_unit_led_factor_gives_back_the_other(case):
+    q, rest, unit, known = case
+    order = len(q) - 1
+    den = S.TruncSeries(order, (Poly.constant(unit), *rest))
+    num = S.TruncSeries(order, tuple(hurwitz_mul(q, den.coeffs, order)))
+    assert S.solve_series(num, den).coeffs == tuple(q)
+    assert S.solve_series(num, den, q[:known]).coeffs == tuple(q)  # resumed after a known prefix
 
 
 def test_family_series_have_integer_hurwitz_entries():

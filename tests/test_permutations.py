@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly import families, identities, series
+from peakpoly import LimitExceeded, families, identities, series
 from peakpoly import permutations as P
 from peakpoly.identities import has_internal_zeros
 from peakpoly.permutations import (
-    LimitExceeded,
     NotAPermutation,
     NotASignedPermutation,
     count_alternating,

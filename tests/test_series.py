@@ -65,6 +65,14 @@ def test_series_order_mismatch_rejected():
         TruncSeries.const(1, 2) + TruncSeries.const(1, 3)
 
 
+def test_egf_poly_reads_up_to_the_order_and_refuses_above_it():
+    series = TruncSeries(3, (Poly.one(), Poly.x(), Poly.zero(), Poly.constant(5)))
+    assert [series.egf_poly(m) for m in range(4)] == list(series.coeffs)
+    with pytest.raises(LimitExceeded) as info:
+        series.egf_poly(4)
+    assert str(info.value) == "m 4 above cap 3"
+
+
 @settings(max_examples=60)
 @given(series_strategy(4), series_strategy(4))
 def test_series_multiplication_commutes(a, b):
