@@ -22,19 +22,10 @@ for n in range(7):
 print("\nconstants:", [int((ps[n] if n % 2 else qs[n])(0)) for n in range(7)])
 print("Euler:    ", list(F.euler_numbers(6)))
 
-# Higher-order tangent/secant numbers: n! times the x^n coefficient of
-# tan^k and sec * tan^k.
-t = F.tangent_numbers_table(7, 4)
-s = F.secant_numbers_table(7, 4)
-print("\nT(n,k) for n<=7, k<=4:")
-for n, row in enumerate(t):
-    print(f"  n={n}:", row)
-print("S(n,k) for n<=7, k<=4:")
-for n, row in enumerate(s):
-    print(f"  n={n}:", row)
-
-# Cvijovic's closed formulas rebuild P_n and Q_n from those tables alone;
-# the rebuild agrees with the recurrence route coefficient by coefficient.
+# Cvijovic's closed formulas rebuild P_n and Q_n from the higher-order
+# tangent/secant numbers alone (n! times the x^n coefficient of tan^k and
+# sec * tan^k); the rebuild agrees with the recurrence route coefficient by
+# coefficient.
 for n in range(7):
     if F.cvijovic_polys(n) != (ps[n], qs[n]):
         sys.exit(f"closed-formula rebuild differs from the recurrences at n = {n}")

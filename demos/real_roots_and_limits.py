@@ -21,8 +21,9 @@ for n in (3, 4, 5):
 # ceil(n/2)-1 simple zeros counted inside (-1, 0) by the Sturm chain of G_n.
 for n in (5, 10, 15, 25):
     R.certify_root_structure(n)
-    mult = R.multiplicity_at(F.tan_sec_poly(n), -1)
-    inside = R.sturm_chain(F.reduced_tan_sec_poly(n)).count(Fraction(-1), Fraction(0))
+    g = F.reduced_tan_sec_poly(n)  # divides out (1+x)^(floor(n/2)+1) and checks G_n(-1) != 0
+    mult = F.tan_sec_poly(n).degree - g.degree
+    inside = R.sturm_chain(g).count(Fraction(-1), Fraction(0))
     print(f"n={n}: multiplicity {mult} at -1, {inside} simple zeros in (-1, 0)")
 
 # Consecutive polynomials weakly interlace; with their common factor divided

@@ -15,10 +15,11 @@ route below computes them in integer arithmetic:
   of signed permutations, by the type-B and affine Eulerian recurrences, and
   their interleave T_n; interleave_rows is the one row interleave, of R's
   rows and of T_n
-* tangent/secant numbers of order k, T(n, k) = n! [x^n] tan^k and
-  S(n, k) = n! [x^n] sec tan^k, by the entry recurrences that differentiating
-  tan^k and sec tan^k gives; partial Bell polynomials, Stirling numbers of
-  the second kind
+* cvijovic_polys: P_n and Q_n rebuilt from the rows of the tangent and
+  secant numbers of order k, T(n, k) = n! [x^n] tan^k and
+  S(n, k) = n! [x^n] sec tan^k (Cvijovic, Appl. Math. Comput. 2009)
+* the partial Bell triangle at the peak arguments, read as R_{n+1}, as
+  Stirling numbers of the second kind and as a factorial sum
 
 The first route of P, Q, A, R, W, WL, C and CT is one row of the recurrence
 table RECURRENCES: a seed and (alpha, beta, b) with
@@ -32,16 +33,16 @@ the test-suite and the identity suite cross-check them, so no single
 recurrence is ever trusted on its own.  The routes of each family are listed
 in the family table, series.FAMILIES.
 
-Each row of the recurrence table, each table of order-k tangent/secant
-numbers, and the partial Bell triangle is one Memo: a growing tuple of terms
-0..k that builds only terms k+1..n when term n is asked for, so per-n calls
-never rebuild a prefix; a negative n is refused.  The Bell triangle is over
-Z[w], at the arguments x_i = w^floor((i-1)/2), its entries the series'
-binomial convolution (polynomial._hurwitz_entry); the identities read it at
-w = 1 - x^2 (the peak arguments), at w = 1 (all ones) and at w = 0
-(1, 1, 0, 0, ...).  Every cache in the module is a Memo, and the module
-imports polynomial alone: the enumeration oracle routes of the family table,
-series.FAMILIES, call permutations themselves.
+Each row of the recurrence table, the rows of T(n, k) and of S(n, k), and
+the partial Bell triangle is one Memo: a growing tuple of terms 0..k that
+builds only terms k+1..n when term n is asked for, so per-n calls never
+rebuild a prefix; a negative n is refused.  The Bell triangle holds B_{n,k}
+over Z[w] at the one argument sequence x_i = w^floor((i-1)/2), its entries
+the series' binomial convolution (polynomial._hurwitz_entry); the
+identities read it at w = 1 - x^2 (the peak arguments), at w = 1 (all ones)
+and at w = 0 (1, 1, 0, 0, ...).  Every cache in the module is a Memo, and
+the module imports polynomial alone: the enumeration oracle routes of the
+family table, series.FAMILIES, call permutations themselves.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ ONE_PLUS_X = Poly((1, 1))
 
 class ConstantTermNonzero(ArithmeticError):
     """A family required a zero constant term and did not have one."""
-
-
-class InsufficientArguments(ValueError):
-    """Too few arguments supplied to a partial Bell polynomial."""
 
 
 class NonpositiveCoefficient(ArithmeticError, Violation):
@@ -330,29 +327,8 @@ _TANGENT_ROWS = Memo(((1,),), _order_k_step(0))
 _SECANT_ROWS = Memo(((1,),), _order_k_step(1))
 
 
-def _order_k_table(memo: Memo, nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    # Rows 0..nmax cut or zero-padded to columns 0..kmax (row n ends at k = n).
-    if not 0 <= kmax <= nmax:
-        raise ValueError("need 0 <= kmax <= nmax")
-    rows = memo.upto(nmax)
-    return tuple((rows[n] + (0,) * kmax)[: kmax + 1] for n in range(nmax + 1))
-
-
-def tangent_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    """T(n, k) = n! [x^n] tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax."""
-    return _order_k_table(_TANGENT_ROWS, nmax, kmax)
-
-
-def secant_numbers_table(nmax: int, kmax: int) -> tuple[tuple[int, ...], ...]:
-    """S(n, k) = n! [x^n] sec(x) tan(x)^k for 0 <= n <= nmax, 0 <= k <= kmax.
-
-    Not to be confused with Stirling numbers, which live in stirling2().
-    """
-    return _order_k_table(_SECANT_ROWS, nmax, kmax)
-
-
 def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
-    """(P_n, Q_n) rebuilt from the order-k tangent/secant number tables.
+    """(P_n, Q_n) rebuilt from the rows of the order-k tangent/secant numbers.
 
     Uses Cvijovic's closed formulas P_n(x) = T(n,1) + sum_k T(n+1,k) x^k / k
     and Q_n(x) = sum_k S(n,k) x^k; must agree with tangent_derivative_poly(n)
@@ -371,23 +347,20 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# partial Bell polynomials and Stirling numbers
+# the partial Bell triangle and Stirling numbers
 # ---------------------------------------------------------------------------
 
-def _bell_step(args: Callable[[int], Sequence[Poly]]) -> Callable[[list, int], tuple[Poly, ...]]:
+def _bell_step(rows: list, m: int) -> tuple[Poly, ...]:
     # Row m, B_{m,0..m}, from rows 0..m-1 by B_{m,j} = sum_i C(m-1, i-1) x_i
-    # B_{m-i,j-1}, where args(m) starts x_1..x_m; B_{m,0} = 0 for m > 0: entry
-    # m-1 of the Hurwitz product of the x_i and column j-1 (zero above row j-1).
-    def step(rows: list, m: int) -> tuple[Poly, ...]:
-        xs = args(m)
+    # B_{m-i,j-1} at x_i = w^floor((i-1)/2); B_{m,0} = 0 for m > 0: entry m-1
+    # of the Hurwitz product of the x_i and column j-1 (zero above row j-1).
+    xs = [Poly.monomial(1, (i - 1) // 2) for i in range(1, m + 1)]
 
-        def entry(j: int) -> Poly:
-            column = (Poly.zero(),) * (j - 1) + tuple(row[j - 1] for row in rows[j - 1:])
-            return _hurwitz_entry(m - 1, xs, column, range(m - j + 1))
+    def entry(j: int) -> Poly:
+        column = (Poly.zero(),) * (j - 1) + tuple(row[j - 1] for row in rows[j - 1:])
+        return _hurwitz_entry(m - 1, xs, column, range(m - j + 1))
 
-        return (Poly.zero(),) + tuple(entry(j) for j in range(1, m + 1))
-
-    return step
+    return (Poly.zero(),) + tuple(entry(j) for j in range(1, m + 1))
 
 
 ONE_MINUS_X2 = Poly((1, 0, -1))
@@ -395,25 +368,7 @@ ONE_MINUS_X2 = Poly((1, 0, -1))
 # Row n is B_{n,0..n} over Z[w] at x_i = w^floor((i-1)/2).  At w = 1 - x^2
 # these are the peak arguments, at w = 1 every argument is 1 (the Stirling
 # numbers), and at w = 0 they are 1, 1, 0, 0, ...
-_BELL_SEED = ((Poly.one(),),)
-_PEAK_BELL_ROWS = Memo(_BELL_SEED, _bell_step(lambda m: [Poly.monomial(1, (i - 1) // 2) for i in range(1, m + 1)]))
-
-
-def bell_partial(n: int, k: int, xs: Sequence[Poly | int]) -> Poly:
-    """Partial Bell polynomial B_{n,k} at the arguments xs (xs[0] is x_1).
-
-    Computed by B_{n,k} = sum_i C(n-1, i-1) xs_i B_{n-i, k-1} with
-    B_{0,0} = 1 and B_{n,0} = 0 for n > 0, in rows built afresh on each call:
-    the uncached reference for the Bell triangle memo, validated elsewhere
-    against the generating-function definition.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if k >= 1 and len(xs) < n - k + 1:
-        raise InsufficientArguments(f"need at least {n - k + 1} arguments, got {len(xs)}")
-    # B_{n,k} reads only x_1 .. x_(n-k+1), so zeros may stand in for the rest.
-    args = tuple(v if isinstance(v, Poly) else Poly.constant(v) for v in xs) + (Poly.zero(),) * n
-    return Memo(_BELL_SEED, _bell_step(lambda m: args)).upto(n)[n][k]
+_PEAK_BELL_ROWS = Memo(((Poly.one(),),), _bell_step)
 
 
 def stirling2(n: int, k: int) -> int:

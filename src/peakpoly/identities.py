@@ -173,7 +173,10 @@ def _route(name: str, n: int):
 
 def check_routes_agree(n: int, *reads: str) -> Witness | None:
     """Each pair of "F.route" names in reads agrees at n; the witness of the
-    first pair that does not."""
+    first pair that does not.  No reads, or an unpaired last one, would
+    compare nothing and pass: ValueError."""
+    if not reads or len(reads) % 2:
+        raise ValueError(f"need pairs of reads, got {len(reads)}")
     witnesses = (first_difference(n, _route(lhs, n), _route(rhs, n)) for lhs, rhs in zip(reads[::2], reads[1::2]))
     return next((witness for witness in witnesses if witness is not None), None)
 
@@ -192,6 +195,10 @@ def has_internal_zeros(counts: Sequence[int]) -> bool:
 
 
 def check_oracle_internal_zeros(n: int, *reads: str) -> Witness | None:
+    """No route named in reads has a zero between two nonzero entries at n.
+    No reads would compare nothing and pass: ValueError."""
+    if not reads:
+        raise ValueError("need at least one read, got 0")
     name = next((name for name in reads if has_internal_zeros(_route(name, n).coeffs)), None)
     return None if name is None else Witness(n, 0, name, "internal zero")
 

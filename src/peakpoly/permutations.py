@@ -142,15 +142,6 @@ TAIL = 5
 SIGNED_TAIL = 4
 
 
-def is_alternating(pi: Sequence[int], *, reverse: bool = False) -> bool:
-    """True when pi(1) > pi(2) < pi(3) > ..., or pi(1) < pi(2) > ... with reverse.
-
-    >>> is_alternating((2, 1, 3)), is_alternating((2, 1, 3), reverse=True)
-    (True, False)
-    """
-    return all((a > b) == (i % 2 == int(reverse)) for i, (a, b) in enumerate(zip(pi, pi[1:])))
-
-
 Histogram = tuple[tuple[int, int], ...]
 
 

@@ -18,11 +18,12 @@ integer and reduced to its primitive part, so sign variations are untouched
 and no fraction is ever formed.  The root structure is certified by counts
 alone.  The multiplicity at -1 is checked once, where G_n is divided out
 (families.reduced_tan_sec_poly): the exact division by (1+x)^(floor(n/2)+1)
-and one sign test of G_n at -1.  Then a squarefree G_n of degree
-ceil(n/2)-1 whose chain has Cauchy index ceil(n/2)-1 (the distinct real
-zeros, read off leading coefficients and degrees) and V(-1) - V(0) equal to
-the same number has every zero real, simple and inside (-1, 0).  The only
-evaluations are integer Horner sign tests at -1 and 0 (Poly.sign_at).
+and one sign test of G_n at -1, so deg R_n - deg G_n is that
+multiplicity.  Then a squarefree G_n of degree ceil(n/2)-1 whose chain has
+Cauchy index ceil(n/2)-1 (the distinct real zeros, read off leading
+coefficients and degrees) and V(-1) - V(0) equal to the same number has
+every zero real, simple and inside (-1, 0).  The only evaluations are
+integer Horner sign tests at -1 and 0 (Poly.sign_at).
 
 Interlacing needs no root location either.  With the common factor of G_n and
 G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
@@ -109,23 +110,6 @@ def sturm_chain(p: Poly) -> SturmChain:
     if chain[-1].degree >= 1:
         raise NonSquarefreeInput(f"{p!r} has a repeated root")
     return SturmChain(chain)
-
-
-def multiplicity_at(p: Poly, r: Fraction | int) -> int:
-    """Largest m with (x - r)^m dividing p, by repeated exact division.
-
-    For r = num/den in lowest terms the divisor is the primitive den x - num,
-    so every quotient stays in Z[x] (Gauss's lemma).
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    r = Fraction(r)
-    factor = Poly((-r.numerator, r.denominator))
-    m = 0
-    while p.sign_at(r) == 0:
-        p = p.exact_div(factor)
-        m += 1
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,6 @@ EMPTY = {
 # and the ValueError text of its refusal.
 RELATIONS = {
     "families.stirling2": (F.stirling2, "need 0 <= k <= n"),
-    "families.bell_partial": (lambda n, k: F.bell_partial(n, k, (1,) * 8), "need 0 <= k <= n"),
-    "families.tangent_numbers_table": (F.tangent_numbers_table, "need 0 <= kmax <= nmax"),
-    "families.secant_numbers_table": (F.secant_numbers_table, "need 0 <= kmax <= nmax"),
 }
 
 # The public names that take no count, and why.
@@ -144,7 +141,7 @@ NO_COUNT = {
                      "permutations.NotAPermutation", "permutations.NotASignedPermutation", "peakpoly.LimitExceeded",
                      "peakpoly.Violation"),
                     "a class; the methods that take a count are rows of COUNTS"),
-    **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain", "roots.multiplicity_at",
+    **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain",
                      "series.solve_series"), "takes polynomials or series"),
     "families.interleave_rows": "takes two rows",
     "identities.first_difference": "its n only labels the witness",

@@ -9,7 +9,7 @@ from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
 from peakpoly import series as S
-from peakpoly.families import ConstantTermNonzero, InsufficientArguments
+from peakpoly.families import ConstantTermNonzero
 from peakpoly.polynomial import NonzeroRemainder, Poly
 
 ONE_PLUS_X = Poly((1, 1))
@@ -247,15 +247,12 @@ def test_bell_rows_memo_never_rebuilds_a_row(monkeypatch):
     values = [F.tan_sec_poly_from_bell(n) for n in range(1, 65)]
     assert steps == list(range(1, 65))  # row 0 is the seed
     assert values[-1] == F.tan_sec_poly(65)
-    # B_{6,2} reads only x_1 .. x_5; the row is over Z[w], at w = 1 - x^2
-    xs = _peak_arguments(12)
-    row = F._PEAK_BELL_ROWS.upto(6)[6]
-    assert F.bell_partial(6, 2, xs[:5]) == F.bell_partial(6, 2, xs) == row[2].compose(Poly((1, 0, -1)))
 
 
 def test_tangent_secant_tables():
-    t = F.tangent_numbers_table(6, 6)
-    s = F.secant_numbers_table(6, 6)
+    # row n holds T(n, k) and S(n, k) for k = 0..n
+    t = F._TANGENT_ROWS.upto(6)
+    s = F._SECANT_ROWS.upto(6)
     assert t[3][1] == 2 and t[5][1] == 16
     assert t[3][3] == 6  # tan^3 = x^3 + ..., so 3! * 1
     assert s[4][0] == 5
@@ -266,15 +263,6 @@ def test_tangent_secant_tables():
             assert t[n][1] == EULER[n]
         else:
             assert s[n][0] == EULER[n]
-
-
-def test_tangent_table_requires_kmax_le_nmax():
-    with pytest.raises(ValueError):
-        F.tangent_numbers_table(3, 4)
-    for table in (F.tangent_numbers_table, F.secant_numbers_table):
-        for nmax, kmax in ((3, -1), (3, -2), (-1, -1)):
-            with pytest.raises(ValueError):
-                table(nmax, kmax)
 
 
 def test_order_k_tables_build_one_row_per_new_n(monkeypatch):
@@ -294,8 +282,8 @@ def test_order_k_tables_build_one_row_per_new_n(monkeypatch):
         # T up to row n + 1 and S up to row n: one new row of each
         assert sorted(steps) == [("_SECANT_ROWS", n), ("_TANGENT_ROWS", n + 1)]
         steps.clear()
-    F.tangent_numbers_table(12, 5)
-    F.secant_numbers_table(28, 28)
+    F._TANGENT_ROWS.upto(12)
+    F._SECANT_ROWS.upto(28)
     assert steps == []
 
 
@@ -315,12 +303,14 @@ def test_order_k_tables_match_sympys_series_of_tan_and_sec():
     def times_tan(series):
         return [sum(series[i] * tan[m - i] for i in range(m + 1)) for m in range(nmax + 1)]
 
-    t_table, s_table = F.tangent_numbers_table(nmax, nmax), F.secant_numbers_table(nmax, nmax)
+    t_rows, s_rows = F._TANGENT_ROWS.upto(nmax), F._SECANT_ROWS.upto(nmax)
     tan_k, sec_tan_k = [1] + [0] * nmax, sec
     for k in range(nmax + 1):
         for n in range(nmax + 1):
-            assert t_table[n][k] == math.factorial(n) * tan_k[n], ("T", n, k)
-            assert s_table[n][k] == math.factorial(n) * sec_tan_k[n], ("S", n, k)
+            # row n ends at k = n: tan^k and sec tan^k start at x^k
+            t_nk, s_nk = (t_rows[n][k], s_rows[n][k]) if k <= n else (0, 0)
+            assert t_nk == math.factorial(n) * tan_k[n], ("T", n, k)
+            assert s_nk == math.factorial(n) * sec_tan_k[n], ("S", n, k)
         tan_k, sec_tan_k = times_tan(tan_k), times_tan(sec_tan_k)
 
 
@@ -342,41 +332,13 @@ def test_cvijovic_raises_on_a_tangent_number_its_index_does_not_divide(monkeypat
     assert F.cvijovic_polys(2) == (F.tangent_derivative_poly(2), F.secant_derivative_poly(2))
 
 
-def _peak_arguments(count: int) -> tuple[Poly, ...]:
-    # x_i = (1 - x^2)^floor((i-1)/2), for i = 1..count
-    return tuple(Poly((1, 0, -1)) ** ((i - 1) // 2) for i in range(1, count + 1))
-
-
 def test_bell_partial_worked_example():
-    xs = _peak_arguments(4)
-    assert F.bell_partial(4, 1, xs) == Poly((1, 0, -1))
-    assert F.bell_partial(4, 2, xs) == Poly((7, 0, -4))
-    assert F.bell_partial(4, 3, xs) == Poly.constant(6)
-    assert F.bell_partial(4, 4, xs) == Poly.one()
-    # the memo's row 4 is over Z[w]: (0, w, 3 + 4w, 6, 1), the same values at w = 1 - x^2
+    # the memo's row 4 is over Z[w]: (0, w, 3 + 4w, 6, 1); at w = 1 - x^2 it is
+    # B_{4,k} at the peak arguments x_i = (1 - x^2)^floor((i-1)/2)
     row = F._PEAK_BELL_ROWS.upto(4)[4]
     assert row == (Poly.zero(), Poly((0, 1)), Poly((3, 4)), Poly.constant(6), Poly.one())
-    assert [b.compose(Poly((1, 0, -1))) for b in row[1:]] == [F.bell_partial(4, k, xs) for k in range(1, 5)]
-
-
-def test_bell_partial_base_cases():
-    assert F.bell_partial(0, 0, ()) == Poly.one()
-    assert F.bell_partial(3, 0, (1, 2, 3)) == Poly.zero()
-    for n, k in ((3, -1), (3, 4), (0, -1), (-1, 0)):
-        with pytest.raises(ValueError):
-            F.bell_partial(n, k, (1, 2, 3))
-
-
-def test_bell_partial_symbolic_structure():
-    # B_{4,2} = 4 x_1 x_3 + 3 x_2^2, probed at several numeric points
-    for x1, x2, x3 in [(1, 2, 3), (2, 5, 7), (3, 18, 4), (-1, 0, 6)]:
-        value = F.bell_partial(4, 2, (x1, x2, x3))
-        assert value == Poly.constant(4 * x1 * x3 + 3 * x2 * x2)
-
-
-def test_bell_partial_insufficient_arguments():
-    with pytest.raises(InsufficientArguments):
-        F.bell_partial(4, 2, (1, 2))
+    assert [b.compose(Poly((1, 0, -1))) for b in row[1:]] == [
+        Poly((1, 0, -1)), Poly((7, 0, -4)), Poly.constant(6), Poly.one()]
 
 
 def test_bell_partial_matches_generating_function_definition():
@@ -391,8 +353,7 @@ def test_bell_partial_matches_generating_function_definition():
     rows = F._PEAK_BELL_ROWS.upto(nmax)
     for k in range(nmax + 1):
         for n in range(k, nmax + 1):
-            for bell in (F.bell_partial(n, k, xs), rows[n][k]):
-                assert math.factorial(k) * bell == power.coeffs[n]
+            assert math.factorial(k) * rows[n][k] == power.coeffs[n]
         power = power * base
 
 
@@ -438,12 +399,9 @@ def test_stirling_alternating_identity():
 
 
 def test_factorial_bell_identity():
-    # n = 2: -2 + 8 = 6 = 3!
-    xs = (1, 1, 0)
-    total = sum(
-        (-1) ** (2 - k) * math.factorial(k) * 2**k * int(F.bell_partial(2, k, xs).coeff(0))
-        for k in (1, 2)
-    )
+    # n = 2: -2 + 8 = 6 = 3!, with B_{2,k}(1, 1) the Z[w] row at w = 0
+    row = F._PEAK_BELL_ROWS.upto(2)[2]
+    total = sum((-1) ** (2 - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in (1, 2))
     assert total == 6
     for n in range(0, 13):
         assert F.factorial_bell_sum(n) == math.factorial(n + 1)

@@ -110,6 +110,18 @@ def test_every_agreement_row_reads_whole_pairs():
             assert check.reads and len(check.reads) % 2 == 0, check.check_id
 
 
+@pytest.mark.parametrize("fn, reads, text", [
+    ("check_routes_agree", (), "need pairs of reads, got 0"),
+    ("check_routes_agree", ("A.oracle",), "need pairs of reads, got 1"),
+    ("check_routes_agree", ("A.oracle", "A.recurrence", "W.oracle"), "need pairs of reads, got 3"),
+    ("check_oracle_internal_zeros", (), "need at least one read, got 0"),
+], ids=["agree-0", "agree-1", "agree-3", "internal-zeros-0"])
+def test_a_check_given_nothing_to_compare_refuses_instead_of_passing(fn, reads, text):
+    with pytest.raises(ValueError) as info:
+        getattr(I, fn)(3, *reads)
+    assert type(info.value) is ValueError and str(info.value) == text
+
+
 @given(small_polys, st.integers(min_value=0, max_value=3), small_polys, small_polys)
 def test_peak_transform_is_the_literal_sum(p, spare, a, b):
     m = 2 * max(p.degree, 0) + spare

@@ -11,7 +11,10 @@ from peakpoly.polynomial import (
     Poly,
     gcd_poly,
     primitive_part,
+    pseudo_remainder,
 )
+from peakpoly.roots import sturm_chain
+from peakpoly.series import TruncSeries
 
 ONE_PLUS_X = Poly((1, 1))
 
@@ -95,6 +98,35 @@ def test_exact_div_stays_in_integers():
 def test_division_by_zero_poly():
     with pytest.raises(DivisionByZeroPoly):
         divmod(ONE_PLUS_X, Poly.zero())
+
+
+# Every refusal of the arithmetic layers that no other test reaches: the call,
+# the exception type and its message.  The Sturm chains and the truncated
+# series are here too, so that one file proves them all under python -O.
+REFUSALS = {
+    "leading of zero": (lambda: Poly.zero().leading(), ValueError, "zero polynomial has no leading coefficient"),
+    "pseudo_remainder by zero": (lambda: pseudo_remainder(ONE_PLUS_X, Poly.zero()), DivisionByZeroPoly,
+                                 "polynomial division by zero"),
+    "gcd of zeros": (lambda: gcd_poly(Poly.zero(), Poly.zero()), ValueError, "gcd of two zero polynomials"),
+    # a unit-led divisor: divmod finishes, and exact_div's own remainder test refuses
+    "exact_div remainder": (lambda: ONE_PLUS_X.exact_div(Poly.x()), NonzeroRemainder,
+                            "Poly('1 + x') is not divisible by Poly('x')"),
+    "sturm_chain of zero": (lambda: sturm_chain(Poly.zero()), ValueError, "zero polynomial"),
+    "count over a = b": (lambda: sturm_chain(Poly((-1, 0, 1))).count(Fraction(1), Fraction(1)), ValueError,
+                         "need a < b"),
+    "count over a > b": (lambda: sturm_chain(Poly((-1, 0, 1))).count(Fraction(2), Fraction(-2)), ValueError,
+                         "need a < b"),
+    "truncate past the order": (lambda: TruncSeries.const(1, 3).truncate(4), ValueError,
+                                "cannot extend a truncated series"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_each_refusal_raises_its_type_and_message(name):
+    call, kind, text = REFUSALS[name]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == text
 
 
 def test_subst_cleared_peak_to_eulerian_shape():

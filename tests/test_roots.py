@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from peakpoly import families as F
 from peakpoly import identities as I
-from peakpoly import roots as R
 from peakpoly import series as S
 from peakpoly.polynomial import Poly
 from peakpoly.roots import (
@@ -19,7 +18,6 @@ from peakpoly.roots import (
     certify_root_structure,
     clt_stats,
     mode_bracket,
-    multiplicity_at,
     sturm_chain,
 )
 
@@ -46,6 +44,17 @@ def counts_between_roots(p, roots_list):
     rs = sorted(roots_list)
     cuts = [rs[0] - 1] + [(a + b) / 2 for a, b in zip(rs, rs[1:])] + [rs[-1] + 1]
     return [count(p, a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def multiplicity_at(p, r):
+    """Largest m with (x - r)^m dividing p, by repeated exact division by the
+    primitive factor den x - num of r = num/den (Gauss's lemma keeps every
+    quotient in Z[x])."""
+    r = Fraction(r)
+    m = 0
+    while p(r) == 0:
+        p, m = p.exact_div(Poly((-r.numerator, r.denominator))), m + 1
+    return m
 
 
 def test_multiplicity_at_minus_one():
@@ -178,15 +187,6 @@ def test_one_factor_too_many_at_minus_one_is_an_interlacing_violation(monkeypatc
     with pytest.raises(StructureViolation, match="multiplicity above 3") as raised:
         certify_root_structure(5)
     assert raised.value.clause == "multiplicity"
-
-
-def test_certificates_run_without_the_division_loop(monkeypatch):
-    def loop(p, r):
-        raise AssertionError("multiplicity_at called")
-
-    monkeypatch.setattr(R, "multiplicity_at", loop)
-    results = I.run("roots", roots_nmax=25)
-    assert results and all(r.passed for r in results), results
 
 
 # The paper's peak polynomials W_n and WL_n, and the Eulerian polynomials A_n,
@@ -412,6 +412,88 @@ def test_clt_small_cases_computed_but_not_asserted():
     assert s3.mu == Fraction(5, 3)
     assert s3.sigma2 == Fraction(13, 18)
     assert s3.sigma2 != Fraction(8 * 3 + 8, 45)
+
+
+def _r_row_step(sympy, x, n, r):
+    """R_{n+1} as a sympy expression, from R_n = r by R's row of the package's
+    recurrence table, R_{n+1} = (alpha + n beta) R_n + b R_n', for symbolic n."""
+    alpha, beta, b = (sum(c * x**i for i, c in enumerate(p.coeffs)) for p in F.RECURRENCES["R"][1:])
+    return (alpha + n * beta) * r + b * sympy.diff(r, x)
+
+
+def test_clt_closed_forms_hold_for_every_n_from_clt_from():
+    """Induction on R's row.  Let S, M1 and M2 be R_n, R_n' and R_n'' at x = 1.
+
+    The row is a first-order operator whose b = x(1 - x^2) vanishes at 1, so
+    the step's value and first two derivatives at 1 read R_n only through its
+    3-jet there: R_n = S + M1 (x-1) + M2 (x-1)^2/2 + M3 (x-1)^3/6 stands for
+    every R_n, and M3 drops out.  The step is S' = (n+1) S,
+    M1' = (n-1) M1 + 2n S and M2' = (n-3) M2 + (4n-6) M1 + 2n S.  With
+    mu = M1/S and sigma^2 = mu + M2/S - mu^2, putting mu = (2n-1)/3 and
+    sigma^2 = (8n+8)/45 at n gives the same forms at n+1.  The base, stepped
+    from R_1 = 1 + x: at n = 4 both hold; at n = 3 the mean holds and the
+    variance is 13/18, not 32/45, so CLT_FROM = 4 is the least start.
+    """
+    sympy = pytest.importorskip("sympy")
+    x, n, s, m1, m2, m3 = sympy.symbols("x n S M1 M2 M3")
+    r_next = _r_row_step(sympy, x, n, s + m1 * (x - 1) + m2 * (x - 1) ** 2 / 2 + m3 * (x - 1) ** 3 / 6)
+    step = [sympy.expand(sympy.diff(r_next, x, k).subs(x, 1)) for k in range(3)]
+    assert sympy.expand(step[0] - (n + 1) * s) == 0
+    assert sympy.expand(step[1] - ((n - 1) * m1 + 2 * n * s)) == 0
+    assert sympy.expand(step[2] - ((n - 3) * m2 + (4 * n - 6) * m1 + 2 * n * s)) == 0
+
+    def moments(s_n, m1_n, m2_n):
+        mu = m1_n / s_n
+        return mu, mu + m2_n / s_n - mu**2
+
+    mu_n, sigma2_n = (2 * n - 1) / sympy.Integer(3), (8 * n + 8) / sympy.Integer(45)
+    closed = {m1: mu_n * s, m2: (sigma2_n - mu_n + mu_n**2) * s}
+    mu_next, sigma2_next = moments(*(value.subs(closed) for value in step))
+    assert sympy.simplify(mu_next - mu_n.subs(n, n + 1)) == 0
+    assert sympy.simplify(sigma2_next - sigma2_n.subs(n, n + 1)) == 0
+
+    r_1 = F.RECURRENCES["R"][0][1]
+    assert r_1 == Poly((1, 1))
+    derivatives = (r_1, r_1.derivative(), r_1.derivative().derivative())
+    jet = {symbol: sympy.Integer(p(1)) for symbol, p in zip((s, m1, m2), derivatives)}
+    stats = {}
+    for k in range(1, I.CLT_FROM + 1):
+        stats[k] = moments(jet[s], jet[m1], jet[m2])
+        assert stats[k] == (clt_stats(k).mu, clt_stats(k).sigma2), k
+        jet = {symbol: value.subs({n: k, **jet}) for symbol, value in zip((s, m1, m2), step)}
+    assert I.CLT_FROM == 4
+    assert stats[4] == (mu_n.subs(n, 4), sigma2_n.subs(n, 4))
+    assert stats[3] == (mu_n.subs(n, 3), sympy.Rational(13, 18)) and sigma2_n.subs(n, 3) == sympy.Rational(32, 45)
+
+
+def test_row_facts_hold_for_every_n_by_induction_on_rs_row():
+    """R_n(0) = 1, [x]R_n = 2^(n-1) and R_n(1) = 2 n! for every n >= 1, the
+    row facts check_row_interleave holds R to.
+
+    At x = 0, alpha = 1, beta and b vanish and b'(0) = 1, so the step reads R_n
+    through its 2-jet a0 + a1 x + a2 x^2 there: R_{n+1}(0) = R_n(0) and
+    [x]R_{n+1} = 2 [x]R_n (the x-coefficient doubles: R_n'(0) from alpha R_n
+    and R_n'(0) from b R_n').  At x = 1, b vanishes, so R_{n+1}(1) =
+    (n+1) R_n(1).  These carry 1, 2^(n-1) and 2 n! from n to n+1, and
+    R_1 = 1 + x is the base.
+    """
+    sympy = pytest.importorskip("sympy")
+    x, n, a0, a1, a2, s, m1 = sympy.symbols("x n a0 a1 a2 S M1")
+    at_0 = _r_row_step(sympy, x, n, a0 + a1 * x + a2 * x**2)
+    assert sympy.expand(at_0.subs(x, 0) - a0) == 0
+    assert sympy.expand(sympy.diff(at_0, x).subs(x, 0) - 2 * a1) == 0
+    assert sympy.expand(_r_row_step(sympy, x, n, s + m1 * (x - 1)).subs(x, 1) - (n + 1) * s) == 0
+
+    def second(k):
+        return 2 ** (k - 1)
+
+    def total(k):
+        return 2 * sympy.factorial(k)
+
+    assert sympy.simplify(2 * second(n) - second(n + 1)) == 0
+    assert sympy.simplify((n + 1) * total(n) - total(n + 1)) == 0
+    r_1 = F.RECURRENCES["R"][0][1]
+    assert (r_1(0), r_1.coeff(1), r_1(1)) == (1, second(1), total(1))
 
 
 def test_variance_grows_linearly():
