@@ -12,31 +12,37 @@ Statistics follow the boundary conventions of the peak/descent literature:
 * descent: position i in {1, .., n-1} with pi(i) > pi(i+1)
 * signed descent des_b: positions 0..n-1 with w(0) = 0
 * augmented signed descent ades: positions 0..n with w(0) = w(n+1) = 0
+* turn: position i in {1, .., n-1} where the comparison of pi(i) with
+  pi(i+1) differs from that of pi(i-1) with pi(i), with pi(0) = 0; pi
+  alternates, pi(1) > pi(2) < ..., exactly when it has n - 1 turns (with
+  pi(0) = n + 1, reverse-alternates, pi(1) < pi(2) > ...)
 
 Enumeration is exhaustive and exact, in two levels per request:
 
 * the prefix comes from one depth-first walk over the sorted list of values
   still to place (for signed windows, each with either sign), started from
   the empty prefix after a sentinel predecessor: 0 for lpk, des, signed
-  windows (w(0) = 0) and forward alternation, so the first value is reached
-  by an ascent; n + 1 for pk and reverse alternation, so it is reached by a
-  descent.  The statistic moves by one step per placed value, from that
-  value and its predecessor only, and the rank of the value just placed
-  among itself and the values left is its index in the sorted list it was
-  taken from, so it comes with the walk.  Each prefix that leaves the tail
-  adds 1 to a hit count by (statistic so far, key);
+  windows (w(0) = 0) and alternation, n + 1 for pk and reverse
+  alternation.  Over S_n the sentinel 0 counts as reached by an ascent and
+  n + 1 by a descent, so the first value, reached the same way, adds
+  nothing.  Each placed value moves the statistic by one step, from that
+  value and its predecessor only; over S_n the step is read from the
+  statistic's row (for alternation, of turns) by how the predecessor was
+  reached and whether the value lies below it.  The rank of the value
+  just placed among itself and the values left is its index in the sorted
+  list it was taken from, so it comes with the walk.  Each prefix that
+  leaves the tail adds 1 to a hit count by (statistic so far, key);
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
   suffix table, built the first time a request needs it: one per tail
-  length and statistic of S_n (lpk reads the table of pk), and one des_b
-  and one ades table per signed tail length, built together from the
-  same signed walks.  It is keyed by the rank of
-  the prefix's last value among the values still to place (and, for
-  pk/lpk/alternation, whether that value was reached by an ascent).  Its
-  entry is a histogram: each increment the completions add to the
-  statistic, with the number of completions that add it (for alternation,
-  the number of alternating completions).  The same walk builds it, run to
-  the end over every completion of each key; no table is derived from
-  another table.
+  length and statistic of S_n (pk, des and alt; lpk reads the table of
+  pk), all by one builder, and one des_b and one ades table per signed
+  tail length, built together from the same signed walks.  It is keyed by
+  the rank of the prefix's last value among the values still to place and
+  whether that value was reached by an ascent (for signed windows, its
+  sign).  Its entry is a histogram: each increment the completions add to
+  the statistic, with the number of completions that add it.  The same
+  walk builds it, run to the end over every completion of each key; no
+  table is derived from another table.
 
 At its end the request folds the hit counts into the histograms, once.
 Each permutation or window is counted exactly once: its prefix is walked
@@ -145,27 +151,39 @@ SIGNED_TAIL = 4
 Histogram = tuple[tuple[int, int], ...]
 
 
+# What placing a value adds to a statistic of S_n, step[asc][down]: asc
+# tells whether its predecessor was reached by an ascent, down whether the
+# new value lies below that predecessor.  alt counts turns, the changes of
+# direction; lpk reads the row of pk.
+_STEPS = {
+    "pk": ((0, 0), (0, 1)),
+    "des": ((0, 1), (0, 1)),
+    "alt": ((1, 0), (0, 1)),
+}
+
+
 def _perm_walk(
-    rem: list[int], rank: int, prev: int, asc: bool, base: int, stop: int, peaks: bool, hits: list[list[int]]
+    rem: list[int], rank: int, prev: int, asc: bool, base: int, stop: int, step: tuple, hits: list[list[int]]
 ) -> None:
     """Place the sorted values rem after prev in every order, down to stop left.
 
     prev has rank `rank` among itself and rem, and asc tells whether it was
-    reached by an ascent; base is the statistic so far (descents, or with
-    peaks, interior peaks).  Placing a value below prev is a descent, and a
-    peak at prev if prev was reached by an ascent.  Every prefix that leaves
+    reached by an ascent; base is the statistic so far, and placing a value
+    adds step[asc][down] to it (a row of _STEPS).  Every prefix that leaves
     stop values adds 1 to hits[base][2 * rank + asc], where its last value's
     rank is its index in the sorted list it was taken from.  Only a walk
     that starts with stop values left adds its own key; otherwise the last
     level adds the keys of its choices without a call, and reads the row of
-    a descent only when rem, sorted, holds a value below prev.
+    an ascent or a descent only when some choice lands in it: a step can
+    pass the last row of hits.
     """
     if len(rem) == stop:
         hits[base][2 * rank + asc] += 1
         return
-    down = base + (asc or not peaks)
+    up, down = base + step[asc][0], base + step[asc][1]
     if len(rem) == stop + 1:  # each choice leaves stop values
-        up_row, down_row = hits[base], hits[down] if prev > rem[0] else None
+        up_row = hits[up] if prev < rem[-1] else None
+        down_row = hits[down] if prev > rem[0] else None
         for r, v in enumerate(rem):
             if prev > v:
                 down_row[2 * r] += 1
@@ -173,28 +191,8 @@ def _perm_walk(
                 up_row[2 * r + 1] += 1
         return
     for r, v in enumerate(rem):
-        up = prev < v
-        _perm_walk(rem[:r] + rem[r + 1:], r, v, up, base if up else down, stop, peaks, hits)
-
-
-def _alt_walk(rem: list[int], rank: int, prev: int, asc: bool, stop: int, hits: list[int]) -> None:
-    """The walk of _perm_walk over alternating prefixes only.
-
-    After an ascent the next value must lie below prev, after a descent
-    above it; other branches are not walked.  Every prefix that leaves stop
-    values adds 1 to hits[2 * rank + asc], the last level without a call.
-    """
-    if len(rem) == stop:
-        hits[2 * rank + asc] += 1
-        return
-    if len(rem) == stop + 1:  # each choice leaves stop values
-        for r, v in enumerate(rem):
-            if (prev > v) == asc:
-                hits[2 * r + (not asc)] += 1
-        return
-    for r, v in enumerate(rem):
-        if (prev > v) == asc:
-            _alt_walk(rem[:r] + rem[r + 1:], r, v, not asc, stop, hits)
+        is_up = prev < v
+        _perm_walk(rem[:r] + rem[r + 1:], r, v, is_up, up if is_up else down, stop, step, hits)
 
 
 def _signed_walk(rem: list[int], key: int, prev: int, base: int, stop: int, hits: list[list[int]]) -> None:
@@ -241,39 +239,30 @@ def _histogram(totals: Sequence[int]) -> Histogram:
 
 
 @cache
-def _tail_table(m: int, stat: str) -> tuple:
-    """What the completions of a prefix add to pk, des or alternation, by key.
+def _tail_table(m: int, stat: str) -> tuple[Histogram, ...]:
+    """What the completions of a prefix add to pk, des or alt, by key.
 
     A prefix ends in a value L with m values still to place.  Its key is
     2r + asc, where r is the rank of L among L and those m values and asc
     tells whether L was reached by an ascent (the first value is reached
-    from the walk's sentinel predecessor, 0 or n + 1).
-    Entry key of the table of pk (which lpk reads) or des is a histogram
-    over the m! orders of the m values: each increment the statistic gains
-    from L on, with the number of orders that give it.  Entry key of "alt"
-    is the number of orders with which the whole permutation alternates.
-    Each entry is taken by the walk the requests run, started at L = r with the
-    ranks 0 .. m other than r still to place and base 0, run to the end over
-    all m! orders; the table for m is never derived from another table.
-    Only the requested statistic's table is built.  des does not depend on
-    how L was reached, so its keys 2r and 2r + 1 share one histogram.
+    from the walk's sentinel predecessor, 0 or n + 1).  Entry key is a
+    histogram over the m! orders of the m values: each increment the
+    statistic gains from L on, with the number of orders that give it.
+    Each entry is taken by the walk the requests run, with the statistic's
+    step row, started at L = r with the ranks 0 .. m other than r still to
+    place and base 0, run to the end over all m! orders; the table for m is
+    never derived from another table.  Only the requested statistic's table
+    is built; lpk reads the table of pk.
     """
-    if stat not in ("pk", "des", "alt"):
+    if stat not in _STEPS:
         raise ValueError(f"no suffix table for {stat!r}")
     table = []
     for r in range(m + 1):
         others = [v for v in range(m + 1) if v != r]
         for asc in (False, True):
-            if stat == "des" and asc:
-                table.append(table[-1])
-            elif stat == "alt":
-                hits = [0, 0]
-                _alt_walk(others, r, r, asc, 0, hits)
-                table.append(sum(hits))
-            else:
-                rows = [[0, 0] for _ in range(m + 1)]
-                _perm_walk(others, r, r, asc, 0, 0, stat == "pk", rows)
-                table.append(_histogram([sum(row) for row in rows]))
+            rows = [[0, 0] for _ in range(m + 1)]
+            _perm_walk(others, r, r, asc, 0, 0, _STEPS[stat], rows)
+            table.append(_histogram([sum(row) for row in rows]))
     return tuple(table)
 
 
@@ -309,6 +298,18 @@ def _signed_tail_tables(m: int) -> tuple[tuple[Histogram | None, ...], ...]:
     return tuple(des_b), tuple(ades)
 
 
+def _s_n_counts(n: int, stat: str, sentinel: int) -> list[int]:
+    """Counts of pk, des or alt over S_n, walked from the sentinel predecessor
+    0 or n + 1, entry k for the value k; the sentinel 0 counts as reached by
+    an ascent, n + 1 by a descent."""
+    _at_least("n", n, 1)
+    _at_most("n", n, S_N_LIMIT)
+    m = min(TAIL, n - 1)
+    hits = [[0] * (2 * (m + 1)) for _ in range(n)]  # no statistic reaches n
+    _perm_walk(list(range(1, n + 1)), 0, sentinel, sentinel == 0, 0, m, _STEPS[stat], hits)
+    return _fold(hits, _tail_table(m, stat), n)
+
+
 def distribution(n: int, stat: str) -> StatDistribution:
     """Exact distribution of pk, lpk or des over all of S_n.
 
@@ -319,12 +320,7 @@ def distribution(n: int, stat: str) -> StatDistribution:
     """
     if stat not in PERM_STATS:
         raise ValueError(f"unknown permutation statistic {stat!r}")
-    _at_least("n", n, 1)
-    _at_most("n", n, S_N_LIMIT)
-    m = min(TAIL, n - 1)
-    hits = [[0] * (2 * (m + 1)) for _ in range(n)]  # no statistic reaches n
-    _perm_walk(list(range(1, n + 1)), 0, n + 1 if stat == "pk" else 0, False, 0, m, stat != "des", hits)
-    counts = _fold(hits, _tail_table(m, "des" if stat == "des" else "pk"), n)
+    counts = _s_n_counts(n, "des" if stat == "des" else "pk", n + 1 if stat == "pk" else 0)
     while not counts[-1]:  # the counts end at the largest value some permutation takes
         counts.pop()
     return StatDistribution(n, stat, tuple(counts))
@@ -352,13 +348,8 @@ def count_alternating(n: int, *, reverse: bool = False) -> int:
 
     With reverse=True the first comparison flips, counting reverse-alternating
     permutations instead; the two counts agree (complement pi -> n+1-pi).
+    The count is entry n - 1 of the turn counts over S_n, walked from the
+    sentinel 0 (n + 1 with reverse): a permutation alternates exactly when
+    it turns n - 1 times.
     """
-    _at_least("n", n, 1)
-    _at_most("n", n, S_N_LIMIT)
-    m = min(TAIL, n - 1)
-    hits = [0] * (2 * (m + 1))
-    # The sentinel n + 1 counts as reached by an ascent, so the first value,
-    # below it, is reached by a descent and the second must lie above it.
-    _alt_walk(list(range(1, n + 1)), 0, n + 1 if reverse else 0, reverse, m, hits)
-    table = _tail_table(m, "alt")
-    return sum(h * table[key] for key, h in enumerate(hits))
+    return _s_n_counts(n, "alt", n + 1 if reverse else 0)[n - 1]

@@ -28,6 +28,12 @@ def is_alternating(pi, *, reverse=False):
     return all((a > b) == (i % 2 == int(reverse)) for i, (a, b) in enumerate(zip(pi, pi[1:])))
 
 
+def turns(seq):
+    """Positions i >= 1 of seq where the comparison of seq[i] with seq[i + 1]
+    differs from that of seq[i - 1] with seq[i], by definition."""
+    return sum((seq[i - 1] < seq[i]) != (seq[i] < seq[i + 1]) for i in range(1, len(seq) - 1))
+
+
 def test_perm_stats_worked_example():
     s = perm_stats((2, 1, 4, 3, 5))
     assert (s.pk, s.lpk, s.des) == (1, 2, 2)
@@ -272,6 +278,9 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
         }
         for reverse in (False, True):
             references[n]["alt", reverse] = sum(is_alternating(pi, reverse=reverse) for pi in perms)
+        for sentinel in (0, n + 1):  # every entry of the turn counts, not only the alternating n - 1
+            counter = Counter(turns((sentinel,) + pi) for pi in perms)
+            references[n]["turns", sentinel] = [counter[k] for k in range(n)]
     for tail in range(4):
         monkeypatch.setattr(P, "TAIL", tail)
         P._tail_table.cache_clear()
@@ -280,6 +289,8 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
                 assert distribution(n, stat).counts == reference[stat], (tail, n, stat)
             for reverse in (False, True):
                 assert count_alternating(n, reverse=reverse) == reference["alt", reverse], (tail, n, reverse)
+            for sentinel in (0, n + 1):
+                assert P._s_n_counts(n, "alt", sentinel) == reference["turns", sentinel], (tail, n, sentinel)
     signed_references = {}
     for n in range(1, 6):
         windows = _windows(n)
@@ -352,16 +363,16 @@ def _all_statistics_tail_tables(m):
             low = 1 + asc
             pred, lead = 1 if asc else m + 2, low + r
             others = [v for v in range(low, low + m + 1) if v != lead]
-            pk, des, alt = Counter(), Counter(), 0
+            pk, des, alt = Counter(), Counter(), Counter()
             for tail in itertools.permutations(others):
                 seq = (pred, lead) + tail
                 seq_pk, _, seq_des = P._perm_counts(seq)
                 pk[seq_pk] += 1
                 des[seq_des - (pred > lead)] += 1
-                alt += is_alternating(seq, reverse=asc)
+                alt[turns(seq)] += 1
             tables["pk"].append(_histogram(pk))
             tables["des"].append(_histogram(des))
-            tables["alt"].append(alt)
+            tables["alt"].append(_histogram(alt))
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
@@ -389,8 +400,6 @@ def test_per_statistic_suffix_tables_match_the_all_statistics_loop():
     for m in range(P.TAIL + 1):
         for stat, table in _all_statistics_tail_tables(m).items():
             assert P._tail_table(m, stat) == table, (m, stat)
-        des = P._tail_table(m, "des")  # one walk per rank serves both of its keys
-        assert all(des[2 * r] is des[2 * r + 1] for r in range(m + 1)), m
     for m in range(P.SIGNED_TAIL + 1):
         tables = dict(zip(P.SIGNED_STATS, P._signed_tail_tables(m), strict=True))
         for stat, table in _all_statistics_signed_tail_tables(m).items():
