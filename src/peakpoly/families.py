@@ -363,8 +363,6 @@ def _bell_step(rows: list, m: int) -> tuple[Poly, ...]:
     return (Poly.zero(),) + tuple(entry(j) for j in range(1, m + 1))
 
 
-ONE_MINUS_X2 = Poly((1, 0, -1))
-
 # Row n is B_{n,0..n} over Z[w] at x_i = w^floor((i-1)/2).  At w = 1 - x^2
 # these are the peak arguments, at w = 1 every argument is 1 (the Stirling
 # numbers), and at w = 0 they are 1, 1, 0, 0, ...
@@ -382,14 +380,17 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     """R_{n+1} as sum_k (-1)^(n-k) k! (1+x)^(k+1) B_{n,k} at the peak arguments.
 
     An explicit-formula route to the same polynomial tan_sec_poly(n+1)
-    produces by recurrence.
+    produces by recurrence.  With u = 1 + x, w = 1 - x^2 is u (2 - u): Horner
+    in u (2 - u) over the powers e of w, with coefficient sum_k (-1)^(n-k) k!
+    [w^e]B_{n,k} u^(k+1), then one substitution u = 1 + x.
     """
     _at_least("n", n, 1)
     row = _PEAK_BELL_ROWS.upto(n)[n]
-    acc = Poly.zero()  # by Horner in (1+x), from k = n down
-    for k in range(n, 0, -1):
-        acc = (acc + (-1) ** (n - k) * math.factorial(k) * row[k].compose(ONE_MINUS_X2)) * ONE_PLUS_X
-    return acc * ONE_PLUS_X
+    weights = [(-1) ** (n - k) * math.factorial(k) for k in range(n + 1)]
+    acc = Poly.zero()
+    for e in range(max(b.degree for b in row), -1, -1):
+        acc = acc * Poly((0, 2, -1)) + Poly([0] + [c * b.coeff(e) for c, b in zip(weights, row)])
+    return acc.compose(ONE_PLUS_X)
 
 
 def factorial_bell_sum(n: int) -> int:

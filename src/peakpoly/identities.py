@@ -127,20 +127,12 @@ def check_row_interleave(n: int) -> Witness | None:
     witness = first_difference(n, r_row, expected)
     if witness is not None:
         return witness
-    if r_row[0] != 1:
-        return Witness(n, 0, str(r_row[0]), "1")
-    if r_row[1] != 2 ** (n - 1):
-        return Witness(n, 1, str(r_row[1]), str(2 ** (n - 1)))
-    if sum(r_row) != 2 * math.factorial(n):
-        return Witness(n, -1, str(sum(r_row)), str(2 * math.factorial(n)))
-    if n >= 2:
+    # (witness n, index, value, closed form), in the order they are checked
+    facts = [(n, 0, r_row[0], 1), (n, 1, r_row[1], 2 ** (n - 1)), (n, -1, sum(r_row), 2 * math.factorial(n))]
+    if n >= 2:  # E_n is the last entry of R_n and entry n - 2 of R_{n-1}
         e_n = families.euler_numbers(n)[n]
-        if r_row[n] != e_n:
-            return Witness(n, n, str(r_row[n]), str(e_n))
-        prev = families.tan_sec_poly(n - 1).coeff(n - 2)
-        if prev != e_n:
-            return Witness(n - 1, n - 2, str(prev), str(e_n))
-    return None
+        facts += [(n, n, r_row[n], e_n), (n - 1, n - 2, families.tan_sec_poly(n - 1).coeff(n - 2), e_n)]
+    return next((Witness(m, i, str(value), str(closed)) for m, i, value, closed in facts if value != closed), None)
 
 
 def check_stembridge(n: int) -> Witness | None:
@@ -218,7 +210,7 @@ def check_oracle_by_definition(n: int) -> Witness | None:
         for signs in itertools.product((1, -1), repeat=m)
     )
     counts = permutations.signed_distribution(m, "ades").counts
-    return first_difference(n, counts, [ades[k] for k in range(m + 1)])
+    return first_difference(m, counts, [ades[k] for k in range(m + 1)])
 
 
 # The series checks read series.engine_series and series.closed_form_sides

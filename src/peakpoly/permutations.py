@@ -173,17 +173,15 @@ def _perm_walk(
     stop values adds 1 to hits[base][2 * rank + asc], where its last value's
     rank is its index in the sorted list it was taken from.  Only a walk
     that starts with stop values left adds its own key; otherwise the last
-    level adds the keys of its choices without a call, and reads the row of
-    an ascent or a descent only when some choice lands in it: a step can
-    pass the last row of hits.
+    level adds the keys of its choices without a call.  hits needs a row
+    for every base a step can reach, chosen or not.
     """
     if len(rem) == stop:
         hits[base][2 * rank + asc] += 1
         return
     up, down = base + step[asc][0], base + step[asc][1]
     if len(rem) == stop + 1:  # each choice leaves stop values
-        up_row = hits[up] if prev < rem[-1] else None
-        down_row = hits[down] if prev > rem[0] else None
+        up_row, down_row = hits[up], hits[down]
         for r, v in enumerate(rem):
             if prev > v:
                 down_row[2 * r] += 1
@@ -305,7 +303,7 @@ def _s_n_counts(n: int, stat: str, sentinel: int) -> list[int]:
     _at_least("n", n, 1)
     _at_most("n", n, S_N_LIMIT)
     m = min(TAIL, n - 1)
-    hits = [[0] * (2 * (m + 1)) for _ in range(n)]  # no statistic reaches n
+    hits = [[0] * (2 * (m + 1)) for _ in range(n + 1)]  # no statistic reaches n, but a step can read row n
     _perm_walk(list(range(1, n + 1)), 0, sentinel, sentinel == 0, 0, m, _STEPS[stat], hits)
     return _fold(hits, _tail_table(m, stat), n)
 
