@@ -135,14 +135,13 @@ def cmd_oracle(args, parser) -> int:
     from . import permutations
 
     if args.stat == "alt":
-        print(permutations.count_alternating(args.n))
-        return 0
-    if args.stat in ("desb", "ades"):
+        row = (permutations.count_alternating(args.n),)
+    elif args.stat in ("desb", "ades"):
         stat = "des_b" if args.stat == "desb" else "ades"
-        dist = permutations.signed_distribution(args.n, stat)
+        row = permutations.signed_distribution(args.n, stat).counts
     else:
-        dist = permutations.distribution(args.n, args.stat)
-    print(",".join(str(c) for c in dist.counts))
+        row = permutations.distribution(args.n, args.stat).counts
+    _emit_rows([row], "csv")
     return 0
 
 

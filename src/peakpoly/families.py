@@ -18,8 +18,9 @@ route below computes them in integer arithmetic:
 * cvijovic_polys: P_n and Q_n rebuilt from the rows of the tangent and
   secant numbers of order k, T(n, k) = n! [x^n] tan^k and
   S(n, k) = n! [x^n] sec tan^k (Cvijovic, Appl. Math. Comput. 2009)
-* the partial Bell triangle at the peak arguments, read as R_{n+1}, as
-  Stirling numbers of the second kind and as a factorial sum
+* the partial Bell triangle at the peak arguments, read as R_{n+1}, and
+  one integer sum of its rows, bell_sum, over the Stirling numbers of the
+  second kind and over the partitions into singletons and pairs
 
 The first route of P, Q, A, R, W, WL, C and CT is one row of the recurrence
 table RECURRENCES: a seed and (alpha, beta, b) with
@@ -39,8 +40,9 @@ builds only terms k+1..n when term n is asked for, so per-n calls never
 rebuild a prefix; a negative n is refused.  The Bell triangle holds B_{n,k}
 over Z[w] at the one argument sequence x_i = w^floor((i-1)/2), its entries
 the series' binomial convolution (polynomial._hurwitz_entry); the
-identities read it at w = 1 - x^2 (the peak arguments), at w = 1 (all ones)
-and at w = 0 (1, 1, 0, 0, ...).  Every cache in the module is a Memo, and
+identities read it at w = 1 - x^2 (the peak arguments) through
+tan_sec_poly_from_bell, and at w = 1 (all ones) and w = 0 (1, 1, 0, 0, ...)
+through bell_sum.  Every cache in the module is a Memo, and
 the module imports polynomial alone: the enumeration oracle routes of the
 family table, series.FAMILIES, call permutations themselves.
 """
@@ -347,7 +349,7 @@ def cvijovic_polys(n: int) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# the partial Bell triangle and Stirling numbers
+# the partial Bell triangle
 # ---------------------------------------------------------------------------
 
 def _bell_step(rows: list, m: int) -> tuple[Poly, ...]:
@@ -369,13 +371,6 @@ def _bell_step(rows: list, m: int) -> tuple[Poly, ...]:
 _PEAK_BELL_ROWS = Memo(((Poly.one(),),), _bell_step)
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, as B_{n,k} at all-ones arguments (w = 1)."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return _PEAK_BELL_ROWS.upto(n)[n][k](1)
-
-
 def tan_sec_poly_from_bell(n: int) -> Poly:
     """R_{n+1} as sum_k (-1)^(n-k) k! (1+x)^(k+1) B_{n,k} at the peak arguments.
 
@@ -393,11 +388,14 @@ def tan_sec_poly_from_bell(n: int) -> Poly:
     return acc.compose(ONE_PLUS_X)
 
 
-def factorial_bell_sum(n: int) -> int:
-    """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1,1,0,0,...), which is (n+1)!; the
-    arguments are the peak rows' at w = 0."""
+def bell_sum(n: int, c: int, w: int) -> int:
+    """sum_k (-1)^(n-k) k! c^k B_{n,k} at x_i = w^floor((i-1)/2).
+
+    At (c, w) = (1, 1) the B_{n,k} are the Stirling numbers S(n, k) and the
+    sum is 1; at (2, 0) the arguments are 1, 1, 0, 0, ... and it is (n+1)!.
+    """
     row = _PEAK_BELL_ROWS.upto(n)[n]
-    return sum((-1) ** (n - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in range(n + 1))
+    return sum((-1) ** (n - k) * math.factorial(k) * c**k * row[k](w) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,6 @@ class Witness(NamedTuple):
     lhs: str
     rhs: str
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "index": self.index, "lhs": self.lhs, "rhs": self.rhs}
-
 
 def first_difference(n: int, lhs: Poly | Sequence, rhs: Poly | Sequence) -> Witness | None:
     """The witness at the first index where lhs and rhs differ, or None.
@@ -95,7 +92,7 @@ class CheckResult(NamedTuple):
             "verdict": self.verdict,
         }
         if self.witness is not None:
-            doc["witness"] = self.witness.to_json()
+            doc["witness"] = self.witness._asdict()
         return doc
 
 
@@ -148,13 +145,13 @@ def check_bell_expansion(n: int) -> Witness | None:
 
 
 def check_bell_x0(n: int) -> Witness | None:
-    _at_least("n", n, 0)
-    total = sum((-1) ** (n - k) * math.factorial(k) * families.stirling2(n, k) for k in range(n + 1))
-    return first_difference(n, (total,), (1,))
+    """sum_k (-1)^(n-k) k! S(n, k) = 1: the Bell rows at (c, w) = (1, 1)."""
+    return first_difference(n, (families.bell_sum(n, 1, 1),), (1,))
 
 
 def check_bell_x1(n: int) -> Witness | None:
-    return first_difference(n, (families.factorial_bell_sum(n),), (math.factorial(n + 1),))
+    """sum_k (-1)^(n-k) k! 2^k B_{n,k}(1, 1, 0, 0, ...) = (n+1)!: the Bell rows at (c, w) = (2, 0)."""
+    return first_difference(n, (families.bell_sum(n, 2, 0),), (math.factorial(n + 1),))
 
 
 def _route(name: str, n: int):
@@ -226,11 +223,10 @@ def check_gf(order: int, egf: str) -> Witness | None:
 def check_t_vs_eulerian(order: int) -> Witness | None:
     """x + T(x, z) = (1+x) A(x, z(1+x)) through order; its entry n >= 1 is
     the per-coefficient form T_n = (1+x)^(n+1) A_n."""
-    one_plus_x = Poly((1, 1))
     a = series.engine_series("A", order)
-    rescaled = series.TruncSeries(order, tuple(a.coeffs[m] * one_plus_x**m for m in range(order + 1)))
+    rescaled = series.TruncSeries(order, tuple(a.coeffs[m] * families.ONE_PLUS_X**m for m in range(order + 1)))
     lhs = series.engine_series("T", order) + series.TruncSeries.const(Poly.x(), order)
-    return _series_difference(lhs, rescaled.scale(one_plus_x))
+    return _series_difference(lhs, rescaled.scale(families.ONE_PLUS_X))
 
 
 def check_pde(order: int) -> Witness | None:
@@ -273,7 +269,8 @@ CLT_FROM = 4  # the least n at which the closed forms of clt_moments hold togeth
 
 def check_clt_moments(n: int) -> Witness | None:
     """The closed forms of R_n's coefficient distribution: total R_n(1) = 2 n!,
-    mean (2n-1)/3 and variance (8n+8)/45, from n = CLT_FROM."""
+    mean (2n-1)/3 and variance (8n+8)/45, from n = CLT_FROM.  A witness's
+    index names the statistic: 0 the total, 3 the mean, 4 the variance."""
     _at_least("n", n, CLT_FROM)
     stats = roots.clt_stats(n)
     for index, value, closed in (

@@ -10,8 +10,10 @@ an integer, which never happens for a divisor with leading coefficient +-1
 and, for a primitive divisor, only when it does not divide (Gauss's lemma).
 A greatest common divisor is primitive with a positive leading coefficient.
 Rationals appear only as values: evaluating at p/q uses homogeneous integer
-Horner, q^d f(p/q), and reduces the fraction once at the end.  A Poly product
-and each entry of a Hurwitz product share one schoolbook loop over ints.
+Horner, q^d f(p/q), at every point, and reduces the fraction once at the
+end.  Composition is that Horner over Z[x] (subst_cleared with denominator
+1).  A Poly product and each entry of a Hurwitz product share one schoolbook
+loop over ints.
 
 Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
@@ -45,16 +47,9 @@ class DivisionByZeroPoly(ZeroDivisionError):
 def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
     """den^d * f(num/den) for integer coefficients, by homogeneous Horner.
 
-    den must be positive, so the result has the sign of f(num/den).  A power
-    of two den (a dyadic point) turns every multiplication by den into a
-    shift.
+    den must be positive, so the result has the sign of f(num/den).
     """
     acc = 0
-    if den & (den - 1) == 0:
-        k = den.bit_length() - 1
-        for j, c in enumerate(reversed(coeffs)):
-            acc = acc * num + (c << (k * j))
-        return acc
     den_pow = 1
     for c in reversed(coeffs):
         acc = acc * num + c * den_pow
@@ -196,8 +191,7 @@ class Poly(_Value):
     def sign_at(self, x: Fraction | int) -> int:
         """The sign (-1, 0 or 1) of self(x).
 
-        This is the sign of the integer q^d f(p/q): no fraction is formed,
-        and at a dyadic point every power of q is a shift.
+        This is the sign of the integer q^d f(p/q): no fraction is formed.
         """
         if type(x) is not Fraction:
             x = Fraction(x)
@@ -205,11 +199,9 @@ class Poly(_Value):
         return (v > 0) - (v < 0)
 
     def compose(self, other: Poly) -> Poly:
-        """The substitution self(other), as an exact polynomial."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
+        """The substitution self(other), as an exact polynomial: subst_cleared
+        with denominator 1."""
+        return self.subst_cleared(other, Poly.one())
 
     # -- division ----------------------------------------------------------
 

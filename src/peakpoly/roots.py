@@ -29,7 +29,8 @@ Interlacing needs no root location either.  With the common factor of G_n and
 G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
 G_n/G_{n+1} over R is as large as it can be, and that index is read off the
 leading coefficients and degrees of one remainder sequence, the builder the
-Sturm chains use.
+Sturm chains use.  The common factor comes from gcd_poly, which runs a
+remainder sequence of its own first.
 """
 
 from __future__ import annotations

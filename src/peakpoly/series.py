@@ -79,13 +79,6 @@ class TruncSeries(_Value):
         p = p if isinstance(p, Poly) else Poly.constant(p)
         return cls(order, (p,) + (Poly.zero(),) * order)
 
-    @classmethod
-    def from_egf(cls, polys: Sequence[Poly], order: int) -> TruncSeries:
-        """Series sum_m polys[m] z^m / m! (exponential normalization)."""
-        if len(polys) < order + 1:
-            raise ValueError(f"need {order + 1} polynomials, got {len(polys)}")
-        return cls(order, tuple(polys[: order + 1]))
-
     def egf_poly(self, m: int) -> Poly:
         """m! times the z^m coefficient, for m up to the series' order."""
         _at_least("m", m, 0)
@@ -215,7 +208,7 @@ FAMILIES = {
     }),
     "G": Family(1, RECURRENCE_CAP, {
         "recurrence": lambda n: families.reduced_tan_sec_poly(n),
-        "gf": lambda n: _solved("P", n, 1).exact_div(Poly((1, 1)) ** (n // 2 + 1)),
+        "gf": lambda n: _solved("P", n, 1).exact_div(families.ONE_PLUS_X ** (n // 2 + 1)),
     }),
     "T": Family(1, MAX_ORDER, {
         "interleave": lambda n: families.signed_interleave_poly(n),
@@ -324,8 +317,8 @@ def engine_series(family: str, order: int) -> TruncSeries:
     that it is checked against the closed form and not against a solve of it."""
     egf = _egf(family, order)
     fam, offset = FAMILIES[egf.family], egf.offset
-    polys = [fam.egf0 if n < fam.min_n else fam.poly(n) for n in range(offset, order + offset + 1)]
-    return TruncSeries.from_egf(polys, order)
+    polys = tuple(fam.egf0 if n < fam.min_n else fam.poly(n) for n in range(offset, order + offset + 1))
+    return TruncSeries(order, polys)
 
 
 _SOLVED: dict[str, tuple[Poly, ...]] = {}  # EGF id -> the longest solve so far
@@ -371,7 +364,8 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
     shares no code with the rational partial sum.
     The truncation remainder is bounded by 2 sum_{n>N} (n+1) |t|^n using
     |R_{n+1}(x0)| <= R_{n+1}(1) = 2 (n+1)! for x0 in (0, 1); the bound must
-    certify the tolerance or PrecisionInsufficient is raised.
+    certify the tolerance or PrecisionInsufficient is raised.  An x0 or t0
+    out of range, or a tol that is not finite, is refused with ValueError.
     """
     _at_least("order", order, 0)
     x0 = Fraction(x0)
@@ -380,6 +374,8 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
         raise ValueError("x0 must lie in (0, 1)")
     if abs(t0) >= Fraction(1, 4):
         raise ValueError("|t0| must be < 1/4 for the remainder bound")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     partial = sum(
         (families.tan_sec_poly(n + 1)(x0) * t0**n / math.factorial(n) for n in range(order + 1)),
         start=Fraction(0),

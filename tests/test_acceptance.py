@@ -97,7 +97,7 @@ def test_criterion_05_bell_formula():
     for n in range(1, 13):
         assert F.tan_sec_poly_from_bell(n) == F.tan_sec_poly(n + 1)
         assert I.check_bell_x0(n) is None
-        assert F.factorial_bell_sum(n) == math.factorial(n + 1)
+        assert F.bell_sum(n, 2, 0) == math.factorial(n + 1)
     print("ACCEPTANCE 5 (partial-Bell formula): PASS")
 
 

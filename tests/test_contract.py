@@ -5,11 +5,10 @@ below it with peakpoly.LimitExceeded, worded `<name> <value> below minimum
 <minimum>` with the name of its own argument.  The tables below give every
 public name of the package (`peakpoly.__all__`) and every public function of
 families, roots, series and identities a contract: a count and its minimum,
-the value at an empty input, a relation between two counts with its own
-ValueError, or no count at all.  A public name missing from them fails here.
-A count with a cap as well accepts it and refuses one above it, worded
-`<name> <value> above cap <cap>`; only peakpoly's two helpers word either
-refusal, and the CLI its family caps.  The module also runs under
+the value at an empty input, or no count at all.  A public name missing from
+them fails here.  A count with a cap as well accepts it and refuses one above
+it, worded `<name> <value> above cap <cap>`; only peakpoly's two helpers word
+either refusal, and the CLI its family caps.  The module also runs under
 `python -O`, so no bound it checks rests on `assert`.
 """
 
@@ -65,7 +64,7 @@ COUNTS = {
                                            for p in (Poly.zero(), Poly.one())], "m", 0),
     "families.cvijovic_polys": (F.cvijovic_polys, "n", 0),
     "families.tan_sec_poly_from_bell": (F.tan_sec_poly_from_bell, "n", 1),
-    "families.factorial_bell_sum": (F.factorial_bell_sum, "n", 0),
+    "families.bell_sum": (lambda n: [F.bell_sum(n, c, w) for c, w in ((1, 1), (2, 0))], "n", 0),
     "families.reduced_tan_sec_poly": (F.reduced_tan_sec_poly, "n", 1),
     "roots.certify_root_structure": (R.certify_root_structure, "n", 1),
     "roots.certify_interlacing": (R.certify_interlacing, "n", 1),
@@ -128,12 +127,6 @@ EMPTY = {
     "permutations.signed_stats": (lambda: P.signed_stats(()), P.SignedStats(0, 0)),
 }
 
-# Each function of two counts n and k that needs 0 <= k <= n: a call of it
-# and the ValueError text of its refusal.
-RELATIONS = {
-    "families.stirling2": (F.stirling2, "need 0 <= k <= n"),
-}
-
 # The public names that take no count, and why.
 NO_COUNT = {
     **dict.fromkeys(("polynomial.Poly", "polynomial.NonzeroRemainder", "polynomial.DivisionByZeroPoly",
@@ -171,7 +164,7 @@ def _refusal(name: str, n: int) -> str:
 
 
 def test_every_public_name_has_a_contract():
-    tables = (COUNTS, EMPTY, RELATIONS, NO_COUNT)
+    tables = (COUNTS, EMPTY, NO_COUNT)
     assert _public_names() - {name for table in tables for name in table} == set()
     assert sum(map(len, tables)) == len({name for table in tables for name in table})  # no name twice
 
@@ -257,18 +250,6 @@ def test_a_count_near_its_minimum_raises_nothing_but_the_refusal(name, data):
     with pytest.raises(LimitExceeded) as info:
         call(n)
     assert str(info.value) == _refusal(name, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(RELATIONS)), st.integers(min_value=-3, max_value=6), st.integers(min_value=-3, max_value=6))
-def test_a_relation_of_two_counts_refuses_with_its_own_text(name, n, k):
-    call, text = RELATIONS[name]
-    if 0 <= k <= n:
-        call(n, k)
-        return
-    with pytest.raises(ValueError) as info:
-        call(n, k)
-    assert type(info.value) is ValueError and str(info.value) == text
 
 
 @pytest.mark.parametrize("name", sorted(EMPTY))

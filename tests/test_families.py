@@ -377,23 +377,31 @@ def _set_partition_count(n: int, k: int) -> int:
     return count
 
 
+def _stirling2(n: int, k: int) -> int:
+    # S(n, k) as the Bell memo's B_{n,k} at all-ones arguments (w = 1)
+    return F._PEAK_BELL_ROWS.upto(n)[n][k](1)
+
+
 def test_stirling2_against_brute_force_partitions():
     for n in range(0, 8):
         for k in range(0, n + 1):
-            assert F.stirling2(n, k) == _set_partition_count(n, k)
-    assert F.stirling2(4, 2) == 7
+            assert _stirling2(n, k) == _set_partition_count(n, k)
+    assert _stirling2(4, 2) == 7
     for n in range(1, 10):
-        assert F.stirling2(n, n) == 1
-    for n, k in ((3, -1), (3, 4), (0, -1), (-1, 0)):
-        with pytest.raises(ValueError):
-            F.stirling2(n, k)
+        assert _stirling2(n, n) == 1
+    # row n holds exactly k = 0..n, and a row below 0 is refused
+    for n in range(0, 10):
+        assert len(F._PEAK_BELL_ROWS.upto(n)[n]) == n + 1
+    with pytest.raises(ValueError):
+        F._PEAK_BELL_ROWS.upto(-1)
 
 
 def test_stirling_alternating_identity():
     # 1 - 6 + 6 = 1 at n = 3, and exactly for every n up to 12
     assert sum(
-        (-1) ** (3 - k) * math.factorial(k) * F.stirling2(3, k) for k in range(4)
+        (-1) ** (3 - k) * math.factorial(k) * _stirling2(3, k) for k in range(4)
     ) == 1
+    assert F.bell_sum(3, 1, 1) == 1
     for n in range(1, 13):
         assert I.check_bell_x0(n) is None
 
@@ -404,9 +412,9 @@ def test_factorial_bell_identity():
     total = sum((-1) ** (2 - k) * math.factorial(k) * 2**k * row[k].coeff(0) for k in (1, 2))
     assert total == 6
     for n in range(0, 13):
-        assert F.factorial_bell_sum(n) == math.factorial(n + 1)
+        assert F.bell_sum(n, 2, 0) == math.factorial(n + 1)
     with pytest.raises(ValueError):
-        F.factorial_bell_sum(-1)
+        F.bell_sum(-1, 2, 0)
 
 
 def test_factorial_bell_rows_count_partitions_into_singletons_and_pairs():

@@ -318,8 +318,9 @@ def test_bell_checks():
 
 
 def test_bell_x0_check_sees_a_wrong_stirling_number(monkeypatch):
-    real = F.stirling2
-    monkeypatch.setattr(F, "stirling2", lambda n, k: real(n, k) + ((n, k) == (5, 3)))
+    rows = list(F._PEAK_BELL_ROWS.upto(5))
+    rows[5] = rows[5][:3] + (rows[5][3] + 1,) + rows[5][4:]  # S(5, 3) = B_{5,3}(w = 1) off by one
+    monkeypatch.setattr(F, "_PEAK_BELL_ROWS", F.Memo(rows, F._PEAK_BELL_ROWS.step))
     assert I.check_bell_x0(4) is None
     # the k = 3 term of n = 5 is +3! S(5, 3), so the sum rises by 6
     assert I.check_bell_x0(5) == I.Witness(5, 0, "7", "1")

@@ -42,7 +42,7 @@ def series_strategy(order):
 
 
 def test_series_addition_and_scaling():
-    a = TruncSeries.from_egf([Poly.one(), Poly.x()], 1)
+    a = TruncSeries(1, (Poly.one(), Poly.x()))
     b = TruncSeries.const(1, 1)
     assert (a + b).coeffs[0] == Poly.constant(2)
     assert (a - b).coeffs[1] == Poly.x()
@@ -357,7 +357,31 @@ def test_numeric_spotcheck_detects_corrupt_series(monkeypatch):
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, 1e-15)
 
 
-def test_engine_series_requires_enough_polys():
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_numeric_spotcheck_refuses_a_non_finite_tolerance(monkeypatch, tol):
+    # R_3 off by 1000 is a relative error of 0.77 at (1/2, 1/20): a finite
+    # tolerance sees it, and a NaN or infinite one must not pass it
+    real = F.tan_sec_poly
+    monkeypatch.setattr(F, "tan_sec_poly", lambda n: real(n) + 1000 if n == 3 else real(n))
+    with pytest.raises(ToleranceExceeded):
+        numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, 1e-15)
     with pytest.raises(ValueError) as info:
-        TruncSeries.from_egf([Poly.one()], 3)
-    assert type(info.value) is ValueError and str(info.value) == "need 4 polynomials, got 1"
+        numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, tol)
+    assert type(info.value) is ValueError and str(info.value) == "tol must be finite"
+
+    # refused before any work: no row of R is read
+    def unread(n):
+        raise RuntimeError(f"R_{n} read")
+
+    monkeypatch.setattr(F, "tan_sec_poly", unread)
+    with pytest.raises(ValueError, match="^tol must be finite$"):
+        numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, tol)
+
+
+def test_engine_series_requires_enough_polys():
+    # engine_series builds its series with the constructor, which refuses any
+    # count of entries but order + 1
+    for coeffs in ((Poly.one(),), (Poly.one(),) * 5):
+        with pytest.raises(ValueError) as info:
+            TruncSeries(3, coeffs)
+        assert type(info.value) is ValueError and str(info.value) == "coefficient count must equal order + 1"
