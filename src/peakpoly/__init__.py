@@ -83,9 +83,8 @@ class _Value:
 # Each public name, with the module that defines it; a submodule maps to None.
 _FROM = {
     **dict.fromkeys(("Poly", "NonzeroRemainder", "DivisionByZeroPoly", "gcd_poly", "primitive_part"), "polynomial"),
-    **dict.fromkeys(("PermStats", "SignedStats", "StatDistribution", "NotAPermutation", "NotASignedPermutation",
-                     "perm_stats", "signed_stats", "distribution", "signed_distribution",
-                     "count_alternating"), "permutations"),
+    **dict.fromkeys(("PermStats", "StatDistribution", "NotAPermutation", "perm_stats", "distribution",
+                     "signed_distribution", "count_alternating"), "permutations"),
     **dict.fromkeys(("families", "series", "roots", "identities")),
 }
 

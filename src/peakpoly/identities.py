@@ -172,8 +172,8 @@ def check_routes_agree(n: int, *reads: str) -> Witness | None:
 
 def check_oracle_alternating(n: int) -> Witness | None:
     _at_least("n", n, 1)
-    e_n = families.euler_numbers(n)[n]
     counts = (permutations.count_alternating(n), permutations.count_alternating(n, reverse=True))
+    e_n = families.euler_numbers(n)[n]
     return first_difference(n, counts, (e_n, e_n))
 
 
@@ -196,8 +196,11 @@ def check_oracle_by_definition(n: int) -> Witness | None:
     # The one walk and fold of each request against a count taken one
     # permutation (one signed window) at a time by definition; the check
     # id, oracle_shard_determinism, is kept so that reports stay comparable.
+    # The package's enumeration runs first, so n above its cap is refused
+    # before the n! permutations are listed.
+    counts = permutations.distribution(n, "des").counts
     des = Counter(sum(a > b for a, b in zip(pi, pi[1:])) for pi in itertools.permutations(range(1, n + 1)))
-    witness = first_difference(n, permutations.distribution(n, "des").counts, [des[k] for k in range(n)])
+    witness = first_difference(n, counts, [des[k] for k in range(n)])
     if witness is not None:
         return witness
     m = min(n, 4)

@@ -74,19 +74,10 @@ class NotAPermutation(ValueError):
     """Input is not a bijection on [n]."""
 
 
-class NotASignedPermutation(ValueError):
-    """Absolute values are not a permutation of [n]."""
-
-
 class PermStats(NamedTuple):
     pk: int
     lpk: int
     des: int
-
-
-class SignedStats(NamedTuple):
-    des_b: int
-    ades: int
 
 
 class StatDistribution(NamedTuple):
@@ -125,21 +116,13 @@ def perm_stats(pi: Sequence[int]) -> PermStats:
 
 
 def _signed_counts(omega: tuple[int, ...]) -> tuple[int, int]:
-    """(des_b, ades) of a signed window, by definition; omega is not checked."""
+    """(des_b, ades) of a signed window, by definition; omega is not checked.
+
+    >>> _signed_counts((-2, -4, 6, -8, 1, 3, 7, 5))
+    (4, 5)
+    """
     des_b = sum(a > b for a, b in zip((0,) + omega, omega))
     return des_b, des_b + (1 if omega and omega[-1] > 0 else 0)
-
-
-def signed_stats(omega: Sequence[int]) -> SignedStats:
-    """Descent statistics of one signed permutation window.
-
-    >>> signed_stats((-2, -4, 6, -8, 1, 3, 7, 5))
-    SignedStats(des_b=4, ades=5)
-    """
-    n = len(omega)
-    if sorted(abs(v) for v in omega) != list(range(1, n + 1)) or 0 in omega:
-        raise NotASignedPermutation(f"{omega!r} is not a signed permutation window")
-    return SignedStats(*_signed_counts(tuple(omega)))
 
 
 # Positions filled from a suffix table: the last TAIL positions of a

@@ -5,7 +5,7 @@ ring of Hurwitz series", 1997): entry m holds m! * [z^m], a Poly in x.  The
 exponential generating functions of all families in this package live here,
 and in this form entry n of a family series is simply family_n(x), with
 integer coefficients.  Products are binomial convolutions, each entry one
-polynomial._hurwitz_entry (hurwitz_mul multiplies, solve_series divides), so
+polynomial._hurwitz_entry (hurwitz_mul multiplies, a solve divides), so
 no 1/m! factor is ever formed and the whole module runs in Z[x].  Like Poly,
 a series is an immutable value: equal, hashed and pickled as (order, coeffs).
 
@@ -26,9 +26,11 @@ The family table lives here too: FAMILIES maps each CLI family id to its
 routes, minimum n, CLI cap and EGF entry 0, and each EGFS row names the
 family and offset of its EGF.  The ids differ in one place: gf_P and gf_R
 are the EGF of R_n at offsets 0 and 1, while CLI family P is the tangent
-derivative polynomial P_n.  solved_family_polys keeps each family's longest
-solve and extends it on demand.  Nothing is solved past z-order MAX_ORDER:
-an order above it is refused, and so is a "gf" route's n.
+derivative polynomial P_n.  Each EGF id's solve is one families.Memo in
+_SOLVES, extended on demand, as every prefix cache of the package is a Memo;
+solve_series is the generic solve the tests compare them with.  Nothing is
+solved past z-order MAX_ORDER: an order above it is refused, and so is a
+"gf" route's n.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import Violation, _Value, _at_least, _at_most, families, permutations
 from .polynomial import Poly, _hurwitz_entry, hurwitz_mul
@@ -130,19 +132,19 @@ class TruncSeries(_Value):
         return TruncSeries(self.order, tuple(p.derivative() for p in self.coeffs))
 
 
-def solve_series(num: TruncSeries, den: TruncSeries, known: Sequence[Poly] = ()) -> TruncSeries:
+def solve_series(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     """The series q with q * den = num, term by term.
 
     Entry m solves num_m = sum_k C(m, k) q_k den_(m-k), the Hurwitz product.
     Each step divides by den's z^0 entry with polynomial exact division, so
     the result exists only when the quotient really is a series of
     polynomials (NonzeroRemainder otherwise) -- no rational functions are
-    ever formed.  `known` is a prefix of q solved before (entry m depends
-    only on entries below it); solving resumes after it.
+    ever formed.  The generic solve: each EGFS row has its own memo of the
+    same steps, and the tests compare the two.
     """
     num._require_same_order(den)
-    out: list[Poly] = list(known)
-    for m in range(len(out), num.order + 1):
+    out: list[Poly] = []
+    for m in range(num.order + 1):
         out.append((num.coeffs[m] - _hurwitz_entry(m, out, den.coeffs, range(m))).exact_div(den.coeffs[0]))
     return TruncSeries(num.order, tuple(out))
 
@@ -321,7 +323,12 @@ def engine_series(family: str, order: int) -> TruncSeries:
     return TruncSeries(order, polys)
 
 
-_SOLVED: dict[str, tuple[Poly, ...]] = {}  # EGF id -> the longest solve so far
+# Entry m of the solve of each EGFS row from entries 0..m-1: the Hurwitz
+# product at m reads den's entries 1..m, which are the _BD terms, and den's
+# entry 0 is a + b.
+_SOLVES = {gf_id: families.Memo((), lambda q, m, gf_id=gf_id, egf=egf: (
+    egf.rhs(m) - _hurwitz_entry(m, q, _BD[gf_id].upto(m), range(m))).exact_div(egf.a + egf.b))
+    for gf_id, egf in EGFS.items()}
 
 
 def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
@@ -329,16 +336,12 @@ def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
 
     Entry n is the Hurwitz entry n! [z^n] of the solved series (for the R
     family that is R_{n+1}; for W it is W_n with entry 0 equal to zero).
-    Entry n does not depend on the truncation order, so each family keeps
-    its longest solve: a shorter order is a slice of it and a longer one
-    solves only the entries past it.
+    Entry n does not depend on the truncation order, so each family's
+    solve is a memo: a longer order solves only the entries past the
+    longest one asked for so far.
     """
     _egf(family, order)
-    solved = _SOLVED.get(family, ())
-    if len(solved) <= order:
-        den, rhs = closed_form_sides(family, order)
-        solved = _SOLVED[family] = solve_series(rhs, den, solved).coeffs
-    return solved[: order + 1]
+    return _SOLVES[family].upto(order)
 
 
 # ---------------------------------------------------------------------------

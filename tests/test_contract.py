@@ -124,15 +124,13 @@ CAPS = {
 # Each function of a sequence: its value at the empty one.
 EMPTY = {
     "permutations.perm_stats": (lambda: P.perm_stats(()), P.PermStats(0, 0, 0)),
-    "permutations.signed_stats": (lambda: P.signed_stats(()), P.SignedStats(0, 0)),
 }
 
 # The public names that take no count, and why.
 NO_COUNT = {
     **dict.fromkeys(("polynomial.Poly", "polynomial.NonzeroRemainder", "polynomial.DivisionByZeroPoly",
-                     "permutations.PermStats", "permutations.SignedStats", "permutations.StatDistribution",
-                     "permutations.NotAPermutation", "permutations.NotASignedPermutation", "peakpoly.LimitExceeded",
-                     "peakpoly.Violation"),
+                     "permutations.PermStats", "permutations.StatDistribution", "permutations.NotAPermutation",
+                     "peakpoly.LimitExceeded", "peakpoly.Violation"),
                     "a class; the methods that take a count are rows of COUNTS"),
     **dict.fromkeys(("polynomial.gcd_poly", "polynomial.primitive_part", "roots.sturm_chain",
                      "series.solve_series"), "takes polynomials or series"),
@@ -233,7 +231,7 @@ def test_each_count_is_accepted_at_its_minimum_and_refused_below_it(name):
 def test_each_capped_count_is_accepted_at_its_cap_and_refused_above_it(name):
     call, arg, _ = COUNTS[name]
     cap = CAPS[name]
-    call(cap)  # an order-64 solve is shared with the every-route test below, through series._SOLVED
+    call(cap)  # an order-64 solve is shared with the every-route test below, through the memos of series._SOLVES
     with pytest.raises(LimitExceeded) as info:
         call(cap + 1)
     assert str(info.value) == f"{arg} {cap + 1} above cap {cap}"

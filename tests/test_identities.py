@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peakpoly import Violation, cli
+from peakpoly import LimitExceeded, Violation, cli
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
@@ -193,6 +193,24 @@ def test_an_oracle_row_with_an_internal_zero_fails_the_rows_that_read_it(monkeyp
         "oracle_peak_rows": I.Witness(4, 0, "1", "8"),
         "oracle_no_internal_zeros": I.Witness(4, 0, "W.oracle", "internal zero"),
     }
+
+
+def test_the_oracle_checks_refuse_above_the_cap_before_any_reference_work(monkeypatch):
+    # the package's enumeration holds the cap and runs first, so neither the
+    # by-definition enumeration of S_n nor E_n is built for an n it refuses
+    calls = []
+
+    def record(name):
+        return lambda *args, **kwargs: calls.append(name) or ()
+
+    monkeypatch.setattr(I, "itertools", types.SimpleNamespace(permutations=record("permutations"),
+                                                              product=record("product")))
+    monkeypatch.setattr(F, "euler_numbers", record("euler_numbers"))
+    for check in (I.check_oracle_by_definition, I.check_oracle_alternating):
+        with pytest.raises(LimitExceeded) as info:
+            check(11)
+        assert str(info.value) == "n 11 above cap 10"
+    assert calls == []
 
 
 def _count_alternating_off_by_one(monkeypatch, n):

@@ -218,13 +218,38 @@ def test_solved_family_polys_slices_and_extends_the_longest_solve(monkeypatch):
     for family in S.EGFS:
         den, rhs = S.closed_form_sides(family, big)
         direct = solve_series(rhs, den).coeffs
+        step = S._SOLVES[family].step
         for k in range(big):
             for first, second in ((big, k), (k, big)):
-                monkeypatch.setattr(S, "_SOLVED", {})
+                monkeypatch.setitem(S._SOLVES, family, F.Memo((), step))
                 answers = {first: S.solved_family_polys(family, first)}
                 answers[second] = S.solved_family_polys(family, second)
                 assert answers[big] == direct, family
                 assert answers[k] == direct[: k + 1], (family, k)
+
+
+def test_each_memo_solve_equals_the_generic_solve():
+    order = 24
+    for family in S.EGFS:
+        den, rhs = S.closed_form_sides(family, order)
+        assert S.solved_family_polys(family, order) == solve_series(rhs, den).coeffs, family
+
+
+def test_solve_memo_never_rebuilds_an_entry(monkeypatch):
+    # solved_family_polys and the gf routes read one memo per EGF id, which
+    # builds each entry once, whatever order they are asked in
+    for family in S.EGFS:
+        steps = []
+
+        def counting_step(q, m, step=S._SOLVES[family].step):
+            steps.append(m)
+            return step(q, m)
+
+        monkeypatch.setitem(S._SOLVES, family, F.Memo((), counting_step))
+        for order in (3, 16, 0, 9, 24, 24):
+            S.solved_family_polys(family, order)
+        S._solved(family, 30, 0)
+        assert steps == list(range(31)), family
 
 
 def test_odd_even_split_of_combined_series():
