@@ -30,26 +30,27 @@ Enumeration is exhaustive and exact, in two levels per request:
   statistic's row (for alternation, of turns) by how the predecessor was
   reached and whether the value lies below it.  The rank of the value
   just placed among itself and the values left is its index in the sorted
-  list it was taken from, so it comes with the walk.  Each prefix that
-  leaves the tail adds 1 to a hit count by (statistic so far, key);
+  list it was taken from, so it comes with the walk.  Both walks carry
+  one key, 2 * rank + (how the value was reached: by an ascent over S_n,
+  with a positive sign for signed windows), and each prefix that leaves
+  the tail adds 1 to a hit count by (statistic so far, key);
 * the last TAIL positions (SIGNED_TAIL for signed windows) come from a
   suffix table, built the first time a request needs it: one per tail
   length and statistic of S_n (pk, des and alt; lpk reads the table of
   pk), all by one builder, and one des_b and one ades table per signed
-  tail length, built together from the same signed walks.  It is keyed by
-  the rank of the prefix's last value among the values still to place and
-  whether that value was reached by an ascent (for signed windows, its
-  sign).  Its entry is a histogram: each increment the completions add to
-  the statistic, with the number of completions that add it.  The same
-  walk builds it, run to the end over every completion of each key; no
-  table is derived from another table.
+  tail length, built together from the same signed walks.  It is indexed
+  by the prefix's key: the rank of its last value among the values still
+  to place and how that value was reached.  Its entry is a count row:
+  entry d is the number of completions that add d to the statistic.  The
+  same walk builds it, run to the end over every completion of each key;
+  no table is derived from another table.
 
-At its end the request folds the hit counts into the histograms, once.
+At its end the request folds the hit counts into the count rows, once.
 Each permutation or window is counted exactly once: its prefix is walked
-once and fixes a base value, and its completion is one of those the
-histogram counts at base + increment.  Everything runs in the calling
-process.  Nothing here relies on assert.  This module only counts; the
-checks that judge the counts live in identities.
+once and fixes a base value, and its completion is one of those the row
+counts at base + d.  Everything runs in the calling process.  Nothing here
+relies on assert.  This module only counts; the checks that judge the
+counts live in identities.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ TAIL = 5
 SIGNED_TAIL = 4
 
 
-Histogram = tuple[tuple[int, int], ...]
-
-
 # What placing a value adds to a statistic of S_n, step[asc][down]: asc
 # tells whether its predecessor was reached by an ascent, down whether the
 # new value lies below that predecessor.  alt counts turns, the changes of
@@ -145,24 +143,22 @@ _STEPS = {
 }
 
 
-def _perm_walk(
-    rem: list[int], rank: int, prev: int, asc: bool, base: int, stop: int, step: tuple, hits: list[list[int]]
-) -> None:
+def _perm_walk(rem: list[int], key: int, prev: int, base: int, stop: int, step: tuple, hits: list[list[int]]) -> None:
     """Place the sorted values rem after prev in every order, down to stop left.
 
-    prev has rank `rank` among itself and rem, and asc tells whether it was
-    reached by an ascent; base is the statistic so far, and placing a value
-    adds step[asc][down] to it (a row of _STEPS).  Every prefix that leaves
-    stop values adds 1 to hits[base][2 * rank + asc], where its last value's
-    rank is its index in the sorted list it was taken from.  Only a walk
-    that starts with stop values left adds its own key; otherwise the last
-    level adds the keys of its choices without a call.  hits needs a row
-    for every base a step can reach, chosen or not.
+    key is 2 * rank + asc: prev has rank `rank` among itself and rem, and
+    asc tells whether it was reached by an ascent.  base is the statistic so
+    far, and placing a value adds step[asc][down] to it (a row of _STEPS).
+    Every prefix that leaves stop values adds 1 to hits[base][key], where
+    its last value's rank is its index in the sorted list it was taken
+    from.  Only a walk that starts with stop values left adds its own key;
+    otherwise the last level adds the keys of its choices without a call.
+    hits needs a row for every base a step can reach, chosen or not.
     """
     if len(rem) == stop:
-        hits[base][2 * rank + asc] += 1
+        hits[base][key] += 1
         return
-    up, down = base + step[asc][0], base + step[asc][1]
+    up, down = (base + d for d in step[key & 1])
     if len(rem) == stop + 1:  # each choice leaves stop values
         up_row, down_row = hits[up], hits[down]
         for r, v in enumerate(rem):
@@ -173,7 +169,7 @@ def _perm_walk(
         return
     for r, v in enumerate(rem):
         is_up = prev < v
-        _perm_walk(rem[:r] + rem[r + 1:], r, v, is_up, up if is_up else down, stop, step, hits)
+        _perm_walk(rem[:r] + rem[r + 1:], 2 * r + is_up, v, up if is_up else down, stop, step, hits)
 
 
 def _signed_walk(rem: list[int], key: int, prev: int, base: int, stop: int, hits: list[list[int]]) -> None:
@@ -203,67 +199,62 @@ def _signed_walk(rem: list[int], key: int, prev: int, base: int, stop: int, hits
         _signed_walk(rest, 2 * (m + i) + 1, v, base + (prev > v), stop, hits)
 
 
-def _fold(hits: list[list[int]], table: Sequence[Histogram], width: int) -> list[int]:
-    """Counts from hits[base][key] and the histograms of a suffix table."""
+def _fold(hits: list[list[int]], table: Sequence[Sequence[int]], width: int) -> list[int]:
+    """Counts from hits[base][key] and the count rows of a suffix table."""
     counts = [0] * width
     for base, row in enumerate(hits):
         for key, h in enumerate(row):
             if h:
-                for d, completions in table[key]:
-                    counts[base + d] += h * completions
+                for d, completions in enumerate(table[key]):
+                    if completions:  # a zero may lie past the counts (the end of an ades row)
+                        counts[base + d] += h * completions
     return counts
 
 
-def _histogram(totals: Sequence[int]) -> Histogram:
-    """(increment, number of completions) pairs, increments ascending."""
-    return tuple((d, c) for d, c in enumerate(totals) if c)
-
-
 @cache
-def _tail_table(m: int, stat: str) -> tuple[Histogram, ...]:
+def _tail_table(m: int, stat: str) -> tuple[tuple[int, ...], ...]:
     """What the completions of a prefix add to pk, des or alt, by key.
 
     A prefix ends in a value L with m values still to place.  Its key is
     2r + asc, where r is the rank of L among L and those m values and asc
     tells whether L was reached by an ascent (the first value is reached
     from the walk's sentinel predecessor, 0 or n + 1).  Entry key is a
-    histogram over the m! orders of the m values: each increment the
-    statistic gains from L on, with the number of orders that give it.
-    Each entry is taken by the walk the requests run, with the statistic's
-    step row, started at L = r with the ranks 0 .. m other than r still to
-    place and base 0, run to the end over all m! orders; the table for m is
-    never derived from another table.  Only the requested statistic's table
-    is built; lpk reads the table of pk.
+    count row over the m! orders of the m values: entry d is the number of
+    orders that add d to the statistic from L on.  Each entry is taken by
+    the walk the requests run, with the statistic's step row, started at
+    L = r with key, the ranks 0 .. m other than r still to place and base
+    0, run to the end over all m! orders; the table for m is never derived
+    from another table.  Only the requested statistic's table is built;
+    lpk reads the table of pk.
     """
     if stat not in _STEPS:
         raise ValueError(f"no suffix table for {stat!r}")
     table = []
-    for r in range(m + 1):
-        others = [v for v in range(m + 1) if v != r]
-        for asc in (False, True):
-            rows = [[0, 0] for _ in range(m + 1)]
-            _perm_walk(others, r, r, asc, 0, 0, _STEPS[stat], rows)
-            table.append(_histogram([sum(row) for row in rows]))
+    for key in range(2 * (m + 1)):
+        r = key >> 1
+        rows = [[0, 0] for _ in range(m + 1)]
+        _perm_walk([v for v in range(m + 1) if v != r], key, r, 0, 0, _STEPS[stat], rows)
+        table.append(tuple(map(sum, rows)))
     return tuple(table)
 
 
 @cache
-def _signed_tail_tables(m: int) -> tuple[tuple[Histogram | None, ...], ...]:
+def _signed_tail_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The des_b and the ades table: what the completions of a signed prefix
     add to each statistic, by key.
 
     A prefix ends in an entry L with m absolute values still to place.  Its
     key is 2r + (L > 0), where r is the rank of L among the 2m signed values
-    those m can take.  Entry key of a table is a histogram over the m! 2^m
-    completions: each value of the statistic of the window (L, c_1, .., c_m)
-    of [m+1] less the descent 0 > L, which the prefix has already counted,
-    with the number of completions that give it.  Keys no prefix can have
-    are None.  Both tables come from one walk per L, the walk the requests
-    run, started at L with the other values of [m+1] still to place and
-    base 0, run to the end over all m! 2^m completions: it ends with key
-    c_m > 0, which ades adds.  No table is derived from another table.
+    those m can take.  Entry key of a table is a count row over the m! 2^m
+    completions: entry d is the number of completions whose window
+    (L, c_1, .., c_m) of [m+1] has the statistic d, less the descent 0 > L,
+    which the prefix has already counted.  Keys no prefix can have hold ().
+    Both tables come from one walk per L, the walk the requests run,
+    started at L with the other values of [m+1] still to place and base 0,
+    run to the end over all m! 2^m completions: it ends with key c_m > 0,
+    which ades adds.  No table is derived from another table.
     """
-    des_b: list[Histogram | None] = [None] * (2 * (2 * m + 1))
+    des_b: list[tuple[int, ...]] = [()] * (2 * (2 * m + 1))
     ades = des_b.copy()
     for i in range(m + 1):
         others = [v for v in range(1, m + 2) if v != i + 1]
@@ -275,7 +266,7 @@ def _signed_tail_tables(m: int) -> tuple[tuple[Histogram | None, ...], ...]:
                 for last_positive, completions in enumerate(row):
                     totals[0][d] += completions
                     totals[1][d + last_positive] += completions
-            des_b[key], ades[key] = map(_histogram, totals)
+            des_b[key], ades[key] = map(tuple, totals)
     return tuple(des_b), tuple(ades)
 
 
@@ -287,7 +278,7 @@ def _s_n_counts(n: int, stat: str, sentinel: int) -> list[int]:
     _at_most("n", n, S_N_LIMIT)
     m = min(TAIL, n - 1)
     hits = [[0] * (2 * (m + 1)) for _ in range(n + 1)]  # no statistic reaches n, but a step can read row n
-    _perm_walk(list(range(1, n + 1)), 0, sentinel, sentinel == 0, 0, m, _STEPS[stat], hits)
+    _perm_walk(list(range(1, n + 1)), int(sentinel == 0), sentinel, 0, m, _STEPS[stat], hits)
     return _fold(hits, _tail_table(m, stat), n)
 
 

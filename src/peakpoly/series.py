@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import Violation, _Value, _at_least, _at_most, families, permutations
 from .polynomial import Poly, _hurwitz_entry, hurwitz_mul
@@ -66,10 +66,13 @@ class TruncSeries(_Value):
     order: int
     coeffs: tuple[Poly, ...]
 
-    def __init__(self, order: int, coeffs: tuple[Poly, ...]):
+    def __init__(self, order: int, coeffs: Sequence[Poly]):
         _at_least("order", order, 0)
+        coeffs = tuple(coeffs)  # a value: a list given is copied, so equal series hash alike
         if len(coeffs) != order + 1:
             raise ValueError("coefficient count must equal order + 1")
+        if not all(isinstance(p, Poly) for p in coeffs):
+            raise TypeError("series entries must be Polys")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -157,10 +160,10 @@ class Family(NamedTuple):
     """One polynomial family of the CLI: family_n for min_n <= n <= cap.
 
     `routes` maps a route name to an independent computation n -> family_n;
-    the routes of a family share only the generic arithmetic (Poly,
-    hurwitz_mul, solve_series), and one may be an identity of the paper
-    applied to another family.  The first route is the package's own: the
-    one `peakpoly poly` prints and engine_series assembles, a recurrence at
+    the routes of a family share only the generic arithmetic (Poly and
+    hurwitz_mul), and one may be an identity of the paper applied to
+    another family.  The first route is the package's own: the one
+    `peakpoly poly` prints and engine_series assembles, a recurrence at
     every n up to the cap.  Every route refuses an n below min_n with
     LimitExceeded, a "gf" route one above MAX_ORDER, and an "oracle" route
     one above its enumeration cap.  The rows of `peakpoly triangle` are the
@@ -368,7 +371,8 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
     The truncation remainder is bounded by 2 sum_{n>N} (n+1) |t|^n using
     |R_{n+1}(x0)| <= R_{n+1}(1) = 2 (n+1)! for x0 in (0, 1); the bound must
     certify the tolerance or PrecisionInsufficient is raised.  An x0 or t0
-    out of range, or a tol that is not finite, is refused with ValueError.
+    out of range, or a tol that is not finite and positive, is refused with
+    ValueError.
     """
     _at_least("order", order, 0)
     x0 = Fraction(x0)
@@ -377,8 +381,8 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
         raise ValueError("x0 must lie in (0, 1)")
     if abs(t0) >= Fraction(1, 4):
         raise ValueError("|t0| must be < 1/4 for the remainder bound")
-    if not math.isfinite(tol):
-        raise ValueError("tol must be finite")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     partial = sum(
         (families.tan_sec_poly(n + 1)(x0) * t0**n / math.factorial(n) for n in range(order + 1)),
         start=Fraction(0),

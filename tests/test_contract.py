@@ -8,12 +8,14 @@ families, roots, series and identities a contract: a count and its minimum,
 the value at an empty input, or no count at all.  A public name missing from
 them fails here.  A count with a cap as well accepts it and refuses one above
 it, worded `<name> <value> above cap <cap>`; only peakpoly's two helpers word
-either refusal, and the CLI its family caps.  The module also runs under
-`python -O`, so no bound it checks rests on `assert`.
+either refusal, and the CLI its family caps.  No bound checked here rests
+on `assert`: tests/test_no_assert.py forbids it in the package, so a
+`python -O` run refuses what a plain run refuses.
 """
 
 import ast
 import inspect
+import re
 import types
 from collections import Counter
 from fractions import Fraction
@@ -165,6 +167,33 @@ def test_every_public_name_has_a_contract():
     tables = (COUNTS, EMPTY, NO_COUNT)
     assert _public_names() - {name for table in tables for name in table} == set()
     assert sum(map(len, tables)) == len({name for table in tables for name in table})  # no name twice
+
+
+def _readme_minimums() -> dict[str, int]:
+    """The README's table of minimums as {COUNTS key: minimum}.
+
+    A cell groups names by module (`families`: `a`, `b`; ...); a name
+    outside a group is exported by peakpoly or starts with its module.
+    Parenthesised notes are dropped.  The families' routes are not in the
+    table: the text under it gives each the family's min_n.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| minimum | functions |\n", 1)[1].split("\n\n", 1)[0]
+    minimums = {}
+    for minimum, cell in re.findall(r"^\| (\d+) \| (.+) \|$", table, re.M):
+        for group in re.sub(r"\([^)]*\)", "", cell).split(";"):
+            module = re.match(r"\s*`(\w+)`:", group)
+            for name in re.findall(r"`([^`]+)`", group[module.end():] if module else group):
+                obj = getattr(peakpoly, module[1]) if module else peakpoly
+                for part in name.replace(" ** n", ".__pow__").split("."):
+                    obj = getattr(obj, part)
+                minimums[f"{obj.__module__.removeprefix('peakpoly.')}.{obj.__qualname__}"] = int(minimum)
+    return minimums
+
+
+def test_the_readme_table_of_minimums_is_counts():
+    routes = ("series.Family.poly[", "series.FAMILIES[")
+    assert _readme_minimums() == {name: row[2] for name, row in COUNTS.items() if not name.startswith(routes)}
 
 
 def test_one_exception_type_for_both_ends():

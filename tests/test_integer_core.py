@@ -1,11 +1,13 @@
 """The integer core: int storage, Hurwitz series and independent oracles.
 
 Poly arithmetic is compared with a pure-Fraction reference kept in this file
-and, where sympy is installed, with sympy.Poly over ZZ; real-root counts of
-G_n and of seeded polynomials are compared with sympy's count_roots, and the
-interlacing certificate with sympy's exact real_roots.  Long division is compared on
-divisors with leading coefficient +-1, where it never leaves Z[x], and exact
-division on planted products for general divisors.
+(at the sizes verify runs, with int-list ones too) and, where sympy is
+installed, with sympy.Poly over ZZ; real-root counts of G_n and of seeded
+polynomials are compared with sympy's count_roots, the interlacing
+certificate with sympy's exact real_roots, and remainder sequences with
+sympy's Sturm sequences.  Long division is compared on divisors with
+leading coefficient +-1, where it never leaves Z[x], and exact division on
+planted products for general divisors.
 """
 
 import math
@@ -13,12 +15,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peakpoly import families as F
 from peakpoly import series as S
-from peakpoly.polynomial import Poly, gcd_poly, hurwitz_mul
+from peakpoly.polynomial import Poly, _hurwitz_entry, gcd_poly, hurwitz_mul, pseudo_remainder, remainder_sequence
 from peakpoly.roots import certify_interlacing, sturm_chain
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,125 @@ def test_sturm_chain_with_negative_leading_coefficients():
 
 
 # ---------------------------------------------------------------------------
+# system-sized draws: verify multiplies, divides and evaluates polynomials of
+# degree up to 130 whose coefficients reach R_128(1) = 2 * 128! ~ 10^216.
+# These strategies mix the small lists above with lists of degree 60 to 140
+# and coefficients up to 10^250; every test that takes them also runs on a
+# fixed system-sized draw.  Budget: the tests of this section and the
+# remainder sequences against sympy at the end of the file take under 3 s
+# together.
+# ---------------------------------------------------------------------------
+
+
+def system_list(rng: random.Random, degree: int | None = None) -> list[int]:
+    """Coefficients of a polynomial of the given degree (60 to 140 if none),
+    each up to 10^3, 10^40 or 10^250 in size, about one in ten zero."""
+    bound = 10 ** rng.choice((3, 40, 250))
+    degree = rng.randint(60, 140) if degree is None else degree
+    coeffs = [rng.randint(-bound, bound) if rng.random() > 0.1 else 0 for _ in range(degree)]
+    return coeffs + [rng.choice((1, -1)) * rng.randint(1, bound)]
+
+
+def system_pair(rng: random.Random) -> tuple[list[int], list[int]]:
+    """A system-sized dividend and a divisor 0 to 3 degrees below it, as
+    in a remainder sequence."""
+    a = system_list(rng)
+    return a, system_list(rng, len(a) - 1 - rng.randint(0, 3))
+
+
+system_rngs = st.randoms(use_true_random=False)
+sized_lists = st.one_of(coeff_lists, system_rngs.map(system_list))
+SYSTEM = [system_list(random.Random(seed)) for seed in range(3)]
+
+
+def int_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def int_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return int_trim(out)
+
+
+def int_divmod(a, u):
+    """Long division of int lists by u, whose leading coefficient is +-1."""
+    rem, quot = list(a), [0] * max(len(a) - len(u) + 1, 0)
+    for i in range(len(a) - len(u), -1, -1):
+        quot[i] = f = rem[i + len(u) - 1] * u[-1]
+        for j, v in enumerate(u):
+            rem[i + j] -= f * v
+    return int_trim(quot), int_trim(rem)
+
+
+def int_prem(a, b):
+    """lc(b)^(deg a - deg b + 1) times the remainder of a by b, by the
+    textbook loop: scale by lc(b), cancel the top term, once per degree."""
+    rem = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1]
+        rem = [b[-1] * v for v in rem]
+        for j, w in enumerate(b):
+            rem[i + j] -= c * w
+    return int_trim(rem)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sized_lists, sized_lists, st.tuples(sized_lists, st.sampled_from((1, -1))).map(lambda t: t[0] + [t[1]]), points)
+@example(SYSTEM[0], SYSTEM[1], SYSTEM[2] + [-1], Fraction(-7, 5))
+def test_system_sized_products_divisions_and_signs_match_the_references(a, b, u, x):
+    p, q, d = Poly(a), Poly(b), Poly(u)
+    product = p * q
+    assert list(product.coeffs) == int_mul(int_trim(a), int_trim(b))
+    quot, rem = divmod(product, d)
+    assert (list(quot.coeffs), list(rem.coeffs)) == int_divmod(list(product.coeffs), u)
+    if q:
+        assert product.exact_div(q) == p
+    for poly, coeffs in ((p, a), (product, product.coeffs)):
+        value = ref_eval(ref_trim(coeffs), x)
+        assert poly.sign_at(x) == (value > 0) - (value < 0)
+    if q:  # a root at x
+        assert (Poly((-x.numerator, x.denominator)) * q).sign_at(x) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(sized_lists.map(Poly), min_size=1, max_size=3), st.lists(sized_lists.map(Poly), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=4))
+@example([Poly(SYSTEM[0]), Poly(SYSTEM[1])], [Poly(SYSTEM[2]), Poly(SYSTEM[0])], 2)
+def test_system_sized_hurwitz_entries_are_binomial_convolutions(a, b, m):
+    ks = [k for k in range(m + 1) if k < len(a) and m - k < len(b)]
+    expected = [0] * 2 * max(len(p.coeffs) for p in a + b)
+    for k in ks:
+        for i, c in enumerate(int_mul(a[k].coeffs, b[m - k].coeffs)):
+            expected[i] += math.comb(m, k) * c
+    assert list(_hurwitz_entry(m, a, b, ks).coeffs) == int_trim(expected)
+
+
+nonzero_lists = coeff_lists.map(int_trim).filter(bool)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.tuples(coeff_lists, nonzero_lists), system_rngs.map(system_pair)))
+@example(system_pair(random.Random(0)))
+def test_system_sized_pseudo_remainders_are_positive_multiples_of_the_remainder(pair):
+    a, b = pair
+    got, prem = list(pseudo_remainder(Poly(a), Poly(b)).coeffs), int_prem(int_trim(a), b)
+    k = len(int_trim(a)) - len(b)  # the number of cancelling steps less one
+    if b[-1] < 0 and k >= 0 and k % 2 == 0:  # lc(b)^(k + 1) < 0
+        prem = [-c for c in prem]
+    assert len(got) == len(prem) < len(b)
+    if prem:  # got = c * prem with c > 0
+        t = len(prem) - 1
+        assert (got[t] > 0) == (prem[t] > 0)
+        assert all(g * prem[t] == c * got[t] for g, c in zip(got, prem))
+
+
+# ---------------------------------------------------------------------------
 # sympy as an independent oracle
 # ---------------------------------------------------------------------------
 
@@ -280,3 +401,22 @@ def test_family_interlacing_matches_sympy_real_roots():
         )
         assert [label for _, label in merged] == ["sr"[i % 2] for i in range(len(merged))], n
         assert certify_interlacing(n), n
+
+
+def test_remainder_sequences_of_g_match_sympys_sturm_sequences():
+    # the degrees and leading signs, all that a Cauchy index reads, of
+    # (G_(n+1), G_n) and (G_n, G_n'); sympy takes about 50 s at n = 64 and
+    # 0.4 s at n = 32
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sturm_q
+
+    def shape(polys):
+        return [(p.degree(), p.LC() > 0) for p in polys]
+
+    n, x = 32, sympy.Symbol("x")
+    g, g1 = F.reduced_tan_sec_poly(n), F.reduced_tan_sec_poly(n + 1)
+    for ours, theirs in (
+        (remainder_sequence(g1, g), sturm_q(to_sympy(g1, sympy).as_expr(), to_sympy(g, sympy).as_expr(), x)),
+        (remainder_sequence(g, g.derivative()), sympy.sturm(to_sympy(g, sympy))),
+    ):
+        assert [(p.degree, p.leading() > 0) for p in ours] == shape(sympy.Poly(p, x) for p in theirs)

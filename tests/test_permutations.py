@@ -313,33 +313,34 @@ def test_each_distribution_ends_at_the_largest_value_of_its_statistic():
             assert len(distribution(n, stat).counts) == width, (n, stat)
 
 
-def test_suffix_table_histograms_count_every_completion():
+def test_suffix_table_rows_count_every_completion():
+    # entry d of a row counts the completions that add d; m more values add
+    # at most m to pk, des or alt, and at most m + 1 to ades
     for m in range(P.TAIL + 1):
-        for stat in ("pk", "des"):  # lpk reads the table of pk
+        for stat in ("pk", "des", "alt"):  # lpk reads the table of pk
             table = P._tail_table(m, stat)
             assert len(table) == 2 * (m + 1)
-            for entry in table:
-                assert sum(c for _, c in entry) == math.factorial(m), (m, stat)
-                assert [d for d, _ in entry] == sorted({d for d, _ in entry})
-                assert all(c > 0 for _, c in entry)
+            for row in table:
+                assert len(row) == m + 1 and min(row) >= 0, (m, stat)
+                assert sum(row) == math.factorial(m), (m, stat)
     for m in range(P.SIGNED_TAIL + 1):
-        for stat, table in zip(P.SIGNED_STATS, P._signed_tail_tables(m), strict=True):
-            entries = [entry for entry in table if entry is not None]
-            assert len(entries) == 2 * (m + 1)  # one per signed last entry
-            for entry in entries:
-                assert sum(c for _, c in entry) == math.factorial(m) * 2**m, (m, stat)
+        for stat, table, width in zip(P.SIGNED_STATS, P._signed_tail_tables(m), (m + 1, m + 2), strict=True):
+            rows = [row for row in table if row]
+            assert len(rows) == 2 * (m + 1)  # one per signed last entry; the other keys hold ()
+            assert table.count(()) == len(table) - len(rows)
+            for row in rows:
+                assert len(row) == width and min(row) >= 0, (m, stat)
+                assert sum(row) == math.factorial(m) * 2**m, (m, stat)
     for stat in P.PERM_STATS:
         assert distribution(P.S_N_LIMIT, stat).total() == math.factorial(P.S_N_LIMIT)
     for stat in P.SIGNED_STATS:
         assert signed_distribution(P.SIGNED_LIMIT, stat).total() == 2**P.SIGNED_LIMIT * math.factorial(P.SIGNED_LIMIT)
 
 
-Histogram = tuple[tuple[int, int], ...]
-
-
-def _histogram(counter: Counter) -> Histogram:
-    """(increment, number of completions) pairs, increments ascending."""
-    return tuple(sorted(counter.items()))
+def _row(counter: Counter, width: int) -> tuple[int, ...]:
+    """The count row of a Counter of increments: entry d counts increment d."""
+    assert all(0 <= d < width for d in counter), (counter, width)
+    return tuple(counter[d] for d in range(width))
 
 
 def _signed_rank(last: int, left: Sequence[int]) -> int:
@@ -363,16 +364,16 @@ def _all_statistics_tail_tables(m):
                 pk[seq_pk] += 1
                 des[seq_des - (pred > lead)] += 1
                 alt[turns(seq)] += 1
-            tables["pk"].append(_histogram(pk))
-            tables["des"].append(_histogram(des))
-            tables["alt"].append(_histogram(alt))
+            tables["pk"].append(_row(pk, m + 1))
+            tables["des"].append(_row(des, m + 1))
+            tables["alt"].append(_row(alt, m + 1))
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
 def _all_statistics_signed_tail_tables(m):
     """The signed suffix tables of des_b and ades from one loop over the
     windows, built from sign tuples and counted one window at a time."""
-    tables = {stat: [None] * (2 * (2 * m + 1)) for stat in P.SIGNED_STATS}
+    tables = {stat: [()] * (2 * (2 * m + 1)) for stat in P.SIGNED_STATS}
     signs = list(itertools.product((1, -1), repeat=m))
     for a in range(1, m + 2):
         others = [v for v in range(1, m + 2) if v != a]
@@ -384,8 +385,8 @@ def _all_statistics_signed_tail_tables(m):
                     des_b[window_des_b - (lead < 0)] += 1
                     ades[window_ades - (lead < 0)] += 1
             key = 2 * _signed_rank(lead, others) + (lead > 0)
-            tables["des_b"][key] = _histogram(des_b)
-            tables["ades"][key] = _histogram(ades)
+            tables["des_b"][key] = _row(des_b, m + 1)
+            tables["ades"][key] = _row(ades, m + 2)
     return {stat: tuple(table) for stat, table in tables.items()}
 
 
@@ -419,9 +420,14 @@ def _shard_check():
     return check
 
 
-def _off_by_one(histogram):
-    (d, completions), *rest = histogram
-    return ((d, completions + 1), *rest)
+def _off_by_one(row, d):
+    """The count row with one more completion at entry d."""
+    return row[:d] + (row[d] + 1,) + row[d + 1:]
+
+
+def _first_count(row):
+    """The least increment some completion adds."""
+    return next(d for d, completions in enumerate(row) if completions)
 
 
 def _corrupt_cached(monkeypatch, name, args, table):
@@ -435,14 +441,15 @@ def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     # n = 6 fills all five positions after the first from it; the first
     # value is reached from the sentinel 0 by an ascent, so key 1 is rank 0
     des = P._tail_table(5, "des")
-    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), des[:1] + (_off_by_one(des[1]),) + des[2:])
+    d = _first_count(des[1])
+    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), des[:1] + (_off_by_one(des[1], d),) + des[2:])
     check = _shard_check()
-    assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, des[1][0][0])
+    assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, d)
     monkeypatch.undo()
     assert _shard_check().passed
     des_b, ades = P._signed_tail_tables(3)  # signed n = 4 fills three positions from them
-    key = next(k for k, entry in enumerate(ades) if entry is not None)
-    corrupted = ades[:key] + (_off_by_one(ades[key]),) + ades[key + 1:]
+    key = next(k for k, row in enumerate(ades) if row)
+    corrupted = ades[:key] + (_off_by_one(ades[key], _first_count(ades[key])),) + ades[key + 1:]
     _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (des_b, corrupted))
     check = _shard_check()
     assert (check.verdict, check.witness.n) == ("fail", 4)  # the signed windows compared are those of [4]
@@ -451,11 +458,11 @@ def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
 def test_signed_rows_check_fails_on_a_corrupted_des_b_table(monkeypatch):
     # Signed n = 4 reads the des_b table of tail length 3 through C.oracle;
     # oracle_shard_determinism reads only the ades table of the same build.
-    # Its first key is the first entry -4, one descent after 0; its first
-    # histogram pair counts the completions that add no descent, so one more
-    # of them makes 77 windows with one descent, where C_4 has 76.
+    # Its first key is the first entry -4, one descent after 0; entry 0 of
+    # its row counts the completions that add no descent, so one more of
+    # them makes 77 windows with one descent, where C_4 has 76.
     des_b, ades = P._signed_tail_tables(3)
-    corrupted = (_off_by_one(des_b[0]),) + des_b[1:]
+    corrupted = (_off_by_one(des_b[0], 0),) + des_b[1:]
     _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (corrupted, ades))
     flagged = [r for r in identities.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
     assert flagged == [identities.CheckResult("oracle_signed_rows", (1, 4), "fail", identities.Witness(4, 1, "77", "76"))]

@@ -102,7 +102,7 @@ def test_division_by_zero_poly():
 
 # Every refusal of the arithmetic layers that no other test reaches: the call,
 # the exception type and its message.  The Sturm chains and the truncated
-# series are here too, so that one file proves them all under python -O.
+# series are here too, so that one table holds them all.
 REFUSALS = {
     "leading of zero": (lambda: Poly.zero().leading(), ValueError, "zero polynomial has no leading coefficient"),
     "pseudo_remainder by zero": (lambda: pseudo_remainder(ONE_PLUS_X, Poly.zero()), DivisionByZeroPoly,

@@ -13,8 +13,6 @@ from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import series as S
 
-# Code every route may share: the polynomial arithmetic and the series solve.
-GENERIC = {S.solve_series}
 # Largest n the agreement property draws.  A, W, WL, C and CT carry an oracle
 # route, so every n drawn must stay inside both enumeration caps: 10 for S_n
 # and 7 for signed windows.
@@ -30,7 +28,8 @@ def _code_objects(code):
 
 def _callees(fn):
     """The peakpoly functions fn names, through module attributes, lazily
-    imported modules, lru caches and Memo steps."""
+    imported modules, lru caches, Memo steps and the steps of the Memos a
+    dict it names holds."""
     names = {name for code in _code_objects(fn.__code__) for name in code.co_names}
     namespaces = [fn.__globals__]
     for name in names:
@@ -40,13 +39,15 @@ def _callees(fn):
     for name in names:
         for ns in namespaces:
             obj = ns.get(name)
-            obj = obj.step if isinstance(obj, F.Memo) else getattr(obj, "__wrapped__", obj)
-            if inspect.isfunction(obj) and obj.__module__.startswith("peakpoly."):
-                yield obj
+            for obj in obj.values() if isinstance(obj, dict) else (obj,):
+                obj = obj.step if isinstance(obj, F.Memo) else getattr(obj, "__wrapped__", obj)
+                if inspect.isfunction(obj) and obj.__module__.startswith("peakpoly."):
+                    yield obj
 
 
 def _reach(route):
-    """Every peakpoly function a route can run, minus polynomial arithmetic."""
+    """Every peakpoly function a route can run, minus polynomial arithmetic,
+    the one code every route may share."""
     seen, todo = set(), [route]
     while todo:
         fn = todo.pop()
@@ -54,7 +55,7 @@ def _reach(route):
             if callee not in seen and callee.__module__ != "peakpoly.polynomial":
                 seen.add(callee)
                 todo.append(callee)
-    return seen - GENERIC
+    return seen
 
 
 def test_every_family_has_two_routes_sharing_only_generic_arithmetic():
@@ -81,6 +82,11 @@ def test_independence_check_sees_a_shared_helper():
     a_step = F._EULERIAN_POLYS.step
     assert a_step in _reach(S.FAMILIES["A"].routes["recurrence"]) & _reach(S.FAMILIES["C"].routes["petersen"])
     assert a_step not in _reach(S.FAMILIES["C"].routes["recurrence"])
+    # a gf route reaches the solve steps through the Memos of series._SOLVES
+    # and the den terms through those of series._BD
+    gf = _reach(S.FAMILIES["A"].routes["gf"])
+    assert {S._SOLVES["A"].step, S._BD["A"].step} <= gf
+    assert S._SOLVES["A"].step not in _reach(S.FAMILIES["A"].routes["recurrence"])
 
 
 def test_cli_family_choices_are_the_registry_ids():

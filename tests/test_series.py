@@ -382,25 +382,45 @@ def test_numeric_spotcheck_detects_corrupt_series(monkeypatch):
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, 1e-15)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_numeric_spotcheck_refuses_a_non_finite_tolerance(monkeypatch, tol):
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "0", "-0", "-1"])
+def test_numeric_spotcheck_refuses_a_tolerance_not_finite_and_positive(monkeypatch, tol):
     # R_3 off by 1000 is a relative error of 0.77 at (1/2, 1/20): a finite
-    # tolerance sees it, and a NaN or infinite one must not pass it
+    # tolerance sees it, and a NaN or infinite one must not pass it; no
+    # remainder bound certifies a tolerance of 0 or less, so that is a bad
+    # argument too, not PrecisionInsufficient
     real = F.tan_sec_poly
     monkeypatch.setattr(F, "tan_sec_poly", lambda n: real(n) + 1000 if n == 3 else real(n))
     with pytest.raises(ToleranceExceeded):
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, 1e-15)
     with pytest.raises(ValueError) as info:
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, tol)
-    assert type(info.value) is ValueError and str(info.value) == "tol must be finite"
+    assert type(info.value) is ValueError and str(info.value) == "tol must be finite and positive"
 
     # refused before any work: no row of R is read
     def unread(n):
         raise RuntimeError(f"R_{n} read")
 
     monkeypatch.setattr(F, "tan_sec_poly", unread)
-    with pytest.raises(ValueError, match="^tol must be finite$"):
+    with pytest.raises(ValueError, match="^tol must be finite and positive$"):
         numeric_spotcheck(Fraction(1, 2), Fraction(1, 20), 12, tol)
+
+
+def test_series_entries_must_be_polys():
+    # an int entry would pass addition and fail deep inside a product or dx
+    for coeffs in ((1, 2), (Poly.one(), 2), (Poly.one(), Fraction(1, 2)), (Poly.one(), (1, 2))):
+        with pytest.raises(TypeError, match="^series entries must be Polys$"):
+            TruncSeries(1, coeffs)
+    s = TruncSeries(1, (Poly.one(), Poly.x()))
+    assert (s * s).coeffs == (Poly.one(), 2 * Poly.x()) and s.dx().coeffs == (Poly.zero(), Poly.one())
+
+
+def test_a_series_given_a_list_is_the_series_of_its_tuple():
+    entries = [Poly.one(), Poly.x()]
+    s = TruncSeries(1, entries)
+    entries[0] = Poly.zero()
+    assert s.coeffs == (Poly.one(), Poly.x()) and s == TruncSeries(1, (Poly.one(), Poly.x()))
+    assert hash(s) == hash(TruncSeries(1, (Poly.one(), Poly.x())))
 
 
 def test_engine_series_requires_enough_polys():
