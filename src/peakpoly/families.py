@@ -60,10 +60,6 @@ X = Poly.x()
 ONE_PLUS_X = Poly((1, 1))
 
 
-class ConstantTermNonzero(ArithmeticError):
-    """A family required a zero constant term and did not have one."""
-
-
 class NonpositiveCoefficient(ArithmeticError, Violation):
     """A coefficient asserted to be a positive integer is not."""
 
@@ -246,14 +242,11 @@ def interleave_rows(odd: Sequence[int], even: Sequence[int]) -> tuple[int, ...]:
 def signed_interleave_poly(n: int) -> Poly:
     """T_n(x) = C_n(x^2) + Ct_n(x^2)/x, interleaving the two signed families.
 
-    C_n and Ct_n come from their recurrences.  The division is exact because
-    every signed window has at least one augmented descent; a nonzero
-    constant term in Ct_n would be a bug and raises ConstantTermNonzero.
+    C_n and Ct_n come from their recurrences.  The division by x is exact
+    because every signed window has at least one augmented descent; a nonzero
+    constant term in Ct_n would be a bug and raises NonzeroRemainder.
     """
-    c, ct = type_b_eulerian_poly(n), affine_eulerian_poly(n)
-    if ct.coeff(0) != 0:
-        raise ConstantTermNonzero(f"Ct_{n} has nonzero constant term {ct.coeff(0)}")
-    return Poly(interleave_rows(ct.coeffs[1:], c.coeffs))
+    return Poly(interleave_rows(affine_eulerian_poly(n).exact_div(X).coeffs, type_b_eulerian_poly(n).coeffs))
 
 
 # ---------------------------------------------------------------------------

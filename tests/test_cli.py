@@ -1,3 +1,27 @@
+"""The command-line interface, driven in process through cli.main(argv).
+
+A request's exit code, stdout and stderr are those of cli.main, so the tests
+call it here and read what it prints.  Nine tests start a fresh interpreter,
+because their subject is the process and not the request:
+
+* test_process_entry_prints_what_the_normal_exit_prints,
+  test_process_entry_reports_a_failed_write_as_the_normal_exit_does and
+  test_profiled_entry_ends_normally_so_the_profile_is_printed: cli.entry()
+  flushes and ends its process with os._exit, which in process would end the
+  test run, and what it has to equal is the interpreter's own exit.
+* test_cli_import_and_oracle_request_load_no_dataclasses_or_inspect and
+  test_oracle_and_version_requests_import_only_the_layers_they_run: which
+  modules a request imports shows only in an interpreter that has imported
+  none of them, and pytest's has imported every layer.
+* test_enumeration_starts_no_worker_processes: likewise for the
+  multiprocessing and concurrent.futures modules.
+* test_jobs_env_variable_is_ignored: an environment variable is set before
+  the process starts, and a module could read it at import.
+* test_the_full_report_prints_the_same_bytes_under_two_hash_seeds: the hash
+  seed is fixed when the interpreter starts.
+* test_verify_clt_passes_with_asserts_stripped: -O is an interpreter flag.
+"""
+
 import contextlib
 import hashlib
 import io
@@ -5,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,10 +42,16 @@ from peakpoly.permutations import S_N_LIMIT, SIGNED_LIMIT
 CLI = [sys.executable, "-m", "peakpoly"]
 
 
-def run(*args, env=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=600
-    )
+def run(*argv):
+    """The exit code, stdout and stderr of cli.main(argv), in this process; a
+    usage error, --help or --version ends in SystemExit, whose code is kept."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return types.SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def test_triangle_r_csv():
@@ -84,8 +115,6 @@ def test_oracle_limit_exit_code():
 
 def test_every_over_cap_request_names_its_value_and_cap(capsys):
     # `<name> <value> above cap <cap>`, as the verify ranges read
-    from peakpoly import cli
-
     cases = [
         (["poly", "--family", "C", "--n", "65"], "peakpoly: --n 65 above cap 64 for family C\n"),
         (["triangle", "--family", "R", "--nmax", "129"], "peakpoly: --nmax 129 above cap 128 for family R\n"),
@@ -442,23 +471,27 @@ def test_the_full_report_prints_the_same_bytes_under_two_hash_seeds():
 def test_jobs_env_variable_is_ignored():
     # PEAKPOLY_JOBS is no longer read: even a value that is not a number
     # leaves the exit code and the output as they are without it
-    env = dict(os.environ, PEAKPOLY_JOBS="abc")
-    res = run("oracle", "--stat", "pk", "--n", "5", env=env)
+    argv = CLI + ["oracle", "--stat", "pk", "--n", "5"]
+    res = subprocess.run(argv, capture_output=True, text=True, env=dict(os.environ, PEAKPOLY_JOBS="abc"), timeout=600)
     assert res.returncode == 0
-    assert res.stdout == run("oracle", "--stat", "pk", "--n", "5").stdout
+    assert res.stdout == subprocess.run(argv, capture_output=True, text=True, timeout=600).stdout
 
 
 def test_a_verify_request_plans_its_checks_once(monkeypatch, capsys):
     calls = []
     real_plan = identities.plan
     monkeypatch.setattr(identities, "plan", lambda suite, ranges: calls.append(suite) or real_plan(suite, ranges))
-    assert cli.main(["verify", "--suite", "clt", "--nmax", "5"]) == 0
-    assert calls == ["clt"]
+    # and each passes: gf at its least order, the oracle suite at its cap with either --jobs
+    requests = [["clt", "--nmax", "5"], ["gf", "--nmax", "1"], *(["oracle", "--nmax", "10", "--jobs", j] for j in "12")]
+    reports = []
+    for args in requests:
+        assert cli.main(["verify", "--suite", *args]) == 0, args
+        reports.append(capsys.readouterr().out)
+    assert calls == ["clt", "gf", "oracle", "oracle"]
+    assert reports[2] == reports[3]
 
 
 def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
-    from peakpoly import cli, identities
-
     failing = [
         identities.CheckResult(
             "root_structure", (1, 2), "fail", identities.Witness(2, 0, "1", "2")
@@ -474,8 +507,6 @@ def test_verify_exit_code_one_on_failure(monkeypatch, capsys):
 
 
 def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, capsys):
-    from peakpoly import cli, identities
-
     def no_work(*args, **kwargs):
         raise AssertionError("a check ran")
 
@@ -491,9 +522,7 @@ def test_verify_ranges_above_their_caps_exit_3_before_any_work(monkeypatch, caps
     ]
     for args, message in cases:
         assert cli.main(["verify", *args]) == 3, args
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert message in err
+        assert capsys.readouterr() == ("", f"peakpoly: {message}\n"), args
 
 
 # The contract of `verify`, stated apart from the CLI: the knob --nmax sets
@@ -540,26 +569,22 @@ def test_verify_exit_code_and_ranges_follow_the_request(suite, flags, nmax, jobs
     calls = []
     real_run = identities.run
 
-    def run(suite, **ranges):
+    def recorded_run(suite, **ranges):
         results = real_run(suite, **ranges)
         calls.append((suite, ranges))
         return results
 
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, "_aggregate",
                    lambda check_id, n_range, *_: identities.CheckResult(check_id, n_range, "pass"))
-        mp.setattr(identities, "run", run)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == expected, (argv, err.getvalue())
-    if code == 0:
+        mp.setattr(identities, "run", recorded_run)
+        res = run(*argv)
+    assert res.returncode == expected, (argv, res.stderr)
+    if res.returncode == 0:
         assert calls == [(suite, ranges)]
-        assert json.loads(out.getvalue())["configuration"] == {"suite": suite, **ranges}
+        assert json.loads(res.stdout)["configuration"] == {"suite": suite, **ranges}
     else:
-        assert calls == [] and out.getvalue() == ""
+        assert calls == [] and res.stdout == ""
 
 
 # The contract of `poly`, `triangle` and `oracle`: the lowest and highest n of
@@ -598,12 +623,22 @@ def test_poly_triangle_oracle_exit_code_follows_the_request(data, command):
         below = below or jobs is None or jobs < 1
     expected = 2 if malformed or below else 3 if n > cap else 0
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3)
-    assert code == expected, (argv, err.getvalue())
-    assert (out.getvalue() != "") == (code == 0)
+    res = run(*argv)
+    assert res.returncode in (0, 1, 2, 3)
+    assert res.returncode == expected, (argv, res.stderr)
+    assert (res.stdout != "") == (res.returncode == 0)
+
+
+# the family whose poly prints each statistic's row; alt prints the last entry of R_n
+ORACLE_FAMILY = {"pk": "W", "lpk": "WL", "des": "A", "desb": "C", "ades": "CT", "alt": "R"}
+
+
+def test_oracle_prints_the_row_of_its_family_at_every_n_to_its_cap():
+    assert list(ORACLE_FAMILY) == list(cli.ORACLE_STATS)
+    for stat, family in ORACLE_FAMILY.items():
+        for n in range(1, ORACLE_CAPS[stat] + 1):
+            row = run("poly", "--family", family, "--n", str(n))
+            expected = row.stdout.split(",")[-1] if stat == "alt" else row.stdout
+            for jobs in ("1", "2"):
+                res = run("oracle", "--stat", stat, "--n", str(n), "--jobs", jobs)
+                assert (res.returncode, res.stdout, res.stderr) == (0, expected, ""), (stat, n, jobs)

@@ -9,7 +9,6 @@ from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
 from peakpoly import series as S
-from peakpoly.families import ConstantTermNonzero
 from peakpoly.polynomial import NonzeroRemainder, Poly
 
 ONE_PLUS_X = Poly((1, 1))
@@ -186,9 +185,9 @@ def test_signed_interleave_poly():
 
 def test_signed_interleave_requires_zero_constant(monkeypatch):
     # should never fire on real data (every window has an augmented descent),
-    # so inject a corrupt pair to exercise the guard
+    # so inject a corrupt Ct_n to see the division by x refuse it
     monkeypatch.setattr(F, "affine_eulerian_poly", lambda n: Poly((1, 2)))
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(NonzeroRemainder):
         F.signed_interleave_poly(3)
 
 

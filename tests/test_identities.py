@@ -597,7 +597,6 @@ class _NewViolation(Violation):
     (_NewViolation("at n=3"), "fail"),
     (NonzeroRemainder("at n=3"), "error"),
     (S.PrecisionInsufficient("at n=3"), "error"),
-    (F.ConstantTermNonzero("at n=3"), "error"),
     (R.EndpointIsRoot("at n=3"), "error"),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value)
 def test_a_violation_raised_inside_a_range_is_a_fail_and_any_other_exception_an_error(monkeypatch, exc, verdict):
