@@ -401,16 +401,16 @@ def reduced_tan_sec_poly(n: int) -> Poly:
 
     This is where the multiplicity claim is checked: -1 is a zero of R_n of
     multiplicity exactly floor(n/2)+1.  The division shows it is at least
-    that and the one sign test of G_n at -1 that it is no more; either
-    failure raises NonzeroRemainder.  NonpositiveCoefficient signals that the
-    positivity claim fails.
+    that and G_n(-1) != 0 that it is no more; either failure raises
+    NonzeroRemainder.  NonpositiveCoefficient signals that the positivity
+    claim fails.
     """
     _at_least("n", n, 1)
     m = n // 2 + 1
     g, rem = divmod(tan_sec_poly(n), ONE_PLUS_X**m)
     if not rem.is_zero():
         raise NonzeroRemainder(f"-1 is a zero of R_{n} of multiplicity below {m}")
-    if g.sign_at(-1) == 0:
+    if g(-1) == 0:
         raise NonzeroRemainder(f"-1 is a zero of R_{n} of multiplicity above {m}")
     for i, c in enumerate(g.coeffs):
         if c <= 0:

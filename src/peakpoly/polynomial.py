@@ -9,11 +9,12 @@ or a `float` included.  Division stays in Z[x] too: `divmod` and
 an integer, which never happens for a divisor with leading coefficient +-1
 and, for a primitive divisor, only when it does not divide (Gauss's lemma).
 A greatest common divisor is primitive with a positive leading coefficient.
-Rationals appear only as values: evaluating at p/q uses homogeneous integer
-Horner, q^d f(p/q), at every point, and reduces the fraction once at the
-end.  Composition is that Horner over Z[x] (subst_cleared with denominator
-1).  A Poly product and each entry of a Hurwitz product share one schoolbook
-loop over ints.
+Rationals appear only as values.  There is one evaluation, `Poly.__call__`:
+at p/q it is homogeneous integer Horner, q^d f(p/q), reduced once at the
+end, and at an integer point it is the int value, whose sign is what the
+Sturm tests read.  Composition is that Horner over Z[x] (subst_cleared with
+denominator 1).  A Poly product and each entry of a Hurwitz product share
+one schoolbook loop over ints.
 
 Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
@@ -42,19 +43,6 @@ class NonzeroRemainder(ArithmeticError):
 
 class DivisionByZeroPoly(ZeroDivisionError):
     """Division by the zero polynomial."""
-
-
-def _cleared_value(coeffs: Sequence[int], num: int, den: int) -> int:
-    """den^d * f(num/den) for integer coefficients, by homogeneous Horner.
-
-    den must be positive, so the result has the sign of f(num/den).
-    """
-    acc = 0
-    den_pow = 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * den_pow
-        den_pow *= den
-    return acc
 
 
 class Poly(_Value):
@@ -177,26 +165,22 @@ class Poly(_Value):
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
 
     def __call__(self, x: Fraction | int) -> Fraction | int:
-        """Evaluate at a rational point.
+        """Evaluate at a rational point: the package's one evaluation.
 
-        The value is an int at an integer point; at x = p/q it is
-        q^d f(p/q) / q^d, computed in integers and reduced once.
+        At x = p/q (q > 0) homogeneous Horner computes q^d f(p/q) in
+        integers.  At an integer point that is the value, an int; otherwise
+        it is divided by q^d and reduced once.
         """
         x = Fraction(x)
-        value = _cleared_value(self.coeffs, x.numerator, x.denominator)
-        if x.denominator == 1 or not self.coeffs:
-            return value
-        return Fraction(value, x.denominator ** (len(self.coeffs) - 1))
-
-    def sign_at(self, x: Fraction | int) -> int:
-        """The sign (-1, 0 or 1) of self(x).
-
-        This is the sign of the integer q^d f(p/q): no fraction is formed.
-        """
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        v = _cleared_value(self.coeffs, x.numerator, x.denominator)
-        return (v > 0) - (v < 0)
+        num, den = x.numerator, x.denominator
+        acc = 0
+        den_pow = 1
+        for c in reversed(self.coeffs):
+            acc = acc * num + c * den_pow
+            den_pow *= den
+        if den == 1 or not self.coeffs:
+            return acc
+        return Fraction(acc, den ** (len(self.coeffs) - 1))
 
     def compose(self, other: Poly) -> Poly:
         """The substitution self(other), as an exact polynomial: subst_cleared

@@ -18,12 +18,12 @@ integer and reduced to its primitive part, so sign variations are untouched
 and no fraction is ever formed.  The root structure is certified by counts
 alone.  The multiplicity at -1 is checked once, where G_n is divided out
 (families.reduced_tan_sec_poly): the exact division by (1+x)^(floor(n/2)+1)
-and one sign test of G_n at -1, so deg R_n - deg G_n is that
-multiplicity.  Then a squarefree G_n of degree ceil(n/2)-1 whose chain has
-Cauchy index ceil(n/2)-1 (the distinct real zeros, read off leading
-coefficients and degrees) and V(-1) - V(0) equal to the same number has
-every zero real, simple and inside (-1, 0).  The only evaluations are
-integer Horner sign tests at -1 and 0 (Poly.sign_at).
+and the test G_n(-1) != 0, so deg R_n - deg G_n is that multiplicity.
+Then a squarefree G_n of degree ceil(n/2)-1 whose chain has Cauchy index
+ceil(n/2)-1 (the distinct real zeros, read off leading coefficients and
+degrees) and V(-1) - V(0) equal to the same number has every zero real,
+simple and inside (-1, 0).  The only evaluations are at the integers -1 and
+0, where Poly.__call__ returns an int: its sign is the sign test.
 
 Interlacing needs no root location either.  With the common factor of G_n and
 G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
@@ -79,7 +79,7 @@ class SturmChain(NamedTuple):
     polys: tuple[Poly, ...]
 
     def variations(self, x: Fraction) -> int:
-        return _sign_changes(p.sign_at(x) for p in self.polys)
+        return _sign_changes(p(x) for p in self.polys)
 
     def cauchy_index(self) -> int:
         """V(-oo) - V(+oo), from leading coefficients and degrees alone: the
@@ -94,7 +94,7 @@ class SturmChain(NamedTuple):
         if a >= b:
             raise ValueError("need a < b")
         p = self.polys[0]
-        if p.sign_at(a) == 0 or p.sign_at(b) == 0:
+        if p(a) == 0 or p(b) == 0:
             raise EndpointIsRoot(f"endpoint of ({a}, {b}) is a root")
         return self.variations(a) - self.variations(b)
 
@@ -121,10 +121,11 @@ def certify_root_structure(n: int) -> bool:
     """Certify the zero structure of R_n = tan_sec_poly(n): every zero is real.
 
     The clauses, in order: multiplicity exactly floor(n/2)+1 at -1 (the
-    division and sign test of reduced_tan_sec_poly); the reduced polynomial
-    G_n squarefree; ceil(n/2)-1 distinct real zeros of G_n (the Cauchy index
-    of its Sturm chain); all of them in (-1, 0) (the chain's count there);
-    and deg G_n equal to that count, so no zero is non-real.
+    division and the test G_n(-1) != 0 of reduced_tan_sec_poly); the
+    reduced polynomial G_n squarefree; ceil(n/2)-1 distinct real zeros of
+    G_n (the Cauchy index of its Sturm chain); all of them in (-1, 0) (the
+    chain's count there); and deg G_n equal to that count, so no zero is
+    non-real.
     The first clause that fails raises StructureViolation; otherwise True.
     """
     _at_least("n", n, 1)

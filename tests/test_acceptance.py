@@ -2,24 +2,26 @@
 
 Run as `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 Every comparison is exact except the numeric closed-form spot-check, whose
-tolerance comes with an explicit truncation remainder bound.
+tolerance comes with an explicit truncation remainder bound.  The CLI
+criteria call cli.main in process: their subject is the request, and
+tests/test_cli.py checks the report across processes and hash seeds.
 """
 
+import contextlib
+import io
 import json
 import math
-import subprocess
-import sys
 import time
+import types
 from fractions import Fraction
 
+from peakpoly import cli
 from peakpoly import families as F
 from peakpoly import identities as I
 from peakpoly import permutations as perms
 from peakpoly import roots as R
 from peakpoly import series as S
 from peakpoly.polynomial import Poly
-
-CLI = [sys.executable, "-m", "peakpoly"]
 
 R_TABLE_CSV = "\n".join(
     [
@@ -34,8 +36,12 @@ R_TABLE_CSV = "\n".join(
 ) + "\n"
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600)
+def run_cli(*argv):
+    """The exit code and stdout of cli.main(argv), in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return types.SimpleNamespace(returncode=code, stdout=out.getvalue())
 
 
 def test_criterion_01_triangle_fidelity():

@@ -177,6 +177,16 @@ def test_certify_interlacing_full_range():
         assert certify_interlacing(n)
 
 
+def test_the_roots_sign_tests_go_through_the_one_evaluation(monkeypatch):
+    """The roots suite's sign tests go through Poly.__call__, the one
+    evaluation, which a per-layer tracer wraps to count evaluations."""
+    real_call, calls = Poly.__call__, []
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or real_call(p, x))
+    results = I.run("roots", roots_nmax=6)
+    assert results and all(r.verdict == "pass" for r in results)
+    assert len(calls) > 0
+
+
 def test_one_factor_too_many_at_minus_one_is_an_interlacing_violation(monkeypatch):
     # R_4 (1+x) and R_5 (1+x): the degree step holds and the multiplicities
     # at -1, 4 and 4, differ by at most one, but each is one above floor(k/2)+1
@@ -241,7 +251,7 @@ def _liu_wang_failures(name):
     chain = sturm_chain(c)
     at_minus_oo = [-p.leading() if p.degree % 2 else p.leading() for p in chain.polys]
     zeros_left_of_0 = sum(s * t < 0 for s, t in zip(at_minus_oo, at_minus_oo[1:])) - chain.variations(Fraction(0))
-    if not rem.is_zero() or c.sign_at(0) <= 0 or zeros_left_of_0 != 0:
+    if not rem.is_zero() or c(0) <= 0 or zeros_left_of_0 != 0:
         failed.add("sign of b")
     start = len(seed) - 1  # the last seed term, where the recurrence takes over
     fs = F._recurrence_memo(*F.RECURRENCES[name]).upto(S.FAMILIES[name].cap)
