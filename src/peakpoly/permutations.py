@@ -34,16 +34,18 @@ Enumeration is exhaustive and exact, in two levels per request:
   one key, 2 * rank + (how the value was reached: by an ascent over S_n,
   with a positive sign for signed windows), and each prefix that leaves
   the tail adds 1 to a hit count by (statistic so far, key);
-* the last TAIL positions (SIGNED_TAIL for signed windows) come from a
-  suffix table, built the first time a request needs it: one per tail
-  length and statistic of S_n (pk, des and alt; lpk reads the table of
-  pk), all by one builder, and one des_b and one ades table per signed
-  tail length, built together from the same signed walks.  It is indexed
-  by the prefix's key: the rank of its last value among the values still
-  to place and how that value was reached.  Its entry is a count row:
-  entry d is the number of completions that add d to the statistic.  The
-  same walk builds it, run to the end over every completion of each key;
-  no table is derived from another table.
+* the last m = _tail(n) positions come from a suffix table, built the first
+  time a request needs it: one per tail length and statistic of S_n (pk, des
+  and alt; lpk reads the table of pk), all by one builder, and one des_b and
+  one ades table per signed tail length, built together from the same signed
+  walks.  The tail is the larger half of the positions with at least one
+  left to the walk, so in a request that builds its table neither the build
+  nor the walk dominates; at the caps it is 5 positions of S_10 and 4 of a
+  signed window of [7].  A table is indexed by the prefix's key: the rank of
+  its last value among the values still to place and how that value was
+  reached.  Its entry is a count row: entry d is the number of completions
+  that add d to the statistic.  The same walk builds it, run to the end over
+  every completion of each key; no table is derived from another table.
 
 At its end the request folds the hit counts into the count rows, once.
 Each permutation or window is counted exactly once: its prefix is walked
@@ -126,10 +128,9 @@ def _signed_counts(omega: tuple[int, ...]) -> tuple[int, int]:
     return des_b, des_b + (1 if omega and omega[-1] > 0 else 0)
 
 
-# Positions filled from a suffix table: the last TAIL positions of a
-# permutation, the last SIGNED_TAIL of a signed window.
-TAIL = 5
-SIGNED_TAIL = 4
+def _tail(n: int) -> int:
+    """Positions of [n] filled from a suffix table: the larger half, leaving the walk one or more."""
+    return min(n - 1, (n + 1) // 2)
 
 
 # What placing a value adds to a statistic of S_n, step[asc][down]: asc
@@ -158,9 +159,9 @@ def _perm_walk(rem: list[int], key: int, prev: int, base: int, stop: int, step: 
     if len(rem) == stop:
         hits[base][key] += 1
         return
-    up, down = (base + d for d in step[key & 1])
+    d_up, d_down = step[key & 1]
     if len(rem) == stop + 1:  # each choice leaves stop values
-        up_row, down_row = hits[up], hits[down]
+        up_row, down_row = hits[base + d_up], hits[base + d_down]
         for r, v in enumerate(rem):
             if prev > v:
                 down_row[2 * r] += 1
@@ -169,7 +170,7 @@ def _perm_walk(rem: list[int], key: int, prev: int, base: int, stop: int, step: 
         return
     for r, v in enumerate(rem):
         is_up = prev < v
-        _perm_walk(rem[:r] + rem[r + 1:], 2 * r + is_up, v, up if is_up else down, stop, step, hits)
+        _perm_walk(rem[:r] + rem[r + 1:], 2 * r + is_up, v, base + (d_up if is_up else d_down), stop, step, hits)
 
 
 def _signed_walk(rem: list[int], key: int, prev: int, base: int, stop: int, hits: list[list[int]]) -> None:
@@ -224,8 +225,7 @@ def _tail_table(m: int, stat: str) -> tuple[tuple[int, ...], ...]:
     the walk the requests run, with the statistic's step row, started at
     L = r with key, the ranks 0 .. m other than r still to place and base
     0, run to the end over all m! orders; the table for m is never derived
-    from another table.  Only the requested statistic's table is built;
-    lpk reads the table of pk.
+    from another table, and lpk reads the table of pk.
     """
     if stat not in _STEPS:
         raise ValueError(f"no suffix table for {stat!r}")
@@ -276,7 +276,7 @@ def _s_n_counts(n: int, stat: str, sentinel: int) -> list[int]:
     an ascent, n + 1 by a descent."""
     _at_least("n", n, 1)
     _at_most("n", n, S_N_LIMIT)
-    m = min(TAIL, n - 1)
+    m = _tail(n)  # the walk places the first n - m values, the table of tail length m the rest
     hits = [[0] * (2 * (m + 1)) for _ in range(n + 1)]  # no statistic reaches n, but a step can read row n
     _perm_walk(list(range(1, n + 1)), int(sentinel == 0), sentinel, 0, m, _STEPS[stat], hits)
     return _fold(hits, _tail_table(m, stat), n)
@@ -308,7 +308,7 @@ def signed_distribution(n: int, stat: str) -> StatDistribution:
         raise ValueError(f"unknown signed statistic {stat!r}")
     _at_least("n", n, 1)
     _at_most("n", n, SIGNED_LIMIT)
-    m = min(SIGNED_TAIL, n - 1)
+    m = _tail(n)  # as over S_n: the walk places n - m entries, the tables the rest
     hits = [[0] * (2 * (2 * m + 1)) for _ in range(n + 1)]
     _signed_walk(list(range(1, n + 1)), 0, 0, 0, m, hits)
     table = _signed_tail_tables(m)[SIGNED_STATS.index(stat)]

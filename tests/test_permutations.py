@@ -202,10 +202,11 @@ def _reference_counts(key, items):
 
 
 def test_kernels_match_per_permutation_reference():
-    # n <= P.TAIL + 1 (and n <= P.SIGNED_TAIL + 1) goes from the empty prefix
-    # straight to the walk's last level: all but the first entry come from
-    # the suffix table
-    assert P.TAIL < 8 and P.SIGNED_TAIL < 5
+    # The walk places the first n - _tail(n) values: for n <= 3 it goes from
+    # the empty prefix straight to its last level, and all but the first
+    # entry come from the suffix table; n = 8 walks four values deep
+    # (signed n = 5, two)
+    assert [n - P._tail(n) for n in range(1, 9)] == [1, 1, 1, 2, 2, 3, 3, 4]
     for n in range(1, 9):
         perms = list(itertools.permutations(range(1, n + 1)))
         for stat in P.PERM_STATS:
@@ -231,26 +232,27 @@ def test_suffix_tables_are_built_once_per_tail_length():
     # that hits shows which table an earlier request built.
     P._tail_table.cache_clear()
     P._signed_tail_tables.cache_clear()
-    m, sm = P.TAIL, P.SIGNED_TAIL
-    distribution(m + 2, "des")  # builds the des table and no other
+    m, sm = 5, 3
+    assert P._tail(9) == P._tail(10) == m and P._tail(5) == P._tail(6) == sm
+    distribution(9, "des")  # builds the des table and no other
     assert P._tail_table.cache_info().misses == 1
     P._tail_table(m, "des")
     assert P._tail_table.cache_info().misses == 1
-    distribution(m + 2, "pk")
-    distribution(m + 2, "lpk")  # reads the pk table: builds nothing
+    distribution(9, "pk")
+    distribution(9, "lpk")  # reads the pk table: builds nothing
     assert P._tail_table.cache_info().misses == 2
     P._tail_table(m, "pk")
     assert P._tail_table.cache_info().misses == 2
-    signed_distribution(sm + 1, "des_b")  # builds the des_b and the ades table
-    signed_distribution(sm + 1, "ades")  # reads the ades table: builds nothing
+    signed_distribution(5, "des_b")  # builds the des_b and the ades table
+    signed_distribution(5, "ades")  # reads the ades table: builds nothing
     assert P._signed_tail_tables.cache_info().misses == 1
     for _ in range(2):
-        for n in (m + 2, m + 3):  # both leave a tail of m positions
+        for n in (9, 10):  # both leave a tail of m positions
             for stat in P.PERM_STATS:
                 distribution(n, stat)
             count_alternating(n)
             count_alternating(n, reverse=True)
-        for n in (sm + 1, sm + 2):
+        for n in (5, 6):  # both leave a tail of sm positions
             for stat in P.SIGNED_STATS:
                 signed_distribution(n, stat)
     # one build per (tail length, statistic), and one per signed tail length
@@ -259,10 +261,32 @@ def test_suffix_tables_are_built_once_per_tail_length():
     assert signed.misses == signed.currsize == 1
 
 
-def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypatch):
-    # With TAIL = t the walk places n - t values from the empty prefix, so
-    # t = 0 .. 3 over 1 <= n <= 7 runs every walk depth from 1 to 7 (signed,
-    # SIGNED_TAIL = 0 .. 2 over n <= 5: 1 to 5), each down to its last level.
+def _walk_counts(n, stat, sentinel, tail):
+    """Counts of pk, des or alt over S_n, as _s_n_counts takes them but with
+    the walk stopped at `tail` values left and the table of that length."""
+    hits = [[0] * (2 * (tail + 1)) for _ in range(n + 1)]
+    P._perm_walk(list(range(1, n + 1)), int(sentinel == 0), sentinel, 0, tail, P._STEPS[stat], hits)
+    return P._fold(hits, P._tail_table(tail, stat), n)
+
+
+def _signed_walk_counts(n, stat, tail):
+    """Counts of des_b or ades, as signed_distribution takes them but with
+    the walk stopped at `tail` entries left and the tables of that length."""
+    hits = [[0] * (2 * (2 * tail + 1)) for _ in range(n + 1)]
+    P._signed_walk(list(range(1, n + 1)), 0, 0, 0, tail, hits)
+    return P._fold(hits, P._signed_tail_tables(tail)[P.SIGNED_STATS.index(stat)], n + 1)
+
+
+def _padded(counts, width):
+    return list(counts) + [0] * (width - len(counts))
+
+
+def test_kernels_match_per_permutation_reference_at_every_prefix_depth():
+    # Stopped at tail t, the walk places n - t values from the empty prefix,
+    # so t = 0 .. 3 over t < n <= 7 runs every walk depth from 1 to 7
+    # (signed, t = 0 .. 2 over n <= 5: 1 to 5), each down to its last level.
+    # pk walks from the sentinel n + 1, lpk and des from 0; lpk reads the
+    # pk table.
     references = {}
     for n in range(1, 8):
         perms = list(itertools.permutations(range(1, n + 1)))
@@ -275,15 +299,17 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
             counter = Counter(turns((sentinel,) + pi) for pi in perms)
             references[n]["turns", sentinel] = [counter[k] for k in range(n)]
     for tail in range(4):
-        monkeypatch.setattr(P, "TAIL", tail)
-        P._tail_table.cache_clear()
         for n, reference in references.items():
+            if tail >= n:
+                continue
             for stat in P.PERM_STATS:
-                assert distribution(n, stat).counts == reference[stat], (tail, n, stat)
+                counts = _walk_counts(n, "des" if stat == "des" else "pk", n + 1 if stat == "pk" else 0, tail)
+                assert counts == _padded(reference[stat], n), (tail, n, stat)
             for reverse in (False, True):
-                assert count_alternating(n, reverse=reverse) == reference["alt", reverse], (tail, n, reverse)
+                counts = _walk_counts(n, "alt", n + 1 if reverse else 0, tail)
+                assert counts[n - 1] == reference["alt", reverse], (tail, n, reverse)
             for sentinel in (0, n + 1):
-                assert P._s_n_counts(n, "alt", sentinel) == reference["turns", sentinel], (tail, n, sentinel)
+                assert _walk_counts(n, "alt", sentinel, tail) == reference["turns", sentinel], (tail, n, sentinel)
     signed_references = {}
     for n in range(1, 6):
         windows = _windows(n)
@@ -291,11 +317,11 @@ def test_kernels_match_per_permutation_reference_at_every_prefix_depth(monkeypat
             stat: _reference_counts(lambda w: signed_stat(w, stat), windows) for stat in P.SIGNED_STATS
         }
     for tail in range(3):
-        monkeypatch.setattr(P, "SIGNED_TAIL", tail)
-        P._signed_tail_tables.cache_clear()
         for n, reference in signed_references.items():
+            if tail >= n:
+                continue
             for stat in P.SIGNED_STATS:
-                assert signed_distribution(n, stat).counts == reference[stat], (tail, n, stat)
+                assert _signed_walk_counts(n, stat, tail) == _padded(reference[stat], n + 1), (tail, n, stat)
 
 
 def test_every_statistic_at_its_cap_matches_the_recurrence_rows():
@@ -315,15 +341,16 @@ def test_each_distribution_ends_at_the_largest_value_of_its_statistic():
 
 def test_suffix_table_rows_count_every_completion():
     # entry d of a row counts the completions that add d; m more values add
-    # at most m to pk, des or alt, and at most m + 1 to ades
-    for m in range(P.TAIL + 1):
+    # at most m to pk, des or alt, and at most m + 1 to ades.  Every tail
+    # length up to those the caps read.
+    for m in range(P._tail(P.S_N_LIMIT) + 1):
         for stat in ("pk", "des", "alt"):  # lpk reads the table of pk
             table = P._tail_table(m, stat)
             assert len(table) == 2 * (m + 1)
             for row in table:
                 assert len(row) == m + 1 and min(row) >= 0, (m, stat)
                 assert sum(row) == math.factorial(m), (m, stat)
-    for m in range(P.SIGNED_TAIL + 1):
+    for m in range(P._tail(P.SIGNED_LIMIT) + 1):
         for stat, table, width in zip(P.SIGNED_STATS, P._signed_tail_tables(m), (m + 1, m + 2), strict=True):
             rows = [row for row in table if row]
             assert len(rows) == 2 * (m + 1)  # one per signed last entry; the other keys hold ()
@@ -391,15 +418,16 @@ def _all_statistics_signed_tail_tables(m):
 
 
 def test_per_statistic_suffix_tables_match_the_all_statistics_loop():
-    for m in range(P.TAIL + 1):
+    # every tail length up to those the caps read
+    for m in range(P._tail(P.S_N_LIMIT) + 1):
         for stat, table in _all_statistics_tail_tables(m).items():
             assert P._tail_table(m, stat) == table, (m, stat)
-    for m in range(P.SIGNED_TAIL + 1):
+    for m in range(P._tail(P.SIGNED_LIMIT) + 1):
         tables = dict(zip(P.SIGNED_STATS, P._signed_tail_tables(m), strict=True))
         for stat, table in _all_statistics_signed_tail_tables(m).items():
             assert tables[stat] == table, (m, stat)
     with pytest.raises(ValueError):
-        P._tail_table(P.TAIL, "lpk")
+        P._tail_table(P._tail(P.S_N_LIMIT), "lpk")
 
 
 def test_differential_against_sympy_at_the_caps():
@@ -430,6 +458,17 @@ def _first_count(row):
     return next(d for d, completions in enumerate(row) if completions)
 
 
+def _last_count(row):
+    """The greatest increment some completion adds."""
+    return max(d for d, completions in enumerate(row) if completions)
+
+
+def _with_row_off_by_one(table, key, pick):
+    """The table with one more completion in row key, at entry pick(row)."""
+    row = table[key]
+    return table[:key] + (_off_by_one(row, pick(row)),) + table[key + 1:]
+
+
 def _corrupt_cached(monkeypatch, name, args, table):
     """Make the cached suffix-table builder `name` return `table` for `args`."""
     cached = getattr(P, name)
@@ -438,31 +477,89 @@ def _corrupt_cached(monkeypatch, name, args, table):
 
 def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     assert _shard_check().passed
-    # n = 6 fills all five positions after the first from it; the first
-    # value is reached from the sentinel 0 by an ascent, so key 1 is rank 0
-    des = P._tail_table(5, "des")
+    # n = 6 fills its last three positions from it; the prefix 1, 2, 3 ends
+    # in a value reached by an ascent below all those left, key 1, at base 0
+    m = P._tail(6)
+    assert m == 3
+    des = P._tail_table(m, "des")
     d = _first_count(des[1])
-    _corrupt_cached(monkeypatch, "_tail_table", (5, "des"), des[:1] + (_off_by_one(des[1], d),) + des[2:])
+    _corrupt_cached(monkeypatch, "_tail_table", (m, "des"), _with_row_off_by_one(des, 1, _first_count))
     check = _shard_check()
     assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, d)
     monkeypatch.undo()
     assert _shard_check().passed
-    des_b, ades = P._signed_tail_tables(3)  # signed n = 4 fills three positions from them
+    sm = P._tail(4)  # signed n = 4 fills its last two positions from them
+    assert sm == 2
+    des_b, ades = P._signed_tail_tables(sm)
     key = next(k for k, row in enumerate(ades) if row)
-    corrupted = ades[:key] + (_off_by_one(ades[key], _first_count(ades[key])),) + ades[key + 1:]
-    _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (des_b, corrupted))
+    _corrupt_cached(monkeypatch, "_signed_tail_tables", (sm,), (des_b, _with_row_off_by_one(ades, key, _first_count)))
     check = _shard_check()
     assert (check.verdict, check.witness.n) == ("fail", 4)  # the signed windows compared are those of [4]
 
 
 def test_signed_rows_check_fails_on_a_corrupted_des_b_table(monkeypatch):
-    # Signed n = 4 reads the des_b table of tail length 3 through C.oracle;
+    # Signed n = 4 reads the des_b table of tail length 2 through C.oracle,
+    # and so does n = 3, the first n the check reaches that reads it;
     # oracle_shard_determinism reads only the ades table of the same build.
-    # Its first key is the first entry -4, one descent after 0; entry 0 of
+    # Its first key is the entry -3 of [3], one descent after 0; entry 0 of
     # its row counts the completions that add no descent, so one more of
-    # them makes 77 windows with one descent, where C_4 has 76.
-    des_b, ades = P._signed_tail_tables(3)
+    # them makes 24 windows of [3] with one descent, where C_3 has 23.
+    sm = P._tail(4)
+    assert sm == P._tail(3) == 2
+    des_b, ades = P._signed_tail_tables(sm)
     corrupted = (_off_by_one(des_b[0], 0),) + des_b[1:]
-    _corrupt_cached(monkeypatch, "_signed_tail_tables", (3,), (corrupted, ades))
+    _corrupt_cached(monkeypatch, "_signed_tail_tables", (sm,), (corrupted, ades))
     flagged = [r for r in identities.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
-    assert flagged == [identities.CheckResult("oracle_signed_rows", (1, 4), "fail", identities.Witness(4, 1, "77", "76"))]
+    assert flagged == [identities.CheckResult("oracle_signed_rows", (1, 4), "fail", identities.Witness(3, 1, "24", "23"))]
+
+
+def test_verify_catches_a_corrupted_row_in_every_table_it_reads_at_its_defaults(monkeypatch):
+    # The oracle suite reads S_n and signed windows to the defaults that
+    # --suite all reads.  pk and des: key 1, the prefix 1, 2, .., which lpk
+    # and des walk at every n; its least increment lands on a real count.
+    # alt: key 0, a value reached by a descent below all those left; its
+    # greatest increment completes a prefix that turns at every position,
+    # so the count of n - 1 turns, the alternating one, moves.  des_b and
+    # ades: key 0, the entry -n last, which every n reaches.
+    defaults = {knob.name: knob.default for knob in identities.RANGES}
+    s_n_tails = sorted({P._tail(n) for n in range(1, defaults["oracle_nmax"] + 1)})
+    signed_tails = sorted({P._tail(n) for n in range(1, defaults["signed_nmax"] + 1)})
+    assert (s_n_tails, signed_tails) == ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4])
+    cases = []
+    for m in s_n_tails:
+        for stat, key, pick in (("pk", 1, _first_count), ("des", 1, _first_count), ("alt", 0, _last_count)):
+            cases.append(("_tail_table", (m, stat), _with_row_off_by_one(P._tail_table(m, stat), key, pick)))
+    for m in signed_tails:
+        des_b, ades = P._signed_tail_tables(m)
+        cases.append(("_signed_tail_tables", (m,), (_with_row_off_by_one(des_b, 0, _first_count), ades)))
+        cases.append(("_signed_tail_tables", (m,), (des_b, _with_row_off_by_one(ades, 0, _first_count))))
+    for name, args, corrupted in cases:
+        _corrupt_cached(monkeypatch, name, args, corrupted)
+        results = identities.run("oracle")
+        monkeypatch.undo()
+        assert "error" not in {r.verdict for r in results}, (name, args)
+        assert any(r.verdict == "fail" and P._tail(r.witness.n) == args[0] for r in results), (name, args)
+
+
+def test_each_request_makes_a_pinned_number_of_walk_calls(monkeypatch):
+    # The walk calls of one request with its tables cleared, table builds
+    # included: a changed split or a lost last-level inline shows as a count.
+    calls = [0]
+    for name in ("_perm_walk", "_signed_walk"):
+        def counted(*args, walk=getattr(P, name)):
+            calls[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(P, name, counted)
+
+    def walk_calls(request, n, stat):
+        P._tail_table.cache_clear()
+        P._signed_tail_tables.cache_clear()
+        calls[0] = 0
+        request(n, stat)
+        return calls[0]
+
+    assert [walk_calls(distribution, n, "pk") for n in range(1, P.S_N_LIMIT + 1)] == [
+        3, 5, 19, 23, 86, 117, 460, 811, 3058, 8333]
+    assert [walk_calls(signed_distribution, n, "des_b") for n in range(1, P.SIGNED_LIMIT + 1)] == [
+        3, 5, 31, 39, 259, 381, 2673]
