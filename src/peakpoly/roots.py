@@ -27,10 +27,9 @@ simple and inside (-1, 0).  The only evaluations are at the integers -1 and
 
 Interlacing needs no root location either.  With the common factor of G_n and
 G_{n+1} divided out, the zeros alternate exactly when the Cauchy index of
-G_n/G_{n+1} over R is as large as it can be, and that index is read off the
-leading coefficients and degrees of one remainder sequence, the builder the
-Sturm chains use.  The common factor comes from gcd_poly, which runs a
-remainder sequence of its own first.
+G_n/G_{n+1} over R is as large as it can be.  It is read off the one
+remainder sequence of (G_{n+1}, G_n), the builder the Sturm chains use, as
+the common factor multiplies every member and moves no variation count.
 """
 
 from __future__ import annotations
@@ -159,25 +158,27 @@ def certify_interlacing(n: int) -> bool:
     With deg g - deg f in {0, 1}, the index is sign(lc f * lc g) * deg g
     exactly when all zeros of g are real and simple, f changes sign between
     consecutive ones, and no zero of f lies above the top one: the zeros
-    alternate from the top, starting with one of g.  The index is
-    V(-oo) - V(+oo) of the remainder sequence of g and f.
+    alternate from the top, starting with one of g.  f/g is G_n/G_{n+1}, so
+    the index is V(-oo) - V(+oo) of S, the remainder sequence of G_{n+1} and
+    G_n: its members are those of (g, f) times d and positive factors, and
+    lc d > 0 and (-1)^deg d move no count.  gcd_poly reads d off S's last
+    two members, as the last divides the one before.
     """
     _at_least("n", n, 1)
-    r_n = families.tan_sec_poly(n)
-    r_n1 = families.tan_sec_poly(n + 1)
+    r_n, r_n1 = families.tan_sec_poly(n), families.tan_sec_poly(n + 1)
     if r_n1.degree != r_n.degree + 1:
         raise InterlacingViolation(f"degree step failed at n={n}")
     try:
         g_n, g_n1 = families.reduced_tan_sec_poly(n), families.reduced_tan_sec_poly(n + 1)
     except NonzeroRemainder as exc:
         raise InterlacingViolation(f"at n={n}: {exc}") from None
-    common = gcd_poly(g_n, g_n1)
-    f, g = g_n.exact_div(common), g_n1.exact_div(common)
-    if g.degree - f.degree not in (0, 1):
-        raise InterlacingViolation(f"simple-zero counts {f.degree}/{g.degree} at n={n}")
-    orientation = 1 if f.leading() * g.leading() > 0 else -1
-    index = SturmChain(remainder_sequence(g, f)).cauchy_index()
-    if index != orientation * g.degree:
+    seq = remainder_sequence(g_n1, g_n)
+    common = gcd_poly(seq[-2], seq[-1])
+    deg_f, deg_g = g_n.degree - common.degree, g_n1.degree - common.degree
+    if deg_g - deg_f not in (0, 1):
+        raise InterlacingViolation(f"simple-zero counts {deg_f}/{deg_g} at n={n}")
+    orientation = 1 if g_n.leading() * g_n1.leading() > 0 else -1
+    if SturmChain(seq).cauchy_index() != orientation * deg_g:
         raise InterlacingViolation(f"zeros of R_{n} and R_{n + 1} fail to alternate")
     return True
 
@@ -204,9 +205,8 @@ def clt_stats(n: int) -> CltStats:
     """
     _at_least("n", n, 1)
     rn = families.tan_sec_poly(n)
-    v = rn(1)
-    d1 = rn.derivative()(1)
-    d2 = rn.derivative().derivative()(1)
+    deriv = rn.derivative()
+    v, d1, d2 = rn(1), deriv(1), deriv.derivative()(1)
     mu = Fraction(d1, v)
     sigma2 = mu + Fraction(d2, v) - mu * mu
     return CltStats(n, v, d1, d2, mu, sigma2)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 from peakpoly import families as F
 from peakpoly import identities as I
+from peakpoly import polynomial as P
 from peakpoly import series as S
-from peakpoly.polynomial import Poly
+from peakpoly.polynomial import Poly, gcd_poly, remainder_sequence
 from peakpoly.roots import (
     EndpointIsRoot,
     InterlacingViolation,
     NonSquarefreeInput,
     StructureViolation,
+    SturmChain,
     certify_interlacing,
     certify_root_structure,
     clt_stats,
@@ -303,12 +306,20 @@ def alternates(roots_n, roots_n1):
     return all(label == "sr"[i % 2] for i, (_, label) in enumerate(merged))
 
 
-def interlacing_verdict(monkeypatch, g_n, g_n1) -> bool:
-    # R_2 and R_3 pass the degree and multiplicity steps, so the verdict
-    # rests on the reduced pair alone
+def reduced_pair(monkeypatch):
+    """R_2 and R_3 that pass the degree and multiplicity steps, so that
+    certify_interlacing(2) rests on the reduced pair alone: G_2 and G_3,
+    read from the returned dict."""
+    pair = {}
     fake_r = {2: ONE_PLUS_X**2, 3: ONE_PLUS_X**3}
     monkeypatch.setattr(F, "tan_sec_poly", lambda n: fake_r[n])
-    monkeypatch.setattr(F, "reduced_tan_sec_poly", lambda n: {2: g_n, 3: g_n1}[n])
+    monkeypatch.setattr(F, "reduced_tan_sec_poly", lambda n: pair[n])
+    return pair
+
+
+def interlacing_verdict(monkeypatch, g_n, g_n1) -> bool:
+    pair = reduced_pair(monkeypatch)
+    pair[2], pair[3] = g_n, g_n1
     try:
         return certify_interlacing(2)
     except InterlacingViolation:
@@ -366,6 +377,87 @@ def test_interlacing_matches_sorted_roots_on_seeded_pairs(monkeypatch):
         assert got == expected, (rs, lead_n, ss, lead_n1)
         verdicts[expected] += 1
     assert min(verdicts.values()) > 100, verdicts
+
+
+def two_sequence_interlacing(g_n, g_n1):
+    """The reduced-pair clauses of certify_interlacing(2), as a reference: d
+    from gcd_poly's own remainder sequence, f = G_n/d and g = G_{n+1}/d by
+    exact division, and the index from the remainder sequence of (g, f)."""
+    common = gcd_poly(g_n, g_n1)
+    f, g = g_n.exact_div(common), g_n1.exact_div(common)
+    if g.degree - f.degree not in (0, 1):
+        raise InterlacingViolation(f"simple-zero counts {f.degree}/{g.degree} at n=2")
+    orientation = 1 if f.leading() * g.leading() > 0 else -1
+    index = SturmChain(remainder_sequence(g, f)).cauchy_index()
+    if index != orientation * g.degree:
+        raise InterlacingViolation("zeros of R_2 and R_3 fail to alternate")
+    return True
+
+
+def outcome(run):
+    """True, or the class and message of what run raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_factor(rng, pool):
+    """A nonzero polynomial: rational linear factors, some of them repeated,
+    or random integer coefficients, often with zeros off the real line."""
+    if rng.random() < 0.5:
+        return with_roots(rng.choices(pool, k=rng.randint(0, 3)), rng.choice((1, 2, -1, -3)))
+    return Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice((1, 3, -1, -2))])
+
+
+def test_interlacing_matches_the_two_sequence_reference_on_shared_factors(monkeypatch):
+    rng = random.Random(5150)
+    pool = sorted({-Fraction(a, d) for d in range(2, 9) for a in range(1, d)})
+    pair = reduced_pair(monkeypatch)
+    kinds, shared = Counter(), 0
+    for _ in range(600):
+        if rng.random() < 0.5:
+            # zeros alternating from the top, sometimes with G_n's on top
+            points = sorted(rng.sample(pool, rng.randint(0, 6)), reverse=True)
+            ss, rs = points[0::2], points[1::2]
+            if rng.random() < 0.2:
+                ss, rs = rs, ss
+            f, g = with_roots(rs, rng.choice((1, -2))), with_roots(ss, rng.choice((1, -1)))
+        else:
+            f, g = random_factor(rng, pool), random_factor(rng, pool)
+        d = random_factor(rng, pool) if rng.random() < 0.6 else Poly.one()
+        pair[2], pair[3] = d * f, d * g
+        shared += gcd_poly(pair[2], pair[3]).degree >= 1
+        got = outcome(lambda: certify_interlacing(2))
+        assert got == outcome(lambda: two_sequence_interlacing(pair[2], pair[3])), (pair[2], pair[3])
+        kinds[got if got is True else got[1].split(" ")[0]] += 1
+    assert shared >= 200 and min(kinds.values()) >= 50, (shared, kinds)
+    assert set(kinds) == {True, "simple-zero", "zeros"}, kinds
+
+
+def test_a_shared_root_with_a_degree_gap_names_the_reduced_degrees(monkeypatch):
+    # G_2 = 2x + 1 and G_3 = (4x + 1)(2x + 1)(4x + 3): the shared zero -1/2 is
+    # a coincident point, and the pair left has degrees 0 and 2
+    pair = reduced_pair(monkeypatch)
+    pair[2] = with_roots([Fraction(-1, 2)])
+    pair[3] = with_roots([Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 4)])
+    with pytest.raises(InterlacingViolation) as raised:
+        certify_interlacing(2)
+    assert str(raised.value) == "simple-zero counts 0/2 at n=2"
+
+
+@pytest.mark.parametrize("nmax, calls", [(8, 40), (24, 312)])
+def test_the_roots_suite_builds_one_sequence_per_interlacing(monkeypatch, nmax, calls):
+    """pseudo_remainder calls of the roots suite with the families warm: the
+    Sturm chain of each G_n, the one remainder sequence of each
+    (G_{n+1}, G_n), and one step of gcd_poly on its last two members.  roots
+    holds no memo, so the count does not depend on what ran before.  At the
+    cap, n = 64, it is 2,112; that run takes about 2 s and is left out."""
+    I.run("roots", roots_nmax=nmax)
+    real, seen = P.pseudo_remainder, []
+    monkeypatch.setattr(P, "pseudo_remainder", lambda a, b: seen.append(b) or real(a, b))
+    assert all(r.verdict == "pass" for r in I.run("roots", roots_nmax=nmax))
+    assert len(seen) == calls
 
 
 def test_structure_violation_on_corrupted_polynomial(monkeypatch):
