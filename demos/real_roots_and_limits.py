@@ -28,8 +28,9 @@ for n in (5, 10, 15, 25):
 
 # Consecutive polynomials weakly interlace; with their common factor divided
 # out, the certificate is the Cauchy index of G_n/G_{n+1} over R, read off the
-# leading coefficients and degrees of one remainder sequence.
-print("\ninterlacing certified for n = 1..25:", all(R.certify_interlacing(n) for n in range(1, 26)))
+# leading coefficients and degrees of one remainder sequence.  A certificate
+# returns None, or raises a Violation at the first clause that fails.
+print("\ninterlacing certified for n = 1..25:", all(R.certify_interlacing(n) is None for n in range(1, 26)))
 
 # Exact coefficient statistics: the mean is (2n-1)/3 and the variance
 # (8n+8)/45 from n = 4 on, so the variance grows without bound.

@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import Violation, _at_least, _at_most, families, permutations, roots, series
 from .polynomial import Poly
+from .roots import certify_interlacing, certify_root_structure
 
 
 class Witness(NamedTuple):
@@ -250,16 +251,6 @@ def check_numeric_spot(order: int, x0: Fraction, t0: Fraction, tol: float) -> Wi
     return None
 
 
-def check_root_structure(n: int) -> Witness | None:
-    roots.certify_root_structure(n)
-    return None
-
-
-def check_interlacing(n: int) -> Witness | None:
-    roots.certify_interlacing(n)
-    return None
-
-
 def check_mode_bracket(n: int) -> Witness | None:
     result = roots.mode_bracket(n)
     if not result.ok:
@@ -319,12 +310,14 @@ class Check(NamedTuple):
     hi is the value of the range knob `knob` plus `top`, or `top` when
     `knob` is None.  lo is a fixed n, or a knob whose value + 1 it is, and
     then an empty range is left out.  `fn` names a check function of this
-    module, called as fn(n, *args) and looked up when the check runs, so a
-    function rebound on the module (a test's corruption, the benchmark's
-    tracer) is the one that runs.  `unit` "range" gives one result, the
-    first witness over lo..hi; "order" one result from fn(hi), a series
-    check through z-order hi; "n" one result per n.  `reads` names the
-    routes the check compares: "F.route" of series.FAMILIES, or a ROUTES name.
+    module, or a roots certificate imported here by name (None on a pass,
+    like a check function), called as fn(n, *args) and looked up when the
+    check runs, so a function rebound on the module (a test's corruption,
+    the benchmark's tracer) is the one that runs.  `unit` "range" gives one
+    result, the first witness over lo..hi; "order" one result from fn(hi),
+    a series check through z-order hi; "n" one result per n.  `reads` names
+    the routes the check compares: "F.route" of series.FAMILIES, or a
+    ROUTES name.
     """
 
     check_id: str
@@ -382,8 +375,8 @@ CHECKS = (
           20, (Fraction(1, 2), Fraction(1, 20), 1e-15)),
     Check("numeric_spotcheck_2", "gf", None, 0, "check_numeric_spot", ("R.triangle", "decimal.closed_form"), "order",
           24, (Fraction(7, 10), Fraction(1, 10), 1e-12)),
-    Check("root_structure", "roots", "roots_nmax", 1, "check_root_structure", ("R.triangle", "G.recurrence", "sturm")),
-    Check("interlacing", "roots", "roots_nmax", 1, "check_interlacing", ("R.triangle", "G.recurrence", "sturm")),
+    Check("root_structure", "roots", "roots_nmax", 1, "certify_root_structure", ("R.triangle", "G.recurrence", "sturm")),
+    Check("interlacing", "roots", "roots_nmax", 1, "certify_interlacing", ("R.triangle", "G.recurrence", "sturm")),
     Check("mode_bracket", "roots", "roots_nmax", 2, "check_mode_bracket", ("R.triangle", "darroch")),
     Check("clt_moments", "clt", "clt_nmax", CLT_FROM, "check_clt_moments", ("R.triangle", "clt.closed_form"), "n"),
 )

@@ -9,12 +9,12 @@ or a `float` included.  Division stays in Z[x] too: `divmod` and
 an integer, which never happens for a divisor with leading coefficient +-1
 and, for a primitive divisor, only when it does not divide (Gauss's lemma).
 A greatest common divisor is primitive with a positive leading coefficient.
-Rationals appear only as values.  There is one evaluation, `Poly.__call__`:
-at p/q it is homogeneous integer Horner, q^d f(p/q), reduced once at the
-end, and at an integer point it is the int value, whose sign is what the
-Sturm tests read.  Composition is that Horner over Z[x] (subst_cleared with
-denominator 1).  A Poly product and each entry of a Hurwitz product share
-one schoolbook loop over ints.
+Rationals appear only as values.  There is one evaluation, `Poly.__call__`,
+at an int or a Fraction and nothing else: at p/q it is homogeneous integer
+Horner, q^d f(p/q), reduced once at the end, and at an integer point it is
+the int value, whose sign is what the Sturm tests read.  Composition is that
+Horner over Z[x] (subst_cleared with denominator 1).  A Poly product and
+each entry of a Hurwitz product share one schoolbook loop over ints.
 
 Trailing zeros are stripped on construction, so equality is structural; the
 zero polynomial stores no coefficients at all and its degree is the sentinel
@@ -165,14 +165,18 @@ class Poly(_Value):
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
 
     def __call__(self, x: Fraction | int) -> Fraction | int:
-        """Evaluate at a rational point: the package's one evaluation.
+        """Evaluate at an exact rational point: the package's one evaluation.
 
-        At x = p/q (q > 0) homogeneous Horner computes q^d f(p/q) in
-        integers.  At an integer point that is the value, an int; otherwise
-        it is divided by q^d and reduced once.
+        x is a Fraction or, like a coefficient, anything with `__index__`;
+        a float, a Decimal or a string raises TypeError.  At x = p/q (q > 0)
+        homogeneous Horner computes q^d f(p/q) in integers.  At an integer
+        point that is the value, an int; otherwise it is divided by q^d and
+        reduced once.
         """
-        x = Fraction(x)
-        num, den = x.numerator, x.denominator
+        if isinstance(x, Fraction):
+            num, den = x.numerator, x.denominator
+        else:
+            num, den = operator.index(x), 1
         acc = 0
         den_pow = 1
         for c in reversed(self.coeffs):

@@ -77,7 +77,7 @@ class SturmChain(NamedTuple):
 
     polys: tuple[Poly, ...]
 
-    def variations(self, x: Fraction) -> int:
+    def variations(self, x: Fraction | int) -> int:
         return _sign_changes(p(x) for p in self.polys)
 
     def cauchy_index(self) -> int:
@@ -88,7 +88,7 @@ class SturmChain(NamedTuple):
         bottom = [-c if p.degree % 2 else c for p, c in zip(self.polys, top)]
         return _sign_changes(bottom) - _sign_changes(top)
 
-    def count(self, a: Fraction, b: Fraction) -> int:
+    def count(self, a: Fraction | int, b: Fraction | int) -> int:
         """Distinct real roots in (a, b]."""
         if a >= b:
             raise ValueError("need a < b")
@@ -116,7 +116,7 @@ def sturm_chain(p: Poly) -> SturmChain:
 # certified structure of the tan_sec family
 # ---------------------------------------------------------------------------
 
-def certify_root_structure(n: int) -> bool:
+def certify_root_structure(n: int) -> None:
     """Certify the zero structure of R_n = tan_sec_poly(n): every zero is real.
 
     The clauses, in order: multiplicity exactly floor(n/2)+1 at -1 (the
@@ -125,7 +125,7 @@ def certify_root_structure(n: int) -> bool:
     G_n (the Cauchy index of its Sturm chain); all of them in (-1, 0) (the
     chain's count there); and deg G_n equal to that count, so no zero is
     non-real.
-    The first clause that fails raises StructureViolation; otherwise True.
+    The first clause that fails raises StructureViolation.
     """
     _at_least("n", n, 1)
     expected_simple = (n + 1) // 2 - 1
@@ -140,14 +140,13 @@ def certify_root_structure(n: int) -> bool:
     simple = chain.cauchy_index()
     if simple != expected_simple:
         raise StructureViolation("simple-zero count", f"n={n}: {simple} != {expected_simple}")
-    if chain.count(Fraction(-1), Fraction(0)) != expected_simple:
+    if chain.count(-1, 0) != expected_simple:
         raise StructureViolation("zero range", f"some zero of G_{n} is outside (-1, 0)")
     if g.degree != expected_simple:
         raise StructureViolation("degree", f"n={n}: deg G_{n} = {g.degree} != {expected_simple}")
-    return True
 
 
-def certify_interlacing(n: int) -> bool:
+def certify_interlacing(n: int) -> None:
     """Certify that R_n separates R_{n+1} (weak interlacing of all zeros).
 
     The shared zeros at -1 have multiplicity exactly floor(k/2)+1 in R_k,
@@ -180,7 +179,6 @@ def certify_interlacing(n: int) -> bool:
     orientation = 1 if g_n.leading() * g_n1.leading() > 0 else -1
     if SturmChain(seq).cauchy_index() != orientation * deg_g:
         raise InterlacingViolation(f"zeros of R_{n} and R_{n + 1} fail to alternate")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import Violation, _Value, _at_least, _at_most, families, permutations
+from .families import ONE_MINUS_X, X
 from .polynomial import Poly, _hurwitz_entry, hurwitz_mul
 
 MAX_ORDER = 64  # highest z-order solved and checked; the CLI cap of the GF-solved families
@@ -267,8 +268,7 @@ class EGF(NamedTuple):
     rhs: Callable[[int], Poly]
 
 
-_ZERO, _ONE, _X = Poly.zero(), Poly.one(), Poly.x()
-_U, _V = Poly((1, -1)), Poly((1, 0, -1))  # 1 - x and 1 - x^2
+_ZERO, _ONE, _V = Poly.zero(), Poly.one(), Poly((1, 0, -1))  # _V = 1 - x^2
 
 
 def _powers(base: Poly) -> Callable[[int], Poly]:
@@ -277,22 +277,22 @@ def _powers(base: Poly) -> Callable[[int], Poly]:
     return lambda e: memo.upto(e)[e]
 
 
-_U_POW, _V_POW = _powers(_U), _powers(_V)
+_U_POW, _V_POW = _powers(ONE_MINUS_X), _powers(_V)  # (1 - x)^e and (1 - x^2)^e
 
 # The closed forms, in the order the gf suite checks them.  gf_P and gf_R are
 # both EGFs of R_n, at offsets 0 and 1; the CLI family P is the tangent
 # derivative polynomial P_n, which has no EGF here.  R's den is
 # cosh(z sqrt(w)) - sqrt(w) sinh(z sqrt(w)) - x with w = 1 - x^2.
 EGFS = {
-    "A": EGF("A", 0, _ONE, -_X, _U, _U, lambda m: _U_POW(m + 1)),
-    "W": EGF("W", 0, _ZERO, _ONE, -_ONE, -_U, lambda m: _U_POW(m // 2) if m % 2 else _ZERO),
-    "WL": EGF("WL", 0, _ZERO, _ONE, -_ONE, -_U, lambda m: _ZERO if m else _ONE),
+    "A": EGF("A", 0, _ONE, -X, ONE_MINUS_X, ONE_MINUS_X, lambda m: _U_POW(m + 1)),
+    "W": EGF("W", 0, _ZERO, _ONE, -_ONE, -ONE_MINUS_X, lambda m: _U_POW(m // 2) if m % 2 else _ZERO),
+    "WL": EGF("WL", 0, _ZERO, _ONE, -_ONE, -ONE_MINUS_X, lambda m: _ZERO if m else _ONE),
     "P": EGF("R", 0, _ZERO, _ONE, -_ONE, -_V,
-             lambda m: _X * _V_POW(m // 2) if m % 2 else _ZERO if m else _ONE),
-    "C": EGF("C", 0, _ONE, -_X, 2 * _U, 2 * _U, lambda m: _U_POW(m + 1)),
-    "CT": EGF("CT", 0, _ONE, -_X, 2 * _U, 2 * _U, lambda m: _ZERO if m else _U),
-    "T": EGF("T", 0, _ONE, -_X, _V, _V, lambda m: _V_POW(m) if m else _U),
-    "R": EGF("R", 1, -_X, _ONE, -_V, -_ONE, lambda m: _ZERO if m else _V),
+             lambda m: X * _V_POW(m // 2) if m % 2 else _ZERO if m else _ONE),
+    "C": EGF("C", 0, _ONE, -X, 2 * ONE_MINUS_X, 2 * ONE_MINUS_X, lambda m: _U_POW(m + 1)),
+    "CT": EGF("CT", 0, _ONE, -X, 2 * ONE_MINUS_X, 2 * ONE_MINUS_X, lambda m: _ZERO if m else ONE_MINUS_X),
+    "T": EGF("T", 0, _ONE, -X, _V, _V, lambda m: _V_POW(m) if m else ONE_MINUS_X),
+    "R": EGF("R", 1, -X, _ONE, -_V, -_ONE, lambda m: _ZERO if m else _V),
 }
 
 

@@ -105,8 +105,6 @@ COUNTS = {
     "identities.check_pde": (I.check_pde, "order", 0),
     "identities.check_numeric_spot": (lambda n: I.check_numeric_spot(n, Fraction(1, 2), Fraction(1, 20), 0.5),
                                       "order", 0),
-    "identities.check_root_structure": (I.check_root_structure, "n", 1),
-    "identities.check_interlacing": (I.check_interlacing, "n", 1),
     "identities.check_mode_bracket": (I.check_mode_bracket, "n", 2),
     "identities.check_clt_moments": (I.check_clt_moments, "n", 4),
 }

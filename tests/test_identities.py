@@ -600,16 +600,26 @@ class _NewViolation(Violation):
     (R.EndpointIsRoot("at n=3"), "error"),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value)
 def test_a_violation_raised_inside_a_range_is_a_fail_and_any_other_exception_an_error(monkeypatch, exc, verdict):
-    real = R.certify_interlacing
+    real = I.certify_interlacing
 
     def certify(n):
         if n == 3:
             raise exc
         return real(n)
 
-    monkeypatch.setattr(R, "certify_interlacing", certify)
+    monkeypatch.setattr(I, "certify_interlacing", certify)
     [result] = [r for r in I.run("roots", roots_nmax=4) if r.check_id == "interlacing"]
     assert result == I.CheckResult("interlacing", (1, 4), verdict, I.Witness(3, -1, type(exc).__name__, "at n=3"))
+
+
+def test_every_check_function_returns_none_on_a_pass():
+    # run reads a returned value as the witness, so a certificate that
+    # returned True again would reach CheckResult.to_json and crash verify
+    spans = I.plan("all", {knob.name: knob.default for knob in I.RANGES})
+    assert [check for check, _, _ in spans] == list(I.CHECKS)
+    for check, lo, hi in spans:
+        n = hi if check.unit == "order" else lo  # the least n that run calls fn at
+        assert getattr(I, check.fn)(n, *check.args) is None, check.check_id
 
 
 def test_aggregate_verdict_is_fail_before_error():

@@ -397,7 +397,7 @@ def test_family_interlacing_matches_sympy_real_roots():
             reverse=True,
         )
         assert [label for _, label in merged] == ["sr"[i % 2] for i in range(len(merged))], n
-        assert certify_interlacing(n), n
+        assert certify_interlacing(n) is None, n
 
 
 def test_remainder_sequences_of_g_match_sympys_sturm_sequences():

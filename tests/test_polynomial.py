@@ -1,10 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from peakpoly import polynomial
 from peakpoly.polynomial import (
     DivisionByZeroPoly,
     NonzeroRemainder,
@@ -50,6 +52,32 @@ def test_multiplying_by_a_fraction_raises():
         Poly.one() * Fraction(1, 2)
     with pytest.raises(TypeError):
         Fraction(1, 2) * Poly.one()
+
+
+def test_evaluation_is_at_an_int_or_a_fraction():
+    p = Poly((1, 1))
+    assert p(Fraction(1, 3)) == Fraction(4, 3)
+    for x, value in ((2, 3), (True, 2), (Fraction(4, 2), 3), (-1, 0)):
+        assert p(x) == value and type(p(x)) is int
+    assert Poly.zero()(Fraction(1, 3)) == 0
+
+
+@pytest.mark.parametrize("bad", ["1/3", 0.1, 1.0, Decimal("0.1"), Decimal(1), None], ids=repr)
+def test_evaluation_refuses_an_inexact_or_unparsed_point(bad):
+    # like a coefficient, a point that is neither a Fraction nor an integer
+    # raises: a float is not read at its binary value, nor a string parsed
+    with pytest.raises(TypeError):
+        Poly((1, 1))(bad)
+
+
+def test_evaluation_at_an_integer_builds_no_fraction(monkeypatch):
+    class Unbuildable(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(polynomial, "Fraction", Unbuildable)
+    r = Poly((1, 4, 5, 2))
+    assert [r(x) for x in (-1, 0, 3, True)] == [0, 1, 112, 12]
 
 
 def test_degree_of_product_adds():

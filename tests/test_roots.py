@@ -151,21 +151,21 @@ def test_sturm_chain_self_test_on_split_polynomials(roots_list):
 
 
 def test_certify_root_structure_small_cases():
-    assert certify_root_structure(1) is True
+    assert certify_root_structure(1) is None
     assert multiplicity_at(F.tan_sec_poly(1), -1) == 1
     assert sturm_chain(F.reduced_tan_sec_poly(1)).cauchy_index() == 0
-    assert certify_root_structure(4) is True
+    assert certify_root_structure(4) is None
     assert multiplicity_at(F.tan_sec_poly(4), -1) == 3
     g4 = F.reduced_tan_sec_poly(4)
     assert count(g4, -1, 0) == count(g4, Fraction(-1, 4), Fraction(-1, 8)) == 1
-    assert certify_root_structure(5) is True
+    assert certify_root_structure(5) is None
     assert multiplicity_at(F.tan_sec_poly(5), -1) == 3
     assert count(F.reduced_tan_sec_poly(5), -1, 0) == 2
 
 
 def test_certify_root_structure_full_range():
     for n in range(1, 26):
-        assert certify_root_structure(n) is True
+        assert certify_root_structure(n) is None
         assert multiplicity_at(F.tan_sec_poly(n), -1) == n // 2 + 1
         g = F.reduced_tan_sec_poly(n)
         expected = (n + 1) // 2 - 1
@@ -177,7 +177,7 @@ def test_certify_root_structure_full_range():
 
 def test_certify_interlacing_full_range():
     for n in range(1, 26):
-        assert certify_interlacing(n)
+        assert certify_interlacing(n) is None
 
 
 def test_the_roots_sign_tests_go_through_the_one_evaluation(monkeypatch):
@@ -321,9 +321,10 @@ def interlacing_verdict(monkeypatch, g_n, g_n1) -> bool:
     pair = reduced_pair(monkeypatch)
     pair[2], pair[3] = g_n, g_n1
     try:
-        return certify_interlacing(2)
+        certify_interlacing(2)
     except InterlacingViolation:
         return False
+    return True
 
 
 @pytest.mark.parametrize(
@@ -391,11 +392,10 @@ def two_sequence_interlacing(g_n, g_n1):
     index = SturmChain(remainder_sequence(g, f)).cauchy_index()
     if index != orientation * g.degree:
         raise InterlacingViolation("zeros of R_2 and R_3 fail to alternate")
-    return True
 
 
 def outcome(run):
-    """True, or the class and message of what run raised."""
+    """What run returned, or the class and message of what it raised."""
     try:
         return run()
     except Exception as exc:
@@ -430,9 +430,9 @@ def test_interlacing_matches_the_two_sequence_reference_on_shared_factors(monkey
         shared += gcd_poly(pair[2], pair[3]).degree >= 1
         got = outcome(lambda: certify_interlacing(2))
         assert got == outcome(lambda: two_sequence_interlacing(pair[2], pair[3])), (pair[2], pair[3])
-        kinds[got if got is True else got[1].split(" ")[0]] += 1
+        kinds["pass" if got is None else got[1].split(" ")[0]] += 1
     assert shared >= 200 and min(kinds.values()) >= 50, (shared, kinds)
-    assert set(kinds) == {True, "simple-zero", "zeros"}, kinds
+    assert set(kinds) == {"pass", "simple-zero", "zeros"}, kinds
 
 
 def test_a_shared_root_with_a_degree_gap_names_the_reduced_degrees(monkeypatch):
