@@ -17,15 +17,17 @@ is a fail; any other exception is an error, since the code broke and no
 counterexample was found.  Either witness has index -1 and names the
 exception.  `plan`, which `run` calls before any check, is the one gate of a
 verify request, for the CLI and the library alike.  It refuses, in this
-order, a knob below 1 (LimitExceeded), a knob that leaves a check with a
-fixed start empty (ValueError) and a knob above its RANGES cap
-(LimitExceeded).  Each check function refuses an n below its own minimum.
+order, a knob that is not an integer (TypeError), a knob below 1
+(LimitExceeded), a knob that leaves a check with a fixed start empty
+(ValueError) and a knob above its RANGES cap (LimitExceeded).  Each check
+function refuses an n below its own minimum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -81,10 +83,6 @@ class CheckResult(NamedTuple):
     n_range: tuple[int, int]
     verdict: str
     witness: Witness | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_json(self) -> dict:
         doc = {
@@ -385,11 +383,13 @@ CHECKS = (
 def plan(suite: str, ranges: dict[str, int]) -> list[tuple[Check, int, int]]:
     """The checks of `suite` ("all": every check) in table order, each with
     its lo and hi.  The one gate of a verify request, which `run` passes
-    before any check: LimitExceeded if any knob, whatever the suite, is below
-    1; then ValueError if a fixed lo is above its hi; then LimitExceeded if
-    any knob is above its cap."""
+    before any check: TypeError if any knob, whatever the suite, is not an
+    integer (a bool is one, as for a Poly coefficient); then LimitExceeded if
+    any knob is below 1; then ValueError if a fixed lo is above its hi; then
+    LimitExceeded if any knob is above its cap."""
     if suite != "all" and suite not in {check.suite for check in CHECKS}:
         raise ValueError(f"unknown suite {suite!r}")
+    ranges = {name: operator.index(value) for name, value in ranges.items()}
     for knob in RANGES:
         _at_least(knob.name, ranges[knob.name], 1)
     spans = []

@@ -186,7 +186,6 @@ def certify_interlacing(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 class CltStats(NamedTuple):
-    n: int
     value_at_1: int
     deriv1_at_1: int
     deriv2_at_1: int
@@ -197,9 +196,9 @@ class CltStats(NamedTuple):
 def clt_stats(n: int) -> CltStats:
     """Exact mean and variance of the coefficient distribution of R_n.
 
-    mu = R'(1)/R(1) and sigma^2 = mu + R''(1)/R(1) - mu^2.  Nothing is
-    compared here: identities.check_clt_moments holds them to their closed
-    forms.
+    The record holds R(1), R'(1) and R''(1), with mu = R'(1)/R(1) and
+    sigma^2 = mu + R''(1)/R(1) - mu^2.  Nothing is compared here:
+    identities.check_clt_moments holds them to their closed forms.
     """
     _at_least("n", n, 1)
     rn = families.tan_sec_poly(n)
@@ -207,14 +206,12 @@ def clt_stats(n: int) -> CltStats:
     v, d1, d2 = rn(1), deriv(1), deriv.derivative()(1)
     mu = Fraction(d1, v)
     sigma2 = mu + Fraction(d2, v) - mu * mu
-    return CltStats(n, v, d1, d2, mu, sigma2)
+    return CltStats(v, d1, d2, mu, sigma2)
 
 
 class ModeResult(NamedTuple):
-    n: int
     argmax: tuple[int, ...]
     allowed: tuple[int, ...]
-    tie: bool
     ok: bool
 
 
@@ -222,7 +219,9 @@ def mode_bracket(n: int) -> ModeResult:
     """Locate the largest coefficient of row n and test the Darroch bracket.
 
     If (2n-1)/3 is an integer the maximum must sit exactly there; otherwise
-    at its floor or ceiling.  Ties are reported, not failed.
+    at its floor or ceiling.  The record holds the indices of the maximum
+    (argmax; more than one is a tie, reported, not failed), the allowed
+    indices, and ok: every index of argmax is allowed.
     """
     _at_least("n", n, 2)
     row = families.tan_sec_poly(n).coeffs
@@ -234,4 +233,4 @@ def mode_bracket(n: int) -> ModeResult:
     else:
         allowed = (num // 3, num // 3 + 1)
     ok = all(k in allowed for k in argmax)
-    return ModeResult(n, argmax, allowed, len(argmax) > 1, ok)
+    return ModeResult(argmax, allowed, ok)

@@ -352,10 +352,6 @@ def solved_family_polys(family: str, order: int) -> tuple[Poly, ...]:
 # ---------------------------------------------------------------------------
 
 class SpotcheckReport(NamedTuple):
-    x0: Fraction
-    t0: Fraction
-    order: int
-    tol: float
     rel_error: float
     remainder_bound: float
 
@@ -372,7 +368,9 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
     |R_{n+1}(x0)| <= R_{n+1}(1) = 2 (n+1)! for x0 in (0, 1); the bound must
     certify the tolerance or PrecisionInsufficient is raised.  An x0 or t0
     out of range, or a tol that is not finite and positive, is refused with
-    ValueError.
+    ValueError.  The report holds the two relative measures that were held to
+    tol: the error of the partial sum against the closed form, and the
+    remainder bound.
     """
     _at_least("order", order, 0)
     x0 = Fraction(x0)
@@ -406,4 +404,4 @@ def numeric_spotcheck(x0: Fraction | int, t0: Fraction | int, order: int, tol: f
         raise ToleranceExceeded(
             f"relative error {rel_error:.3e} exceeds tolerance {tol:.3e}"
         )
-    return SpotcheckReport(x0, t0, order, tol, rel_error, bound_rel)
+    return SpotcheckReport(rel_error, bound_rel)

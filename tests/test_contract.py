@@ -242,6 +242,19 @@ def test_the_library_run_refuses_each_knob_below_one_before_any_check(monkeypatc
             assert str(info.value) == f"{knob.name} {value} below minimum 1", (suite, value)
 
 
+def test_the_library_run_refuses_a_knob_that_is_not_an_integer_before_any_check(monkeypatch):
+    called = []
+    for fn in {check.fn for check in I.CHECKS}:
+        monkeypatch.setattr(I, fn, lambda n, *args, fn=fn: called.append((fn, n)))
+    for ranges in ({"gf_order": 2.0}, {"roots_nmax": 3.5}):
+        with pytest.raises(TypeError):
+            I.run("all", **ranges)
+    assert called == []
+    # a bool is an integer, as it is for a Poly coefficient
+    assert I.run("gf", gf_order=True)[0] == I.CheckResult("gf_A", (0, 1), "pass")
+    assert called and all(type(n) is int for _, n in called)
+
+
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_each_count_is_accepted_at_its_minimum_and_refused_below_it(name):
     call, _, minimum = COUNTS[name]

@@ -150,7 +150,7 @@ WL_CHECKS = {"row_interleave", "peak_to_derivative", "petersen", "dilks_type_b_g
 )
 def test_each_peak_transform_check_sees_a_corrupted_row_5(monkeypatch, accessor, change, failing, too_long):
     _corrupt_row(monkeypatch, accessor, 5, change)
-    flagged = {r.check_id: r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if not r.passed}
+    flagged = {r.check_id: r for r in I.run("identities", nmax_exact=8, signed_nmax=4) if r.verdict != "pass"}
     assert set(flagged) == failing
     assert all(r.verdict == "fail" and r.witness.n == 5 for r in flagged.values())
     if too_long:
@@ -181,14 +181,14 @@ def test_each_route_an_agreement_row_reads_can_fail_it(monkeypatch, row, name):
         if check.fn == "check_routes_agree" and name in check.reads and lo <= 4 <= hi
     ]
     assert row.check_id in expected
-    flagged = [r for r in I.run(row.suite, **ranges) if not r.passed]
+    flagged = [r for r in I.run(row.suite, **ranges) if r.verdict != "pass"]
     assert [(r.check_id, r.verdict, r.witness.n) for r in flagged] == [(check_id, "fail", 4) for check_id in expected]
 
 
 def test_an_oracle_row_with_an_internal_zero_fails_the_rows_that_read_it(monkeypatch):
     real = S.FAMILIES["W"].routes["oracle"]
     monkeypatch.setitem(S.FAMILIES["W"].routes, "oracle", lambda n: Poly((1, 0, 1)) if n == 4 else real(n))
-    flagged = {r.check_id: r.witness for r in I.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed}
+    flagged = {r.check_id: r.witness for r in I.run("oracle", oracle_nmax=6, signed_nmax=4) if r.verdict != "pass"}
     assert flagged == {
         "oracle_peak_rows": I.Witness(4, 0, "1", "8"),
         "oracle_no_internal_zeros": I.Witness(4, 0, "W.oracle", "internal zero"),
@@ -260,7 +260,7 @@ def _identity_with_one_descent(monkeypatch, n):
 ])
 def test_a_check_reading_its_input_directly_fails_on_it_alone(monkeypatch, suite, ranges, corrupt, failed):
     corrupt(monkeypatch)
-    assert [r for r in I.run(suite, **ranges) if not r.passed] == failed
+    assert [r for r in I.run(suite, **ranges) if r.verdict != "pass"] == failed
 
 
 @pytest.mark.parametrize("accessor, route, change", [
@@ -278,7 +278,7 @@ def test_a_corrupted_route_function_reaches_every_check_that_reads_the_route(mon
     assert S.FAMILIES[family].routes[route_name](5).coeffs == tuple(change(row))
     readers = {check.check_id for check in I.CHECKS if route in check.reads}
     results = I.run("all", nmax_exact=6, oracle_nmax=6, signed_nmax=4, gf_order=6, roots_nmax=6, clt_nmax=6)
-    flagged = {r.check_id: r.verdict for r in results if not r.passed}
+    flagged = {r.check_id: r.verdict for r in results if r.verdict != "pass"}
     assert set(flagged.values()) == {"fail"}
     if family == "R":  # nothing else reads R_5
         assert set(flagged) == readers and len(readers) == 11
@@ -367,14 +367,14 @@ def test_a_corrupted_bell_row_fails_the_checks_that_can_see_it(monkeypatch, bump
     rows[5] = rows[5][:3] + (rows[5][3] + bump,) + rows[5][4:]
     monkeypatch.setattr(F, "_PEAK_BELL_ROWS", F.Memo(rows, F._PEAK_BELL_ROWS.step))
     results = I.run("identities", nmax_exact=6, signed_nmax=3)
-    failed = {r.check_id: r.witness for r in results if not r.passed}
+    failed = {r.check_id: r.witness for r in results if r.verdict != "pass"}
     assert failed == expected
-    assert all(r.verdict == "fail" for r in results if not r.passed)
+    assert all(r.verdict == "fail" for r in results if r.verdict != "pass")
 
 
 def test_identity_suite_passes_at_defaults():
     results = I.run("identities")
-    assert all(r.passed for r in results)
+    assert all(r.verdict == "pass" for r in results)
     ids = [r.check_id for r in results]
     assert "row_interleave" in ids
     assert "dilks_affine_gf" in ids
@@ -382,22 +382,22 @@ def test_identity_suite_passes_at_defaults():
 
 def test_identity_suite_degenerate_range():
     results = I.run("identities", nmax_exact=1, signed_nmax=1)
-    assert all(r.passed for r in results)
+    assert all(r.verdict == "pass" for r in results)
 
 
 def test_gf_suite_passes():
     results = I.run("gf", gf_order=10)
-    assert all(r.passed for r in results)
+    assert all(r.verdict == "pass" for r in results)
     assert [r.check_id for r in results][:8] == [
         "gf_A", "gf_W", "gf_WL", "gf_P", "gf_C", "gf_CT", "gf_T", "gf_R",
     ]
 
 
 def test_roots_and_clt_suites():
-    assert all(r.passed for r in I.run("roots", roots_nmax=10))
+    assert all(r.verdict == "pass" for r in I.run("roots", roots_nmax=10))
     clt = I.run("clt", clt_nmax=12)
     assert len(clt) == 9
-    assert all(r.passed for r in clt)
+    assert all(r.verdict == "pass" for r in clt)
     assert clt[0].n_range == (4, 4)
 
 
@@ -455,7 +455,7 @@ def test_missing_factor_at_minus_one_is_an_interlacing_fail(monkeypatch):
 
 def test_oracle_suite_passes():
     results = I.run("oracle", oracle_nmax=6, signed_nmax=4)
-    assert all(r.passed for r in results)
+    assert all(r.verdict == "pass" for r in results)
 
 
 def test_run_all_aggregate_and_order_stability():
@@ -503,7 +503,7 @@ def test_a_check_function_is_looked_up_when_the_check_runs(monkeypatch):
     monkeypatch.setattr(I, "check_stembridge", lambda n: I.Witness(n, 0, "1", "2") if n == 3 else None)
     verdicts = {r.check_id: r for r in I.run("identities", nmax_exact=5, signed_nmax=3)}
     assert verdicts["stembridge"] == I.CheckResult("stembridge", (1, 5), "fail", I.Witness(3, 0, "1", "2"))
-    assert all(r.passed for check_id, r in verdicts.items() if check_id != "stembridge")
+    assert all(r.verdict == "pass" for check_id, r in verdicts.items() if check_id != "stembridge")
 
 
 def test_empty_ranges_with_a_fixed_start_are_refused():

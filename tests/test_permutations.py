@@ -476,7 +476,7 @@ def _corrupt_cached(monkeypatch, name, args, table):
 
 
 def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
-    assert _shard_check().passed
+    assert _shard_check().verdict == "pass"
     # n = 6 fills its last three positions from it; the prefix 1, 2, 3 ends
     # in a value reached by an ascent below all those left, key 1, at base 0
     m = P._tail(6)
@@ -487,7 +487,7 @@ def test_shard_determinism_check_fails_on_a_corrupted_suffix_table(monkeypatch):
     check = _shard_check()
     assert (check.verdict, check.witness.n, check.witness.index) == ("fail", 6, d)
     monkeypatch.undo()
-    assert _shard_check().passed
+    assert _shard_check().verdict == "pass"
     sm = P._tail(4)  # signed n = 4 fills its last two positions from them
     assert sm == 2
     des_b, ades = P._signed_tail_tables(sm)
@@ -509,7 +509,7 @@ def test_signed_rows_check_fails_on_a_corrupted_des_b_table(monkeypatch):
     des_b, ades = P._signed_tail_tables(sm)
     corrupted = (_off_by_one(des_b[0], 0),) + des_b[1:]
     _corrupt_cached(monkeypatch, "_signed_tail_tables", (sm,), (corrupted, ades))
-    flagged = [r for r in identities.run("oracle", oracle_nmax=6, signed_nmax=4) if not r.passed]
+    flagged = [r for r in identities.run("oracle", oracle_nmax=6, signed_nmax=4) if r.verdict != "pass"]
     assert flagged == [identities.CheckResult("oracle_signed_rows", (1, 4), "fail", identities.Witness(3, 1, "24", "23"))]
 
 
