@@ -22,12 +22,12 @@ arguments only to the command it names: `oracle` loads permutations, `poly`
 and `triangle` the family table (series, families, polynomial, permutations),
 `verify` every layer, and `--version`, `--help` or a top-level usage error none.
 
-main(argv) runs one request in process and returns its exit code.  Every way of
-starting a process (`python -m peakpoly`, this module as a script, the
-`peakpoly` console script) goes through entry(), which ends the process as soon
-as stdout and stderr are flushed, without interpreter teardown.  Output and exit
-codes are those of the normal exit, which a failed flush, a tracer, a profiler
-or `python -i` still take.
+main(argv) runs one request in process: it calls the handler that the parser of
+its command carries, and returns the handler's exit code.  Every way of starting
+a process (`python -m peakpoly`, this module as a script, the `peakpoly` console
+script) goes through entry(), which, unless a tracer, a profiler or `python -i`
+watches it, ends the process as soon as stdout and stderr are flushed, without
+interpreter teardown.  Output and exit codes are those of the normal exit.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="print one family polynomial, coefficients ascending")
     p_oracle = sub.add_parser("oracle", help="brute-force statistic distribution")
     p_verify = sub.add_parser("verify", help="run verification suites, JSON report on stdout")
-    for command_parser in (p_tri, p_poly, p_oracle, p_verify):  # reports its handler's usage errors
-        command_parser.set_defaults(command_parser=command_parser)
+    for command_parser, handler in ((p_tri, cmd_triangle), (p_poly, cmd_poly), (p_oracle, cmd_oracle),
+                                    (p_verify, cmd_verify)):  # each parser reports its handler's usage errors
+        command_parser.set_defaults(handler=handler, command_parser=command_parser)
     if "triangle" in commands or "poly" in commands:
         from . import series
     if "triangle" in commands:
@@ -173,10 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no top-level option takes a value, so the first other token is the command
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser((command,) if command in COMMANDS else ())
-    args = parser.parse_args(argv)
+    args = build_parser((command,) if command in COMMANDS else ()).parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args, args.command_parser)
+        return args.handler(args, args.command_parser)
     except LimitExceeded as exc:
         print(f"peakpoly: {exc}", file=sys.stderr)
         return 3
@@ -192,22 +192,22 @@ def _watched() -> bool:
 
 
 def entry() -> None:
-    """Run main() as a process, and end it once stdout and stderr are flushed.
+    """Run main() as a process and, unless it is watched, end it once stdout and stderr are flushed.
 
-    A code other than an int or None, a failed flush (Python reports it and exits
-    120) or a watched process take the normal exit; any other exception propagates."""
+    The code is main()'s or argparse's (0 for --help and --version, 2 for a usage error).  A
+    failed flush (Python reports it and exits 120) or a watched process takes the normal exit."""
     try:
         code = main()
     except SystemExit as exc:  # --help, --version, usage errors
         code = exc.code
-    if (code is None or isinstance(code, int)) and not _watched():
+    if not _watched():
         try:
             sys.stdout.flush()
             sys.stderr.flush()
         except Exception:  # reported again, and as always, by the normal exit
             pass
         else:
-            os._exit(code or 0)
+            os._exit(code)
     sys.exit(code)
 
 

@@ -107,6 +107,17 @@ def test_oracle_outputs():
     assert run("oracle", "--stat", "desb", "--n", "2").stdout == "1,6,1\n"
 
 
+def test_a_handler_rebound_on_the_module_runs_with_its_command_parser(monkeypatch):
+    # the tracer and the tests that patch a handler rely on main calling the
+    # module's binding when the request builds its parser, not one kept from import
+    built, calls = [], []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda commands: built.append(build_parser(commands)) or built[-1])
+    monkeypatch.setattr(cli, "cmd_oracle", lambda args, parser: calls.append((args.n, parser)) or 0)
+    assert cli.main(["oracle", "--stat", "pk", "--n", "3"]) == 0
+    assert calls == [(3, _subparser(*built, "oracle"))]
+
+
 def test_oracle_limit_exit_code():
     assert run("oracle", "--stat", "pk", "--n", "11").returncode == 3
     assert run("oracle", "--stat", "ades", "--n", "8").returncode == 3

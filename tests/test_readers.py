@@ -8,10 +8,9 @@ aside), the `python -c` programs of the CI workflow and README's python
 blocks.  An occurrence is a name, an attribute, or a string constant that is
 a dotted identifier (a CHECKS row's `fn`, a `_FROM` key, an entry of the
 tracer's METHODS); a method or a property is read only as an attribute or
-in such a string.  Prose (a docstring, a comment) reads nothing.  cli.main
-builds the name `cmd_<command>` for each entry of cli.COMMANDS, so it reads
-each of them.  The names that only the benchmark reads are pinned here, so
-that a change to what the benchmark reads shows as a changed set.
+in such a string.  Prose (a docstring, a comment) reads nothing.  The names
+that only the benchmark reads are pinned here, so that a change to what the
+benchmark reads shows as a changed set.
 """
 
 import ast
@@ -20,7 +19,6 @@ import textwrap
 from pathlib import Path
 
 import peakpoly
-from peakpoly import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(peakpoly.__file__).parent.glob("*.py"))
@@ -108,8 +106,6 @@ def readers() -> dict[str, set[str]]:
     for area, path, source in _programs():
         found = Reads(ast.parse(source))
         reads.append((area, path, found.anywhere, found.as_member))
-    # cli.main calls globals()[f"cmd_{args.command}"] for each command
-    reads.append(("package", None, {f"cmd_{command}": [0] for command in cli.COMMANDS}, {}))
     return {key: areas for path in SOURCES for key, areas in _areas(path, reads).items()}
 
 
@@ -145,9 +141,3 @@ def test_a_name_read_only_inside_its_own_definition_is_unread(tmp_path):
     found = Reads(ast.parse(path.read_text()))
     reads = [("package", path, found.anywhere, found.as_member), ("demos", None, {"Box": [1], "size": [1]}, {})]
     assert _areas(path, reads) == {"mod.walk": set(), "mod.Box": {"demos"}, "mod.Box.size": set()}
-
-
-def test_cli_defines_one_handler_per_command_and_no_other():
-    tree = ast.parse(Path(cli.__file__).read_text())
-    handlers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
-    assert sorted(handlers) == sorted(f"cmd_{command}" for command in cli.COMMANDS)
